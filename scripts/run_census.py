@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from hesstop.census import certify_row, enumerate_rows
-from hesstop.errors import PreconditionFailed
+from hesstop.errors import HesstopError
 
 
 def main() -> int:
@@ -28,8 +28,9 @@ def main() -> int:
                 try:
                     bundle = certify_row(row)
                     line += f"   certified (index {bundle['index']})"
-                except PreconditionFailed as exc:
-                    line += f"   FAILED: {exc.hypothesis}"
+                except HesstopError as exc:
+                    name = getattr(exc, "hypothesis", type(exc).__name__)
+                    line += f"   FAILED: {name}"
                     failed += 1
             print(line)
     return 1 if failed else 0

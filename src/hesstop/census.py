@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import Verdict, certify_pairing_nonpositive, is_elliptic, is_hyperbolic
+from .classify import is_hyperbolic
 from .errors import DomainError, PreconditionFailed
 from .isotopy import certify_product_isotopy
 from .lineindex import index_at_origin
-from .polyalg import product_family, radial_family, saddle_family
+from .polyalg import multiply, radial_family, saddle_family
 from .quadform import second_fundamental_form
 
 
@@ -88,32 +88,30 @@ def enumerate_rows(n: int) -> list[CensusRow]:
 def certify_row(row: CensusRow) -> dict:
     """Run the full certificate bundle for one census row.
 
-    Checks hyperbolicity of the row polynomial, and for k >= 1 also
-    ellipticity of the radial factor, nonpositivity of the hessian pairing
-    and the product isotopy; finally the numerical origin index must equal
-    the theoretical (2 - m)/2.  Raises PreconditionFailed naming the first
-    failing certificate.
+    For k = 0 checks hyperbolicity of the saddle; for k >= 1 runs the
+    product isotopy once, which certifies the product hyperbolic, the radial
+    factor elliptic and the hessian pairing nonpositive, and fills those
+    bundle entries from its verdicts.  Finally the numerical origin index
+    must equal the theoretical (2 - m)/2.  Raises PreconditionFailed naming
+    the first failing certificate.
     """
     p = saddle_family(row.m)
-    f = product_family(row.m, row.k) if row.k >= 1 else p
     bundle: dict = {"row": row}
-
-    hyp_ok, hyp_cert = is_hyperbolic(f)
-    bundle["product_hyperbolic"] = hyp_cert
-    if not hyp_ok:
-        raise PreconditionFailed("product_hyperbolic", f"row {row}")
 
     if row.k >= 1:
         q = radial_family(row.k)
-        ell_ok, ell_cert = is_elliptic(q)
-        bundle["radial_elliptic"] = ell_cert
-        if not ell_ok:
-            raise PreconditionFailed("radial_elliptic", f"row {row}")
-        pairing = certify_pairing_nonpositive(p, q)
-        bundle["pairing_nonpositive"] = pairing
-        if not pairing.holds:
-            raise PreconditionFailed("pairing_nonpositive", f"row {row}")
-        bundle["isotopy"] = certify_product_isotopy(p, q)
+        f = multiply(p, q)
+        isotopy = certify_product_isotopy(p, q)
+        bundle["product_hyperbolic"] = isotopy.verdicts["product_hyperbolic"]
+        bundle["radial_elliptic"] = isotopy.verdicts["q_elliptic"]
+        bundle["pairing_nonpositive"] = isotopy.verdicts["pairing_nonpositive"]
+        bundle["isotopy"] = isotopy
+    else:
+        f = p
+        hyp_ok, hyp_cert = is_hyperbolic(f)
+        bundle["product_hyperbolic"] = hyp_cert
+        if not hyp_ok:
+            raise PreconditionFailed("product_hyperbolic", f"row {row}")
 
     half, trace = index_at_origin(second_fundamental_form(f))
     bundle["index"] = half

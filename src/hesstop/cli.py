@@ -3,30 +3,24 @@
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on usage errors (bad flags, unparseable polynomials).
 Polynomials are accepted as text (--poly) or as family shortcuts
-(--family P:m, Q:k or f:m,k).  HESSTOP_THREADS caps worker parallelism
-for batched certification.
+(--family P:m, Q:k or f:m,k); degrees above polyalg.MAX_DEGREE are
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import census as census_mod
 from . import combinat
-from .classify import (
-    certify_pairing_nonpositive,
-    is_elliptic,
-    is_hyperbolic,
-)
+from .classify import Verdict, certify_pairing_nonpositive, is_hyperbolic
 from .errors import HesstopError, PreconditionFailed
 from .foliation import count_separatrices, curves_to_csv, curves_to_svg, trace_foliation
 from .isotopy import certify_product_isotopy
 from .lineindex import index_at_origin
-from .polyalg import HomoPoly, parse, product_family, radial_family, saddle_family
+from .polyalg import MAX_DEGREE, HomoPoly, parse, product_family, radial_family, saddle_family
 from .quadform import second_fundamental_form
 
 
@@ -34,23 +28,26 @@ class UsageError(Exception):
     pass
 
 
-def worker_count() -> int:
-    raw = os.environ.get("HESSTOP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+_CLASS_LABELS = {Verdict.POSITIVE: "hyperbolic", Verdict.NEGATIVE: "elliptic"}
+
+
+def _check_degree(degree: int, what: str) -> None:
+    if degree > MAX_DEGREE:
+        raise UsageError(f"{what} has degree {degree}, above the cap {MAX_DEGREE}")
 
 
 def _family_poly(spec: str) -> HomoPoly:
     try:
         tag, _, args = spec.partition(":")
         if tag == "P":
+            _check_degree(int(args), spec)
             return saddle_family(int(args))
         if tag == "Q":
+            _check_degree(2 * int(args), spec)
             return radial_family(int(args))
         if tag == "f":
             m_str, k_str = args.split(",")
+            _check_degree(int(m_str) + 2 * int(k_str), spec)
             return product_family(int(m_str), int(k_str))
     except (ValueError, HesstopError) as exc:
         raise UsageError(f"bad family spec {spec!r}: {exc}") from exc
@@ -79,6 +76,7 @@ def _load_pair(args) -> tuple[HomoPoly, HomoPoly]:
             raise UsageError("pair commands need --family f:m,k")
         try:
             m_str, k_str = rest.split(",")
+            _check_degree(int(m_str) + 2 * int(k_str), args.family)
             return saddle_family(int(m_str)), radial_family(int(k_str))
         except (ValueError, HesstopError) as exc:
             raise UsageError(f"bad family spec {args.family!r}: {exc}") from exc
@@ -97,14 +95,16 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _classification(f: HomoPoly):
+    """("hyperbolic" | "elliptic" | "neither", certificate) from one exact
+    sign verdict on the discriminant of II_f."""
+    _, cert = is_hyperbolic(f)
+    return _CLASS_LABELS.get(cert.verdict, "neither"), cert
+
+
 def _cmd_classify(args) -> int:
     f = _load_poly(args)
-    hyp, cert = is_hyperbolic(f)
-    if hyp:
-        label = "hyperbolic"
-    else:
-        ell, cert = is_elliptic(f)
-        label = "elliptic" if ell else "neither"
+    label, cert = _classification(f)
     _emit(
         args,
         {"classification": label, "certificate": cert.to_json()},
@@ -129,6 +129,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    _check_degree(args.n, "--n")
     rows = census_mod.enumerate_rows(args.n)
     if args.json:
         print(json.dumps([r.to_json() for r in rows], indent=2))
@@ -138,27 +139,16 @@ def _cmd_census(args) -> int:
             print(f"{r.n:>3} {r.k:>3} {r.m:>3} {str(r.index):>7} {r.lower_bound:>12}")
     if not args.certify:
         return 0
-    failures = []
-
-    def run(row):
+    failures = 0
+    for row in rows:
         try:
             census_mod.certify_row(row)
-            return row, None
-        except PreconditionFailed as exc:
-            return row, exc
-
-    threads = worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, rows))
-    else:
-        results = [run(r) for r in rows]
-    for row, exc in results:
-        status = "certified" if exc is None else f"FAILED ({exc.hypothesis})"
+            status = "certified"
+        except HesstopError as exc:
+            status = f"FAILED ({getattr(exc, 'hypothesis', type(exc).__name__)})"
+            failures += 1
         if not args.json:
             print(f"  (k={row.k}, m={row.m}): {status}")
-        if exc is not None:
-            failures.append(row)
     return 1 if failures else 0
 
 
@@ -264,6 +254,13 @@ def _cmd_certify(args) -> int:
 
 def _cmd_foliate(args) -> int:
     f = _load_poly(args)
+    label, cert = _classification(f)
+    if label == "neither":
+        raise PreconditionFailed(
+            "hyperbolic",
+            f"the line field needs a hyperbolic (or elliptic, line-free) form; "
+            f"the discriminant of II is {cert.verdict.value}",
+        )
     w = second_fundamental_form(f)
     if args.svg or args.csv:
         cs = trace_foliation(w, seeds=args.seeds)

@@ -28,26 +28,6 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class BinomTable:
-    """Pascal triangle of arbitrary-precision integers up to row n_max."""
-
-    def __init__(self, n_max: int):
-        if n_max < 0:
-            raise DomainError("table size must be nonnegative")
-        rows = [[1]]
-        for r in range(1, n_max + 1):
-            prev = rows[-1]
-            row = [1] + [prev[j - 1] + prev[j] for j in range(1, r)] + [1]
-            rows.append(row)
-        self.n_max = n_max
-        self.rows = rows
-
-    def __call__(self, n: int, k: int) -> int:
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
-
-
 def _require_even(m: int, minimum: int) -> None:
     if m < minimum or m % 2 != 0:
         raise DomainError(f"needs even m >= {minimum}, got {m}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .classify import (
     NonnegativityCertificate,
+    PairingCertificate,
     SignCertificate,
     Verdict,
     certify_nonpositive,
@@ -83,6 +84,8 @@ def _conclusive(v) -> bool:
         return v.verdict in (Verdict.POSITIVE, Verdict.NEGATIVE, Verdict.ZERO)
     if isinstance(v, NonnegativityCertificate):
         return v.nonnegative
+    if isinstance(v, PairingCertificate):
+        return v.holds
     if isinstance(v, IsotopyCertificate):
         return v.valid
     return bool(v)
@@ -149,7 +152,7 @@ def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     verdicts = {
         "p_hyperbolic": hyp_cert,
         "q_positive": q_pos,
-        "pairing_nonpositive": pairing.base,
+        "pairing_nonpositive": pairing,
         "a0_positive": sign_on_punctured_plane(a0),
         "a1_nonnegative": certify_nonnegative(a1),
         "a2_nonnegative": certify_nonnegative(a2),
@@ -172,35 +175,26 @@ def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
 def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     """Certify that II_{pq} and II_p are joined by hyperbolic isotopies.
 
-    All hypotheses are checked and certified internally: p hyperbolic, q
-    elliptic and positive off the origin, pq hyperbolic, and the hessian
-    pairing nonpositive.  The affine leg deforms II_{pq} to
-    w = q*II_p + 2 dp dq using the exact split
-    II_{pq} = p*II_q + q*II_p + 2 dp dq with delta = p*II_q nowhere
+    All hypotheses are checked and certified internally, each once, in this
+    order: q elliptic; then the gradient-term leg, which proves p
+    hyperbolic, q positive off the origin and the hessian pairing
+    nonpositive; then pq hyperbolic; then the affine leg.  The first
+    failing hypothesis is named by the PreconditionFailed raised.
+
+    The affine leg deforms II_{pq} to w = q*II_p + 2 dp dq using the exact
+    split II_{pq} = p*II_q + q*II_p + 2 dp dq with delta = p*II_q nowhere
     hyperbolic (its discriminant is p^2 disc II_q <= 0 by ellipticity of q).
     The gradient-term leg then removes the 2 dp dq summand.  Finally
     q*II_p has the same null directions as II_p because q is positive.
     """
-    hyp_ok, p_cert = is_hyperbolic(p)
-    if not hyp_ok:
-        raise PreconditionFailed("p_hyperbolic", "first factor is not hyperbolic")
     ell_ok, q_cert = is_elliptic(q)
     if not ell_ok:
         raise PreconditionFailed("q_elliptic", "second factor is not elliptic")
-    q_pos = sign_on_punctured_plane(q)
-    if q_pos.verdict is not Verdict.POSITIVE:
-        raise PreconditionFailed(
-            "q_positive", "second factor is not positive on the punctured plane"
-        )
+    gradient_leg = certify_gradient_term_path(p, q)
     f = multiply(p, q)
     prod_ok, f_cert = is_hyperbolic(f)
     if not prod_ok:
         raise PreconditionFailed("product_hyperbolic", "the product is not hyperbolic")
-    pairing = certify_pairing_nonpositive(p, q)
-    if not pairing.holds:
-        raise PreconditionFailed(
-            "pairing_nonpositive", "hessian pairing takes positive values"
-        )
 
     omega = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
     delta = second_fundamental_form(q).scale(p)
@@ -218,14 +212,13 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
         )
         raise PreconditionFailed(failing, "affine path positivity failed")
 
-    gradient_leg = certify_gradient_term_path(p, q)
-
+    leg = gradient_leg.verdicts
     verdicts = {
-        "p_hyperbolic": p_cert,
+        "p_hyperbolic": leg["p_hyperbolic"],
         "q_elliptic": q_cert,
-        "q_positive": q_pos,
+        "q_positive": leg["q_positive"],
         "product_hyperbolic": f_cert,
-        "pairing_nonpositive": pairing.base,
+        "pairing_nonpositive": leg["pairing_nonpositive"],
         "affine_start_positive": affine_verdicts["start_positive"],
         "affine_end_positive": affine_verdicts["end_positive"],
         "affine_quadratic_term_nonpositive": affine_verdicts[

@@ -154,8 +154,10 @@ def index_at_origin(
     Like any sampled continuation this has a Nyquist limit: a step that
     jumps at least three quarters of the branch separation can silently
     select the wrong branch, so n_initial should comfortably exceed eight
-    times the coefficient degree.  The default of 1024 covers every form
-    of coefficient degree up to roughly 120.
+    times the coefficient degree.  Float cancellation in the large binomial
+    coefficients sets a lower limit than sampling does: saddle_family(m)
+    certifies up to m = 111 (coefficient degree 109) and raises
+    RefinementLimit for every m from 112 on.
     """
     if n_initial < 64:
         raise DomainError(f"n_initial must be at least 64, got {n_initial}")

@@ -26,6 +26,11 @@ from .errors import DomainError, NotHomogeneousError, PolynomialSyntaxError
 
 Rational = Fraction
 
+# Largest degree accepted from user input (parse, CLI families and --n):
+# a dense form stores degree + 1 coefficients, so text like x^100000000
+# would otherwise allocate that many before any check runs.
+MAX_DEGREE = 1024
+
 
 @dataclass(frozen=True)
 class HomoPoly:
@@ -264,8 +269,9 @@ def _parse_term(term: str) -> tuple[Fraction, int, int]:
 def parse(text: str) -> HomoPoly:
     """Parse polynomial text; rejects non-homogeneous input.
 
-    Raises PolynomialSyntaxError on bad tokens and NotHomogeneousError
-    naming the two offending term degrees on a degree mismatch.
+    Raises PolynomialSyntaxError on bad tokens, NotHomogeneousError
+    naming the two offending term degrees on a degree mismatch, and
+    DomainError on a degree above MAX_DEGREE.
     """
     s = "".join(text.split())
     if not s:
@@ -296,6 +302,8 @@ def parse(text: str) -> HomoPoly:
     for sgn, coef, a, b in parsed:
         if a + b != degree:
             raise NotHomogeneousError(degree, a + b)
+    if degree > MAX_DEGREE:
+        raise DomainError(f"degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
     coeffs = [Fraction(0)] * (degree + 1)
     for sgn, coef, a, b in parsed:
         coeffs[b] += sgn * coef

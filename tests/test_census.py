@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hesstop import census, isotopy
 from hesstop.census import CensusRow, certify_row, enumerate_rows, lower_bound
 from hesstop.errors import DomainError, PreconditionFailed
 
@@ -94,6 +95,31 @@ class TestCertifyRow:
         assert (row.k, row.m) == (1, 4)
         bundle = certify_row(row)
         assert bundle["index"].value == F(-1)
+
+    def test_each_hypothesis_proved_once(self, monkeypatch):
+        calls = {"is_hyperbolic": [], "is_elliptic": [], "certify_pairing_nonpositive": []}
+
+        def counted(fn, seen):
+            def wrapper(*args):
+                seen.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        for module in (census, isotopy):
+            for name, seen in calls.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name), seen))
+        row = enumerate_rows(7)[1]
+        assert (row.k, row.m) == (1, 5)
+        certify_row(row)
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "is_hyperbolic": 2,
+            "is_elliptic": 1,
+            "certify_pairing_nonpositive": 1,
+        }
+        (first,), (second,) = calls["is_hyperbolic"]
+        assert first != second
 
     def test_tampered_row_fails_by_name(self):
         row = CensusRow(8, 1, 6, F(-5, 2), 3)  # wrong theoretical index

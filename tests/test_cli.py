@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hesstop import census
 from hesstop.cli import main
+from hesstop.errors import RefinementLimit
 
 
 def run(capsys, *argv):
@@ -78,15 +80,25 @@ class TestCensus:
         assert [row["index"] for row in data] == ["-3", "-2", "-1"]
 
     def test_certified_run(self, capsys):
-        code, out, _ = run(capsys, "census", "--n", "5", "--certify")
-        assert code == 0
-        assert out.count("certified") == 2
+        for n in (5, 6):
+            code, out, _ = run(capsys, "census", "--n", str(n), "--certify")
+            assert code == 0
+            assert out.count("certified") == 2
 
-    def test_threaded_certified_run(self, capsys, monkeypatch):
-        monkeypatch.setenv("HESSTOP_THREADS", "3")
-        code, out, _ = run(capsys, "census", "--n", "6", "--certify")
-        assert code == 0
-        assert out.count("certified") == 2
+    def test_row_error_is_reported_per_row(self, capsys, monkeypatch):
+        certify_row = census.certify_row
+
+        def flaky(row):
+            if row.k == 1:
+                raise RefinementLimit("depth cap")
+            return certify_row(row)
+
+        monkeypatch.setattr(census, "certify_row", flaky)
+        code, out, _ = run(capsys, "census", "--n", "7", "--certify")
+        assert code == 1
+        assert "(k=1, m=5): FAILED (RefinementLimit)" in out
+        assert "(k=0, m=7): certified" in out
+        assert "(k=2, m=3): certified" in out
 
 
 class TestVerifyIdentities:
@@ -161,6 +173,13 @@ class TestFoliate:
         assert svg.read_text().startswith("<svg")
         assert csv.read_text().startswith("curve_id,x,y")
 
+    def test_neither_form_is_refused(self, capsys):
+        # parabolic on the axes: no line field to count separatrices of
+        code, out, err = run(capsys, "foliate", "--poly", "x^4 - y^4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: hyperbolic")
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "foliate", "--family", "Q:1", "--json")
         # elliptic form has no asymptotic lines anywhere: the alignment
@@ -176,3 +195,18 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("index", "--poly", "x^100000000"),
+            ("index", "--family", "P:100000000"),
+            ("classify", "--family", "Q:600"),
+            ("certify", "--family", "f:1000,20"),
+            ("census", "--n", "1025", "--certify"),
+        ],
+    )
+    def test_degree_above_cap(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "usage error" in err and "1024" in err

@@ -1,10 +1,8 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from hesstop.combinat import (
-    BinomTable,
     absorption_identity_holds,
     alternating_sum_identity_holds,
     binom,
@@ -27,20 +25,6 @@ class TestBinom:
         assert binom(5, -1) == 0
         assert binom(5, 6) == 0
         assert binom(5, 0) == 1
-
-    def test_table_matches_stdlib_and_stifel(self):
-        table = BinomTable(30)
-        for n in range(31):
-            for k in range(n + 1):
-                assert table(n, k) == math.comb(n, k)
-        for n in range(1, 31):
-            for k in range(n + 1):
-                assert table(n, k) == table(n - 1, k) + table(n - 1, k - 1)
-
-    def test_table_row_lengths(self):
-        table = BinomTable(12)
-        for r, row in enumerate(table.rows):
-            assert len(row) == r + 1
 
 
 class TestRawSums:

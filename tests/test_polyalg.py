@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hesstop.errors import DomainError, NotHomogeneousError, PolynomialSyntaxError
 from hesstop.polyalg import (
+    MAX_DEGREE,
     HomoPoly,
     complex_power_parts,
     format_poly,
@@ -51,6 +52,13 @@ class TestParse:
         with pytest.raises(NotHomogeneousError) as exc:
             parse("x + x*y")
         assert exc.value.degrees == (1, 2)
+
+    def test_degree_cap(self):
+        assert parse(f"x^{MAX_DEGREE - 1}*y").degree == MAX_DEGREE
+        with pytest.raises(DomainError):
+            parse(f"x^{MAX_DEGREE}*y")
+        with pytest.raises(DomainError):
+            parse("x^100000000 - y^100000000")
 
     @pytest.mark.parametrize(
         "bad", ["bogus(", "x^", "2//3", "x**2", "", "3*", "x^-2", "1/0*x"]
