@@ -80,10 +80,17 @@ class TestCensus:
         assert [row["index"] for row in data] == ["-3", "-2", "-1"]
 
     def test_certified_run(self, capsys):
-        for n in (5, 6):
-            code, out, _ = run(capsys, "census", "--n", str(n), "--certify")
-            assert code == 0
-            assert out.count("certified") == 2
+        code, out, _ = run(capsys, "census", "--n", "5", "--certify")
+        assert code == 0
+        assert out.count("certified") == 2
+
+    def test_threaded_certified_run(self, capsys, monkeypatch):
+        # HESSTOP_THREADS once chose a thread pool; the census is now always
+        # sequential and the variable must not change the result
+        monkeypatch.setenv("HESSTOP_THREADS", "3")
+        code, out, _ = run(capsys, "census", "--n", "6", "--certify")
+        assert code == 0
+        assert out.count("certified") == 2
 
     def test_row_error_is_reported_per_row(self, capsys, monkeypatch):
         certify_row = census.certify_row
