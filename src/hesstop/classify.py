@@ -7,175 +7,175 @@ value p(0, 1): every direction (x, y) with x != 0 rescales to (1, y/x) with
 a positive factor x^d, and the remaining direction is (0, 1).  Odd-degree
 nonzero polynomials always change sign under (x, y) -> (-x, -y).
 
-All root counting goes through exact Sturm chains over the rationals (plain
-remainder sequences, no pseudo-remainder optimization: degrees stay small
-enough that exactness is cheap).  Semidefinite questions (p >= 0 with zeros
-allowed) are settled by Yun squarefree factorization of the slice: p >= 0
-iff the product of odd-multiplicity factors has no real root and the
-leading constant is positive, plus p(0,1) >= 0.
+One integer kernel answers every question.  A slice is read once into the
+primitive int vector that is a positive multiple of it, which keeps every
+sign, root and multiplicity.  Root counts come from Sturm chains built as
+primitive remainder sequences (Collins 1967, Brown 1971) with a
+sign-preserving pseudo-remainder, evaluated at t = p/q as q^deg * u(p/q).
+Semidefinite questions (p >= 0 with zeros allowed) are settled by Yun
+squarefree factorization over Z: p >= 0 iff the product of odd-multiplicity
+factors has no real root, the leading constant is positive and p(0,1) >= 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 from .errors import DomainError
-from .polyalg import HomoPoly
+from .polyalg import HomoPoly, _convolve, _numerators
 from .quadform import discriminant, hessian_pairing, second_fundamental_form
 
 Point = tuple[Fraction, Fraction]
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction, ascending powers
+# dense univariate polynomials over Z, ascending powers
 
 
-def _trim(u: list[Fraction]) -> list[Fraction]:
+def _trim(u: list) -> list:
     while u and u[-1] == 0:
         u.pop()
     return u
 
 
-def _deg(u: list[Fraction]) -> int:
-    return len(u) - 1
+def _primitive(u: list[int]) -> list[int]:
+    g = math.gcd(*u)
+    return [c // g for c in u] if g > 1 else u
 
 
-def _eval_uni(u: list[Fraction], t: Fraction):
-    acc = Fraction(0)
+def _ints(u) -> list[int]:
+    """The primitive int vector that is a positive multiple of the rational
+    vector u, trailing zeros dropped ([] for the zero polynomial)."""
+    return _primitive(_trim(_numerators(u)[0]))
+
+
+def _eval_at(u: list[int], t) -> int:
+    """q^deg(u) * u(p/q) for t = p/q in lowest terms, q > 0: an integer with
+    the sign of u(t)."""
+    p, q = t.numerator, t.denominator
+    acc, qk = 0, 1
     for c in reversed(u):
-        acc = acc * t + c
+        acc = acc * p + c * qk
+        qk *= q
     return acc
 
 
-def _deriv_uni(u: list[Fraction]) -> list[Fraction]:
+def _deriv(u: list[int]) -> list[int]:
     return [u[j] * j for j in range(1, len(u))]
 
 
-def _rem_uni(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+def _sub(f: list[int], g: list[int]) -> list[int]:
+    return _trim([a - b for a, b in zip_longest(f, g, fillvalue=0)])
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """A positive multiple of the remainder of f by g.
+
+    Each step scales f by |lc(g)| before it cancels the leading term, so the
+    result is |lc(g)|^e times the rational remainder for some e >= 0.
+    """
     f = f[:]
-    dg = _deg(g)
-    lead = g[-1]
-    while _deg(f) >= dg and f:
-        shift = _deg(f) - dg
-        q = f[-1] / lead
-        for i in range(dg + 1):
-            f[shift + i] -= q * g[i]
-        f.pop()
+    dg = len(g) - 1
+    scale = abs(g[-1])
+    sign = 1 if g[-1] > 0 else -1
+    while len(f) > dg:
+        c = sign * f.pop()
+        shift = len(f) - dg
+        if scale != 1:
+            f = [scale * a for a in f]
+        for i in range(dg):
+            f[shift + i] -= c * g[i]
         _trim(f)
     return f
 
 
-def _divexact_uni(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+def _divexact(f: list[int], g: list[int]) -> list[int]:
+    """f / g for an exact divisor g over Z."""
     f = f[:]
-    dg = _deg(g)
+    dg = len(g) - 1
     lead = g[-1]
-    out = [Fraction(0)] * (_deg(f) - dg + 1)
-    while _deg(f) >= dg and f:
-        shift = _deg(f) - dg
-        q = f[-1] / lead
+    out = [0] * (len(f) - dg)
+    while len(f) > dg:
+        q, r = divmod(f.pop(), lead)
+        if r:
+            raise ArithmeticError("division was not exact")
+        shift = len(f) - dg
         out[shift] = q
-        for i in range(dg + 1):
+        for i in range(dg):
             f[shift + i] -= q * g[i]
-        f.pop()
         _trim(f)
     if f:
         raise ArithmeticError("division was not exact")
     return out
 
 
-def _monic_uni(u: list[Fraction]) -> list[Fraction]:
-    lead = u[-1]
-    return [c / lead for c in u]
-
-
-def _gcd_uni(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(f[:]), _trim(g[:])
+def _gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, by primitive PRS."""
+    a, b = _primitive(f), _primitive(g)
     while b:
-        a, b = b, _rem_uni(a, b)
-    return _monic_uni(a) if a else a
+        a, b = b, _primitive(_prem(a, b))
+    return a if a[-1] > 0 else [-c for c in a]
 
 
-def _yun_squarefree(u: list[Fraction]) -> tuple[Fraction, list[tuple[list[Fraction], int]]]:
-    """u = C * prod a_i^i with the a_i monic, squarefree, pairwise coprime."""
-    lead = u[-1]
-    w = _monic_uni(u)
-    if _deg(w) == 0:
-        return lead, []
-    dw = _deriv_uni(w)
-    g = _gcd_uni(w, dw)
-    if _deg(g) == 0:
-        return lead, [(w, 1)]
-    factors: list[tuple[list[Fraction], int]] = []
-    c = _divexact_uni(w, g)
-    d = [x - y for x, y in _pad(_divexact_uni(dw, g), _deriv_uni(c))]
-    _trim(d)
-    i = 1
-    while _deg(c) > 0:
-        a = _gcd_uni(c, d) if d else _monic_uni(c)
-        if _deg(a) > 0:
-            factors.append((a, i))
-            c = _divexact_uni(c, a)
-            d = _divexact_uni(d, a) if d else d
-        d = [x - y for x, y in _pad(d, _deriv_uni(c))]
-        _trim(d)
-        i += 1
+def _yun_squarefree(u) -> tuple[Fraction, list[tuple[list[int], int]]]:
+    """u = lead * prod a_i^i with the a_i primitive int vectors of positive
+    leading coefficient, squarefree and pairwise coprime; u trimmed."""
+    w = _ints(u)
+    factors: list[tuple[list[int], int]] = []
+    if len(w) > 1:
+        dw = _deriv(w)
+        g = _gcd(w, dw)
+        c = _divexact(w, g)
+        d = _sub(_divexact(dw, g), _deriv(c))
+        i = 1
+        while len(c) > 1:
+            a = _gcd(c, d)
+            if len(a) > 1:
+                factors.append((a, i))
+                c = _divexact(c, a)
+                d = _divexact(d, a)
+            d = _sub(d, _deriv(c))
+            i += 1
+    lead = Fraction(u[-1], math.prod(a[-1] ** mult for a, mult in factors))
     return lead, factors
 
 
-def _pad(f: list[Fraction], g: list[Fraction]):
-    n = max(len(f), len(g))
-    fz = f + [Fraction(0)] * (n - len(f))
-    gz = g + [Fraction(0)] * (n - len(g))
-    return zip(fz, gz)
-
-
 def _sign_variations(values) -> int:
-    count = 0
-    prev = 0
-    for v in values:
-        if v == 0:
-            continue
-        s = 1 if v > 0 else -1
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Canonical Sturm chain of a univariate slice.
+    """Canonical Sturm chain of a univariate slice, as a primitive PRS.
 
-    The terminal entry is the gcd-related remainder, so the chain counts
-    distinct real roots also for non-squarefree input.
+    Each entry is a positive multiple of the rational chain's entry, so the
+    sign variations are the same.  The terminal entry is the gcd-related
+    remainder, so the chain counts distinct real roots also for
+    non-squarefree input.
     """
 
-    polys: tuple[tuple[Fraction, ...], ...]
+    polys: tuple[list[int], ...]
 
     @classmethod
-    def of(cls, u: list[Fraction]) -> "SturmChain":
-        u = _trim([Fraction(c) for c in u])
+    def of(cls, u) -> "SturmChain":
+        u = _ints(u)
         if not u:
             raise DomainError("Sturm chain of the zero polynomial")
-        chain = [u]
-        if _deg(u) >= 1:
-            chain.append(_deriv_uni(u))
-            while chain[-1]:
-                r = _rem_uni(chain[-2], chain[-1])
-                if not r:
-                    break
-                chain.append([-c for c in r])
-        return cls(tuple(tuple(p) for p in chain))
+        chain = [u, _primitive(_deriv(u))] if len(u) > 1 else [u]
+        while len(chain) > 1 and (r := _prem(chain[-2], chain[-1])):
+            chain.append(_primitive([-c for c in r]))
+        return cls(tuple(chain))
 
-    def variations_at(self, t: Fraction) -> int:
-        return _sign_variations(_eval_uni(list(p), t) for p in self.polys)
+    def variations_at(self, t) -> int:
+        return _sign_variations(_eval_at(p, t) for p in self.polys)
 
     def variations_at_minus_inf(self) -> int:
-        return _sign_variations(
-            p[-1] * (-1) ** _deg(list(p)) for p in self.polys
-        )
+        return _sign_variations(p[-1] if len(p) % 2 else -p[-1] for p in self.polys)
 
     def variations_at_plus_inf(self) -> int:
         return _sign_variations(p[-1] for p in self.polys)
@@ -183,41 +183,43 @@ class SturmChain:
     def count_real_roots(self) -> int:
         return self.variations_at_minus_inf() - self.variations_at_plus_inf()
 
-    def count_in(self, lo: Fraction, hi: Fraction) -> int:
+    def count_in(self, lo, hi) -> int:
         """Distinct roots in (lo, hi]; endpoints must not be roots of the head."""
         return self.variations_at(lo) - self.variations_at(hi)
 
 
-def count_real_roots(u: list[Fraction]) -> int:
+def count_real_roots(u) -> int:
     """Distinct real roots of a nonzero univariate polynomial."""
-    u = _trim([Fraction(c) for c in u])
+    u = _ints(u)
     if not u:
         raise DomainError("root count of the zero polynomial")
-    if _deg(u) == 0:
+    if len(u) == 1:
         return 0
     return SturmChain.of(u).count_real_roots()
 
 
-def _cauchy_bound(u: list[Fraction]) -> Fraction:
-    lead = abs(u[-1])
-    if _deg(u) == 0:
+def _cauchy_bound(u: list[int]) -> Fraction:
+    if len(u) == 1:
         return Fraction(1)
-    return 1 + max(abs(c) for c in u[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in u[:-1]), abs(u[-1]))
 
 
-def isolate_real_roots(u: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(u) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open intervals, one distinct real root each; endpoints are
     never roots.  Exact roots hit by a bisection midpoint collapse to a
     degenerate (r, r) pair."""
-    u = _trim([Fraction(c) for c in u])
-    if not u or _deg(u) == 0:
+    u = _ints(u)
+    if len(u) <= 1:
         return []
-    chain = SturmChain.of(u)
     bound = _cauchy_bound(u) + 1
-    lo, hi = -bound, bound
-
+    chain = SturmChain.of(u)
+    if len(chain.polys[-1]) > 1:
+        # every chain entry vanishes at a multiple root, so a bisection point
+        # there would miscount; the squarefree part has the same roots
+        u = _divexact(u, chain.polys[-1])
+        chain = SturmChain.of(u)
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, chain.count_in(lo, hi))]
+    stack = [(-bound, bound, chain.count_in(-bound, bound))]
     while stack:
         a, b, k = stack.pop()
         if k == 0:
@@ -226,11 +228,13 @@ def isolate_real_roots(u: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if _eval_uni(u, mid) == 0:
+        if _eval_at(u, mid) == 0:
             out.append((mid, mid))
-            # shrink a symmetric gap until it contains only this root
+            # shrink a symmetric gap until it contains only this root; the
+            # count is over (mid - gap, mid + gap], so mid - gap is checked
             gap = (b - a) / 4
-            while chain.count_in(mid - gap, mid + gap) > 1:
+            while (chain.count_in(mid - gap, mid + gap) > 1
+                   or _eval_at(u, mid - gap) == 0):
                 gap /= 2
             stack.append((a, mid - gap, chain.count_in(a, mid - gap)))
             stack.append((mid + gap, b, chain.count_in(mid + gap, b)))
@@ -315,34 +319,33 @@ class PairingCertificate:
         }
 
 
-def _slice_coeffs(p: HomoPoly) -> list[Fraction]:
-    """u(t) = p(1, t); the coefficient vector read as ascending powers of t."""
-    return list(p.coeffs)
+def _odd_degree_witness(u: list[int]) -> Point:
+    """A point where an odd-degree form with slice u is negative."""
+    t, v = _nonzero_sample(u)
+    return (Fraction(1), t) if v < 0 else (Fraction(-1), -t)
 
 
-def _nonzero_sample(u: list[Fraction]) -> tuple[Fraction, Fraction]:
-    """(t, u(t)) with u(t) != 0; scans d+1 integers, one must miss all roots."""
+def _nonzero_sample(u: list[int]) -> tuple[Fraction, int]:
+    """(t, v) with v of the sign of u(t) != 0; scans d+1 integers, one must
+    miss all roots."""
     for k in range(len(u) + 1):
         t = Fraction(k)
-        v = _eval_uni(u, t)
+        v = _eval_at(u, t)
         if v != 0:
             return t, v
     raise AssertionError("nonzero polynomial vanished on more points than its degree")
 
 
-def _strict_violation_witness(u: list[Fraction], want_sign: int) -> Optional[Point]:
+def _strict_violation_witness(u: list[int], want_sign: int) -> Optional[Point]:
     """A rational t with sign(u(t)) == want_sign, as the point (1, t)."""
-    u = _trim(u[:])
     bound = _cauchy_bound(u) + 2
     candidates = [Fraction(0), Fraction(1), Fraction(-1), bound, -bound]
     for iv in isolate_real_roots(u):
         candidates.extend(iv)
     mids = sorted(set(candidates))
-    probes = mids[:]
-    for a, b in zip(mids, mids[1:]):
-        probes.append((a + b) / 2)
+    probes = mids + [(a + b) / 2 for a, b in zip(mids, mids[1:])]
     for t in probes:
-        v = _eval_uni(u, t)
+        v = _eval_at(u, t)
         if v != 0 and (v > 0) == (want_sign > 0):
             return (Fraction(1), t)
     return None
@@ -352,16 +355,16 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
     """Exact sign verdict for p on R^2 minus the origin."""
     if p.is_zero:
         return SignCertificate(Verdict.ZERO, method="all-coefficients-zero")
+    # u(t) = p(1, t) as a primitive int vector; the coefficient of y^j is
+    # the coefficient of t^j
+    u = _ints(p.coeffs)
     if p.degree % 2 == 1:
-        u = _slice_coeffs(p)
-        t, v = _nonzero_sample(u)
-        witness = (Fraction(1), t) if v < 0 else (Fraction(-1), -t)
-        return SignCertificate(Verdict.MIXED, witness, "odd-degree-sign-flip")
+        return SignCertificate(
+            Verdict.MIXED, _odd_degree_witness(u), "odd-degree-sign-flip"
+        )
 
-    u = _slice_coeffs(p)
     at_infinity = p.coeffs[p.degree]  # value at the direction (0, 1)
-    nroots = count_real_roots(u)
-    if nroots == 0:
+    if count_real_roots(u) == 0:
         _, v = _nonzero_sample(u)
         if at_infinity > 0 and v > 0:
             return SignCertificate(Verdict.POSITIVE, method="sturm-no-real-roots")
@@ -399,28 +402,23 @@ def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
     """
     if p.is_zero:
         return NonnegativityCertificate(True, False, method="identically-zero")
+    u = _ints(p.coeffs)
     if p.degree % 2 == 1:
-        u = _slice_coeffs(p)
-        t, v = _nonzero_sample(u)
-        witness = (Fraction(1), t) if v < 0 else (Fraction(-1), -t)
-        return NonnegativityCertificate(False, False, witness, "odd-degree-sign-flip")
+        return NonnegativityCertificate(
+            False, False, _odd_degree_witness(u), "odd-degree-sign-flip"
+        )
 
-    u = _slice_coeffs(p)
     at_infinity = p.coeffs[p.degree]
     if at_infinity < 0:
         return NonnegativityCertificate(
             False, False, (Fraction(0), Fraction(1)), "negative-at-vertical-direction"
         )
-    lead, factors = _yun_squarefree(_trim(u[:]))
-    odd_part = [Fraction(1)]
+    lead, factors = _yun_squarefree(u)
+    odd_part = [1]
     for a, mult in factors:
         if mult % 2 == 1:
-            prod = [Fraction(0)] * (len(odd_part) + len(a) - 1)
-            for i, x in enumerate(odd_part):
-                for j, y in enumerate(a):
-                    prod[i + j] += x * y
-            odd_part = prod
-    odd_roots = count_real_roots(odd_part) if _deg(odd_part) >= 1 else 0
+            odd_part = _convolve(odd_part, a)
+    odd_roots = count_real_roots(odd_part) if len(odd_part) > 1 else 0
     if lead > 0 and odd_roots == 0:
         strict = at_infinity > 0 and count_real_roots(u) == 0
         method = "yun-odd-part-rootless" if not strict else "yun-strictly-positive"
@@ -434,10 +432,7 @@ def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
 
 def certify_nonpositive(p: HomoPoly) -> NonnegativityCertificate:
     """Certify p <= 0 everywhere; the witness, if any, has p > 0."""
-    cert = certify_nonnegative(-p)
-    return NonnegativityCertificate(
-        cert.nonnegative, cert.strict, cert.witness, cert.method
-    )
+    return certify_nonnegative(-p)
 
 
 def is_hyperbolic(f: HomoPoly) -> tuple[bool, SignCertificate]:

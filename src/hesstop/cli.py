@@ -3,8 +3,11 @@
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on usage errors (bad flags, unparseable polynomials).
 Polynomials are accepted as text (--poly) or as family shortcuts
-(--family P:m, Q:k or f:m,k); degrees above polyalg.MAX_DEGREE are
-usage errors.
+(--family P:m, Q:k or f:m,k); degrees above polyalg.MAX_DEGREE and
+foliate --seeds outside 1..foliation.MAX_SEEDS are usage errors.  With
+--certify --json, census gives each row "certified" and, on failure,
+"failed" (the hypothesis or exception class).  ``python -m hesstop`` runs
+:func:`main`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ from . import census as census_mod
 from . import combinat
 from .classify import Verdict, certify_pairing_nonpositive, is_hyperbolic
 from .errors import HesstopError, PreconditionFailed
-from .foliation import count_separatrices, curves_to_csv, curves_to_svg, trace_foliation
+from .foliation import (
+    MAX_SEEDS,
+    count_separatrices,
+    curves_to_csv,
+    curves_to_svg,
+    trace_foliation,
+)
 from .isotopy import certify_product_isotopy
 from .lineindex import index_at_origin
 from .polyalg import MAX_DEGREE, HomoPoly, parse, product_family, radial_family, saddle_family
@@ -128,28 +137,35 @@ def _cmd_index(args) -> int:
     return 0
 
 
+def _row_failure(row) -> str | None:
+    """None when the census row certifies, else the failed hypothesis or
+    the exception class."""
+    try:
+        census_mod.certify_row(row)
+    except HesstopError as exc:
+        return getattr(exc, "hypothesis", type(exc).__name__)
+    return None
+
+
 def _cmd_census(args) -> int:
     _check_degree(args.n, "--n")
     rows = census_mod.enumerate_rows(args.n)
+    failed = [_row_failure(row) for row in rows] if args.certify else []
     if args.json:
-        print(json.dumps([r.to_json() for r in rows], indent=2))
+        payload = [r.to_json() for r in rows]
+        for obj, name in zip(payload, failed):
+            obj["certified"] = name is None
+            if name is not None:
+                obj["failed"] = name
+        print(json.dumps(payload, indent=2))
     else:
         print(f"{'n':>3} {'k':>3} {'m':>3} {'index':>7} {'lower bound':>12}")
         for r in rows:
             print(f"{r.n:>3} {r.k:>3} {r.m:>3} {str(r.index):>7} {r.lower_bound:>12}")
-    if not args.certify:
-        return 0
-    failures = 0
-    for row in rows:
-        try:
-            census_mod.certify_row(row)
-            status = "certified"
-        except HesstopError as exc:
-            status = f"FAILED ({getattr(exc, 'hypothesis', type(exc).__name__)})"
-            failures += 1
-        if not args.json:
+        for row, name in zip(rows, failed):
+            status = "certified" if name is None else f"FAILED ({name})"
             print(f"  (k={row.k}, m={row.m}): {status}")
-    return 1 if failures else 0
+    return 1 if any(name is not None for name in failed) else 0
 
 
 def _cmd_verify_identities(args) -> int:
@@ -253,6 +269,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_foliate(args) -> int:
+    if not 1 <= args.seeds <= MAX_SEEDS:
+        raise UsageError(f"--seeds must lie in 1..{MAX_SEEDS}, got {args.seeds}")
     f = _load_poly(args)
     label, cert = _classification(f)
     if label == "neither":
@@ -333,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_poly_flags(p)
     p.add_argument("--svg", help="write an SVG figure to this path")
     p.add_argument("--csv", help="write curve points to this CSV path")
-    p.add_argument("--seeds", type=int, default=24)
+    p.add_argument("--seeds", type=int, default=24,
+                   help=f"integral curves to trace, 1..{MAX_SEEDS} (with --svg/--csv)")
     p.set_defaults(func=_cmd_foliate)
 
     return parser

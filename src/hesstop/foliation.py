@@ -31,6 +31,10 @@ from .quadform import QuadForm
 
 _ALIGN_TOL = 1e-8
 
+# Most integral curves trace_foliation draws; each seed traces two curves of
+# up to max_steps points.
+MAX_SEEDS = 4096
+
 
 @dataclass
 class CurveSet:
@@ -159,8 +163,8 @@ def trace_foliation(
     circle, both directions, clipped to the annulus [r_min, r_max]."""
     if branch not in (0, 1):
         raise DomainError("branch selector must be 0 or 1")
-    if seeds < 1:
-        raise DomainError("need at least one seed")
+    if not 1 <= seeds <= MAX_SEEDS:
+        raise DomainError(f"seeds must lie in 1..{MAX_SEEDS}, got {seeds}")
     _, va, vb, vc = _float_coeffs(w)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     curves: list[list[tuple[float, float]]] = []

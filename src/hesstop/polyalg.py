@@ -2,7 +2,9 @@
 
 A degree-d polynomial is stored densely: ``coeffs[j]`` is the coefficient of
 ``x^(d-j) * y^j``.  All arithmetic is exact (``fractions.Fraction``); nothing
-in this module ever touches floating point.
+in this module ever touches floating point.  :func:`multiply` works on
+integers: it convolves the numerators over each factor's common denominator
+and divides by the product of the two denominators once.
 
 Text grammar accepted by :func:`parse` (whitespace insignificant)::
 
@@ -51,8 +53,14 @@ class HomoPoly:
                 f"degree {self.degree} needs {self.degree + 1} coefficients, "
                 f"got {len(self.coeffs)}"
             )
+        # Tuples here are built from lists, never from generators: CPython
+        # resizes a tuple built from a generator, and when such a tuple is
+        # freed it joins the free list of its size without one being taken
+        # from it, so those free lists (and the peak RSS) grow with every
+        # call until they are full.
         object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
+            self, "coeffs",
+            tuple([c if type(c) is Fraction else Fraction(c) for c in self.coeffs]),
         )
 
     @classmethod
@@ -93,11 +101,11 @@ class HomoPoly:
             )
         return HomoPoly(
             self.degree,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+            tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]),
         )
 
     def __neg__(self) -> "HomoPoly":
-        return HomoPoly(self.degree, tuple(-c for c in self.coeffs))
+        return HomoPoly(self.degree, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: "HomoPoly") -> "HomoPoly":
         return self + (-other)
@@ -106,7 +114,7 @@ class HomoPoly:
         if isinstance(other, HomoPoly):
             return multiply(self, other)
         if isinstance(other, (int, Fraction)):
-            return HomoPoly(self.degree, tuple(c * other for c in self.coeffs))
+            return HomoPoly(self.degree, tuple([c * other for c in self.coeffs]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -145,23 +153,36 @@ def partial(p: HomoPoly, var: str) -> HomoPoly:
     if d == 0:
         return HomoPoly.zero(0)
     if var == "x":
-        coeffs = tuple(p.coeffs[j] * (d - j) for j in range(d))
+        coeffs = tuple([p.coeffs[j] * (d - j) for j in range(d)])
     else:
-        coeffs = tuple(p.coeffs[j + 1] * (j + 1) for j in range(d))
+        coeffs = tuple([p.coeffs[j + 1] * (j + 1) for j in range(d)])
     return HomoPoly(d - 1, coeffs)
+
+
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """(n, den): coeffs[j] == n[j] / den with den the lcm of denominators."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient vectors; zero terms are skipped."""
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
 
 
 def multiply(p: HomoPoly, q: HomoPoly) -> HomoPoly:
     """Exact convolution product; degrees add (also for tagged zeros)."""
-    d = p.degree + q.degree
-    out = [Fraction(0)] * (d + 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            if b != 0:
-                out[i + j] += a * b
-    return HomoPoly(d, tuple(out))
+    a, da = _numerators(p.coeffs)
+    b, db = _numerators(q.coeffs)
+    den = da * db
+    out = _convolve(a, b)
+    return HomoPoly(len(out) - 1, tuple([Fraction(c, den) for c in out]))
 
 
 def swap_xy(p: HomoPoly) -> HomoPoly:

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hesstop.classify import (
     SturmChain,
@@ -17,11 +19,13 @@ from hesstop.classify import (
     sign_on_punctured_plane,
     _yun_squarefree,
 )
+from hesstop.census import enumerate_rows
 from hesstop.errors import DomainError
 from hesstop.polyalg import (
     HomoPoly,
     multiply,
     parse,
+    product_family,
     radial_family,
     saddle_family,
 )
@@ -329,3 +333,92 @@ def test_origin_not_separately_tested():
     # origin, so certificates only ever speak about the punctured plane
     b = hessian_pairing(saddle_family(4), radial_family(2))
     assert b.evaluate(0, 0) == 0
+
+
+def _mul_uni(f, g):
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+class TestKernelOracles:
+    """The integer kernel against the independent Descartes isolator and
+    against sympy, on inputs with repeated factors."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        power=st.integers(min_value=1, max_value=3),
+        scale=st.fractions(min_value=F(-7), max_value=F(7), max_denominator=9),
+        double=st.fractions(min_value=F(-8), max_value=F(8), max_denominator=3),
+        interval=st.lists(
+            st.fractions(min_value=F(-12), max_value=F(12), max_denominator=8),
+            min_size=2, max_size=2, unique=True,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_repeated_factors_agree_with_descartes(
+        self, seed, power, scale, double, interval
+    ):
+        assume(scale != 0)
+        rng = random.Random(seed)
+        base, n_real = squarefree_with_known_roots(
+            rng, rng.randint(0, 4), rng.randint(0, 2)
+        )
+        # u = scale * base^power * (t - double)^2: its distinct roots are
+        # those of base, plus `double` when it is not already one of them
+        linear = [-double, F(1)]
+        u = [scale * c for c in _mul_uni(_mul_uni(linear, linear), base)]
+        for _ in range(power - 1):
+            u = _mul_uni(u, base)
+        squarefree = base if _eval(base, double) == 0 else _mul_uni(base, linear)
+        radius = cauchy_radius(squarefree) + 1
+        expected = descartes_count_roots(squarefree, -radius, radius)
+        assert expected == n_real + (_eval(base, double) != 0)
+
+        assert count_real_roots(u) == expected
+        intervals = isolate_real_roots(u)
+        assert len(intervals) == expected
+        for lo, hi in intervals:
+            if lo == hi:
+                assert _eval(squarefree, lo) == 0
+            else:
+                assert descartes_count_roots(squarefree, lo, hi) == 1
+        lo, hi = sorted(interval)
+        assume(_eval(squarefree, lo) != 0 and _eval(squarefree, hi) != 0)
+        assert SturmChain.of(u).count_in(lo, hi) == descartes_count_roots(
+            squarefree, lo, hi
+        )
+
+    def test_bisection_point_on_a_multiple_root(self):
+        # (t - 1)(t - 1/2)^2: bisection lands on both roots, where every
+        # entry of the input's own chain vanishes
+        u = _mul_uni(_mul_uni([F(-1), F(1)], [F(-1, 2), F(1)]), [F(-1, 2), F(1)])
+        intervals = isolate_real_roots(u)
+        assert len(intervals) == 2
+        for lo, hi in intervals:
+            assert lo == hi == 1 or (lo < F(1, 2) < hi and _eval(u, hi) != 0)
+        # y^2 (x + y)^2: semidefinite, zero on rational lines
+        p = parse("x^2*y^2 + 2*x*y^3 + y^4")
+        cert = sign_on_punctured_plane(p)
+        assert cert.verdict is Verdict.MIXED
+        assert p.evaluate(*cert.witness) == 0
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_census_discriminants_agree_with_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for row in enumerate_rows(n):
+            f = product_family(row.m, row.k) if row.k else saddle_family(row.m)
+            u = discriminant(second_fundamental_form(f)).coeffs
+            want = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(u)], t).count_roots()
+            assert count_real_roots(list(u)) == want
+
+
+def _eval(u, t):
+    acc = F(0)
+    for c in reversed(u):
+        acc = acc * t + c
+    return acc

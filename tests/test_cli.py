@@ -1,9 +1,12 @@
 import json
+import runpy
+import sys
 
 import pytest
 
 from hesstop import census
 from hesstop.cli import main
+from hesstop.foliation import MAX_SEEDS
 from hesstop.errors import RefinementLimit
 
 
@@ -107,6 +110,29 @@ class TestCensus:
         assert "(k=0, m=7): certified" in out
         assert "(k=2, m=3): certified" in out
 
+    def test_certified_json_names_each_row(self, capsys, monkeypatch):
+        certify_row = census.certify_row
+
+        def flaky(row):
+            if row.k == 1:
+                raise RefinementLimit("depth cap")
+            return certify_row(row)
+
+        monkeypatch.setattr(census, "certify_row", flaky)
+        code, out, _ = run(capsys, "census", "--n", "7", "--certify", "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert [(r["k"], r["certified"]) for r in data] == [
+            (0, True), (1, False), (2, True)
+        ]
+        assert data[1]["failed"] == "RefinementLimit"
+        assert "failed" not in data[0] and "failed" not in data[2]
+
+    def test_certified_json_all_pass(self, capsys):
+        code, out, _ = run(capsys, "census", "--n", "5", "--certify", "--json")
+        assert code == 0
+        assert all(r["certified"] for r in json.loads(out))
+
 
 class TestVerifyIdentities:
     def test_small_range_passes(self, capsys):
@@ -194,6 +220,39 @@ class TestFoliate:
         assert code == 0
         data = json.loads(out)
         assert data["separatrix_lines"] == 0
+
+
+class TestFoliateSeeds:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--seeds", "0", "--svg", "f.svg"),
+            ("--seeds", "-5"),
+            ("--seeds", str(MAX_SEEDS + 1)),
+            ("--seeds", str(MAX_SEEDS + 1), "--csv", "f.csv"),
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, capsys, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "foliate", "--family", "P:3", *extra)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and str(MAX_SEEDS) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cap_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "foliate", "--family", "P:3", "--seeds", str(MAX_SEEDS))
+        assert code == 0
+        assert out.startswith("3 separatrix lines")
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["hesstop", "census", "--n", "5", "--certify"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("hesstop", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.count("certified") == 2
 
 
 class TestUsage:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from hesstop.errors import DomainError
 from hesstop.foliation import (
+    MAX_SEEDS,
     count_separatrices,
     curves_to_csv,
     curves_to_svg,
@@ -134,6 +136,11 @@ class TestTracing:
             second_fundamental_form(saddle_family(4)), seeds=2, max_steps=500
         )
         assert cs.sector_count == 4
+
+    @pytest.mark.parametrize("seeds", [0, -5, MAX_SEEDS + 1])
+    def test_seed_count_outside_range_is_refused(self, seeds):
+        with pytest.raises(DomainError, match=str(MAX_SEEDS)):
+            trace_foliation(second_fundamental_form(saddle_family(3)), seeds=seeds)
 
 
 class TestFigures:
