@@ -3,7 +3,6 @@
 from .census import CensusRow, certify_row, enumerate_rows, lower_bound
 from .classify import (
     NonnegativityCertificate,
-    PairingCertificate,
     PolarCriterion,
     SignCertificate,
     SturmChain,

@@ -15,6 +15,17 @@ sign-preserving pseudo-remainder, evaluated at t = p/q as q^deg * u(p/q).
 Semidefinite questions (p >= 0 with zeros allowed) are settled by Yun
 squarefree factorization over Z: p >= 0 iff the product of odd-multiplicity
 factors has no real root, the leading constant is positive and p(0,1) >= 0.
+
+Each public call builds at most one Sturm chain per distinct polynomial and
+isolates at most once.  The slice's chain counts its roots, drives the
+isolation, and ends in gcd(u, u'), which is Yun's first gcd (Basu, Pollack
+and Roy, Algorithms in Real Algebraic Geometry, ch. 2); only a squarefree
+part or an odd part that differs from the slice gets a chain of its own.
+Early answers (zero form, odd degree, p(0, 1) < 0) build none.
+
+Two certificate types leave the kernel: SignCertificate for strict sign
+questions and NonnegativityCertificate for p >= 0 questions, including the
+hessian pairing's p <= 0 read as -p >= 0.
 """
 
 from __future__ import annotations
@@ -121,14 +132,22 @@ def _gcd(f: list[int], g: list[int]) -> list[int]:
     return a if a[-1] > 0 else [-c for c in a]
 
 
-def _yun_squarefree(u) -> tuple[Fraction, list[tuple[list[int], int]]]:
+def _yun_squarefree(
+    u, chain: Optional[SturmChain] = None
+) -> tuple[Fraction, list[tuple[list[int], int]]]:
     """u = lead * prod a_i^i with the a_i primitive int vectors of positive
-    leading coefficient, squarefree and pairwise coprime; u trimmed."""
+    leading coefficient, squarefree and pairwise coprime; u trimmed.
+
+    Yun's first gcd, gcd(u, u'), is the last entry of u's Sturm chain made
+    positive; ``chain`` is that chain when the caller already has it.
+    """
     w = _ints(u)
     factors: list[tuple[list[int], int]] = []
     if len(w) > 1:
+        g = (chain or SturmChain.of(w)).polys[-1]
+        if g[-1] < 0:
+            g = [-c for c in g]
         dw = _deriv(w)
-        g = _gcd(w, dw)
         c = _divexact(w, g)
         d = _sub(_divexact(dw, g), _deriv(c))
         i = 1
@@ -211,8 +230,12 @@ def isolate_real_roots(u) -> list[tuple[Fraction, Fraction]]:
     u = _ints(u)
     if len(u) <= 1:
         return []
+    return _isolate(u, SturmChain.of(u))
+
+
+def _isolate(u: list[int], chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
+    """isolate_real_roots for a nonconstant int slice u and its own chain."""
     bound = _cauchy_bound(u) + 1
-    chain = SturmChain.of(u)
     if len(chain.polys[-1]) > 1:
         # every chain entry vanishes at a multiple root, so a bisection point
         # there would miscount; the squarefree part has the same roots
@@ -301,24 +324,6 @@ class NonnegativityCertificate:
         return out
 
 
-@dataclass(frozen=True)
-class PairingCertificate:
-    """Certificate that hessian_pairing(p, q) <= 0 everywhere."""
-
-    holds: bool
-    strict: bool
-    base: NonnegativityCertificate
-    method: str
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "strict": self.strict,
-            "method": self.method,
-            "base": self.base.to_json(),
-        }
-
-
 def _odd_degree_witness(u: list[int]) -> Point:
     """A point where an odd-degree form with slice u is negative."""
     t, v = _nonzero_sample(u)
@@ -336,11 +341,14 @@ def _nonzero_sample(u: list[int]) -> tuple[Fraction, int]:
     raise AssertionError("nonzero polynomial vanished on more points than its degree")
 
 
-def _strict_violation_witness(u: list[int], want_sign: int) -> Optional[Point]:
-    """A rational t with sign(u(t)) == want_sign, as the point (1, t)."""
+def _strict_violation_witness(
+    u: list[int], want_sign: int, intervals: list[tuple[Fraction, Fraction]]
+) -> Optional[Point]:
+    """A rational t with sign(u(t)) == want_sign, as the point (1, t);
+    ``intervals`` isolate the real roots of u."""
     bound = _cauchy_bound(u) + 2
     candidates = [Fraction(0), Fraction(1), Fraction(-1), bound, -bound]
-    for iv in isolate_real_roots(u):
+    for iv in intervals:
         candidates.extend(iv)
     mids = sorted(set(candidates))
     probes = mids + [(a + b) / 2 for a, b in zip(mids, mids[1:])]
@@ -352,7 +360,8 @@ def _strict_violation_witness(u: list[int], want_sign: int) -> Optional[Point]:
 
 
 def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
-    """Exact sign verdict for p on R^2 minus the origin."""
+    """Exact sign verdict for p on R^2 minus the origin, from one Sturm
+    chain of the slice and at most one isolation with it."""
     if p.is_zero:
         return SignCertificate(Verdict.ZERO, method="all-coefficients-zero")
     # u(t) = p(1, t) as a primitive int vector; the coefficient of y^j is
@@ -364,11 +373,12 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
         )
 
     at_infinity = p.coeffs[p.degree]  # value at the direction (0, 1)
-    if count_real_roots(u) == 0:
-        _, v = _nonzero_sample(u)
-        if at_infinity > 0 and v > 0:
+    chain = SturmChain.of(u)
+    _, ref = _nonzero_sample(u)
+    if chain.count_real_roots() == 0:
+        if at_infinity > 0 and ref > 0:
             return SignCertificate(Verdict.POSITIVE, method="sturm-no-real-roots")
-        if at_infinity < 0 and v < 0:
+        if at_infinity < 0 and ref < 0:
             return SignCertificate(Verdict.NEGATIVE, method="sturm-no-real-roots")
         # slice is definite but the (0, 1) direction vanishes
         return SignCertificate(
@@ -376,16 +386,15 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
         )
 
     # the slice has real zeros: decide strict sign change vs semidefinite
-    _, ref = _nonzero_sample(u)
-    ref_sign = 1 if ref > 0 else -1
-    witness = _strict_violation_witness(u, -ref_sign)
+    intervals = _isolate(u, chain)
+    witness = _strict_violation_witness(u, -1 if ref > 0 else 1, intervals)
     if witness is not None:
         return SignCertificate(Verdict.MIXED, witness, "sturm-sign-change")
     if at_infinity == 0:
         return SignCertificate(
             Verdict.MIXED, (Fraction(0), Fraction(1)), "semidefinite-zeros"
         )
-    for lo, hi in isolate_real_roots(u):
+    for lo, hi in intervals:
         if lo == hi:
             return SignCertificate(
                 Verdict.MIXED, (Fraction(1), lo), "semidefinite-zeros"
@@ -399,6 +408,9 @@ def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
     Route: Yun squarefree factorization of the slice.  p >= 0 iff the degree
     is even, the odd-multiplicity part of u(t) = p(1, t) has no real root,
     the leading constant of the factorization is positive, and p(0, 1) >= 0.
+    The slice's one Sturm chain gives Yun's first gcd, the strictness count,
+    the odd part's count when the slice is squarefree, and the isolation
+    behind a witness.
     """
     if p.is_zero:
         return NonnegativityCertificate(True, False, method="identically-zero")
@@ -413,18 +425,21 @@ def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
         return NonnegativityCertificate(
             False, False, (Fraction(0), Fraction(1)), "negative-at-vertical-direction"
         )
-    lead, factors = _yun_squarefree(u)
+    chain = SturmChain.of(u)
+    lead, factors = _yun_squarefree(u, chain)
     odd_part = [1]
     for a, mult in factors:
         if mult % 2 == 1:
             odd_part = _convolve(odd_part, a)
-    odd_roots = count_real_roots(odd_part) if len(odd_part) > 1 else 0
-    if lead > 0 and odd_roots == 0:
-        strict = at_infinity > 0 and count_real_roots(u) == 0
+    odd_rootless = len(odd_part) == 1 or (
+        chain if odd_part == u else SturmChain.of(odd_part)
+    ).count_real_roots() == 0
+    if lead > 0 and odd_rootless:
+        strict = at_infinity > 0 and chain.count_real_roots() == 0
         method = "yun-odd-part-rootless" if not strict else "yun-strictly-positive"
         return NonnegativityCertificate(True, strict, None, method)
     # u takes negative values somewhere, find an exact rational witness
-    witness = _strict_violation_witness(u, -1)
+    witness = _strict_violation_witness(u, -1, _isolate(u, chain))
     if witness is None:
         raise AssertionError("negativity detected but no rational witness found")
     return NonnegativityCertificate(False, False, witness, "yun-odd-part-has-root")
@@ -435,20 +450,23 @@ def certify_nonpositive(p: HomoPoly) -> NonnegativityCertificate:
     return certify_nonnegative(-p)
 
 
+def _discriminant_verdict(
+    f: HomoPoly, want: Verdict, claim: str
+) -> tuple[bool, SignCertificate]:
+    if f.degree < 2:
+        raise DomainError(f"{claim} needs degree >= 2, got {f.degree}")
+    cert = sign_on_punctured_plane(discriminant(second_fundamental_form(f)))
+    return cert.verdict is want, cert
+
+
 def is_hyperbolic(f: HomoPoly) -> tuple[bool, SignCertificate]:
     """True iff the discriminant of II_f is positive off the origin."""
-    if f.degree < 2:
-        raise DomainError(f"hyperbolicity needs degree >= 2, got {f.degree}")
-    cert = sign_on_punctured_plane(discriminant(second_fundamental_form(f)))
-    return cert.verdict is Verdict.POSITIVE, cert
+    return _discriminant_verdict(f, Verdict.POSITIVE, "hyperbolicity")
 
 
 def is_elliptic(f: HomoPoly) -> tuple[bool, SignCertificate]:
     """True iff the discriminant of II_f is negative off the origin."""
-    if f.degree < 2:
-        raise DomainError(f"ellipticity needs degree >= 2, got {f.degree}")
-    cert = sign_on_punctured_plane(discriminant(second_fundamental_form(f)))
-    return cert.verdict is Verdict.NEGATIVE, cert
+    return _discriminant_verdict(f, Verdict.NEGATIVE, "ellipticity")
 
 
 @dataclass(frozen=True)
@@ -473,19 +491,12 @@ def polar_hyperbolicity_criterion(m: int, k: int) -> PolarCriterion:
     return PolarCriterion(max_value, max_value < 0)
 
 
-def certify_pairing_nonpositive(p: HomoPoly, q: HomoPoly) -> PairingCertificate:
-    """Certify hessian_pairing(p, q) <= 0 at every point of the plane.
+def certify_pairing_nonpositive(p: HomoPoly, q: HomoPoly) -> NonnegativityCertificate:
+    """Certify hessian_pairing(p, q) <= 0 at every point of the plane, as
+    the certificate of -hessian_pairing(p, q) >= 0.
 
     The inequality is non-strict, so semidefinite cases (zeros along lines)
-    are accepted; they are handled exactly by the squarefree route in
-    certify_nonnegative applied to the negated pairing.
+    are accepted.  A zero pairing gets the ``identically-zero`` certificate;
+    on failure the witness is a point where the pairing is positive.
     """
-    b = hessian_pairing(p, q)
-    if b.is_zero:
-        base = NonnegativityCertificate(True, False, method="identically-zero")
-        return PairingCertificate(True, False, base, "identically-zero")
-    base = certify_nonnegative(-b)
-    method = "strictly-negative" if base.strict else (
-        "negative-semidefinite" if base.nonnegative else "violated"
-    )
-    return PairingCertificate(base.nonnegative, base.strict, base, method)
+    return certify_nonnegative(-hessian_pairing(p, q))

@@ -1,13 +1,21 @@
 """Command-line entry point wiring all modules.
 
 Exit codes: 0 on success or all checks passing, 1 on a verification
-failure, 2 on usage errors (bad flags, unparseable polynomials).
-Polynomials are accepted as text (--poly) or as family shortcuts
-(--family P:m, Q:k or f:m,k); degrees above polyalg.MAX_DEGREE and
-foliate --seeds outside 1..foliation.MAX_SEEDS are usage errors.  With
---certify --json, census gives each row "certified" and, on failure,
-"failed" (the hypothesis or exception class).  ``python -m hesstop`` runs
-:func:`main`.
+failure, 2 on usage errors (bad flags, unparseable polynomials, values out
+of range).  Polynomials are accepted as text (--poly) or as family
+shortcuts (--family P:m, Q:k or f:m,k).  A degree below what a command
+needs (census --n 3, a form 2, the q of verify-ineq 1) or above
+polyalg.MAX_DEGREE, verify-identities --m-max outside 4..MAX_DEGREE and
+foliate --seeds outside 1..foliation.MAX_SEEDS are usage errors.
+
+JSON shapes: classify prints {"classification": label, "certificate":
+{...}}; verify-ineq prints {"pairing_nonpositive": bool, "certificate":
+{...}}, the certificate of -hessian_pairing(p, q) >= 0, whose witness is a
+point where the pairing is positive; certify prints "certified" (the two
+origin indexes agree: a returned isotopy certificate has passed every
+hypothesis) beside the certificate and both indexes.  With --certify,
+census gives each row "certified" and, on failure, "failed" (the
+hypothesis or exception class).  ``python -m hesstop`` runs :func:`main`.
 """
 
 from __future__ import annotations
@@ -40,43 +48,54 @@ class UsageError(Exception):
 _CLASS_LABELS = {Verdict.POSITIVE: "hyperbolic", Verdict.NEGATIVE: "elliptic"}
 
 
-def _check_degree(degree: int, what: str) -> None:
-    if degree > MAX_DEGREE:
-        raise UsageError(f"{what} has degree {degree}, above the cap {MAX_DEGREE}")
+def _check_degree(degree: int, what: str, floor: int = 0) -> None:
+    if not floor <= degree <= MAX_DEGREE:
+        raise UsageError(f"{what} is {degree}; this command needs {floor}..{MAX_DEGREE}")
+
+
+def _pair_spec(args: str, spec: str) -> tuple[int, int]:
+    """(m, k) from the "m,k" of an f:m,k spec, its degree m + 2k capped."""
+    m_str, k_str = args.split(",")
+    m, k = int(m_str), int(k_str)
+    _check_degree(m + 2 * k, f"the degree of {spec}")
+    return m, k
 
 
 def _family_poly(spec: str) -> HomoPoly:
     try:
         tag, _, args = spec.partition(":")
         if tag == "P":
-            _check_degree(int(args), spec)
+            _check_degree(int(args), f"the degree of {spec}")
             return saddle_family(int(args))
         if tag == "Q":
-            _check_degree(2 * int(args), spec)
+            _check_degree(2 * int(args), f"the degree of {spec}")
             return radial_family(int(args))
         if tag == "f":
-            m_str, k_str = args.split(",")
-            _check_degree(int(m_str) + 2 * int(k_str), spec)
-            return product_family(int(m_str), int(k_str))
+            return product_family(*_pair_spec(args, spec))
     except (ValueError, HesstopError) as exc:
         raise UsageError(f"bad family spec {spec!r}: {exc}") from exc
     raise UsageError(f"unknown family tag in {spec!r} (use P:m, Q:k or f:m,k)")
 
 
-def _load_poly(args, attr: str = "poly", family_attr: str = "family") -> HomoPoly:
-    text = getattr(args, attr, None)
-    family = getattr(args, family_attr, None)
-    if (text is None) == (family is None):
+def _parse(text: str) -> HomoPoly:
+    try:
+        return parse(text)
+    except HesstopError as exc:
+        raise UsageError(f"cannot parse polynomial {text!r}: {exc}") from exc
+
+
+def _load_poly(args, floor: int) -> HomoPoly:
+    """The --poly or --family polynomial, of degree at least ``floor``."""
+    if (args.poly is None) == (args.family is None):
         raise UsageError("provide exactly one of --poly or --family")
-    if text is not None:
-        try:
-            return parse(text)
-        except HesstopError as exc:
-            raise UsageError(f"cannot parse polynomial {text!r}: {exc}") from exc
-    return _family_poly(family)
+    f = _parse(args.poly) if args.poly is not None else _family_poly(args.family)
+    _check_degree(f.degree, "the degree", floor)
+    return f
 
 
-def _load_pair(args) -> tuple[HomoPoly, HomoPoly]:
+def _load_pair(args, q_floor: int) -> tuple[HomoPoly, HomoPoly]:
+    """(p, q) from --family f:m,k or from --p and --q; deg p >= 2 and
+    deg q >= q_floor."""
     if args.family is not None:
         if args.p or args.q:
             raise UsageError("--family excludes --p/--q")
@@ -84,17 +103,17 @@ def _load_pair(args) -> tuple[HomoPoly, HomoPoly]:
         if tag != "f":
             raise UsageError("pair commands need --family f:m,k")
         try:
-            m_str, k_str = rest.split(",")
-            _check_degree(int(m_str) + 2 * int(k_str), args.family)
-            return saddle_family(int(m_str)), radial_family(int(k_str))
+            m, k = _pair_spec(rest, args.family)
+            p, q = saddle_family(m), radial_family(k)
         except (ValueError, HesstopError) as exc:
             raise UsageError(f"bad family spec {args.family!r}: {exc}") from exc
-    if not (args.p and args.q):
+    elif not (args.p and args.q):
         raise UsageError("provide --family f:m,k or both --p and --q")
-    try:
-        return parse(args.p), parse(args.q)
-    except HesstopError as exc:
-        raise UsageError(f"cannot parse polynomial: {exc}") from exc
+    else:
+        p, q = _parse(args.p), _parse(args.q)
+    _check_degree(p.degree, "the degree of p", 2)
+    _check_degree(q.degree, "the degree of q", q_floor)
+    return p, q
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -112,7 +131,7 @@ def _classification(f: HomoPoly):
 
 
 def _cmd_classify(args) -> int:
-    f = _load_poly(args)
+    f = _load_poly(args, 2)
     label, cert = _classification(f)
     _emit(
         args,
@@ -123,7 +142,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    f = _load_poly(args)
+    f = _load_poly(args, 2)
     half, trace = index_at_origin(second_fundamental_form(f))
     if args.trace:
         trace.to_csv(args.trace)
@@ -148,7 +167,7 @@ def _row_failure(row) -> str | None:
 
 
 def _cmd_census(args) -> int:
-    _check_degree(args.n, "--n")
+    _check_degree(args.n, "--n", 3)
     rows = census_mod.enumerate_rows(args.n)
     failed = [_row_failure(row) for row in rows] if args.certify else []
     if args.json:
@@ -170,6 +189,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_verify_identities(args) -> int:
     m_max = args.m_max
+    _check_degree(m_max, "--m-max", 4)
     checks: list[tuple[str, bool]] = []
 
     ok = all(combinat.binomial_reduction_check(m) for m in range(4, m_max + 1, 2))
@@ -228,19 +248,19 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_verify_ineq(args) -> int:
-    p, q = _load_pair(args)
+    p, q = _load_pair(args, 1)
     cert = certify_pairing_nonpositive(p, q)
     _emit(
         args,
-        cert.to_json(),
-        f"pairing nonpositive: {'holds' if cert.holds else 'VIOLATED'} "
+        {"pairing_nonpositive": cert.nonnegative, "certificate": cert.to_json()},
+        f"pairing nonpositive: {'holds' if cert.nonnegative else 'VIOLATED'} "
         f"({cert.method})",
     )
-    return 0 if cert.holds else 1
+    return 0 if cert.nonnegative else 1
 
 
 def _cmd_certify(args) -> int:
-    p, q = _load_pair(args)
+    p, q = _load_pair(args, 2)
     try:
         cert = certify_product_isotopy(p, q)
     except PreconditionFailed as exc:
@@ -250,28 +270,24 @@ def _cmd_certify(args) -> int:
             f"FAILED: hypothesis {exc.hypothesis}",
         )
         return 1
+    # every hypothesis held, or certify_product_isotopy would have raised
     idx_product, _ = index_at_origin(second_fundamental_form(p * q))
     idx_factor, _ = index_at_origin(second_fundamental_form(p))
     agreed = idx_product.value == idx_factor.value
     payload = {
-        "certified": cert.valid and agreed,
+        "certified": agreed,
         "certificate": cert.to_json(),
         "index_product": str(idx_product),
         "index_factor": str(idx_factor),
     }
-    _emit(
-        args,
-        payload,
-        f"certified: {cert.valid and agreed}  "
-        f"(index {idx_product} = {idx_factor})",
-    )
-    return 0 if cert.valid and agreed else 1
+    _emit(args, payload, f"certified: {agreed}  (index {idx_product} = {idx_factor})")
+    return 0 if agreed else 1
 
 
 def _cmd_foliate(args) -> int:
     if not 1 <= args.seeds <= MAX_SEEDS:
         raise UsageError(f"--seeds must lie in 1..{MAX_SEEDS}, got {args.seeds}")
-    f = _load_poly(args)
+    f = _load_poly(args, 2)
     label, cert = _classification(f)
     if label == "neither":
         raise PreconditionFailed(

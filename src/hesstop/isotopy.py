@@ -7,20 +7,21 @@ affine path joins a form w to w + delta when delta is nowhere hyperbolic;
 there positivity on t in [0, 1] follows from positivity at both endpoints
 plus concavity (the t^2 coefficient is nonpositive).
 
-Certificates are data, not booleans: every sign decision is carried as an
-exact certificate so the CLI can emit an auditable trail.
+Certificates are data, not booleans: every hypothesis is carried as the
+exact SignCertificate or NonnegativityCertificate that proved it, so the
+CLI can emit an auditable trail.  A failing hypothesis raises
+PreconditionFailed with its name, so every returned certificate holds.
+Each sign question is one kernel call on one Sturm chain per slice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classify import (
     NonnegativityCertificate,
-    PairingCertificate,
     SignCertificate,
     Verdict,
-    certify_nonpositive,
     certify_nonnegative,
     certify_pairing_nonpositive,
     is_elliptic,
@@ -30,7 +31,6 @@ from .classify import (
 from .errors import PreconditionFailed
 from .polyalg import HomoPoly, format_poly, multiply
 from .quadform import (
-    QuadForm,
     gradient_product_form,
     path_discriminant_coeffs,
     second_fundamental_form,
@@ -55,12 +55,8 @@ class IsotopyCertificate:
     kind: str
     t_coefficients: tuple[HomoPoly, HomoPoly, HomoPoly]
     branch: str
-    verdicts: dict = field(default_factory=dict)
-    conclusion: str = ""
-
-    @property
-    def valid(self) -> bool:
-        return all(_conclusive(v) for v in self.verdicts.values())
+    verdicts: dict
+    conclusion: str
 
     def to_json(self) -> dict:
         a0, a1, a2 = self.t_coefficients
@@ -73,53 +69,45 @@ class IsotopyCertificate:
                 "a2": format_poly(a2),
             },
             "hypotheses": [
-                {"name": name, **_cert_json(v)} for name, v in self.verdicts.items()
+                {"name": name, **v.to_json()} for name, v in self.verdicts.items()
             ],
             "conclusion": self.conclusion,
         }
 
 
-def _conclusive(v) -> bool:
-    if isinstance(v, SignCertificate):
-        return v.verdict in (Verdict.POSITIVE, Verdict.NEGATIVE, Verdict.ZERO)
-    if isinstance(v, NonnegativityCertificate):
-        return v.nonnegative
-    if isinstance(v, PairingCertificate):
-        return v.holds
-    if isinstance(v, IsotopyCertificate):
-        return v.valid
-    return bool(v)
+def _require(name: str, holds: bool, detail: str) -> None:
+    if not holds:
+        raise PreconditionFailed(name, detail)
 
 
-def _cert_json(v) -> dict:
-    if hasattr(v, "to_json"):
-        return v.to_json()
-    return {"holds": bool(v)}
+def _positive(name: str, p: HomoPoly, detail: str) -> SignCertificate:
+    cert = sign_on_punctured_plane(p)
+    _require(name, cert.verdict is Verdict.POSITIVE, detail)
+    return cert
 
 
-def certify_path_positivity(
-    a0: HomoPoly, a1: HomoPoly, a2: HomoPoly
-) -> tuple[bool, dict]:
+def _nonnegative(name: str, p: HomoPoly, detail: str) -> NonnegativityCertificate:
+    cert = certify_nonnegative(p)
+    _require(name, cert.nonnegative, detail)
+    return cert
+
+
+def certify_path_positivity(a0: HomoPoly, a1: HomoPoly, a2: HomoPoly) -> dict:
     """Certify a0 + t a1 + t^2 a2 > 0 on the punctured plane for t in [0,1].
 
-    Sufficient conditions: a0 > 0, a0 + a1 + a2 > 0 and a2 <= 0.  With a
-    nonpositive quadratic coefficient the path is concave in t, so interior
-    positivity follows from the endpoints.
+    Sufficient conditions, checked in this order: a2 <= 0, a0 > 0 and
+    a0 + a1 + a2 > 0.  With a nonpositive quadratic coefficient the path is
+    concave in t, so interior positivity follows from the endpoints.
+    Returns the three certificates by name; the first failing condition
+    raises PreconditionFailed with its name.
     """
-    start = sign_on_punctured_plane(a0)
-    end = sign_on_punctured_plane(a0 + a1 + a2)
-    quad = certify_nonpositive(a2)
-    verdicts = {
-        "start_positive": start,
-        "end_positive": end,
-        "quadratic_term_nonpositive": quad,
+    return {
+        "quadratic_term_nonpositive": _nonnegative(
+            "quadratic_term_nonpositive", -a2, "t^2 coefficient takes positive values"
+        ),
+        "start_positive": _positive("start_positive", a0, "not positive at t=0"),
+        "end_positive": _positive("end_positive", a0 + a1 + a2, "not positive at t=1"),
     }
-    ok = (
-        start.verdict is Verdict.POSITIVE
-        and end.verdict is Verdict.POSITIVE
-        and quad.nonnegative
-    )
-    return ok, verdicts
 
 
 def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
@@ -133,18 +121,12 @@ def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     concavity route needs.
     """
     hyp_ok, hyp_cert = is_hyperbolic(p)
-    if not hyp_ok:
-        raise PreconditionFailed("p_hyperbolic", "first argument is not hyperbolic")
-    q_pos = sign_on_punctured_plane(q)
-    if q_pos.verdict is not Verdict.POSITIVE:
-        raise PreconditionFailed(
-            "q_positive", "second argument is not positive on the punctured plane"
-        )
+    _require("p_hyperbolic", hyp_ok, "first argument is not hyperbolic")
+    q_pos = _positive(
+        "q_positive", q, "second argument is not positive on the punctured plane"
+    )
     pairing = certify_pairing_nonpositive(p, q)
-    if not pairing.holds:
-        raise PreconditionFailed(
-            "pairing_nonpositive", "hessian pairing takes positive values"
-        )
+    _require("pairing_nonpositive", pairing.nonnegative, "hessian pairing is positive")
 
     omega = second_fundamental_form(p).scale(q)
     delta = gradient_product_form(p, q)
@@ -153,16 +135,10 @@ def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
         "p_hyperbolic": hyp_cert,
         "q_positive": q_pos,
         "pairing_nonpositive": pairing,
-        "a0_positive": sign_on_punctured_plane(a0),
-        "a1_nonnegative": certify_nonnegative(a1),
-        "a2_nonnegative": certify_nonnegative(a2),
+        "a0_positive": _positive("a0_positive", a0, "not positive at t=0"),
+        "a1_nonnegative": _nonnegative("a1_nonnegative", a1, "t coefficient negative"),
+        "a2_nonnegative": _nonnegative("a2_nonnegative", a2, "t^2 coefficient negative"),
     }
-    if verdicts["a0_positive"].verdict is not Verdict.POSITIVE:
-        raise PreconditionFailed("a0_positive", "path discriminant not positive at t=0")
-    if not verdicts["a1_nonnegative"].nonnegative:
-        raise PreconditionFailed("a1_nonnegative", "linear coefficient not nonnegative")
-    if not verdicts["a2_nonnegative"].nonnegative:
-        raise PreconditionFailed("a2_nonnegative", "quadratic coefficient not a square")
     return IsotopyCertificate(
         kind=GRADIENT_TERM_PATH,
         t_coefficients=(a0, a1, a2),
@@ -188,29 +164,22 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     q*II_p has the same null directions as II_p because q is positive.
     """
     ell_ok, q_cert = is_elliptic(q)
-    if not ell_ok:
-        raise PreconditionFailed("q_elliptic", "second factor is not elliptic")
+    _require("q_elliptic", ell_ok, "second factor is not elliptic")
     gradient_leg = certify_gradient_term_path(p, q)
     f = multiply(p, q)
     prod_ok, f_cert = is_hyperbolic(f)
-    if not prod_ok:
-        raise PreconditionFailed("product_hyperbolic", "the product is not hyperbolic")
+    _require("product_hyperbolic", prod_ok, "the product is not hyperbolic")
 
     omega = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
     delta = second_fundamental_form(q).scale(p)
-    split_residual = second_fundamental_form(f) - (omega + delta)
-    if not split_residual.is_zero:
-        raise PreconditionFailed(
-            "product_form_split", "II_{pq} did not split exactly (internal error)"
-        )
+    _require(
+        "product_form_split",
+        (second_fundamental_form(f) - (omega + delta)).is_zero,
+        "II_{pq} did not split exactly (internal error)",
+    )
 
     a0, a1, a2 = path_discriminant_coeffs(omega, delta)
-    affine_ok, affine_verdicts = certify_path_positivity(a0, a1, a2)
-    if not affine_ok:
-        failing = next(
-            name for name, v in affine_verdicts.items() if not _conclusive(v)
-        )
-        raise PreconditionFailed(failing, "affine path positivity failed")
+    affine_verdicts = certify_path_positivity(a0, a1, a2)
 
     leg = gradient_leg.verdicts
     verdicts = {

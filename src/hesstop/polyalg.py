@@ -26,8 +26,6 @@ from fractions import Fraction
 
 from .errors import DomainError, NotHomogeneousError, PolynomialSyntaxError
 
-Rational = Fraction
-
 # Largest degree accepted from user input (parse, CLI families and --n):
 # a dense form stores degree + 1 coefficients, so text like x^100000000
 # would otherwise allocate that many before any check runs.

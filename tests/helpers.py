@@ -12,6 +12,8 @@ import math
 import random
 from fractions import Fraction
 
+from hesstop.classify import NonnegativityCertificate, SignCertificate, Verdict
+from hesstop.isotopy import IsotopyCertificate
 from hesstop.polyalg import HomoPoly
 
 
@@ -176,3 +178,23 @@ def circle_samples(p: HomoPoly, n: int = 401) -> list[float]:
         phi = 2 * math.pi * i / n
         out.append(float(p.evaluate(math.cos(phi), math.sin(phi))))
     return out
+
+
+def hypotheses_hold(cert: IsotopyCertificate) -> bool:
+    """Every hypothesis of an isotopy certificate holds as named: q_elliptic
+    is a negative discriminant, every other sign certificate is positive,
+    every nonnegativity certificate is nonnegative, and a nested leg holds
+    the same way."""
+    for name, v in cert.verdicts.items():
+        if isinstance(v, IsotopyCertificate):
+            ok = hypotheses_hold(v)
+        elif isinstance(v, NonnegativityCertificate):
+            ok = v.nonnegative
+        elif isinstance(v, SignCertificate):
+            want = Verdict.NEGATIVE if name == "q_elliptic" else Verdict.POSITIVE
+            ok = v.verdict is want
+        else:
+            ok = False
+        if not ok:
+            return False
+    return bool(cert.verdicts)

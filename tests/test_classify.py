@@ -302,30 +302,67 @@ class TestPairingCertificate:
     def test_saddle_radial_pairs_hold(self, m):
         for k in range(1, 6):
             cert = certify_pairing_nonpositive(saddle_family(m), radial_family(k))
-            assert cert.holds and cert.strict
+            assert cert.nonnegative and cert.strict
 
     def test_hand_expanded_pair(self):
         cert = certify_pairing_nonpositive(saddle_family(2), parse("x^2+y^2"))
-        assert cert.holds
+        assert cert.nonnegative
         assert hessian_pairing(saddle_family(2), parse("x^2+y^2")) == parse(
             "-8*x^2-8*y^2"
         )
 
     def test_identically_zero_pairing(self):
         cert = certify_pairing_nonpositive(parse("x^2"), parse("y^2"))
-        assert cert.holds and cert.method == "identically-zero"
+        assert cert.nonnegative and cert.method == "identically-zero"
 
     def test_semidefinite_pairing(self):
         # pairing(x^2 - y^2, x^2) = -8 x^2: nonpositive with a zero line
         cert = certify_pairing_nonpositive(parse("x^2 - y^2"), parse("x^2"))
-        assert cert.holds and not cert.strict
+        assert cert.nonnegative and not cert.strict
 
     def test_violated_pairing_has_witness(self):
         # pairing(x^2 + y^2, x^2) = 8 x^2 > 0 off the y-axis
         cert = certify_pairing_nonpositive(parse("x^2 + y^2"), parse("x^2"))
-        assert not cert.holds
+        assert not cert.nonnegative
         b = hessian_pairing(parse("x^2 + y^2"), parse("x^2"))
-        assert b.evaluate(*cert.base.witness) > 0
+        assert b.evaluate(*cert.witness) > 0
+
+
+class TestOneChainPerSlice:
+    """Each kernel call builds at most one Sturm chain per distinct
+    polynomial: the slice's chain answers the count, Yun's first gcd, the
+    strictness count and the isolation."""
+
+    @pytest.fixture
+    def chains(self, monkeypatch):
+        built = []
+        of = SturmChain.of.__func__
+
+        def counted(cls, u):
+            built.append(u)
+            return of(cls, u)
+
+        monkeypatch.setattr(SturmChain, "of", classmethod(counted))
+        return built
+
+    def test_sign_on_a_square_builds_two_chains(self, chains):
+        # (x^2 - 2y^2)^2: the slice's chain, then its squarefree part's
+        cert = sign_on_punctured_plane(parse("x^4 - 4*x^2*y^2 + 4*y^4"))
+        assert cert.method == "semidefinite-irrational-zeros"
+        assert len(chains) <= 2
+
+    def test_nonnegative_on_a_squarefree_slice_builds_one_chain(self, chains):
+        # (x^2 - y^2)(x^2 - 3y^2): the odd part is the slice itself
+        p = parse("x^4 - 4*x^2*y^2 + 3*y^4")
+        cert = certify_nonnegative(p)
+        assert not cert.nonnegative and p.evaluate(*cert.witness) < 0
+        assert len(chains) == 1
+
+    def test_early_returns_build_no_chain(self, chains):
+        certify_nonnegative(parse("x^3"))
+        certify_nonnegative(parse("x^4 - y^4"))
+        sign_on_punctured_plane(parse("x^3"))
+        assert chains == []
 
 
 def test_origin_not_separately_tested():

@@ -1,12 +1,14 @@
 import json
 import runpy
 import sys
+from fractions import Fraction
 
 import pytest
 
 from hesstop import census
 from hesstop.cli import main
 from hesstop.foliation import MAX_SEEDS
+from hesstop.polyalg import MAX_DEGREE
 from hesstop.errors import RefinementLimit
 
 
@@ -148,6 +150,14 @@ class TestVerifyIdentities:
         assert all(data.values())
 
 
+    @pytest.mark.parametrize("m_max", [0, 3, MAX_DEGREE + 1])
+    def test_m_max_outside_range_is_usage_error(self, capsys, m_max):
+        code, out, err = run(capsys, "verify-identities", "--m-max", str(m_max))
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and str(MAX_DEGREE) in err
+
+
 class TestVerifyIneq:
     def test_family_pair_holds(self, capsys):
         code, out, _ = run(capsys, "verify-ineq", "--family", "f:4,2")
@@ -158,6 +168,27 @@ class TestVerifyIneq:
         code, out, _ = run(capsys, "verify-ineq", "--p", "x^2+y^2", "--q", "x^2")
         assert code == 1
         assert "VIOLATED" in out
+
+    def test_json_holds(self, capsys):
+        code, out, _ = run(capsys, "verify-ineq", "--family", "f:4,2", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["pairing_nonpositive"] is True
+        assert data["certificate"]["nonnegative"] is True
+        assert data["certificate"]["strict"] is True
+        assert "witness" not in data["certificate"]
+
+    def test_json_violated(self, capsys):
+        code, out, _ = run(
+            capsys, "verify-ineq", "--p", "x^2+y^2", "--q", "x^2", "--json"
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["pairing_nonpositive"] is False
+        assert data["certificate"]["nonnegative"] is False
+        # the pairing 8x^2 is positive at the witness, so x != 0 there
+        x, _ = (Fraction(c) for c in data["certificate"]["witness"])
+        assert x != 0
 
     def test_missing_pair_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-ineq", "--p", "x^2")
@@ -276,3 +307,20 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "usage error" in err and "1024" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "--n", "2"),
+            ("classify", "--poly", "x"),
+            ("index", "--poly", "x"),
+            ("foliate", "--poly", "x"),
+            ("verify-ineq", "--p", "x", "--q", "x^2"),
+            ("certify", "--family", "f:3,0"),
+        ],
+    )
+    def test_degree_below_floor(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err

@@ -24,22 +24,27 @@ from hesstop.quadform import (
     second_fundamental_form,
 )
 
-from helpers import random_homopoly
+from helpers import hypotheses_hold, random_homopoly
 
 
 class TestPathPositivity:
     def test_constant_positive_path(self):
         one = HomoPoly.constant(1)
         zero = HomoPoly.zero(0)
-        ok, verdicts = certify_path_positivity(one, zero, zero)
-        assert ok
+        verdicts = certify_path_positivity(one, zero, zero)
         assert verdicts["start_positive"].verdict is Verdict.POSITIVE
 
     def test_positive_quadratic_term_rejected(self):
         one = HomoPoly.constant(1)
-        ok, verdicts = certify_path_positivity(one, HomoPoly.constant(-3), one)
-        assert not ok
-        assert not verdicts["quadratic_term_nonpositive"].nonnegative
+        with pytest.raises(PreconditionFailed) as exc:
+            certify_path_positivity(one, HomoPoly.constant(-3), one)
+        assert exc.value.hypothesis == "quadratic_term_nonpositive"
+
+    def test_negative_start_is_named(self):
+        minus_one, zero = HomoPoly.constant(-1), HomoPoly.zero(0)
+        with pytest.raises(PreconditionFailed) as exc:
+            certify_path_positivity(minus_one, zero, zero)
+        assert exc.value.hypothesis == "start_positive"
 
     def test_product_pair_data(self):
         p, q = saddle_family(3), radial_family(1)
@@ -48,22 +53,21 @@ class TestPathPositivity:
         omega = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
         delta = second_fundamental_form(q).scale(p)
         a0, a1, a2 = path_discriminant_coeffs(omega, delta)
-        ok, verdicts = certify_path_positivity(a0, a1, a2)
-        assert ok
+        verdicts = certify_path_positivity(a0, a1, a2)
         assert verdicts["quadratic_term_nonpositive"].nonnegative
 
 
 class TestGradientTermPath:
     def test_monkey_saddle_pair(self):
         cert = certify_gradient_term_path(saddle_family(3), radial_family(1))
-        assert cert.valid
+        assert hypotheses_hold(cert)
         assert cert.branch == "all-t-coefficients-nonnegative"
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_family_grid(self, m):
         for k in range(1, 5):
             cert = certify_gradient_term_path(saddle_family(m), radial_family(k))
-            assert cert.valid
+            assert hypotheses_hold(cert)
 
     def test_non_hyperbolic_first_argument_rejected(self):
         with pytest.raises(PreconditionFailed) as exc:
@@ -86,13 +90,13 @@ class TestGradientTermPath:
 class TestProductIsotopy:
     def test_monkey_saddle_times_circle(self):
         cert = certify_product_isotopy(saddle_family(3), radial_family(1))
-        assert cert.valid
+        assert hypotheses_hold(cert)
         assert cert.kind == "product-composite"
         assert "gradient_term_leg" in cert.verdicts
 
     def test_degree_six_pair(self):
         cert = certify_product_isotopy(saddle_family(4), radial_family(1))
-        assert cert.valid
+        assert hypotheses_hold(cert)
 
     def test_non_elliptic_factor_rejected(self):
         with pytest.raises(PreconditionFailed) as exc:
