@@ -35,6 +35,7 @@ from .lineindex import (
     asymptotic_directions,
     branch_continuation,
     index_at_origin,
+    origin_index,
 )
 from .polyalg import (
     HomoPoly,

@@ -6,7 +6,8 @@ For degree n the rows are the pure saddle (k = 0, m = n) together with
 every product saddle_family(m) * radial_family(k) with k >= 1,
 m = n - 2k > max(2, k).  Each row's asymptotic line field has origin index
 (2 - m)/2; the indexes are pairwise distinct, so the rows land in pairwise
-distinct connected components.
+distinct connected components.  certify_row proves that index exactly from a
+Sturm chain, with no floating point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .classify import is_hyperbolic
 from .errors import DomainError, PreconditionFailed
 from .isotopy import certify_product_isotopy
-from .lineindex import index_at_origin
+from .lineindex import origin_index
 from .polyalg import multiply, radial_family, saddle_family
 from .quadform import second_fundamental_form
 
@@ -91,9 +92,10 @@ def certify_row(row: CensusRow) -> dict:
     For k = 0 checks hyperbolicity of the saddle; for k >= 1 runs the
     product isotopy once, which certifies the product hyperbolic, the radial
     factor elliptic and the hessian pairing nonpositive, and fills those
-    bundle entries from its verdicts.  Finally the numerical origin index
-    must equal the theoretical (2 - m)/2.  Raises PreconditionFailed naming
-    the first failing certificate.
+    bundle entries from its verdicts.  Finally the exact origin index, read
+    by origin_index from one Sturm chain once hyperbolicity is proved, must
+    equal the theoretical (2 - m)/2.  Raises PreconditionFailed naming the
+    first failing certificate.
     """
     p = saddle_family(row.m)
     bundle: dict = {"row": row}
@@ -113,9 +115,8 @@ def certify_row(row: CensusRow) -> dict:
         if not hyp_ok:
             raise PreconditionFailed("product_hyperbolic", f"row {row}")
 
-    half, trace = index_at_origin(second_fundamental_form(f))
+    half = origin_index(second_fundamental_form(f))
     bundle["index"] = half
-    bundle["samples_used"] = len(trace.samples)
     if half.value != row.index:
         raise PreconditionFailed(
             "index_matches",

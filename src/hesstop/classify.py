@@ -173,19 +173,25 @@ class SturmChain:
     """Canonical Sturm chain of a univariate slice, as a primitive PRS.
 
     Each entry is a positive multiple of the rational chain's entry, so the
-    sign variations are the same.  The terminal entry is the gcd-related
-    remainder, so the chain counts distinct real roots also for
+    sign variations are the same.  The terminal entry is a multiple of
+    gcd(u, v), so the chain counts distinct real roots also for
     non-squarefree input.
     """
 
     polys: tuple[list[int], ...]
 
     @classmethod
-    def of(cls, u) -> "SturmChain":
+    def of(cls, u, v=None) -> "SturmChain":
+        """The chain u, v, -rem(u, v), ...; v defaults to u'.
+
+        V(-inf) - V(+inf) is the Cauchy index Ind(v/u) over the real line,
+        which for v = u' is the number of distinct real roots of u.
+        """
         u = _ints(u)
         if not u:
             raise DomainError("Sturm chain of the zero polynomial")
-        chain = [u, _primitive(_deriv(u))] if len(u) > 1 else [u]
+        v = _primitive(_deriv(u)) if v is None else _ints(v)
+        chain = [u, v] if v else [u]
         while len(chain) > 1 and (r := _prem(chain[-2], chain[-1])):
             chain.append(_primitive([-c for c in r]))
         return cls(tuple(chain))

@@ -5,14 +5,20 @@ failure, 2 on usage errors (bad flags, unparseable polynomials, values out
 of range).  Polynomials are accepted as text (--poly) or as family
 shortcuts (--family P:m, Q:k or f:m,k).  A degree below what a command
 needs (census --n 3, a form 2, the q of verify-ineq 1) or above
-polyalg.MAX_DEGREE, verify-identities --m-max outside 4..MAX_DEGREE and
-foliate --seeds outside 1..foliation.MAX_SEEDS are usage errors.
+polyalg.MAX_DEGREE, verify-identities --m-max outside 4..MAX_IDENTITY_M
+(the checks cost about m^3.6) and foliate --seeds outside
+1..foliation.MAX_SEEDS are usage errors.
+
+certify and census --certify read origin indexes exactly (origin_index);
+index answers from the float tracer, which also writes --trace.  foliate
+checks the float separatrix count against the exact number of distinct
+real linear factors of f and exits 1 with both numbers when they differ.
 
 JSON shapes: classify prints {"classification": label, "certificate":
 {...}}; verify-ineq prints {"pairing_nonpositive": bool, "certificate":
 {...}}, the certificate of -hessian_pairing(p, q) >= 0, whose witness is a
 point where the pairing is positive; certify prints "certified" (the two
-origin indexes agree: a returned isotopy certificate has passed every
+exact origin indexes agree: a returned isotopy certificate has passed every
 hypothesis) beside the certificate and both indexes.  With --certify,
 census gives each row "certified" and, on failure, "failed" (the
 hypothesis or exception class).  ``python -m hesstop`` runs :func:`main`.
@@ -26,7 +32,7 @@ import sys
 
 from . import census as census_mod
 from . import combinat
-from .classify import Verdict, certify_pairing_nonpositive, is_hyperbolic
+from .classify import Verdict, certify_pairing_nonpositive, count_real_roots, is_hyperbolic
 from .errors import HesstopError, PreconditionFailed
 from .foliation import (
     MAX_SEEDS,
@@ -36,9 +42,14 @@ from .foliation import (
     trace_foliation,
 )
 from .isotopy import certify_product_isotopy
-from .lineindex import index_at_origin
+from .lineindex import index_at_origin, origin_index
 from .polyalg import MAX_DEGREE, HomoPoly, parse, product_family, radial_family, saddle_family
 from .quadform import second_fundamental_form
+
+
+# Largest verify-identities --m-max: the checks cost about m^3.6 (1.6 s at
+# m = 80, 19.5 s at m = 160), so m = MAX_DEGREE would run for hours.
+MAX_IDENTITY_M = 160
 
 
 class UsageError(Exception):
@@ -189,7 +200,11 @@ def _cmd_census(args) -> int:
 
 def _cmd_verify_identities(args) -> int:
     m_max = args.m_max
-    _check_degree(m_max, "--m-max", 4)
+    if not 4 <= m_max <= MAX_IDENTITY_M:
+        raise UsageError(
+            f"--m-max is {m_max}; this command needs 4..{MAX_IDENTITY_M}, since its "
+            f"cost grows about as m^3.6 and m = {MAX_DEGREE} would run for hours"
+        )
     checks: list[tuple[str, bool]] = []
 
     ok = all(combinat.binomial_reduction_check(m) for m in range(4, m_max + 1, 2))
@@ -271,8 +286,8 @@ def _cmd_certify(args) -> int:
         )
         return 1
     # every hypothesis held, or certify_product_isotopy would have raised
-    idx_product, _ = index_at_origin(second_fundamental_form(p * q))
-    idx_factor, _ = index_at_origin(second_fundamental_form(p))
+    idx_product = origin_index(second_fundamental_form(p * q))
+    idx_factor = origin_index(second_fundamental_form(p))
     agreed = idx_product.value == idx_factor.value
     payload = {
         "certified": agreed,
@@ -298,13 +313,21 @@ def _cmd_foliate(args) -> int:
     w = second_fundamental_form(f)
     if args.svg or args.csv:
         cs = trace_foliation(w, seeds=args.seeds)
-        if args.svg:
-            curves_to_svg(cs, args.svg)
-        if args.csv:
-            curves_to_csv(cs, args.csv)
         count, angles = cs.sector_count, cs.separatrix_angles
     else:
         count, angles = count_separatrices(w)
+    # the alignment form of II_f is n(n-1)f, so the invariant lines are the
+    # distinct real linear factors of f: the slice's roots, plus x = 0
+    exact = count_real_roots(f.coeffs) + (f.coeffs[f.degree] == 0)
+    if count != exact:
+        raise HesstopError(
+            f"the float scan counted {count} separatrix lines, "
+            f"but f has {exact} distinct real linear factors"
+        )
+    if args.svg:
+        curves_to_svg(cs, args.svg)
+    if args.csv:
+        curves_to_csv(cs, args.csv)
     payload = {
         "separatrix_lines": count,
         "ray_angles": [round(a, 9) for a in angles],

@@ -63,7 +63,11 @@ def count_separatrices(
     ``tol``, and merges duplicates.  Returns (number of distinct lines,
     sorted ray angles in [0, 2pi)).  Tangential zeros without sign change
     are invisible to this scan; the supported form families only have
-    transversal alignment zeros.
+    transversal alignment zeros.  Float cancellation miscounts high
+    degrees silently: saddle_family(m) gets m lines up to m = 85, but 87 at
+    m = 86 and 99 at m = 90.  The exact count is the number of distinct
+    real linear factors of f, since the alignment form of II_f is
+    n(n-1)f; ``foliate`` checks against it.
     """
     _, va, vb, vc = _float_coeffs(w)
     two_pi = 2.0 * math.pi

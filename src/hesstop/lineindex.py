@@ -1,14 +1,20 @@
-"""Numerical index at the origin of the asymptotic line field of a
-hyperbolic quadratic differential form.
+"""Index at the origin of the asymptotic line field of a hyperbolic
+quadratic differential form, exact for certification and sampled for the
+trace.
 
-Lines live in RP^1, so a line angle theta is only defined mod pi.  Tracking
-the doubled angle 2*theta turns the field along the unit circle into a
-circle-valued map whose winding is twice the index; this is the only clean
-way to land on half-integer indexes without choosing a global orientation
-that may not exist.  This module is the toolkit's single deliberate use of
-floating point: the index is a discrete invariant, so the numerics only
-need to land in the right half-integer basin, and the residual of the
-rounding is recorded and gated.
+Lines live in RP^1, so a line angle theta is only defined mod pi.  Where
+A dx^2 + 2B dxdy + C dy^2 is hyperbolic its null lines satisfy
+2 theta = arg(A - C, 2B) +- arccos(-(A + C)/2R), R = |((A - C)/2, B)|, and
+the arccos term stays inside (0, pi).  So the index of either branch is
+half the winding number of the pair (A - C, 2B) on the circle.
+
+origin_index reads that winding exactly as a Cauchy index from one Sturm
+chain of the integer kernel (Basu, Pollack and Roy, Algorithms in Real
+Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977); census rows
+and ``certify`` use it.  index_at_origin tracks the doubled angle 2 theta
+numerically along the circle.  It is the toolkit's float layer: the source
+of ``index --trace`` and an independent oracle for the exact index in the
+tests.  Its rounding residual is recorded and gated.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .classify import SturmChain, count_real_roots
 from .errors import AmbiguousBranch, DomainError, NotHyperbolicHere, RefinementLimit
 from .quadform import QuadForm
 
@@ -100,7 +107,8 @@ def branch_continuation(prev: float, pair: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class HalfIndex:
-    """Index value numerator/2 plus the distance of the raw winding to it."""
+    """Index value numerator/2 plus the distance of the raw winding to it
+    (0 for the exact index)."""
 
     numerator: int
     residual: float
@@ -156,8 +164,9 @@ def index_at_origin(
     select the wrong branch, so n_initial should comfortably exceed eight
     times the coefficient degree.  Float cancellation in the large binomial
     coefficients sets a lower limit than sampling does: saddle_family(m)
-    certifies up to m = 111 (coefficient degree 109) and raises
-    RefinementLimit for every m from 112 on.
+    resolves up to m = 111 (coefficient degree 109) and raises
+    RefinementLimit for every m from 112 on.  Certification does not depend
+    on this function; it reads the index from origin_index.
     """
     if n_initial < 64:
         raise DomainError(f"n_initial must be at least 64, got {n_initial}")
@@ -219,3 +228,38 @@ def index_at_origin(
     numerator = round(2.0 * raw)
     residual = abs(raw - numerator / 2.0)
     return HalfIndex(numerator, residual), DirectionTrace(samples, unwrapped, max_depth)
+
+
+def origin_index(w: QuadForm) -> HalfIndex:
+    """Exact index at the origin of the line field of a hyperbolic ``w``.
+
+    The index is half the winding of (A - C, 2B) over the circle.  By
+    homogeneity the winding is the angle change over the half circle that
+    the slice (1, t) covers, divided by pi, which is a Cauchy index of
+    p(t) = (A - C)(1, t) and q(t) = 2B(1, t).  When B(0, 1) != 0 the index
+    is Ind(p/q)/2, read as V(-inf) - V(+inf) of the chain q, p, ...;
+    otherwise q/p has no pole at t = inf and it is -Ind(q/p)/2.  The value
+    equals the line-field index when w is hyperbolic, which this function
+    does not check again.  Raises DomainError when A - C and B vanish
+    together in a real direction: at (0, 1), or at a real root of the
+    chain's last entry, which is their gcd.
+    """
+    d = w.degree
+
+    def vec(poly):
+        return [0] * (d + 1) if poly.is_zero else poly.coeffs
+
+    a, b, c = vec(w.a), vec(w.b), vec(w.c)
+    p = [x - z for x, z in zip(a, c)]
+    if b[d] != 0:
+        chain, sign = SturmChain.of(b, p), 1
+    elif p[d] != 0:
+        chain, sign = SturmChain.of(p, b), -1
+    else:
+        raise DomainError("A - C and B both vanish at the direction (0, 1)")
+    gcd = chain.polys[-1]
+    if len(gcd) > 1 and count_real_roots(gcd):
+        raise DomainError("A - C and B vanish together in a real direction")
+    return HalfIndex(
+        sign * (chain.variations_at_minus_inf() - chain.variations_at_plus_inf()), 0.0
+    )

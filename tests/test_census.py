@@ -138,3 +138,25 @@ class TestCertifyRow:
             "index": "-1/2",
             "lower_bound": 3,
         }
+
+
+class TestCertifyRowExactIndex:
+    @pytest.mark.parametrize("n", [112, 120])
+    def test_saddle_row_past_the_float_cliff(self, n):
+        row = enumerate_rows(n)[0]
+        assert (row.k, row.m) == (0, n)
+        bundle = certify_row(row)
+        assert bundle["index"].value == F(2 - n, 2)
+        assert bundle["index"].residual == 0
+        assert "samples_used" not in bundle
+
+    def test_census_does_not_sample(self, monkeypatch):
+        from hesstop import lineindex
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify_row sampled the float tracer")
+
+        # the tracer reads its float coefficients first, under any import name
+        monkeypatch.setattr(lineindex, "_float_coeffs", refuse)
+        for row in enumerate_rows(9):
+            certify_row(row)

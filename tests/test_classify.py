@@ -33,6 +33,7 @@ from hesstop.quadform import discriminant, hessian_pairing, second_fundamental_f
 
 from conftest import homopolys
 from helpers import (
+    _uni_eval,
     cauchy_radius,
     circle_samples,
     descartes_count_roots,
@@ -89,6 +90,36 @@ class TestSturm:
                 chain = SturmChain.of(u)
                 if lo < hi:
                     assert chain.count_in(lo, hi) == 1
+
+
+class TestCauchyIndex:
+    """SturmChain.of(u, v) reads Ind(v/u) as V(-inf) - V(+inf)."""
+
+    @staticmethod
+    def index(u, v):
+        chain = SturmChain.of(u, v)
+        return chain.variations_at_minus_inf() - chain.variations_at_plus_inf()
+
+    def test_simple_poles(self):
+        assert self.index([F(0), F(1)], [F(1)]) == 1  # 1/t jumps -inf -> +inf
+        assert self.index([F(0), F(1)], [F(-1)]) == -1
+        assert self.index([F(1), F(0), F(1)], [F(1)]) == 0  # no real pole
+        assert self.index([F(0), F(0), F(1)], [F(1)]) == 0  # even pole
+
+    def test_agrees_with_residue_signs(self, rng):
+        # u with simple integer roots r: Ind(v/u) = sum of sign(v(r) u'(r))
+        for _ in range(40):
+            roots = rng.sample(range(-6, 7), rng.randint(1, 5))
+            u = [F(1)]
+            for r in roots:  # u *= (t - r)
+                u = [a - r * b for a, b in zip([F(0)] + u, u + [F(0)])]
+            v = [F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 7))]
+            du = [u[j] * j for j in range(1, len(u))]
+            values = [(_uni_eval(v, F(r)), _uni_eval(du, F(r))) for r in roots]
+            if not any(v) or any(a == 0 for a, _ in values):
+                continue
+            expected = sum(1 if a * b > 0 else -1 for a, b in values)
+            assert self.index(u, v) == expected
 
 
 class TestYun:

@@ -150,7 +150,7 @@ class TestVerifyIdentities:
         assert all(data.values())
 
 
-    @pytest.mark.parametrize("m_max", [0, 3, MAX_DEGREE + 1])
+    @pytest.mark.parametrize("m_max", [0, 3, 161, MAX_DEGREE + 1])
     def test_m_max_outside_range_is_usage_error(self, capsys, m_max):
         code, out, err = run(capsys, "verify-identities", "--m-max", str(m_max))
         assert code == 2
@@ -251,6 +251,23 @@ class TestFoliate:
         assert code == 0
         data = json.loads(out)
         assert data["separatrix_lines"] == 0
+
+
+    def test_float_miscount_is_refused(self, capsys):
+        # the float scan counts 99 lines for the saddle of degree 90
+        code, out, err = run(capsys, "foliate", "--family", "P:90")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "99" in err and "90" in err
+
+
+class TestCertifyExactIndex:
+    def test_family_pair_past_the_float_cliff(self, capsys):
+        code, out, _ = run(capsys, "certify", "--family", "f:112,1", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["certified"] is True
+        assert data["index_product"] == data["index_factor"] == "-55"
 
 
 class TestFoliateSeeds:

@@ -4,15 +4,22 @@ from fractions import Fraction
 import pytest
 
 from hesstop.errors import AmbiguousBranch, DomainError, NotHyperbolicHere
+from hesstop.classify import is_hyperbolic
 from hesstop.lineindex import (
     HalfIndex,
     asymptotic_directions,
     branch_continuation,
     index_at_origin,
     line_distance,
+    origin_index,
 )
-from hesstop.polyalg import multiply, parse, radial_family, saddle_family
+from hesstop.polyalg import multiply, parse, product_family, radial_family, saddle_family
 from hesstop.quadform import second_fundamental_form
+
+from helpers import random_homopoly
+
+# (m, k) of the benchmark's product ladder, total degrees 5 to 110
+PRODUCT_LADDER = ((3, 1), (8, 2), (12, 5), (20, 6), (30, 10), (40, 12), (50, 20), (40, 35))
 
 
 class TestAsymptoticDirections:
@@ -153,3 +160,44 @@ class TestIndexAtOrigin:
         w = second_fundamental_form(saddle_family(30))
         half, _ = index_at_origin(w)
         assert half.value == Fraction(-28, 2)
+
+
+class TestOriginIndex:
+    @pytest.mark.parametrize("m", range(3, 101))
+    def test_saddle_agrees_with_float(self, m):
+        w = second_fundamental_form(saddle_family(m))
+        exact = origin_index(w)
+        assert exact.value == index_at_origin(w)[0].value == Fraction(2 - m, 2)
+        assert exact.residual == 0
+
+    @pytest.mark.parametrize("m,k", PRODUCT_LADDER)
+    def test_product_ladder_agrees_with_float(self, m, k):
+        w = second_fundamental_form(product_family(m, k))
+        assert origin_index(w).value == index_at_origin(w)[0].value == Fraction(2 - m, 2)
+
+    def test_random_hyperbolic_forms_agree_with_float(self, rng):
+        checked = 0
+        while checked < 200:
+            f = random_homopoly(rng, rng.randint(2, 9), max_abs=5)
+            if not is_hyperbolic(f)[0]:
+                continue
+            w = second_fundamental_form(f)
+            assert origin_index(w).value == index_at_origin(w)[0].value, f
+            checked += 1
+
+    @pytest.mark.parametrize("m", [112, 120, 200])
+    def test_saddle_past_the_float_cliff(self, m):
+        assert origin_index(second_fundamental_form(saddle_family(m))).value == Fraction(2 - m, 2)
+
+    def test_constant_field(self):
+        assert origin_index(second_fundamental_form(parse("x*y"))).numerator == 0
+
+    def test_common_zero_at_vertical_direction_raises(self):
+        # II of x^4 is 12x^2 dx^2: A - C and B both vanish at (0, 1)
+        with pytest.raises(DomainError):
+            origin_index(second_fundamental_form(parse("x^4")))
+
+    def test_common_zero_off_vertical_direction_raises(self):
+        # II of y^4 is 12y^2 dy^2: A - C and B both vanish at (1, 0)
+        with pytest.raises(DomainError):
+            origin_index(second_fundamental_form(parse("y^4")))
