@@ -9,9 +9,12 @@ nonzero polynomials always change sign under (x, y) -> (-x, -y).
 
 One integer kernel answers every question.  A slice is read once into the
 primitive int vector that is a positive multiple of it, which keeps every
-sign, root and multiplicity.  Root counts come from Sturm chains built as
-primitive remainder sequences (Collins 1967, Brown 1971) with a
-sign-preserving pseudo-remainder, evaluated at t = p/q as q^deg * u(p/q).
+sign, root and multiplicity.  A form's coefficients are ints whenever they
+are integral (see polyalg), so the slice of an integer form is copied as it
+is; only a form with a denominator above 1 is scaled by the lcm first.
+Root counts come from Sturm chains built as primitive remainder sequences
+(Collins 1967, Brown 1971) with a sign-preserving pseudo-remainder,
+evaluated at t = p/q as q^deg * u(p/q).
 Semidefinite questions (p >= 0 with zeros allowed) are settled by Yun
 squarefree factorization over Z: p >= 0 iff the product of odd-multiplicity
 factors has no real root, the leading constant is positive and p(0,1) >= 0.

@@ -22,12 +22,15 @@ exact origin indexes agree: a returned isotopy certificate has passed every
 hypothesis) beside the certificate and both indexes.  With --certify,
 census gives each row "certified" and, on failure, "failed" (the
 hypothesis or exception class).  ``python -m hesstop`` runs :func:`main`.
+When the reader of stdout goes away early (``| head -1``), main stops
+quietly with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import census as census_mod
@@ -404,7 +407,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); send what is left to
+        # devnull so the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

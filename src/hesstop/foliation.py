@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 from .lineindex import _directions_from_values, _eval_vec, _float_coeffs, line_distance
@@ -223,7 +222,7 @@ def reflection_identity_holds(m: int) -> bool:
 
     lhs = reflected_form(second_fundamental_form(saddle_family(m)))
     sign = (-1) ** ((m - 1) // 2)
-    rhs = hopf_model_form(m).scale(Fraction(sign * m * (m - 1)))
+    rhs = hopf_model_form(m).scale(sign * m * (m - 1))
     return lhs == rhs
 
 

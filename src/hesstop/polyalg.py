@@ -1,10 +1,16 @@
 """Exact bivariate homogeneous polynomial arithmetic over big rationals.
 
 A degree-d polynomial is stored densely: ``coeffs[j]`` is the coefficient of
-``x^(d-j) * y^j``.  All arithmetic is exact (``fractions.Fraction``); nothing
-in this module ever touches floating point.  :func:`multiply` works on
-integers: it convolves the numerators over each factor's common denominator
-and divides by the product of the two denominators once.
+``x^(d-j) * y^j``.  Every coefficient is an exact rational in one canonical
+form: an ``int`` when it is integral, a ``fractions.Fraction`` only when its
+denominator is greater than 1.  The :class:`HomoPoly` constructor alone
+decides that form, and it refuses floats, so nothing in this module ever
+touches floating point.  ``int`` and ``Fraction`` agree on ``==``, ``hash``,
+``str``, ``.numerator`` and ``.denominator``, so readers of ``coeffs`` need
+not tell them apart.  Integer forms, the paper's models among them, stay on
+Python ints end to end.  :func:`multiply` works on integers: it convolves the
+numerators over each factor's common denominator and divides by the product
+of the two denominators once, and only when that product is not 1.
 
 Text grammar accepted by :func:`parse` (whitespace insignificant)::
 
@@ -32,16 +38,29 @@ from .errors import DomainError, NotHomogeneousError, PolynomialSyntaxError
 MAX_DEGREE = 1024
 
 
+def _exact(c) -> int | Fraction:
+    """The canonical form of one coefficient: an int when it is integral."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise DomainError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 @dataclass(frozen=True)
 class HomoPoly:
     """Homogeneous polynomial in x, y with exact rational coefficients.
+
+    ``coeffs`` holds ints and Fractions in canonical form: a coefficient is
+    an ``int`` exactly when it is integral, so ``Fraction(3)`` is stored as
+    ``3``.  Any other type, float included, raises DomainError.
 
     The zero polynomial keeps a degree tag so that degree-checked addition
     stays total; equality and hashing ignore the tag on zero.
     """
 
     degree: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.degree < 0:
@@ -51,27 +70,27 @@ class HomoPoly:
                 f"degree {self.degree} needs {self.degree + 1} coefficients, "
                 f"got {len(self.coeffs)}"
             )
+        # A tuple of plain ints is already canonical and is kept as it is.
         # Tuples here are built from lists, never from generators: CPython
         # resizes a tuple built from a generator, and when such a tuple is
         # freed it joins the free list of its size without one being taken
         # from it, so those free lists (and the peak RSS) grow with every
         # call until they are full.
-        object.__setattr__(
-            self, "coeffs",
-            tuple([c if type(c) is Fraction else Fraction(c) for c in self.coeffs]),
-        )
+        coeffs = self.coeffs
+        if type(coeffs) is not tuple or set(map(type, coeffs)) != {int}:
+            object.__setattr__(self, "coeffs", tuple([_exact(c) for c in coeffs]))
 
     @classmethod
     def zero(cls, degree: int = 0) -> "HomoPoly":
-        return cls(degree, (Fraction(0),) * (degree + 1))
+        return cls(degree, (0,) * (degree + 1))
 
     @classmethod
     def constant(cls, value) -> "HomoPoly":
-        return cls(0, (Fraction(value),))
+        return cls(0, (value,))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomoPoly):
@@ -159,6 +178,8 @@ def partial(p: HomoPoly, var: str) -> HomoPoly:
 
 def _numerators(coeffs) -> tuple[list[int], int]:
     """(n, den): coeffs[j] == n[j] / den with den the lcm of denominators."""
+    if set(map(type, coeffs)) == {int}:
+        return list(coeffs), 1
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
@@ -180,7 +201,9 @@ def multiply(p: HomoPoly, q: HomoPoly) -> HomoPoly:
     b, db = _numerators(q.coeffs)
     den = da * db
     out = _convolve(a, b)
-    return HomoPoly(len(out) - 1, tuple([Fraction(c, den) for c in out]))
+    if den != 1:
+        out = [Fraction(c, den) for c in out]
+    return HomoPoly(len(out) - 1, tuple(out))
 
 
 def swap_xy(p: HomoPoly) -> HomoPoly:
@@ -196,9 +219,9 @@ def saddle_family(m: int) -> HomoPoly:
     """
     if m < 2:
         raise DomainError(f"saddle family needs m >= 2, got {m}")
-    coeffs = [Fraction(0)] * (m + 1)
+    coeffs = [0] * (m + 1)
     for j in range(m // 2 + 1):
-        coeffs[2 * j] = Fraction((-1) ** j * math.comb(m, 2 * j))
+        coeffs[2 * j] = (-1) ** j * math.comb(m, 2 * j)
     return HomoPoly(m, tuple(coeffs))
 
 
@@ -206,9 +229,9 @@ def radial_family(k: int) -> HomoPoly:
     """The radial power (x^2 + y^2)^k; k = 0 gives the constant 1."""
     if k < 0:
         raise DomainError(f"radial family needs k >= 0, got {k}")
-    coeffs = [Fraction(0)] * (2 * k + 1)
+    coeffs = [0] * (2 * k + 1)
     for j in range(k + 1):
-        coeffs[2 * j] = Fraction(math.comb(k, j))
+        coeffs[2 * j] = math.comb(k, j)
     return HomoPoly(2 * k, tuple(coeffs))
 
 
@@ -223,14 +246,14 @@ def complex_power_parts(n: int) -> tuple[HomoPoly, HomoPoly]:
         raise DomainError("exponent must be nonnegative")
     re = HomoPoly.constant(1)
     im = HomoPoly.zero(0)
-    x = HomoPoly(1, (Fraction(1), Fraction(0)))
-    y = HomoPoly(1, (Fraction(0), Fraction(1)))
+    x = HomoPoly(1, (1, 0))
+    y = HomoPoly(1, (0, 1))
     for _ in range(n):
         re, im = re * x - im * y, re * y + im * x
     return re, im
 
 
-def _parse_term(term: str) -> tuple[Fraction, int, int]:
+def _parse_term(term: str) -> tuple[int | Fraction, int, int]:
     """Parse one unsigned term into (coefficient, x-exponent, y-exponent)."""
     i, n = 0, len(term)
     coef = None
@@ -253,7 +276,7 @@ def _parse_term(term: str) -> tuple[Fraction, int, int]:
                 raise PolynomialSyntaxError(f"zero denominator in term {term!r}")
             coef = Fraction(num, den)
         else:
-            coef = Fraction(num)
+            coef = num
         if i < n and term[i] == "*" and i + 1 < n and term[i + 1] in "xy":
             i += 1
 
@@ -281,7 +304,7 @@ def _parse_term(term: str) -> tuple[Fraction, int, int]:
     if coef is None and not seen_x and not seen_y:
         raise PolynomialSyntaxError("empty term")
     if coef is None:
-        coef = Fraction(1)
+        coef = 1
     return coef, xexp, yexp
 
 
@@ -323,7 +346,7 @@ def parse(text: str) -> HomoPoly:
             raise NotHomogeneousError(degree, a + b)
     if degree > MAX_DEGREE:
         raise DomainError(f"degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
-    coeffs = [Fraction(0)] * (degree + 1)
+    coeffs = [0] * (degree + 1)
     for sgn, coef, a, b in parsed:
         coeffs[b] += sgn * coef
     return HomoPoly(degree, tuple(coeffs))

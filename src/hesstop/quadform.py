@@ -88,7 +88,7 @@ class QuadForm:
         d = int(data["degree"])
 
         def poly(key: str) -> HomoPoly:
-            return HomoPoly(d, tuple(Fraction(s) for s in data[key]))
+            return HomoPoly(d, tuple([Fraction(s) for s in data[key]]))
 
         return cls(poly("a"), poly("b"), poly("c"))
 

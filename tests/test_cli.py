@@ -1,5 +1,7 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -301,6 +303,23 @@ class TestModuleEntryPoint:
             runpy.run_module("hesstop", run_name="__main__")
         assert exc.value.code == 0
         assert capsys.readouterr().out.count("certified") == 2
+
+    def test_closed_stdout_exits_quietly(self):
+        # the read end is closed before the process starts, so its first
+        # write to stdout fails with a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hesstop", "certify", "--family", "f:6,1", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesstop.errors import DomainError, NotHomogeneousError, PolynomialSyntaxError
+from hesstop.quadform import QuadForm, second_fundamental_form
 from hesstop.polyalg import (
     MAX_DEGREE,
     HomoPoly,
@@ -180,6 +181,136 @@ class TestFamilies:
             saddle_family(1)
         with pytest.raises(DomainError):
             radial_family(-1)
+
+
+def assert_canonical(p: HomoPoly) -> None:
+    """Each coefficient is an int exactly when it is integral, else a
+    Fraction with denominator above 1; never a float."""
+    for c in p.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+def as_fractions(p: HomoPoly) -> tuple[Fraction, ...]:
+    return tuple([Fraction(c) for c in p.coeffs])
+
+
+scalars = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=4))
+points = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+class TestCanonicalCoefficients:
+    @given(homopolys())
+    @settings(max_examples=100)
+    def test_parse_and_format(self, p):
+        assert_canonical(p)
+        assert_canonical(parse(format_poly(p)))
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_families_are_ints(self, m):
+        for p in (saddle_family(m), radial_family(m), product_family(m, 2),
+                  *complex_power_parts(m), HomoPoly.zero(m), HomoPoly.constant(m)):
+            assert_canonical(p)
+            assert all(type(c) is int for c in p.coeffs)
+
+    def test_integral_fractions_collapse_to_ints(self):
+        p = parse("1/2*x^2 + 1/2*x^2 - 4/2*y^2")
+        assert p.coeffs == (1, 0, -2)
+        assert all(type(c) is int for c in p.coeffs)
+        assert HomoPoly.constant(F(6, 3)).coeffs == (2,)
+        assert type(HomoPoly.constant(True).coeffs[0]) is int
+
+    @given(homopolys(), homopolys())
+    @settings(max_examples=80)
+    def test_sum_difference_product(self, p, q):
+        for r in (multiply(p, q), p * q):
+            assert_canonical(r)
+        if p.degree == q.degree:
+            assert_canonical(p + q)
+            assert_canonical(p - q)
+            assert_canonical(p - p)
+        assert_canonical(-p)
+
+    @given(homopolys(), scalars)
+    @settings(max_examples=80)
+    def test_scalar_product(self, p, c):
+        assert_canonical(p * c)
+        assert_canonical(c * p)
+        assert_canonical(p * Fraction(c))
+
+    @given(homopolys(max_degree=5), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_partial_and_power(self, p, e):
+        assert_canonical(partial(p, "x"))
+        assert_canonical(partial(p, "y"))
+        assert_canonical(p ** e)
+
+    @given(homopolys(min_degree=2), scalars)
+    @settings(max_examples=60)
+    def test_quadform_scale_and_json(self, p, c):
+        w = second_fundamental_form(p)
+        for v in (w.scale(c), w.scale(p), QuadForm.from_json(w.to_json())):
+            for poly in (v.a, v.b, v.c):
+                assert_canonical(poly)
+
+    @given(homopolys())
+    @settings(max_examples=100)
+    def test_fraction_built_form_equals_int_built_form(self, p):
+        q = HomoPoly(p.degree, as_fractions(p))
+        assert q == p
+        assert hash(q) == hash(p)
+        assert q.coeffs == p.coeffs
+        assert [type(c) for c in q.coeffs] == [type(c) for c in p.coeffs]
+
+    @given(homopolys(min_degree=2))
+    @settings(max_examples=60)
+    def test_text_matches_fraction_text(self, p):
+        # the strings are those of the same coefficients held as Fractions
+        w = second_fundamental_form(p)
+        data = w.to_json()
+        for key, poly in (("a", w.a), ("b", w.b), ("c", w.c)):
+            if not poly.is_zero:
+                assert data[key] == [str(c) for c in as_fractions(poly)]
+
+    @pytest.mark.parametrize("text", [
+        "x^3 - 3*x*y^2",
+        "-x^2 + 3/2*x*y - 7*y^2",
+        "-1/3*x^4 + 2*x^2*y^2 - y^4",
+        "5",
+        "-2/7*y",
+    ])
+    def test_format_strings_unchanged(self, text):
+        p = parse(text)
+        assert format_poly(p) == text
+        assert str(p) == text
+        assert repr(p) == f"HomoPoly({p.degree}, {text!r})"
+
+    def test_to_json_strings_unchanged(self):
+        w = second_fundamental_form(parse("x^3 - 3/2*x*y^2"))
+        assert w.to_json() == {"degree": 1, "a": ["6", "0"], "b": ["0", "-3"],
+                               "c": ["-3", "0"]}
+        w = second_fundamental_form(parse("1/4*x^2*y + y^3"))
+        assert w.to_json() == {"degree": 1, "a": ["0", "1/2"], "b": ["1/2", "0"],
+                               "c": ["0", "6"]}
+
+    @given(homopolys(), points, points)
+    @settings(max_examples=100)
+    def test_evaluate_exact_at_fraction_points(self, p, x, y):
+        value = p.evaluate(x, y)
+        assert type(value) in (int, Fraction)
+        d = p.degree
+        expected = sum(Fraction(c) * x ** (d - j) * y ** j for j, c in enumerate(p.coeffs))
+        assert value == expected
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, float("nan"), "3", None, 1j])
+    def test_non_rational_coefficients_refused(self, bad):
+        with pytest.raises(DomainError):
+            HomoPoly(1, (1, bad))
+        with pytest.raises(DomainError):
+            HomoPoly.constant(bad)
+
+    def test_float_scalar_refused(self):
+        with pytest.raises(TypeError):
+            parse("x^2 + y^2") * 0.5
 
 
 def test_random_homopoly_respects_degree(rng):
