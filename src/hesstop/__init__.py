@@ -17,6 +17,7 @@ from .classify import (
 )
 from .foliation import (
     CurveSet,
+    alignment_form,
     count_separatrices,
     hopf_model_form,
     reflected_form,

@@ -13,6 +13,9 @@ certify and census --certify read origin indexes exactly (origin_index);
 index answers from the float tracer, which also writes --trace.  foliate
 checks the float separatrix count against the exact number of distinct
 real linear factors of f and exits 1 with both numbers when they differ.
+The float layer samples forms in the Fourier basis, where nothing cancels:
+index and foliate agree with the exact answers on the saddle family up to
+the degree cap (the monomial basis failed from P:112 and P:86).
 
 JSON shapes: classify prints {"classification": label, "certificate":
 {...}}; verify-ineq prints {"pairing_nonpositive": bool, "certificate":

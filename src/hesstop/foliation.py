@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import lineindex
 from .errors import DomainError
-from .lineindex import _directions_from_values, _eval_vec, _float_coeffs, line_distance
+from .lineindex import _directions_from_values, _eval_abc, _on_circle, line_distance
 from .polyalg import HomoPoly, complex_power_parts, swap_xy
 from .quadform import QuadForm
 
@@ -44,12 +45,27 @@ class CurveSet:
     sector_count: int
 
 
-def _alignment(va, vb, vc, phi: float) -> float:
-    c, s = math.cos(phi), math.sin(phi)
-    A = _eval_vec(va, c, s)
-    B = _eval_vec(vb, c, s)
-    C = _eval_vec(vc, c, s)
-    return A * c * c + 2.0 * B * c * s + C * s * s
+def alignment_form(w: QuadForm) -> HomoPoly:
+    """a x^2 + 2b xy + c y^2, exactly: h(phi) is its value at
+    (cos phi, sin phi)."""
+    d = w.degree
+    h = [0] * (d + 3)
+    for shift, factor, p in ((0, 1, w.a), (1, 2, w.b), (2, 1, w.c)):
+        if not p.is_zero:
+            for j, v in enumerate(p.coeffs):
+                h[j + shift] += factor * v
+    return HomoPoly(d + 2, tuple(h))
+
+
+def _alignment(terms, odd: bool, phi: float) -> float:
+    """h(phi) up to a positive factor, from the :func:`_float_coeffs` terms
+    of the alignment form: one Horner pass over e^(2i phi)."""
+    z = complex(math.cos(phi), math.sin(phi))
+    w = z * z
+    acc = 0j
+    for (g,) in terms:
+        acc = acc * w + g
+    return (acc * z).real if odd else acc.real
 
 
 def count_separatrices(
@@ -61,18 +77,22 @@ def count_separatrices(
     angles never land exactly on grid nodes), bisects each sign change to
     ``tol``, and merges duplicates.  Returns (number of distinct lines,
     sorted ray angles in [0, 2pi)).  Tangential zeros without sign change
-    are invisible to this scan; the supported form families only have
-    transversal alignment zeros.  Float cancellation miscounts high
-    degrees silently: saddle_family(m) gets m lines up to m = 85, but 87 at
-    m = 86 and 99 at m = 90.  The exact count is the number of distinct
-    real linear factors of f, since the alignment form of II_f is
-    n(n-1)f; ``foliate`` checks against it.
+    are invisible to this scan, and so are two zeros closer than the grid
+    step; the supported form families only have transversal alignment
+    zeros.  The scan reads the exact alignment form, converted once to the
+    Fourier basis, so it does not cancel: saddle_family(m) gets m lines for
+    every m up to the degree cap of 1024 (the monomial basis miscounted from
+    m = 86 on).  The exact count is the number of distinct real linear
+    factors of f, since the alignment form of II_f is n(n-1)f; ``foliate``
+    checks against it.
     """
-    _, va, vb, vc = _float_coeffs(w)
+    h = alignment_form(w)
+    terms = lineindex._float_coeffs(h.degree, h)
+    odd = h.degree % 2 == 1
     two_pi = 2.0 * math.pi
     offset = 1e-3
     grid = [offset + two_pi * i / samples for i in range(samples + 1)]
-    values = [_alignment(va, vb, vc, phi) for phi in grid]
+    values = [_alignment(terms, odd, phi) for phi in grid]
     roots: list[float] = []
     for i in range(samples):
         h0, h1 = values[i], values[i + 1]
@@ -84,7 +104,7 @@ def count_separatrices(
             flo = h0
             while hi - lo > tol:
                 mid = (lo + hi) / 2.0
-                fmid = _alignment(va, vb, vc, mid)
+                fmid = _alignment(terms, odd, mid)
                 if fmid == 0.0:
                     lo = hi = mid
                     break
@@ -112,11 +132,9 @@ def count_separatrices(
     return len(lines), merged
 
 
-def _oriented_direction(va, vb, vc, x: float, y: float, vref) -> tuple[float, float]:
+def _oriented_direction(terms, odd, x: float, y: float, vref) -> tuple[float, float]:
     """Unit vector along the branch line nearest to vref, oriented with it."""
-    A = _eval_vec(va, x, y)
-    B = _eval_vec(vb, x, y)
-    C = _eval_vec(vc, x, y)
+    A, B, C = _eval_abc(terms, odd, _on_circle(x, y))
     pair = _directions_from_values(A, B, C, x, y)
     ref_angle = math.atan2(vref[1], vref[0]) % math.pi
     d0 = line_distance(pair[0], ref_angle)
@@ -129,16 +147,16 @@ def _oriented_direction(va, vb, vc, x: float, y: float, vref) -> tuple[float, fl
 
 
 def _trace_leaf(
-    va, vb, vc, start, v0, step, r_min, r_max, max_steps
+    terms, odd, start, v0, step, r_min, r_max, max_steps
 ) -> list[tuple[float, float]]:
     pts = [start]
     x, y = start
     v = v0
     for _ in range(max_steps):
-        k1 = _oriented_direction(va, vb, vc, x, y, v)
-        k2 = _oriented_direction(va, vb, vc, x + 0.5 * step * k1[0], y + 0.5 * step * k1[1], k1)
-        k3 = _oriented_direction(va, vb, vc, x + 0.5 * step * k2[0], y + 0.5 * step * k2[1], k2)
-        k4 = _oriented_direction(va, vb, vc, x + step * k3[0], y + step * k3[1], k3)
+        k1 = _oriented_direction(terms, odd, x, y, v)
+        k2 = _oriented_direction(terms, odd, x + 0.5 * step * k1[0], y + 0.5 * step * k1[1], k1)
+        k3 = _oriented_direction(terms, odd, x + 0.5 * step * k2[0], y + 0.5 * step * k2[1], k2)
+        k4 = _oriented_direction(terms, odd, x + step * k3[0], y + step * k3[1], k3)
         dx = (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
         dy = (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
         norm = math.hypot(dx, dy)
@@ -168,21 +186,20 @@ def trace_foliation(
         raise DomainError("branch selector must be 0 or 1")
     if not 1 <= seeds <= MAX_SEEDS:
         raise DomainError(f"seeds must lie in 1..{MAX_SEEDS}, got {seeds}")
-    _, va, vb, vc = _float_coeffs(w)
+    terms = lineindex._float_coeffs(w.degree, w.a, w.b, w.c)
+    odd = w.degree % 2 == 1
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     curves: list[list[tuple[float, float]]] = []
     for i in range(seeds):
         phi = 2.0 * math.pi * ((i + golden * 0.5) / seeds)
         x, y = math.cos(phi), math.sin(phi)
-        A = _eval_vec(va, x, y)
-        B = _eval_vec(vb, x, y)
-        C = _eval_vec(vc, x, y)
+        A, B, C = _eval_abc(terms, odd, complex(x, y))
         theta = _directions_from_values(A, B, C, x, y)[branch]
         v0 = (math.cos(theta), math.sin(theta))
         for sign in (1.0, -1.0):
             vdir = (sign * v0[0], sign * v0[1])
             curves.append(
-                _trace_leaf(va, vb, vc, (x, y), vdir, step, r_min, r_max, max_steps)
+                _trace_leaf(terms, odd, (x, y), vdir, step, r_min, r_max, max_steps)
             )
     count, angles = count_separatrices(w)
     return CurveSet(curves, angles, count)

@@ -13,8 +13,17 @@ chain of the integer kernel (Basu, Pollack and Roy, Algorithms in Real
 Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977); census rows
 and ``certify`` use it.  index_at_origin tracks the doubled angle 2 theta
 numerically along the circle.  It is the toolkit's float layer: the source
-of ``index --trace`` and an independent oracle for the exact index in the
-tests.  Its rounding residual is recorded and gated.
+of ``index`` and ``index --trace``, and an independent oracle for the exact
+index in the tests.  Its rounding residual is recorded and gated.
+
+The float layer evaluates forms on the unit circle in the Fourier basis:
+each form is converted once, exactly, to the coefficients of its
+trigonometric polynomial (:func:`_float_coeffs`), and A, B and C are then
+read in one complex Horner pass over e^(2i phi) (:func:`_eval_abc`).  The
+monomial basis cancels: its binomial coefficients reach 2^d while the
+values stay near 1, which cost the index at degree 112 and the separatrix
+count at 86.  In the Fourier basis the saddle family is one term, and the
+float layer is right for every saddle the CLI accepts (m <= 1024).
 """
 
 from __future__ import annotations
@@ -27,31 +36,91 @@ from fractions import Fraction
 
 from .classify import SturmChain, count_real_roots
 from .errors import AmbiguousBranch, DomainError, NotHyperbolicHere, RefinementLimit
+from .polyalg import HomoPoly, _numerators
 from .quadform import QuadForm
 
 _MAX_DEPTH = 20
 _AMBIGUITY_TOL = 1e-9
 
 
-def _float_coeffs(w: QuadForm):
-    """Per-coefficient float vectors for fast repeated evaluation."""
-    d = w.degree
-
-    def vec(p):
-        if p.is_zero:
-            return [0.0] * (d + 1)
-        return [float(c) for c in p.coeffs]
-
-    return d, vec(w.a), vec(w.b), vec(w.c)
-
-
-def _eval_vec(coeffs, x: float, y: float) -> float:
-    acc = coeffs[0]
-    ypow = 1.0
-    for j in range(1, len(coeffs)):
-        ypow *= y
-        acc = acc * x + coeffs[j] * ypow
+def _taylor_shift(a: list[int]) -> list[int]:
+    """Coefficients of a(t + 1), both lists indexed by the power of t."""
+    acc = a[-1:]
+    for c in reversed(a[:-1]):
+        acc = [p + q for p, q in zip([c, *acc], [*acc, 0])]
     return acc
+
+
+def _fourier_halves(c: list[int]) -> list[tuple[int, int]]:
+    """Exact Horner coefficients of p = sum c_j x^(d-j) y^j on the circle.
+
+    On |z| = 1, 2x = z + 1/z and 2y = -i(z - 1/z), so 2^d p is
+    sum F_k z^(2k-d) with F(u, v) = p(u + v, -i(u - v)) = sum F_k u^k v^(d-k).
+    F_(d-k) is the conjugate of F_k, since p is real, so half of F is
+    enough.  Returns g_0, g_1, ... as (real, imaginary) int pairs such that
+    2^d p = Re(z^(d mod 2) sum g_i z^(2i)): the real F_(d/2) first when d
+    is even, then 2F_k for every k > d/2.
+
+    Split p(x, -iy) = E + iO, E holding the terms of even j and O those of
+    odd j.  The real substitution T: q -> q(u + v, u - v) gives
+    F = T(E) + iT(O), where T(E) is a palindrome and T(O) an antipalindrome,
+    so S = T(E + O) holds both: 2 Re F_k = S_k + S_(d-k) and
+    2 Im F_k = S_k - S_(d-k).  T is two Taylor shifts by 1: q(1, 1 + y),
+    then y -> -2 and x -> u + 1.
+    """
+    d = len(c) - 1
+    e = _taylor_shift([v * (1, -1, -1, 1)[j % 4] for j, v in enumerate(c)])
+    s = _taylor_shift([(-2) ** j * v for j, v in enumerate(e)][::-1])
+    half = [(s[k] + s[d - k], s[k] - s[d - k]) for k in range(d // 2 + 1, d + 1)]
+    return ([(s[d // 2], 0)] if d % 2 == 0 else []) + half
+
+
+def _float_coeffs(degree: int, *forms: HomoPoly) -> list[tuple[complex, ...]]:
+    """The float form of ``forms`` (each of ``degree`` or zero) that every
+    sampled evaluation reads: Horner coefficients in w = z^2, highest power
+    first, one complex per form, for :func:`_eval_abc` and its kin.
+
+    The Fourier coefficients are exact integers (:func:`_fourier_halves`),
+    after one common denominator; they are rounded to floats once, all
+    scaled by one power of two.  A common positive factor changes neither
+    a line direction nor a sign.  Costs O(degree^2) integer additions.
+    """
+    nums, _ = _numerators(
+        [c for p in forms for c in (p.coeffs if not p.is_zero else (0,) * (degree + 1))]
+    )
+    exact = [
+        _fourier_halves(nums[i * (degree + 1):(i + 1) * (degree + 1)])
+        for i in range(len(forms))
+    ]
+    bits = max(abs(v).bit_length() for series in exact for pair in series for v in pair)
+    scale = 1 << max(bits - 1, 0)
+    return [
+        tuple(complex(re / scale, im / scale) for re, im in terms)
+        for terms in zip(*exact)
+    ][::-1]
+
+
+def _on_circle(x: float, y: float) -> complex:
+    """(x + iy)/|(x, y)|; the line field is not read at the origin."""
+    r = math.hypot(x, y)
+    if not r:
+        raise NotHyperbolicHere("the line field is not sampled at the origin")
+    return complex(x / r, y / r)
+
+
+def _eval_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
+    """A, B and C at the unit point z, up to one common positive factor, in
+    one Horner pass over z^2 (``terms`` from :func:`_float_coeffs` on a, b,
+    c of a form of odd or even degree)."""
+    w = z * z
+    sa = sb = sc = 0j
+    for a, b, c in terms:
+        sa = sa * w + a
+        sb = sb * w + b
+        sc = sc * w + c
+    if odd:
+        sa, sb, sc = sa * z, sb * z, sc * z
+    return sa.real, sb.real, sc.real
 
 
 def asymptotic_directions(w: QuadForm, x: float, y: float) -> tuple[float, float]:
@@ -146,7 +215,7 @@ class DirectionTrace:
 
 def index_at_origin(
     w: QuadForm,
-    n_initial: int = 1024,
+    n_initial: int | None = None,
     branch: int = 0,
     radius: float = 1.0,
 ) -> tuple[HalfIndex, DirectionTrace]:
@@ -162,24 +231,26 @@ def index_at_origin(
     Like any sampled continuation this has a Nyquist limit: a step that
     jumps at least three quarters of the branch separation can silently
     select the wrong branch, so n_initial should comfortably exceed eight
-    times the coefficient degree.  Float cancellation in the large binomial
-    coefficients sets a lower limit than sampling does: saddle_family(m)
-    resolves up to m = 111 (coefficient degree 109) and raises
-    RefinementLimit for every m from 112 on.  Certification does not depend
-    on this function; it reads the index from origin_index.
+    times the coefficient degree.  The default is 1024 samples or eight per
+    degree, whichever is more.  With 1024 samples at every degree,
+    saddle_family(m) silently returns a wrong index from about m = 386 on;
+    with the default it is right for every m up to 1024 (3 s at m = 1024
+    on a 2-vCPU VM).  Certification does not depend on this function; it
+    reads the index from origin_index.
     """
+    if n_initial is None:
+        n_initial = max(1024, 8 * w.degree)
     if n_initial < 64:
         raise DomainError(f"n_initial must be at least 64, got {n_initial}")
     if branch not in (0, 1):
         raise DomainError("branch selector must be 0 or 1")
-    d, va, vb, vc = _float_coeffs(w)
+    terms = _float_coeffs(w.degree, w.a, w.b, w.c)
+    odd = w.degree % 2 == 1
 
     def pair_at(phi: float) -> tuple[float, float]:
-        x = radius * math.cos(phi)
-        y = radius * math.sin(phi)
-        return _directions_from_values(
-            _eval_vec(va, x, y), _eval_vec(vb, x, y), _eval_vec(vc, x, y), x, y
-        )
+        z = complex(math.cos(phi), math.sin(phi))
+        A, B, C = _eval_abc(terms, odd, z)
+        return _directions_from_values(A, B, C, radius * z.real, radius * z.imag)
 
     theta = pair_at(0.0)[branch]
     samples = [(0.0, theta)]

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from hesstop import census
+from hesstop import census, cli
 from hesstop.cli import main
-from hesstop.foliation import MAX_SEEDS
+from hesstop.foliation import MAX_SEEDS, count_separatrices
 from hesstop.polyalg import MAX_DEGREE
 from hesstop.errors import RefinementLimit
 
@@ -57,6 +57,11 @@ class TestIndex:
         assert data["index"] == "-3/2"
         assert data["residual"] < 0.01
         assert data["samples_used"] >= 1024
+
+    def test_saddle_past_the_old_float_cliff(self, capsys):
+        code, out, _ = run(capsys, "index", "--family", "P:112", "--json")
+        assert code == 0
+        assert json.loads(out)["index"] == "-55"
 
     def test_bad_polynomial_is_usage_error(self, capsys):
         code, _, err = run(capsys, "index", "--poly", "bogus(")
@@ -255,12 +260,22 @@ class TestFoliate:
         assert data["separatrix_lines"] == 0
 
 
-    def test_float_miscount_is_refused(self, capsys):
-        # the float scan counts 99 lines for the saddle of degree 90
+    def test_float_miscount_is_refused(self, capsys, monkeypatch):
+        # a float scan that finds nine lines too many is not reported
+        def miscount(w):
+            count, rays = count_separatrices(w)
+            return count + 9, rays
+
+        monkeypatch.setattr(cli, "count_separatrices", miscount)
         code, out, err = run(capsys, "foliate", "--family", "P:90")
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "99" in err and "90" in err
+
+    def test_counts_past_the_old_float_cliff(self, capsys):
+        code, out, _ = run(capsys, "foliate", "--family", "P:120", "--json")
+        assert code == 0
+        assert json.loads(out)["separatrix_lines"] == 120
 
 
 class TestCertifyExactIndex:

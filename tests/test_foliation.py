@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from hesstop import lineindex
+from hesstop.classify import count_real_roots, is_hyperbolic
 from hesstop.errors import DomainError
 from hesstop.foliation import (
     MAX_SEEDS,
+    alignment_form,
     count_separatrices,
     curves_to_csv,
     curves_to_svg,
@@ -17,6 +20,8 @@ from hesstop.foliation import (
 from hesstop.lineindex import asymptotic_directions, line_distance
 from hesstop.polyalg import multiply, parse, radial_family, saddle_family
 from hesstop.quadform import QuadForm, second_fundamental_form
+
+from helpers import random_homopoly
 
 
 class TestSeparatrices:
@@ -41,6 +46,26 @@ class TestSeparatrices:
         for got, want in zip(sorted(rays), expected):
             assert got == pytest.approx(want, abs=1e-6)
 
+    def test_random_hyperbolic_forms_match_the_exact_count(self, rng):
+        # 8- to 20-bit coefficients, some of them Fractions; the exact count
+        # is the distinct real roots of the alignment form's slice, plus the
+        # line x = 0 when the form vanishes at (0, 1)
+        checked = 0
+        while checked < 60:
+            f = random_homopoly(rng, rng.randint(2, 9), max_abs=2 ** rng.randint(8, 20))
+            if not is_hyperbolic(f)[0]:
+                continue
+            w = second_fundamental_form(f)
+            h = alignment_form(w)
+            exact = count_real_roots(h.coeffs) + (h.coeffs[h.degree] == 0)
+            assert count_separatrices(w)[0] == exact, f
+            checked += 1
+
+    def test_alignment_form_of_second_fundamental_form(self):
+        # Euler: x^2 f_xx + 2xy f_xy + y^2 f_yy = n(n - 1) f
+        f = parse("3*x^5 - 2/3*x^2*y^3 + x*y^4 - 7*y^5")
+        assert alignment_form(second_fundamental_form(f)) == 20 * f
+
     def test_rays_are_actually_radial(self):
         w = second_fundamental_form(saddle_family(4))
         _, rays = count_separatrices(w)
@@ -49,6 +74,20 @@ class TestSeparatrices:
             pair = asymptotic_directions(w, x, y)
             radial = phi % math.pi
             assert min(line_distance(t, radial) for t in pair) < 1e-6
+
+
+class TestFloatEntryPoint:
+    def test_every_float_path_reads_float_coeffs(self, monkeypatch):
+        # the census test refuses this one function to prove that nothing
+        # in certification samples, so every sampler must go through it
+        def refuse(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(lineindex, "_float_coeffs", refuse)
+        w = second_fundamental_form(saddle_family(3))
+        for sampler in (count_separatrices, lineindex.index_at_origin, trace_foliation):
+            with pytest.raises(AssertionError, match="sampled"):
+                sampler(w)
 
 
 class TestHopfModel:

@@ -7,19 +7,85 @@ from hesstop.errors import AmbiguousBranch, DomainError, NotHyperbolicHere
 from hesstop.classify import is_hyperbolic
 from hesstop.lineindex import (
     HalfIndex,
+    _eval_abc,
+    _float_coeffs,
+    _fourier_halves,
     asymptotic_directions,
     branch_continuation,
     index_at_origin,
     line_distance,
     origin_index,
 )
-from hesstop.polyalg import multiply, parse, product_family, radial_family, saddle_family
+from hesstop.polyalg import (
+    HomoPoly,
+    _numerators,
+    multiply,
+    parse,
+    product_family,
+    radial_family,
+    saddle_family,
+)
+from hesstop.foliation import count_separatrices
 from hesstop.quadform import second_fundamental_form
 
 from helpers import random_homopoly
 
 # (m, k) of the benchmark's product ladder, total degrees 5 to 110
 PRODUCT_LADDER = ((3, 1), (8, 2), (12, 5), (20, 6), (30, 10), (40, 12), (50, 20), (40, 35))
+
+
+# rational points (x, y) of the unit circle, from t by (1 - t^2, 2t)/(1 + t^2)
+CIRCLE_T = (Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(5, 7), Fraction(1), Fraction(-2, 9))
+
+
+def _circle_point(t):
+    return (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+class TestFourierConversion:
+    """The Fourier data of a form against exact HomoPoly.evaluate on the
+    unit circle, with Gaussian rationals: no float anywhere."""
+
+    @staticmethod
+    def _forms(rng, d):
+        yield HomoPoly.zero(d)
+        yield random_homopoly(rng, d, max_abs=9)  # Fraction coefficients
+        yield HomoPoly(d, tuple([rng.randint(-(2**40), 2**40) for _ in range(d + 1)]))
+
+    @pytest.mark.parametrize("d", range(13))
+    def test_halves_are_exact(self, rng, d):
+        for p in self._forms(rng, d):
+            nums, den = _numerators(p.coeffs)
+            halves = _fourier_halves(nums)
+            for t in CIRCLE_T:
+                z = _circle_point(t)
+                w = _gmul(z, z)
+                acc = (Fraction(0), Fraction(0))
+                for g in reversed(halves):
+                    acc = _gmul(acc, w)
+                    acc = (acc[0] + g[0], acc[1] + g[1])
+                if d % 2:
+                    acc = _gmul(acc, z)
+                assert acc[0] == 2**d * den * p.evaluate(*z), (p, t)
+
+    @pytest.mark.parametrize("d", range(13))
+    def test_float_forms_share_one_positive_factor(self, rng, d):
+        forms = list(self._forms(rng, d))
+        odd = d % 2 == 1
+        terms = _float_coeffs(d, *forms)
+        assert len(terms) == d // 2 + 1
+        for t in CIRCLE_T:
+            x, y = _circle_point(t)
+            got = _eval_abc(terms, odd, complex(float(x), float(y)))
+            exact = [p.evaluate(x, y) for p in forms]
+            assert got[0] == 0.0 and exact[0] == 0
+            ratios = [g / float(e) for g, e in zip(got[1:], exact[1:]) if e != 0]
+            assert all(r > 0 for r in ratios)
+            assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
 
 
 class TestAsymptoticDirections:
@@ -184,6 +250,14 @@ class TestOriginIndex:
             w = second_fundamental_form(f)
             assert origin_index(w).value == index_at_origin(w)[0].value, f
             checked += 1
+
+    @pytest.mark.parametrize("m", [86, 90, 112, 120, 200])
+    def test_float_layer_past_the_old_cliffs(self, m):
+        # the monomial basis miscounted lines from m = 86 and lost the index
+        # from m = 112 on
+        w = second_fundamental_form(saddle_family(m))
+        assert count_separatrices(w)[0] == m
+        assert index_at_origin(w)[0].value == origin_index(w).value
 
     @pytest.mark.parametrize("m", [112, 120, 200])
     def test_saddle_past_the_float_cliff(self, m):
