@@ -8,7 +8,6 @@ from .classify import (
     SturmChain,
     Verdict,
     certify_nonnegative,
-    certify_nonpositive,
     certify_pairing_nonpositive,
     is_elliptic,
     is_hyperbolic,
@@ -33,7 +32,6 @@ from .isotopy import (
 from .lineindex import (
     DirectionTrace,
     HalfIndex,
-    asymptotic_directions,
     branch_continuation,
     index_at_origin,
     origin_index,

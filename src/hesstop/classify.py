@@ -454,11 +454,6 @@ def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
     return NonnegativityCertificate(False, False, witness, "yun-odd-part-has-root")
 
 
-def certify_nonpositive(p: HomoPoly) -> NonnegativityCertificate:
-    """Certify p <= 0 everywhere; the witness, if any, has p > 0."""
-    return certify_nonnegative(-p)
-
-
 def _discriminant_verdict(
     f: HomoPoly, want: Verdict, claim: str
 ) -> tuple[bool, SignCertificate]:

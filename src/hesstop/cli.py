@@ -9,24 +9,26 @@ polyalg.MAX_DEGREE, verify-identities --m-max outside 4..MAX_IDENTITY_M
 (the checks cost about m^3.6) and foliate --seeds outside
 1..foliation.MAX_SEEDS are usage errors.
 
-certify and census --certify read origin indexes exactly (origin_index);
-index answers from the float tracer, which also writes --trace.  foliate
-checks the float separatrix count against the exact number of distinct
-real linear factors of f and exits 1 with both numbers when they differ.
-The float layer samples forms in the Fourier basis, where nothing cancels:
-index and foliate agree with the exact answers on the saddle family up to
-the degree cap (the monomial basis failed from P:112 and P:86).
+index, certify and census --certify read origin indexes exactly
+(origin_index); index first proves the form hyperbolic and exits 1 naming
+the hypothesis when it is not.  Only index --trace runs the float tracer,
+to write the direction trace.  foliate checks the float separatrix count
+against the exact number of distinct real linear factors of f and exits 1
+with both numbers when they differ.  The float layer samples forms in the
+Fourier basis, where nothing cancels: the tracer and foliate agree with the
+exact answers on the saddle family up to the degree cap (the monomial basis
+failed from P:112 and P:86).
 
 JSON shapes: classify prints {"classification": label, "certificate":
-{...}}; verify-ineq prints {"pairing_nonpositive": bool, "certificate":
-{...}}, the certificate of -hessian_pairing(p, q) >= 0, whose witness is a
-point where the pairing is positive; certify prints "certified" (the two
-exact origin indexes agree: a returned isotopy certificate has passed every
-hypothesis) beside the certificate and both indexes.  With --certify,
-census gives each row "certified" and, on failure, "failed" (the
-hypothesis or exception class).  ``python -m hesstop`` runs :func:`main`.
-When the reader of stdout goes away early (``| head -1``), main stops
-quietly with exit code 1.
+{...}}; index prints {"index": "n/2"}; verify-ineq prints
+{"pairing_nonpositive": bool, "certificate": {...}}, the certificate of
+-hessian_pairing(p, q) >= 0, whose witness is a point where the pairing is
+positive; certify prints "certified" (the two exact origin indexes agree: a
+returned isotopy certificate has passed every hypothesis) beside the
+certificate and both indexes.  With --certify, census gives each row
+"certified" and, on failure, "failed" (the hypothesis or exception class).
+``python -m hesstop`` runs :func:`main`.  When the reader of stdout goes
+away early (``| head -1``), main stops quietly with exit code 1.
 """
 
 from __future__ import annotations
@@ -160,16 +162,16 @@ def _cmd_classify(args) -> int:
 
 def _cmd_index(args) -> int:
     f = _load_poly(args, 2)
-    half, trace = index_at_origin(second_fundamental_form(f))
+    label, _ = _classification(f)
+    if label != "hyperbolic":
+        raise PreconditionFailed(
+            "hyperbolic", f"the line field index needs a hyperbolic form; this one is {label}"
+        )
+    w = second_fundamental_form(f)
+    half = origin_index(w)
     if args.trace:
-        trace.to_csv(args.trace)
-    payload = {
-        "index": str(half),
-        "residual": half.residual,
-        "samples_used": len(trace.samples),
-    }
-    _emit(args, payload, f"index {half}  (residual {half.residual:.2e}, "
-                         f"{len(trace.samples)} samples)")
+        index_at_origin(w)[1].to_csv(args.trace)
+    _emit(args, {"index": str(half)}, f"index {half}")
     return 0
 
 

@@ -13,9 +13,9 @@ degree m that count is m, with each of the two branch foliations owning m
 of the 2m rays.  The angles list carries all rays in [0, 2pi).
 
 Curve tracing is fixed-step RK4 on one branch of the line field, with
-direction flips across samples resolved by inner-product continuity.
-Quality is qualitative by design: sector counting never depends on the
-integrator.
+direction flips across samples resolved by inner-product continuity, in
+the annulus R_MIN <= r <= R_MAX that the SVG figure frames.  Quality is
+qualitative by design: sector counting never depends on the integrator.
 """
 
 from __future__ import annotations
@@ -29,10 +29,19 @@ from .lineindex import _directions_from_values, _eval_abc, _on_circle, line_dist
 from .polyalg import HomoPoly, complex_power_parts, swap_xy
 from .quadform import QuadForm
 
+# Separatrix scan: grid points on the half turn (the density of 4096 on the
+# full circle) and the bisection width of each root.
+_SCAN_SAMPLES = 2048
 _ALIGN_TOL = 1e-8
 
+# Curve tracing: the annulus every curve stays in, which the SVG frames, the
+# RK4 step and the most steps per curve.
+R_MIN, R_MAX = 0.05, 2.0
+_STEP = 1e-3
+_MAX_STEPS = 20000
+
 # Most integral curves trace_foliation draws; each seed traces two curves of
-# up to max_steps points.
+# up to _MAX_STEPS points.
 MAX_SEEDS = 4096
 
 
@@ -68,41 +77,40 @@ def _alignment(terms, odd: bool, phi: float) -> float:
     return (acc * z).real if odd else acc.real
 
 
-def count_separatrices(
-    w: QuadForm, samples: int = 4096, tol: float = _ALIGN_TOL
-) -> tuple[int, list[float]]:
+def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     """Invariant lines of the foliation and the ray angles carrying them.
 
-    Scans the alignment function on an offset grid (so that zeros at round
-    angles never land exactly on grid nodes), bisects each sign change to
-    ``tol``, and merges duplicates.  Returns (number of distinct lines,
-    sorted ray angles in [0, 2pi)).  Tangential zeros without sign change
-    are invisible to this scan, and so are two zeros closer than the grid
-    step; the supported form families only have transversal alignment
-    zeros.  The scan reads the exact alignment form, converted once to the
-    Fourier basis, so it does not cancel: saddle_family(m) gets m lines for
-    every m up to the degree cap of 1024 (the monomial basis miscounted from
-    m = 86 on).  The exact count is the number of distinct real linear
-    factors of f, since the alignment form of II_f is n(n-1)f; ``foliate``
-    checks against it.
+    h(phi + pi) = (-1)^deg h(phi), so the zeros of one half turn give every
+    line.  Scans the alignment function on an offset grid of the half turn
+    (so that zeros at round angles never land exactly on grid nodes),
+    bisects each sign change to 1e-8 and reads it as a line angle in
+    [0, pi); a line within 1e-6 below pi is the line at 0.  Returns (number
+    of lines, sorted ray angles in [0, 2pi)), the rays being each line and
+    its antipode.  Tangential zeros without sign change are invisible to
+    this scan, and so are two zeros closer than the grid step; the
+    supported form families only have transversal alignment zeros.  The
+    scan reads the exact alignment form, converted once to the Fourier
+    basis, so it does not cancel: saddle_family(m) gets m lines for every m
+    up to the degree cap of 1024 (the monomial basis miscounted from m = 86
+    on).  The exact count is the number of distinct real linear factors of
+    f, since the alignment form of II_f is n(n-1)f; ``foliate`` checks
+    against it.
     """
     h = alignment_form(w)
     terms = lineindex._float_coeffs(h.degree, h)
     odd = h.degree % 2 == 1
-    two_pi = 2.0 * math.pi
     offset = 1e-3
-    grid = [offset + two_pi * i / samples for i in range(samples + 1)]
+    grid = [offset + math.pi * i / _SCAN_SAMPLES for i in range(_SCAN_SAMPLES + 1)]
     values = [_alignment(terms, odd, phi) for phi in grid]
-    roots: list[float] = []
-    for i in range(samples):
+    lines: list[float] = []
+    for i in range(_SCAN_SAMPLES):
         h0, h1 = values[i], values[i + 1]
         if h0 == 0.0:
-            roots.append(grid[i])
-            continue
-        if h0 * h1 < 0.0:
+            root = grid[i]
+        elif h0 * h1 < 0.0:
             lo, hi = grid[i], grid[i + 1]
             flo = h0
-            while hi - lo > tol:
+            while hi - lo > _ALIGN_TOL:
                 mid = (lo + hi) / 2.0
                 fmid = _alignment(terms, odd, mid)
                 if fmid == 0.0:
@@ -112,24 +120,13 @@ def count_separatrices(
                     hi = mid
                 else:
                     lo, flo = mid, fmid
-            root = ((lo + hi) / 2.0) % two_pi
-            if two_pi - root < 1e-6:
-                root = 0.0
-            roots.append(root)
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < 1e-6:
+            root = (lo + hi) / 2.0
+        else:
             continue
-        merged.append(r)
-    if len(merged) > 1 and abs((merged[0] + two_pi) - merged[-1]) < 1e-6:
-        merged.pop()
-    lines: list[float] = []
-    for r in merged:
-        rm = r % math.pi
-        if not any(abs(rm - q) < 1e-6 or abs(abs(rm - q) - math.pi) < 1e-6 for q in lines):
-            lines.append(rm)
-    return len(lines), merged
+        line = root % math.pi
+        lines.append(0.0 if math.pi - line < 1e-6 else line)
+    lines.sort()
+    return len(lines), lines + [line + math.pi for line in lines]
 
 
 def _oriented_direction(terms, odd, x: float, y: float, vref) -> tuple[float, float]:
@@ -146,24 +143,22 @@ def _oriented_direction(terms, odd, x: float, y: float, vref) -> tuple[float, fl
     return ux, uy
 
 
-def _trace_leaf(
-    terms, odd, start, v0, step, r_min, r_max, max_steps
-) -> list[tuple[float, float]]:
+def _trace_leaf(terms, odd, start, v0) -> list[tuple[float, float]]:
     pts = [start]
     x, y = start
     v = v0
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         k1 = _oriented_direction(terms, odd, x, y, v)
-        k2 = _oriented_direction(terms, odd, x + 0.5 * step * k1[0], y + 0.5 * step * k1[1], k1)
-        k3 = _oriented_direction(terms, odd, x + 0.5 * step * k2[0], y + 0.5 * step * k2[1], k2)
-        k4 = _oriented_direction(terms, odd, x + step * k3[0], y + step * k3[1], k3)
+        k2 = _oriented_direction(terms, odd, x + 0.5 * _STEP * k1[0], y + 0.5 * _STEP * k1[1], k1)
+        k3 = _oriented_direction(terms, odd, x + 0.5 * _STEP * k2[0], y + 0.5 * _STEP * k2[1], k2)
+        k4 = _oriented_direction(terms, odd, x + _STEP * k3[0], y + _STEP * k3[1], k3)
         dx = (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
         dy = (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
         norm = math.hypot(dx, dy)
         dx, dy = dx / norm, dy / norm
-        nx, ny = x + step * dx, y + step * dy
+        nx, ny = x + _STEP * dx, y + _STEP * dy
         r = math.hypot(nx, ny)
-        if r < r_min or r > r_max:
+        if r < R_MIN or r > R_MAX:
             break
         x, y = nx, ny
         v = (dx, dy)
@@ -171,19 +166,10 @@ def _trace_leaf(
     return pts
 
 
-def trace_foliation(
-    w: QuadForm,
-    branch: int = 0,
-    seeds: int = 12,
-    step: float = 1e-3,
-    r_min: float = 0.05,
-    r_max: float = 2.0,
-    max_steps: int = 20000,
-) -> CurveSet:
-    """Integrate the chosen asymptotic branch from seed points on the unit
-    circle, both directions, clipped to the annulus [r_min, r_max]."""
-    if branch not in (0, 1):
-        raise DomainError("branch selector must be 0 or 1")
+def trace_foliation(w: QuadForm, seeds: int = 12) -> CurveSet:
+    """Integrate one asymptotic branch from ``seeds`` points on the unit
+    circle, both directions, by RK4 steps of 1e-3, each curve clipped to the
+    annulus R_MIN <= r <= R_MAX and to 20000 steps."""
     if not 1 <= seeds <= MAX_SEEDS:
         raise DomainError(f"seeds must lie in 1..{MAX_SEEDS}, got {seeds}")
     terms = lineindex._float_coeffs(w.degree, w.a, w.b, w.c)
@@ -194,13 +180,11 @@ def trace_foliation(
         phi = 2.0 * math.pi * ((i + golden * 0.5) / seeds)
         x, y = math.cos(phi), math.sin(phi)
         A, B, C = _eval_abc(terms, odd, complex(x, y))
-        theta = _directions_from_values(A, B, C, x, y)[branch]
+        theta = _directions_from_values(A, B, C, x, y)[0]
         v0 = (math.cos(theta), math.sin(theta))
         for sign in (1.0, -1.0):
             vdir = (sign * v0[0], sign * v0[1])
-            curves.append(
-                _trace_leaf(terms, odd, (x, y), vdir, step, r_min, r_max, max_steps)
-            )
+            curves.append(_trace_leaf(terms, odd, (x, y), vdir))
     count, angles = count_separatrices(w)
     return CurveSet(curves, angles, count)
 
@@ -243,10 +227,12 @@ def reflection_identity_holds(m: int) -> bool:
     return lhs == rhs
 
 
-def curves_to_svg(cs: CurveSet, path: str, size: int = 640, r_max: float = 2.0) -> None:
-    """One path element per curve; separatrix rays highlighted."""
+def curves_to_svg(cs: CurveSet, path: str) -> None:
+    """One path element per curve; separatrix rays highlighted.  The
+    picture frames the traced annulus, out to R_MAX."""
+    size = 640
     margin = 1.1
-    scale = size / (2.0 * r_max * margin)
+    scale = size / (2.0 * R_MAX * margin)
 
     def sx(x: float) -> float:
         return size / 2.0 + x * scale
@@ -268,8 +254,8 @@ def curves_to_svg(cs: CurveSet, path: str, size: int = 640, r_max: float = 2.0) 
             f'stroke-width="1"/>'
         )
     for phi in cs.separatrix_angles:
-        x0, y0 = 0.05 * math.cos(phi), 0.05 * math.sin(phi)
-        x1, y1 = r_max * math.cos(phi), r_max * math.sin(phi)
+        x0, y0 = R_MIN * math.cos(phi), R_MIN * math.sin(phi)
+        x1, y1 = R_MAX * math.cos(phi), R_MAX * math.sin(phi)
         lines.append(
             f'<line x1="{sx(x0):.2f}" y1="{sy(y0):.2f}" x2="{sx(x1):.2f}" '
             f'y2="{sy(y1):.2f}" stroke="#cc3333" stroke-width="2"/>'

@@ -10,11 +10,12 @@ half the winding number of the pair (A - C, 2B) on the circle.
 
 origin_index reads that winding exactly as a Cauchy index from one Sturm
 chain of the integer kernel (Basu, Pollack and Roy, Algorithms in Real
-Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977); census rows
-and ``certify`` use it.  index_at_origin tracks the doubled angle 2 theta
-numerically along the circle.  It is the toolkit's float layer: the source
-of ``index`` and ``index --trace``, and an independent oracle for the exact
-index in the tests.  Its rounding residual is recorded and gated.
+Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977); ``index``,
+census rows and ``certify`` use it.  index_at_origin tracks the doubled
+angle 2 theta numerically along the circle, at a fixed density of
+max(1024, 8 * degree) samples.  It is the toolkit's float layer: the source
+of ``index --trace``, and an independent oracle for the exact index in the
+tests.  Its rounding residual is recorded and gated.
 
 The float layer evaluates forms on the unit circle in the Fourier basis:
 each form is converted once, exactly, to the coefficients of its
@@ -123,24 +124,17 @@ def _eval_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
     return sa.real, sb.real, sc.real
 
 
-def asymptotic_directions(w: QuadForm, x: float, y: float) -> tuple[float, float]:
+def _directions_from_values(
+    A: float, B: float, C: float, x: float, y: float
+) -> tuple[float, float]:
     """The two solution lines of A dx^2 + 2B dxdy + C dy^2 = 0 at (x, y),
-    as angles in [0, pi), sorted.
+    as angles in [0, pi), sorted; (x, y) only names the point in errors.
 
     Uses the cancellation-free quadratic branch: with s = sign(B) and
     q = B + s*sqrt(B^2 - AC), the lines are (-q, A) and (-C, q) in
     homogeneous direction coordinates, which stays stable when A or C is
     small.  Raises NotHyperbolicHere when the discriminant is not positive.
     """
-    A = float(w.a.evaluate(x, y))
-    B = float(w.b.evaluate(x, y))
-    C = float(w.c.evaluate(x, y))
-    return _directions_from_values(A, B, C, x, y)
-
-
-def _directions_from_values(
-    A: float, B: float, C: float, x: float, y: float
-) -> tuple[float, float]:
     disc = B * B - A * C
     if disc <= 0.0:
         raise NotHyperbolicHere(
@@ -213,46 +207,35 @@ class DirectionTrace:
                 writer.writerow([f"{phi:.12g}", f"{theta:.12g}", f"{psi:.12g}"])
 
 
-def index_at_origin(
-    w: QuadForm,
-    n_initial: int | None = None,
-    branch: int = 0,
-    radius: float = 1.0,
-) -> tuple[HalfIndex, DirectionTrace]:
+def index_at_origin(w: QuadForm) -> tuple[HalfIndex, DirectionTrace]:
     """Index of one asymptotic branch of ``w`` at the origin.
 
-    Samples a continuously-chosen branch along the circle of the given
-    radius (homogeneity makes any radius valid), unwraps the doubled angle,
-    and returns the total change divided by 4*pi rounded to the nearest
-    half-integer.  Steps whose doubled-angle jump exceeds pi/2, or whose
-    selected line moved more than a quarter of the local branch separation,
-    are bisected adaptively up to depth 20.
+    Samples a continuously-chosen branch along the unit circle (homogeneity
+    makes any radius valid), unwraps the doubled angle, and returns the
+    total change divided by 4*pi rounded to the nearest half-integer.  The
+    other branch has the same index.  Steps whose doubled-angle jump
+    exceeds pi/2, or whose selected line moved more than a quarter of the
+    local branch separation, are bisected adaptively up to depth 20.
 
     Like any sampled continuation this has a Nyquist limit: a step that
     jumps at least three quarters of the branch separation can silently
-    select the wrong branch, so n_initial should comfortably exceed eight
-    times the coefficient degree.  The default is 1024 samples or eight per
-    degree, whichever is more.  With 1024 samples at every degree,
-    saddle_family(m) silently returns a wrong index from about m = 386 on;
-    with the default it is right for every m up to 1024 (3 s at m = 1024
-    on a 2-vCPU VM).  Certification does not depend on this function; it
-    reads the index from origin_index.
+    select the wrong branch.  So the sampling density is fixed from the
+    degree: max(1024, 8 * degree) initial samples, which is right for every
+    saddle_family(m) up to m = 1024 (3 s at m = 1024 on a 2-vCPU VM); at
+    1024 samples for every degree it went wrong from about m = 386 on.
+    Certification does not depend on this function; it reads the index
+    from origin_index.
     """
-    if n_initial is None:
-        n_initial = max(1024, 8 * w.degree)
-    if n_initial < 64:
-        raise DomainError(f"n_initial must be at least 64, got {n_initial}")
-    if branch not in (0, 1):
-        raise DomainError("branch selector must be 0 or 1")
+    n_initial = max(1024, 8 * w.degree)
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     odd = w.degree % 2 == 1
 
     def pair_at(phi: float) -> tuple[float, float]:
         z = complex(math.cos(phi), math.sin(phi))
         A, B, C = _eval_abc(terms, odd, z)
-        return _directions_from_values(A, B, C, radius * z.real, radius * z.imag)
+        return _directions_from_values(A, B, C, z.real, z.imag)
 
-    theta = pair_at(0.0)[branch]
+    theta = pair_at(0.0)[0]
     samples = [(0.0, theta)]
     unwrapped = [0.0]
     psi = 0.0

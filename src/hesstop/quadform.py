@@ -68,10 +68,6 @@ class QuadForm:
     def __hash__(self) -> int:
         return hash(("QuadForm", self.a, self.b, self.c))
 
-    def evaluate(self, x, y):
-        """Coefficient triple (A, B, C) at a point."""
-        return self.a.evaluate(x, y), self.b.evaluate(x, y), self.c.evaluate(x, y)
-
     def to_json(self) -> dict:
         """{degree, a, b, c} with coefficients as rational strings."""
         d = self.degree

@@ -171,6 +171,18 @@ def squarefree_with_known_roots(
     return u, n_real
 
 
+def asymptotic_lines(w, x: float, y: float) -> tuple[float, float]:
+    """The two asymptotic lines of ``w`` at (x, y), as the float layer reads
+    them: the Fourier coefficients, one Horner pass at the unit point, then
+    the quadratic."""
+    from hesstop.lineindex import _directions_from_values, _eval_abc, _float_coeffs
+
+    terms = _float_coeffs(w.degree, w.a, w.b, w.c)
+    r = math.hypot(x, y)
+    A, B, C = _eval_abc(terms, w.degree % 2 == 1, complex(x / r, y / r))
+    return _directions_from_values(A, B, C, x, y)
+
+
 def circle_samples(p: HomoPoly, n: int = 401) -> list[float]:
     """Float values of p along the unit circle."""
     out = []

@@ -9,7 +9,6 @@ from hesstop.classify import (
     SturmChain,
     Verdict,
     certify_nonnegative,
-    certify_nonpositive,
     certify_pairing_nonpositive,
     count_real_roots,
     is_elliptic,
@@ -251,7 +250,7 @@ class TestNonnegativity:
         assert cert.nonnegative and not cert.strict
 
     def test_nonpositive_mirror(self):
-        cert = certify_nonpositive(parse("-3*x^2 - y^2"))
+        cert = certify_nonnegative(-parse("-3*x^2 - y^2"))
         assert cert.nonnegative and cert.strict
 
     @given(homopolys(max_degree=8))

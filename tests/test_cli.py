@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hesstop import census, cli
+from hesstop import census, cli, lineindex
 from hesstop.cli import main
 from hesstop.foliation import MAX_SEEDS, count_separatrices
 from hesstop.polyalg import MAX_DEGREE
@@ -53,10 +53,24 @@ class TestIndex:
     def test_saddle_index(self, capsys):
         code, out, _ = run(capsys, "index", "--family", "P:5", "--json")
         assert code == 0
-        data = json.loads(out)
-        assert data["index"] == "-3/2"
-        assert data["residual"] < 0.01
-        assert data["samples_used"] >= 1024
+        assert json.loads(out) == {"index": "-3/2"}
+
+    def test_index_does_not_sample(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("index sampled the float tracer")
+
+        # the tracer reads its float coefficients first, under any import name
+        monkeypatch.setattr(lineindex, "_float_coeffs", refuse)
+        code, out, _ = run(capsys, "index", "--family", "f:9,2")
+        assert code == 0
+        assert out.strip() == "index -7/2"
+
+    @pytest.mark.parametrize("poly", ["x^2+y^2", "x^4 - y^4"])
+    def test_non_hyperbolic_form_is_refused(self, capsys, poly):
+        code, out, err = run(capsys, "index", "--poly", poly)
+        assert code == 1
+        assert out == ""
+        assert "hyperbolic" in err
 
     def test_saddle_past_the_old_float_cliff(self, capsys):
         code, out, _ = run(capsys, "index", "--family", "P:112", "--json")

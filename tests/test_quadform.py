@@ -179,14 +179,14 @@ class TestPathCoefficients:
             assert a0 + a1 + a2 == discriminant(w + d)
 
     def test_product_pair_quadratic_coefficient_nonpositive(self):
-        from hesstop.classify import certify_nonpositive
+        from hesstop.classify import certify_nonnegative
 
         p, q = saddle_family(3), radial_family(1)
         omega = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
         delta = second_fundamental_form(q).scale(p)
         a0, a1, a2 = path_discriminant_coeffs(omega, delta)
         assert a2 == multiply(multiply(p, p), discriminant(second_fundamental_form(q)))
-        assert certify_nonpositive(a2).nonnegative
+        assert certify_nonnegative(-a2).nonnegative
 
 
 class TestFormAlgebra:
