@@ -14,10 +14,12 @@ index, certify and census --certify read origin indexes exactly
 the hypothesis when it is not.  Only index --trace runs the float tracer,
 to write the direction trace.  foliate checks the float separatrix count
 against the exact number of distinct real linear factors of f and exits 1
-with both numbers when they differ.  The float layer samples forms in the
-Fourier basis, where nothing cancels: the tracer and foliate agree with the
-exact answers on the saddle family up to the degree cap (the monomial basis
-failed from P:112 and P:86).
+with both numbers when they differ; it counts 0 lines for an elliptic form
+but refuses to draw one (--svg/--csv exit 1 naming ``hyperbolic``, before
+any sampling).  The float layer samples forms in the Fourier basis, where
+nothing cancels: the tracer and foliate agree with the exact answers on the
+saddle family up to the degree cap (the monomial basis failed from P:112
+and P:86).
 
 JSON shapes: classify prints {"classification": label, "certificate":
 {...}}; index prints {"index": "n/2"}; verify-ineq prints
@@ -317,6 +319,11 @@ def _cmd_foliate(args) -> int:
             "hyperbolic",
             f"the line field needs a hyperbolic (or elliptic, line-free) form; "
             f"the discriminant of II is {cert.verdict.value}",
+        )
+    if label == "elliptic" and (args.svg or args.csv):
+        raise PreconditionFailed(
+            "hyperbolic",
+            "a figure traces asymptotic lines, and an elliptic form has none",
         )
     w = second_fundamental_form(f)
     if args.svg or args.csv:

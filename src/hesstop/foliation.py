@@ -12,10 +12,12 @@ here is the number of invariant LINES (ray pairs); for the saddle family of
 degree m that count is m, with each of the two branch foliations owning m
 of the 2m rays.  The angles list carries all rays in [0, 2pi).
 
-Curve tracing is fixed-step RK4 on one branch of the line field, with
-direction flips across samples resolved by inner-product continuity, in
-the annulus R_MIN <= r <= R_MAX that the SVG figure frames.  Quality is
-qualitative by design: sector counting never depends on the integrator.
+Curve tracing is fixed-step RK4 on one branch of the line field, in the
+annulus R_MIN <= r <= R_MAX that the SVG figure frames.  Each stage works
+on direction vectors only: of the two null vectors of the form it keeps the
+one nearer to the previous direction's line and orients it by their inner
+product, with no angle taken.  Quality is qualitative by design: sector
+counting never depends on the integrator.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ import math
 from dataclasses import dataclass
 
 from . import lineindex
-from .errors import DomainError
-from .lineindex import _directions_from_values, _eval_abc, _on_circle, line_distance
+from .errors import DomainError, NotHyperbolicHere
+from .lineindex import _directions_from_values, _eval_abc, _null_q
 from .polyalg import HomoPoly, complex_power_parts, swap_xy
 from .quadform import QuadForm
 
 # Separatrix scan: grid points on the half turn (the density of 4096 on the
-# full circle) and the bisection width of each root.
+# full circle) and the bracket width each root is refined to.
 _SCAN_SAMPLES = 2048
 _ALIGN_TOL = 1e-8
 
@@ -83,10 +85,12 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     h(phi + pi) = (-1)^deg h(phi), so the zeros of one half turn give every
     line.  Scans the alignment function on an offset grid of the half turn
     (so that zeros at round angles never land exactly on grid nodes),
-    bisects each sign change to 1e-8 and reads it as a line angle in
-    [0, pi); a line within 1e-6 below pi is the line at 0.  Returns (number
-    of lines, sorted ray angles in [0, 2pi)), the rays being each line and
-    its antipode.  Tangential zeros without sign change are invisible to
+    narrows each sign change by Illinois regula falsi (Dowell and Jarratt
+    1971; the midpoint when the secant point leaves the bracket) to a
+    bracket of 1e-8, and reads its midpoint as a line angle in [0, pi); a
+    line within 1e-6 below pi is the line at 0.  Returns (number of lines,
+    sorted ray angles in [0, 2pi)), the rays being each line and its
+    antipode.  Tangential zeros without sign change are invisible to
     this scan, and so are two zeros closer than the grid step; the
     supported form families only have transversal alignment zeros.  The
     scan reads the exact alignment form, converted once to the Fourier
@@ -109,17 +113,28 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
             root = grid[i]
         elif h0 * h1 < 0.0:
             lo, hi = grid[i], grid[i + 1]
-            flo = h0
+            flo, fhi = h0, h1
+            # Illinois: halve the value kept at an end that stays put twice
+            # running, so that both ends close in on the root
+            kept = 0
             while hi - lo > _ALIGN_TOL:
-                mid = (lo + hi) / 2.0
+                mid = (lo * fhi - hi * flo) / (fhi - flo)
+                if not lo < mid < hi:
+                    mid = (lo + hi) / 2.0
                 fmid = _alignment(terms, odd, mid)
                 if fmid == 0.0:
                     lo = hi = mid
                     break
                 if flo * fmid < 0.0:
-                    hi = mid
+                    hi, fhi = mid, fmid
+                    if kept < 0:
+                        flo /= 2.0
+                    kept = -1
                 else:
                     lo, flo = mid, fmid
+                    if kept > 0:
+                        fhi /= 2.0
+                    kept = 1
             root = (lo + hi) / 2.0
         else:
             continue
@@ -129,39 +144,54 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     return len(lines), lines + [line + math.pi for line in lines]
 
 
-def _oriented_direction(terms, odd, x: float, y: float, vref) -> tuple[float, float]:
-    """Unit vector along the branch line nearest to vref, oriented with it."""
-    A, B, C = _eval_abc(terms, odd, _on_circle(x, y))
-    pair = _directions_from_values(A, B, C, x, y)
-    ref_angle = math.atan2(vref[1], vref[0]) % math.pi
-    d0 = line_distance(pair[0], ref_angle)
-    d1 = line_distance(pair[1], ref_angle)
-    theta = pair[0] if d0 <= d1 else pair[1]
-    ux, uy = math.cos(theta), math.sin(theta)
-    if ux * vref[0] + uy * vref[1] < 0.0:
-        ux, uy = -ux, -uy
-    return ux, uy
+def _branch_vector(
+    terms, odd, x: float, y: float, vx: float, vy: float
+) -> tuple[float, float]:
+    """Unit vector at (x, y) along the branch line nearest to the line of
+    (vx, vy), oriented with it.
+
+    Of the null vectors u0 = (-q, A) and u1 = (-C, q) (:func:`_null_q`), u0
+    is at least as near to v when (u0.v)^2 |u1|^2 >= (u1.v)^2 |u0|^2, which
+    compares the squared cosines without a square root.
+    """
+    r = math.hypot(x, y)
+    if not r:
+        raise NotHyperbolicHere("the line field is not sampled at the origin")
+    A, B, C = _eval_abc(terms, odd, complex(x / r, y / r))
+    q = _null_q(A, B, C, x, y)
+    d0 = A * vy - q * vx
+    d1 = q * vy - C * vx
+    n0 = q * q + A * A
+    n1 = C * C + q * q
+    if d0 * d0 * n1 >= d1 * d1 * n0:
+        ux, uy, d, n = -q, A, d0, n0
+    else:
+        ux, uy, d, n = -C, q, d1, n1
+    s = math.sqrt(n)
+    if d < 0.0:
+        s = -s
+    return ux / s, uy / s
 
 
 def _trace_leaf(terms, odd, start, v0) -> list[tuple[float, float]]:
     pts = [start]
     x, y = start
-    v = v0
+    vx, vy = v0
+    half = 0.5 * _STEP
     for _ in range(_MAX_STEPS):
-        k1 = _oriented_direction(terms, odd, x, y, v)
-        k2 = _oriented_direction(terms, odd, x + 0.5 * _STEP * k1[0], y + 0.5 * _STEP * k1[1], k1)
-        k3 = _oriented_direction(terms, odd, x + 0.5 * _STEP * k2[0], y + 0.5 * _STEP * k2[1], k2)
-        k4 = _oriented_direction(terms, odd, x + _STEP * k3[0], y + _STEP * k3[1], k3)
-        dx = (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
-        dy = (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
+        ax, ay = _branch_vector(terms, odd, x, y, vx, vy)
+        bx, by = _branch_vector(terms, odd, x + half * ax, y + half * ay, ax, ay)
+        cx, cy = _branch_vector(terms, odd, x + half * bx, y + half * by, bx, by)
+        ex, ey = _branch_vector(terms, odd, x + _STEP * cx, y + _STEP * cy, cx, cy)
+        dx = (ax + 2.0 * bx + 2.0 * cx + ex) / 6.0
+        dy = (ay + 2.0 * by + 2.0 * cy + ey) / 6.0
         norm = math.hypot(dx, dy)
-        dx, dy = dx / norm, dy / norm
-        nx, ny = x + _STEP * dx, y + _STEP * dy
+        vx, vy = dx / norm, dy / norm
+        nx, ny = x + _STEP * vx, y + _STEP * vy
         r = math.hypot(nx, ny)
         if r < R_MIN or r > R_MAX:
             break
         x, y = nx, ny
-        v = (dx, dy)
         pts.append((x, y))
     return pts
 

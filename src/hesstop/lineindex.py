@@ -101,14 +101,6 @@ def _float_coeffs(degree: int, *forms: HomoPoly) -> list[tuple[complex, ...]]:
     ][::-1]
 
 
-def _on_circle(x: float, y: float) -> complex:
-    """(x + iy)/|(x, y)|; the line field is not read at the origin."""
-    r = math.hypot(x, y)
-    if not r:
-        raise NotHyperbolicHere("the line field is not sampled at the origin")
-    return complex(x / r, y / r)
-
-
 def _eval_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
     """A, B and C at the unit point z, up to one common positive factor, in
     one Horner pass over z^2 (``terms`` from :func:`_float_coeffs` on a, b,
@@ -124,24 +116,29 @@ def _eval_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
     return sa.real, sb.real, sc.real
 
 
-def _directions_from_values(
-    A: float, B: float, C: float, x: float, y: float
-) -> tuple[float, float]:
-    """The two solution lines of A dx^2 + 2B dxdy + C dy^2 = 0 at (x, y),
-    as angles in [0, pi), sorted; (x, y) only names the point in errors.
-
-    Uses the cancellation-free quadratic branch: with s = sign(B) and
-    q = B + s*sqrt(B^2 - AC), the lines are (-q, A) and (-C, q) in
-    homogeneous direction coordinates, which stays stable when A or C is
-    small.  Raises NotHyperbolicHere when the discriminant is not positive.
-    """
+def _null_q(A: float, B: float, C: float, x: float, y: float) -> float:
+    """q of the cancellation-free quadratic branch: with s = sign(B) and
+    q = B + s*sqrt(B^2 - AC), the solution lines of
+    A dx^2 + 2B dxdy + C dy^2 = 0 are (-q, A) and (-C, q) in homogeneous
+    direction coordinates, which stays stable when A or C is small.
+    Raises NotHyperbolicHere when the discriminant is not positive; (x, y)
+    only names the point in the error."""
     disc = B * B - A * C
     if disc <= 0.0:
         raise NotHyperbolicHere(
             f"discriminant {disc:.3e} is not positive at ({x:.6g}, {y:.6g})"
         )
     root = math.sqrt(disc)
-    q = B + root if B >= 0.0 else B - root
+    return B + root if B >= 0.0 else B - root
+
+
+def _directions_from_values(
+    A: float, B: float, C: float, x: float, y: float
+) -> tuple[float, float]:
+    """The two solution lines of A dx^2 + 2B dxdy + C dy^2 = 0 at (x, y),
+    as angles in [0, pi), sorted, from the null vectors of :func:`_null_q`.
+    """
+    q = _null_q(A, B, C, x, y)
     t1 = math.atan2(A, -q) % math.pi
     t2 = math.atan2(q, -C) % math.pi
     return (t1, t2) if t1 <= t2 else (t2, t1)

@@ -210,3 +210,71 @@ def hypotheses_hold(cert: IsotopyCertificate) -> bool:
         if not ok:
             return False
     return bool(cert.verdicts)
+
+
+# --- angle-based reference tracer --------------------------------------------
+
+
+def _reference_direction(terms, odd, x: float, y: float, vref) -> tuple[float, float]:
+    """Unit vector along the branch line nearest to vref, oriented with it,
+    chosen by line angles: solve both lines as angles, keep the one nearer
+    to the angle of vref in RP^1, and turn it back into a vector."""
+    from hesstop.errors import NotHyperbolicHere
+    from hesstop.lineindex import _directions_from_values, _eval_abc, line_distance
+
+    r = math.hypot(x, y)
+    if not r:
+        raise NotHyperbolicHere("the line field is not sampled at the origin")
+    A, B, C = _eval_abc(terms, odd, complex(x / r, y / r))
+    pair = _directions_from_values(A, B, C, x, y)
+    ref_angle = math.atan2(vref[1], vref[0]) % math.pi
+    d0 = line_distance(pair[0], ref_angle)
+    d1 = line_distance(pair[1], ref_angle)
+    theta = pair[0] if d0 <= d1 else pair[1]
+    ux, uy = math.cos(theta), math.sin(theta)
+    if ux * vref[0] + uy * vref[1] < 0.0:
+        ux, uy = -ux, -uy
+    return ux, uy
+
+
+def reference_trace(w, seeds: int) -> list[list[tuple[float, float]]]:
+    """The curves of ``foliation.trace_foliation(w, seeds)``, traced with
+    :func:`_reference_direction` at every RK4 stage: the same seeds, step,
+    annulus and step cap."""
+    from hesstop.foliation import _MAX_STEPS, _STEP, R_MAX, R_MIN
+    from hesstop.lineindex import _directions_from_values, _eval_abc, _float_coeffs
+
+    terms = _float_coeffs(w.degree, w.a, w.b, w.c)
+    odd = w.degree % 2 == 1
+
+    def leaf(x, y, v):
+        pts = [(x, y)]
+        for _ in range(_MAX_STEPS):
+            k1 = _reference_direction(terms, odd, x, y, v)
+            k2 = _reference_direction(
+                terms, odd, x + 0.5 * _STEP * k1[0], y + 0.5 * _STEP * k1[1], k1)
+            k3 = _reference_direction(
+                terms, odd, x + 0.5 * _STEP * k2[0], y + 0.5 * _STEP * k2[1], k2)
+            k4 = _reference_direction(terms, odd, x + _STEP * k3[0], y + _STEP * k3[1], k3)
+            dx = (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
+            dy = (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
+            norm = math.hypot(dx, dy)
+            dx, dy = dx / norm, dy / norm
+            nx, ny = x + _STEP * dx, y + _STEP * dy
+            if not R_MIN <= math.hypot(nx, ny) <= R_MAX:
+                break
+            x, y = nx, ny
+            v = (dx, dy)
+            pts.append((x, y))
+        return pts
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    curves = []
+    for i in range(seeds):
+        phi = 2.0 * math.pi * ((i + golden * 0.5) / seeds)
+        x, y = math.cos(phi), math.sin(phi)
+        A, B, C = _eval_abc(terms, odd, complex(x, y))
+        theta = _directions_from_values(A, B, C, x, y)[0]
+        for sign in (1.0, -1.0):
+            curves.append(leaf(x, y, (sign * math.cos(theta), sign * math.sin(theta))))
+    return curves

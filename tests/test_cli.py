@@ -274,6 +274,16 @@ class TestFoliate:
         assert data["separatrix_lines"] == 0
 
 
+    @pytest.mark.parametrize("flag", ["--svg", "--csv"])
+    def test_elliptic_figure_is_refused(self, capsys, tmp_path, flag):
+        # no asymptotic line to trace: refused by name before any sampling
+        path = tmp_path / "f.out"
+        code, out, err = run(capsys, "foliate", "--poly", "x^2+y^2", flag, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: hyperbolic")
+        assert not path.exists()
+
     def test_float_miscount_is_refused(self, capsys, monkeypatch):
         # a float scan that finds nine lines too many is not reported
         def miscount(w):

@@ -1,12 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from hesstop import lineindex
 from hesstop.classify import count_real_roots, is_hyperbolic
-from hesstop.errors import DomainError
+from hesstop.errors import DomainError, NotHyperbolicHere
 from hesstop.foliation import (
+    _ALIGN_TOL,
     MAX_SEEDS,
     R_MAX,
     R_MIN,
@@ -23,7 +25,7 @@ from hesstop.lineindex import line_distance
 from hesstop.polyalg import multiply, parse, product_family, radial_family, saddle_family
 from hesstop.quadform import QuadForm, second_fundamental_form
 
-from helpers import asymptotic_lines, random_homopoly
+from helpers import asymptotic_lines, random_homopoly, reference_trace
 
 
 class TestSeparatrices:
@@ -74,6 +76,14 @@ class TestSeparatrices:
             exact = count_real_roots(h.coeffs) + (h.coeffs[h.degree] == 0)
             assert count_separatrices(w)[0] == exact, f
             checked += 1
+
+    @pytest.mark.parametrize("m", [3, 7, 40, 120, 1024])
+    def test_saddle_rays_are_exact_to_the_bracket(self, m):
+        # f = Re (x + iy)^m vanishes on the rays (k + 1/2) pi / m
+        _, rays = count_separatrices(second_fundamental_form(saddle_family(m)))
+        exact = [(k + 0.5) * math.pi / m for k in range(2 * m)]
+        assert len(rays) == len(exact)
+        assert max(abs(got - want) for got, want in zip(rays, exact)) <= _ALIGN_TOL
 
     def test_alignment_form_of_second_fundamental_form(self):
         # Euler: x^2 f_xx + 2xy f_xy + y^2 f_yy = n(n - 1) f
@@ -139,6 +149,27 @@ class TestTracing:
             ys = {round(y, 9) for _, y in curve}
             assert len(xs) == 1 or len(ys) == 1
 
+    @pytest.mark.parametrize(
+        "f,seeds",
+        [(saddle_family(7), 24), (product_family(12, 5), 6), (parse("x*y"), 6)],
+        ids=["P7", "f12,5", "xy"],
+    )
+    def test_matches_the_angle_based_reference(self, f, seeds):
+        _assert_same_curves(second_fundamental_form(f), seeds)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_forms_match_the_angle_based_reference(self, seed):
+        rng = random.Random(seed)
+        while True:
+            f = random_homopoly(rng, rng.randint(3, 8))
+            if is_hyperbolic(f)[0]:
+                break
+        _assert_same_curves(second_fundamental_form(f), 4)
+
+    def test_elliptic_form_is_not_traced(self):
+        with pytest.raises(NotHyperbolicHere, match="discriminant"):
+            trace_foliation(second_fundamental_form(parse("x^2 + y^2")), seeds=1)
+
     def test_curves_stay_in_annulus(self):
         cs = trace_foliation(second_fundamental_form(saddle_family(3)), seeds=6)
         for curve in cs.curves:
@@ -170,6 +201,17 @@ class TestTracing:
     def test_seed_count_outside_range_is_refused(self, seeds):
         with pytest.raises(DomainError, match=str(MAX_SEEDS)):
             trace_foliation(second_fundamental_form(saddle_family(3)), seeds=seeds)
+
+
+def _assert_same_curves(w, seeds):
+    # direction vectors and line angles pick the same branch and differ
+    # only by rounding: about 1e-15 at most, against a bound of 1e-9
+    got = trace_foliation(w, seeds=seeds).curves
+    want = reference_trace(w, seeds)
+    assert [len(c) for c in got] == [len(c) for c in want]
+    for curve, ref in zip(got, want):
+        for (x, y), (rx, ry) in zip(curve, ref):
+            assert abs(x - rx) <= 1e-9 and abs(y - ry) <= 1e-9
 
 
 class TestFigures:
