@@ -32,7 +32,6 @@ from .isotopy import (
 from .lineindex import (
     DirectionTrace,
     HalfIndex,
-    branch_continuation,
     index_at_origin,
     origin_index,
 )

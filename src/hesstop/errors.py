@@ -39,7 +39,3 @@ class NotHyperbolicHere(HesstopError):
 
 class RefinementLimit(HesstopError):
     """Adaptive bisection exceeded its depth cap."""
-
-
-class AmbiguousBranch(HesstopError):
-    """Both candidate lines are equidistant from the reference line."""

@@ -11,10 +11,11 @@ half the winding number of the pair (A - C, 2B) on the circle.
 origin_index reads that winding exactly as a Cauchy index from one Sturm
 chain of the integer kernel (Basu, Pollack and Roy, Algorithms in Real
 Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977); ``index``,
-census rows and ``certify`` use it.  index_at_origin tracks the doubled
-angle 2 theta numerically along the circle, at a fixed density of
-max(1024, 8 * degree) samples.  It is the toolkit's float layer: the source
-of ``index --trace``, and an independent oracle for the exact index in the
+census rows and ``certify`` use it.  index_at_origin samples the winding of
+one fixed branch, 2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R), along the
+circle at a fixed density of max(1024, 8 * degree) samples, so no branch is
+ever chosen.  It is the toolkit's float layer: the source of
+``index --trace``, and an independent oracle for the exact index in the
 tests.  Its rounding residual is recorded and gated.
 
 The float layer evaluates forms on the unit circle in the Fourier basis:
@@ -36,12 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import SturmChain, count_real_roots
-from .errors import AmbiguousBranch, DomainError, NotHyperbolicHere, RefinementLimit
+from .errors import DomainError, NotHyperbolicHere, RefinementLimit
 from .polyalg import HomoPoly, _numerators
 from .quadform import QuadForm
 
 _MAX_DEPTH = 20
-_AMBIGUITY_TOL = 1e-9
 
 
 def _taylor_shift(a: list[int]) -> list[int]:
@@ -116,19 +116,24 @@ def _eval_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
     return sa.real, sb.real, sc.real
 
 
-def _null_q(A: float, B: float, C: float, x: float, y: float) -> float:
-    """q of the cancellation-free quadratic branch: with s = sign(B) and
-    q = B + s*sqrt(B^2 - AC), the solution lines of
-    A dx^2 + 2B dxdy + C dy^2 = 0 are (-q, A) and (-C, q) in homogeneous
-    direction coordinates, which stays stable when A or C is small.
-    Raises NotHyperbolicHere when the discriminant is not positive; (x, y)
-    only names the point in the error."""
+def _positive_disc(A: float, B: float, C: float, x: float, y: float) -> float:
+    """B^2 - AC of A dx^2 + 2B dxdy + C dy^2.  Raises NotHyperbolicHere
+    when it is not positive; (x, y) only names the point in the error."""
     disc = B * B - A * C
     if disc <= 0.0:
         raise NotHyperbolicHere(
             f"discriminant {disc:.3e} is not positive at ({x:.6g}, {y:.6g})"
         )
-    root = math.sqrt(disc)
+    return disc
+
+
+def _null_q(A: float, B: float, C: float, x: float, y: float) -> float:
+    """q of the cancellation-free quadratic branch: with s = sign(B) and
+    q = B + s*sqrt(B^2 - AC), the solution lines of
+    A dx^2 + 2B dxdy + C dy^2 = 0 are (-q, A) and (-C, q) in homogeneous
+    direction coordinates, which stays stable when A or C is small.
+    Raises NotHyperbolicHere when the discriminant is not positive."""
+    root = math.sqrt(_positive_disc(A, B, C, x, y))
     return B + root if B >= 0.0 else B - root
 
 
@@ -142,27 +147,6 @@ def _directions_from_values(
     t1 = math.atan2(A, -q) % math.pi
     t2 = math.atan2(q, -C) % math.pi
     return (t1, t2) if t1 <= t2 else (t2, t1)
-
-
-def line_distance(t1: float, t2: float) -> float:
-    """RP^1 distance: the angle between two lines, in [0, pi/2]."""
-    return abs(math.remainder(t1 - t2, math.pi))
-
-
-def branch_continuation(prev: float, pair: tuple[float, float]) -> float:
-    """The candidate line closer to ``prev`` in the mod-pi metric.
-
-    Raises AmbiguousBranch when the two candidates are equidistant within
-    1e-9, which signals a near-parabolic degeneracy and triggers bisection
-    upstream.
-    """
-    d0 = line_distance(pair[0], prev)
-    d1 = line_distance(pair[1], prev)
-    if abs(d0 - d1) < _AMBIGUITY_TOL:
-        raise AmbiguousBranch(
-            f"candidates {pair[0]:.9f} and {pair[1]:.9f} are equidistant from {prev:.9f}"
-        )
-    return pair[0] if d0 < d1 else pair[1]
 
 
 @dataclass(frozen=True)
@@ -189,8 +173,8 @@ class HalfIndex:
 
 @dataclass
 class DirectionTrace:
-    """Sampled branch along the circle: (angle phi, line angle theta mod pi)
-    pairs plus the cumulative doubled-angle track."""
+    """The sampled fixed branch along the circle: (angle phi, line angle
+    theta mod pi) pairs plus the cumulative doubled-angle track."""
 
     samples: list[tuple[float, float]]
     unwrapped: list[float]
@@ -205,74 +189,62 @@ class DirectionTrace:
 
 
 def index_at_origin(w: QuadForm) -> tuple[HalfIndex, DirectionTrace]:
-    """Index of one asymptotic branch of ``w`` at the origin.
+    """Index of the asymptotic line field of ``w`` at the origin, sampled.
 
-    Samples a continuously-chosen branch along the unit circle (homogeneity
-    makes any radius valid), unwraps the doubled angle, and returns the
-    total change divided by 4*pi rounded to the nearest half-integer.  The
-    other branch has the same index.  Steps whose doubled-angle jump
-    exceeds pi/2, or whose selected line moved more than a quarter of the
-    local branch separation, are bisected adaptively up to depth 20.
+    Follows one fixed branch along the unit circle (homogeneity makes any
+    radius valid): at each sample its doubled angle is
+    2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R), read as
+    atan2(2B, A - C) + atan2(sqrt(B^2 - AC), -(A + C)/2).  The steps are
+    unwrapped mod 2 pi and the total change divided by 4 pi is rounded to
+    the nearest half-integer.  The other branch has the same index.  A step
+    whose doubled angle moves by more than pi/2 is bisected, up to depth 20.
 
-    Like any sampled continuation this has a Nyquist limit: a step that
-    jumps at least three quarters of the branch separation can silently
-    select the wrong branch.  So the sampling density is fixed from the
-    degree: max(1024, 8 * degree) initial samples, which is right for every
-    saddle_family(m) up to m = 1024 (3 s at m = 1024 on a 2-vCPU VM); at
-    1024 samples for every degree it went wrong from about m = 386 on.
+    Like any sampled winding this has a Nyquist limit: a step that turns
+    the doubled angle by nearly a full turn (more than 3 pi/2) aliases to a
+    small step and silently loses that turn.  So the sampling density is
+    fixed from the degree: max(1024, 8 * degree) initial samples.  The
+    doubled angle of II of saddle_family(m) turns by 2 pi (m - 2) in all,
+    so no step of a saddle up to m = 1024 turns it by more than pi/4.
     Certification does not depend on this function; it reads the index
     from origin_index.
     """
     n_initial = max(1024, 8 * w.degree)
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     odd = w.degree % 2 == 1
+    two_pi = 2.0 * math.pi
 
-    def pair_at(phi: float) -> tuple[float, float]:
-        z = complex(math.cos(phi), math.sin(phi))
-        A, B, C = _eval_abc(terms, odd, z)
-        return _directions_from_values(A, B, C, z.real, z.imag)
+    def doubled_angle(phi: float) -> float:
+        x, y = math.cos(phi), math.sin(phi)
+        A, B, C = _eval_abc(terms, odd, complex(x, y))
+        root = math.sqrt(_positive_disc(A, B, C, x, y))
+        return math.atan2(2.0 * B, A - C) + math.atan2(root, -0.5 * (A + C))
 
-    theta = pair_at(0.0)[0]
-    samples = [(0.0, theta)]
+    prev = doubled_angle(0.0)
+    samples = [(0.0, (prev % two_pi) / 2.0)]
     unwrapped = [0.0]
     psi = 0.0
     max_depth = 0
     phi_prev = 0.0
-    two_pi = 2.0 * math.pi
     pending: deque[tuple[float, int]] = deque(
         (two_pi * i / n_initial, 0) for i in range(1, n_initial + 1)
     )
     while pending:
         phi, depth = pending.popleft()
         max_depth = max(max_depth, depth)
-
-        def refine() -> None:
+        cur = doubled_angle(phi)
+        step = math.remainder(cur - prev, two_pi)
+        if abs(step) > math.pi / 2.0:
             if depth >= _MAX_DEPTH:
                 raise RefinementLimit(
                     f"bisection depth {_MAX_DEPTH} reached near phi={phi:.6f}"
                 )
             pending.appendleft((phi, depth + 1))
             pending.appendleft(((phi_prev + phi) / 2.0, depth + 1))
-
-        pair = pair_at(phi)
-        try:
-            cand = branch_continuation(theta, pair)
-        except AmbiguousBranch:
-            refine()
             continue
-        # nearest-candidate continuation is only trustworthy when the step
-        # stays well inside half the branch separation; a jump past that
-        # midpoint would silently select the wrong branch with a small
-        # measured distance, so the acceptance margin is separation / 4
-        separation = line_distance(pair[0], pair[1])
-        dpsi = 2.0 * math.remainder(cand - theta, math.pi)
-        if abs(dpsi) > math.pi / 2.0 or line_distance(cand, theta) > separation / 4.0:
-            refine()
-            continue
-        psi += dpsi
-        theta = cand
+        psi += step
+        prev = cur
         phi_prev = phi
-        samples.append((phi, cand))
+        samples.append((phi, (cur % two_pi) / 2.0))
         unwrapped.append(psi)
 
     raw = psi / (2.0 * two_pi)

@@ -8,7 +8,6 @@ The stored ``b`` is the off-diagonal entry, so the discriminant is literally
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 from .polyalg import HomoPoly, multiply, partial
@@ -67,26 +66,6 @@ class QuadForm:
 
     def __hash__(self) -> int:
         return hash(("QuadForm", self.a, self.b, self.c))
-
-    def to_json(self) -> dict:
-        """{degree, a, b, c} with coefficients as rational strings."""
-        d = self.degree
-
-        def vec(p: HomoPoly) -> list[str]:
-            if p.is_zero:
-                return ["0"] * (d + 1)
-            return [str(c) for c in p.coeffs]
-
-        return {"degree": d, "a": vec(self.a), "b": vec(self.b), "c": vec(self.c)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuadForm":
-        d = int(data["degree"])
-
-        def poly(key: str) -> HomoPoly:
-            return HomoPoly(d, tuple([Fraction(s) for s in data[key]]))
-
-        return cls(poly("a"), poly("b"), poly("c"))
 
 
 def second_fundamental_form(f: HomoPoly) -> QuadForm:

@@ -171,6 +171,11 @@ def squarefree_with_known_roots(
     return u, n_real
 
 
+def line_distance(t1: float, t2: float) -> float:
+    """RP^1 distance: the angle between two lines, in [0, pi/2]."""
+    return abs(math.remainder(t1 - t2, math.pi))
+
+
 def asymptotic_lines(w, x: float, y: float) -> tuple[float, float]:
     """The two asymptotic lines of ``w`` at (x, y), as the float layer reads
     them: the Fourier coefficients, one Horner pass at the unit point, then
@@ -220,7 +225,7 @@ def _reference_direction(terms, odd, x: float, y: float, vref) -> tuple[float, f
     chosen by line angles: solve both lines as angles, keep the one nearer
     to the angle of vref in RP^1, and turn it back into a vector."""
     from hesstop.errors import NotHyperbolicHere
-    from hesstop.lineindex import _directions_from_values, _eval_abc, line_distance
+    from hesstop.lineindex import _directions_from_values, _eval_abc
 
     r = math.hypot(x, y)
     if not r:

@@ -21,11 +21,10 @@ from hesstop.foliation import (
     reflection_identity_holds,
     trace_foliation,
 )
-from hesstop.lineindex import line_distance
 from hesstop.polyalg import multiply, parse, product_family, radial_family, saddle_family
 from hesstop.quadform import QuadForm, second_fundamental_form
 
-from helpers import asymptotic_lines, random_homopoly, reference_trace
+from helpers import asymptotic_lines, line_distance, random_homopoly, reference_trace
 
 
 class TestSeparatrices:

@@ -1,9 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hesstop.errors import AmbiguousBranch, DomainError, NotHyperbolicHere
+from hesstop.errors import DomainError, NotHyperbolicHere
 from hesstop.classify import is_hyperbolic
 from hesstop.lineindex import (
     HalfIndex,
@@ -11,9 +12,7 @@ from hesstop.lineindex import (
     _float_coeffs,
     _directions_from_values,
     _fourier_halves,
-    branch_continuation,
     index_at_origin,
-    line_distance,
     origin_index,
 )
 from hesstop.polyalg import (
@@ -26,9 +25,9 @@ from hesstop.polyalg import (
     saddle_family,
 )
 from hesstop.foliation import count_separatrices
-from hesstop.quadform import second_fundamental_form
+from hesstop.quadform import QuadForm, second_fundamental_form
 
-from helpers import asymptotic_lines, random_homopoly
+from helpers import asymptotic_lines, line_distance, random_homopoly
 
 # (m, k) of the benchmark's product ladder, total degrees 5 to 110
 PRODUCT_LADDER = ((3, 1), (8, 2), (12, 5), (20, 6), (30, 10), (40, 12), (50, 20), (40, 35))
@@ -120,21 +119,6 @@ class TestAsymptoticDirections:
         assert math.tan(t2) == pytest.approx(-1.5, rel=1e-12)
 
 
-class TestBranchContinuation:
-    def test_picks_closest(self):
-        assert branch_continuation(0.0, (0.1, 1.5)) == 0.1
-
-    def test_wraparound_aware(self):
-        assert branch_continuation(3.0, (0.05, 1.6)) == 0.05
-        assert line_distance(3.0, 0.05) < 0.25
-
-    def test_equidistant_raises(self):
-        mid = 0.5
-        pair = (mid + 0.3, mid - 0.3)
-        with pytest.raises(AmbiguousBranch):
-            branch_continuation(mid, pair)
-
-
 class TestHalfIndex:
     def test_value_and_format(self):
         assert str(HalfIndex(-1, 1e-12)) == "-1/2"
@@ -199,18 +183,46 @@ class TestIndexAtOrigin:
             assert half.residual < 1e-9
 
     def test_refinement_engages_on_fast_winding(self):
-        # the ladder form whose default sampling steps close to the branch
-        # separation; the margin rule must bisect and still land on the
-        # true index
-        w = second_fundamental_form(product_family(40, 35))
+        # (A - C, 2B) = (2x, 2e-9 y) turns by pi within about 1e-9 rad of
+        # phi = pi/2, so the step across it moves the doubled angle by more
+        # than pi/2 and must be bisected
+        x, y = parse("x"), parse("y")
+        w = QuadForm(x, y * Fraction(1, 10**9), -x)
         half, trace = index_at_origin(w)
-        assert half.value == Fraction(2 - 40, 2)
+        assert half.value == origin_index(w).value == Fraction(1, 2)
         assert trace.refinement_depth >= 1
+
+    @pytest.mark.parametrize(
+        "f",
+        [saddle_family(m) for m in range(3, 11)] + [product_family(12, 5), parse("x*y")],
+        ids=[f"P{m}" for m in range(3, 11)] + ["f12,5", "xy"],
+    )
+    def test_trace_follows_an_asymptotic_line(self, f):
+        _assert_valid_trace(second_fundamental_form(f))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_trace_follows_an_asymptotic_line(self, seed):
+        rng = random.Random(seed)
+        while True:
+            f = random_homopoly(rng, rng.randint(3, 8))
+            if is_hyperbolic(f)[0]:
+                break
+        _assert_valid_trace(second_fundamental_form(f))
 
     def test_high_degree_at_default_sampling(self):
         w = second_fundamental_form(saddle_family(30))
         half, _ = index_at_origin(w)
         assert half.value == Fraction(-28, 2)
+
+
+def _assert_valid_trace(w):
+    """Every traced line is one of the two asymptotic lines at its sample,
+    and the unwrapped doubled angle closes on 4 pi times the exact index."""
+    _, trace = index_at_origin(w)
+    for phi, theta in trace.samples:
+        pair = asymptotic_lines(w, math.cos(phi), math.sin(phi))
+        assert min(line_distance(theta, t) for t in pair) < 1e-9, (phi, theta, pair)
+    assert abs(trace.unwrapped[-1] - 4 * math.pi * origin_index(w).value) < 1e-9
 
 
 class TestOriginIndex:

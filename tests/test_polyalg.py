@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesstop.errors import DomainError, NotHomogeneousError, PolynomialSyntaxError
-from hesstop.quadform import QuadForm, second_fundamental_form
+from hesstop.quadform import second_fundamental_form
 from hesstop.polyalg import (
     MAX_DEGREE,
     HomoPoly,
@@ -246,9 +246,9 @@ class TestCanonicalCoefficients:
 
     @given(homopolys(min_degree=2), scalars)
     @settings(max_examples=60)
-    def test_quadform_scale_and_json(self, p, c):
+    def test_quadform_scale(self, p, c):
         w = second_fundamental_form(p)
-        for v in (w.scale(c), w.scale(p), QuadForm.from_json(w.to_json())):
+        for v in (w.scale(c), w.scale(p)):
             for poly in (v.a, v.b, v.c):
                 assert_canonical(poly)
 
@@ -260,16 +260,6 @@ class TestCanonicalCoefficients:
         assert hash(q) == hash(p)
         assert q.coeffs == p.coeffs
         assert [type(c) for c in q.coeffs] == [type(c) for c in p.coeffs]
-
-    @given(homopolys(min_degree=2))
-    @settings(max_examples=60)
-    def test_text_matches_fraction_text(self, p):
-        # the strings are those of the same coefficients held as Fractions
-        w = second_fundamental_form(p)
-        data = w.to_json()
-        for key, poly in (("a", w.a), ("b", w.b), ("c", w.c)):
-            if not poly.is_zero:
-                assert data[key] == [str(c) for c in as_fractions(poly)]
 
     @pytest.mark.parametrize("text", [
         "x^3 - 3*x*y^2",
@@ -283,14 +273,6 @@ class TestCanonicalCoefficients:
         assert format_poly(p) == text
         assert str(p) == text
         assert repr(p) == f"HomoPoly({p.degree}, {text!r})"
-
-    def test_to_json_strings_unchanged(self):
-        w = second_fundamental_form(parse("x^3 - 3/2*x*y^2"))
-        assert w.to_json() == {"degree": 1, "a": ["6", "0"], "b": ["0", "-3"],
-                               "c": ["-3", "0"]}
-        w = second_fundamental_form(parse("1/4*x^2*y + y^3"))
-        assert w.to_json() == {"degree": 1, "a": ["0", "1/2"], "b": ["1/2", "0"],
-                               "c": ["0", "6"]}
 
     @given(homopolys(), points, points)
     @settings(max_examples=100)

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -193,17 +192,6 @@ class TestFormAlgebra:
     def test_mixed_degree_coefficients_rejected(self):
         with pytest.raises(DomainError):
             QuadForm(parse("x"), parse("x^2"), parse("x"))
-
-    def test_json_round_trip(self):
-        w = second_fundamental_form(product_poly())
-        data = json.loads(json.dumps(w.to_json()))
-        assert QuadForm.from_json(data) == w
-
-    def test_json_pads_tagged_zeros(self):
-        w = second_fundamental_form(parse("x*y"))
-        data = w.to_json()
-        assert data["a"] == ["0"]
-        assert data["degree"] == 0
 
 
 def product_poly():
