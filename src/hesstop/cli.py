@@ -11,8 +11,8 @@ polyalg.MAX_DEGREE, verify-identities --m-max outside 4..MAX_IDENTITY_M
 
 index, certify and census --certify read origin indexes exactly
 (origin_index); index first proves the form hyperbolic and exits 1 naming
-the hypothesis when it is not.  Only index --trace runs the float tracer,
-to write the direction trace.  foliate checks the float separatrix count
+the hypothesis when it is not.  Only index --trace and the foliate
+figures run the float tracer.  foliate checks the float separatrix count
 against the exact number of distinct real linear factors of f and exits 1
 with both numbers when they differ; it counts 0 lines for an elliptic form
 but refuses to draw one (--svg/--csv exit 1 naming ``hyperbolic``, before

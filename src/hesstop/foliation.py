@@ -12,22 +12,23 @@ here is the number of invariant LINES (ray pairs); for the saddle family of
 degree m that count is m, with each of the two branch foliations owning m
 of the 2m rays.  The angles list carries all rays in [0, 2pi).
 
-Curve tracing is fixed-step RK4 on one branch of the line field, in the
-annulus R_MIN <= r <= R_MAX that the SVG figure frames.  Each stage works
-on direction vectors only: of the two null vectors of the form it keeps the
-one nearer to the previous direction's line and orients it by their inner
-product, with no angle taken.  Quality is qualitative by design: sector
-counting never depends on the integrator.
+Curves are leaves of the branch that lineindex.index_at_origin samples, in
+the annulus R_MIN <= r <= R_MAX that the SVG figure frames.  The line field
+is invariant under dilation, so with psi = theta(phi) - phi a leaf has
+d(log r)/d phi = cot psi, and between two rays of the branch (sin psi = 0)
+every leaf is a dilate of one curve, log r = G(phi) + c.  Sector counting
+never depends on the tracer.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from . import lineindex
-from .errors import DomainError, NotHyperbolicHere
-from .lineindex import _directions_from_values, _eval_abc, _null_q
+from .errors import DomainError
 from .polyalg import HomoPoly, complex_power_parts, swap_xy
 from .quadform import QuadForm
 
@@ -36,14 +37,11 @@ from .quadform import QuadForm
 _SCAN_SAMPLES = 2048
 _ALIGN_TOL = 1e-8
 
-# Curve tracing: the annulus every curve stays in, which the SVG frames, the
-# RK4 step and the most steps per curve.
+# Curve tracing: the annulus every curve stays in, which the SVG frames.
 R_MIN, R_MAX = 0.05, 2.0
-_STEP = 1e-3
-_MAX_STEPS = 20000
 
 # Most integral curves trace_foliation draws; each seed traces two curves of
-# up to _MAX_STEPS points.
+# at most one point per sample of the branch, plus their ends.
 MAX_SEEDS = 4096
 
 
@@ -144,77 +142,98 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     return len(lines), lines + [line + math.pi for line in lines]
 
 
-def _branch_vector(
-    terms, odd, x: float, y: float, vx: float, vy: float
-) -> tuple[float, float]:
-    """Unit vector at (x, y) along the branch line nearest to the line of
-    (vx, vy), oriented with it.
+def _log_rise(dphi: float, psi0: float, psi1: float, s0: float, s1: float):
+    """Change of log r along a leaf over an angle step ``dphi`` in which psi
+    moves linearly from psi0 to psi1 (sines s0, s1), or None when sin psi
+    vanishes or changes sign in the step, which then reaches a ray.
 
-    Of the null vectors u0 = (-q, A) and u1 = (-C, q) (:func:`_null_q`), u0
-    is at least as near to v when (u0.v)^2 |u1|^2 >= (u1.v)^2 |u0|^2, which
-    compares the squared cosines without a square root.
+    The integral of cot psi is dphi log(s1/s0)/(psi1 - psi0), exact for
+    straight leaves.  s1/s0 is read as 1 + 2 cos(psi_mid) sin(dpsi/2)/s0
+    through log1p, which keeps its accuracy as dpsi -> 0 (a log spiral).
     """
-    r = math.hypot(x, y)
-    if not r:
-        raise NotHyperbolicHere("the line field is not sampled at the origin")
-    A, B, C = _eval_abc(terms, odd, complex(x / r, y / r))
-    q = _null_q(A, B, C, x, y)
-    d0 = A * vy - q * vx
-    d1 = q * vy - C * vx
-    n0 = q * q + A * A
-    n1 = C * C + q * q
-    if d0 * d0 * n1 >= d1 * d1 * n0:
-        ux, uy, d, n = -q, A, d0, n0
-    else:
-        ux, uy, d, n = -C, q, d1, n1
-    s = math.sqrt(n)
-    if d < 0.0:
-        s = -s
-    return ux / s, uy / s
+    if s0 * s1 <= 0.0:
+        return None
+    half = 0.5 * (psi1 - psi0)
+    if not half:
+        return dphi * math.cos(psi0) / s0
+    ratio = 2.0 * math.cos(psi0 + half) * math.sin(half) / s0
+    return dphi * math.log1p(ratio) / (2.0 * half) if ratio > -1.0 else None
 
 
-def _trace_leaf(terms, odd, start, v0) -> list[tuple[float, float]]:
-    pts = [start]
-    x, y = start
-    vx, vy = v0
-    half = 0.5 * _STEP
-    for _ in range(_MAX_STEPS):
-        ax, ay = _branch_vector(terms, odd, x, y, vx, vy)
-        bx, by = _branch_vector(terms, odd, x + half * ax, y + half * ay, ax, ay)
-        cx, cy = _branch_vector(terms, odd, x + half * bx, y + half * by, bx, by)
-        ex, ey = _branch_vector(terms, odd, x + _STEP * cx, y + _STEP * cy, cx, cy)
-        dx = (ax + 2.0 * bx + 2.0 * cx + ex) / 6.0
-        dy = (ay + 2.0 * by + 2.0 * cy + ey) / 6.0
-        norm = math.hypot(dx, dy)
-        vx, vy = dx / norm, dy / norm
-        nx, ny = x + _STEP * vx, y + _STEP * vy
-        r = math.hypot(nx, ny)
-        if r < R_MIN or r > R_MAX:
-            break
-        x, y = nx, ny
-        pts.append((x, y))
+def _half_leaf(phi: float, psi: float, path) -> list[tuple[float, float]]:
+    """The half-leaf from the unit point at angle ``phi`` through the
+    (angle, psi) nodes of ``path``, up to a ray or the annulus boundary."""
+    radii = (R_MIN, R_MAX)
+    bounds = [math.log(r) for r in radii]
+    pts = [(math.cos(phi), math.sin(phi))]
+    log_r = 0.0
+    s = math.sin(psi)
+    for phi1, psi1 in path:
+        dphi = phi1 - phi
+        s1 = math.sin(psi1)
+        rise = _log_rise(dphi, psi, psi1, s, s1)
+        if rise is not None and bounds[0] <= log_r + rise <= bounds[1]:
+            log_r += rise
+            phi, psi, s = phi1, psi1, s1
+            r = math.exp(log_r)
+            pts.append((r * math.cos(phi), r * math.sin(phi)))
+            continue
+        if rise is None:
+            # the ray psi = k pi: out to R_MAX when log r grows towards it
+            ray = round(psi1 / math.pi) * math.pi
+            t = (ray - psi) / (psi1 - psi) if psi1 != psi else 0.0
+            r = radii[(psi - ray) * dphi > 0.0]
+        else:
+            # bisect the step's closed form for the exit angle
+            r = radii[log_r + rise > bounds[1]]
+            lo, t = 0.0, 1.0
+            while t - lo > 1e-12:
+                mid = 0.5 * (lo + t)
+                psi_t = psi + mid * (psi1 - psi)
+                part = _log_rise(mid * dphi, psi, psi_t, s, math.sin(psi_t))
+                if part is not None and bounds[0] <= log_r + part <= bounds[1]:
+                    lo = mid
+                else:
+                    t = mid
+        end = phi + t * dphi
+        pts.append((r * math.cos(end), r * math.sin(end)))
+        break
     return pts
 
 
 def trace_foliation(w: QuadForm, seeds: int = 12) -> CurveSet:
-    """Integrate one asymptotic branch from ``seeds`` points on the unit
-    circle, both directions, by RK4 steps of 1e-3, each curve clipped to the
-    annulus R_MIN <= r <= R_MAX and to 20000 steps."""
+    """Leaves of the branch that :func:`lineindex.index_at_origin` samples
+    through ``seeds`` points of the unit circle, two half-leaves each, one
+    towards growing and one towards falling angle.
+
+    psi = theta - phi is lifted from the sampled trace, read as linear
+    between samples and extended past a turn by its change over one turn.
+    A half-leaf steps from sample to sample by :func:`_log_rise`.  It ends
+    on a ray where sin psi changes sign, on the boundary circle where log r
+    leaves the annulus R_MIN <= r <= R_MAX, or after one turn.
+    """
     if not 1 <= seeds <= MAX_SEEDS:
         raise DomainError(f"seeds must lie in 1..{MAX_SEEDS}, got {seeds}")
-    terms = lineindex._float_coeffs(w.degree, w.a, w.b, w.c)
-    odd = w.degree % 2 == 1
+    _, trace = lineindex.index_at_origin(w)
+    phis = [phi for phi, _ in trace.samples]
+    psis = [trace.samples[0][1] + u / 2.0 - phi for phi, u in zip(phis, trace.unwrapped)]
+    n = len(phis) - 1
+    turn = psis[n] - psis[0]
+
+    def node(k: int) -> tuple[float, float]:
+        q, i = divmod(k, n)
+        return phis[i] + 2.0 * math.pi * q, psis[i] + turn * q
+
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     curves: list[list[tuple[float, float]]] = []
     for i in range(seeds):
         phi = 2.0 * math.pi * ((i + golden * 0.5) / seeds)
-        x, y = math.cos(phi), math.sin(phi)
-        A, B, C = _eval_abc(terms, odd, complex(x, y))
-        theta = _directions_from_values(A, B, C, x, y)[0]
-        v0 = (math.cos(theta), math.sin(theta))
-        for sign in (1.0, -1.0):
-            vdir = (sign * v0[0], sign * v0[1])
-            curves.append(_trace_leaf(terms, odd, (x, y), vdir))
+        j = bisect.bisect_right(phis, phi) - 1
+        psi = psis[j] + (phi - phis[j]) / (phis[j + 1] - phis[j]) * (psis[j + 1] - psis[j])
+        ahead = map(node, range(j + 1, j + n + 1))
+        back = map(node, range(j, j - n, -1))
+        curves.append(_half_leaf(phi, psi, chain(ahead, [(phi + 2.0 * math.pi, psi + turn)])))
+        curves.append(_half_leaf(phi, psi, chain(back, [(phi - 2.0 * math.pi, psi - turn)])))
     count, angles = count_separatrices(w)
     return CurveSet(curves, angles, count)
 

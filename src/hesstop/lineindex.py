@@ -15,8 +15,9 @@ census rows and ``certify`` use it.  index_at_origin samples the winding of
 one fixed branch, 2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R), along the
 circle at a fixed density of max(1024, 8 * degree) samples, so no branch is
 ever chosen.  It is the toolkit's float layer: the source of
-``index --trace``, and an independent oracle for the exact index in the
-tests.  Its rounding residual is recorded and gated.
+``index --trace`` and of the leaves that ``foliation.trace_foliation``
+draws, and an independent oracle for the exact index in the tests.  Its
+rounding residual is recorded and gated.
 
 The float layer evaluates forms on the unit circle in the Fourier basis:
 each form is converted once, exactly, to the coefficients of its
@@ -125,28 +126,6 @@ def _positive_disc(A: float, B: float, C: float, x: float, y: float) -> float:
             f"discriminant {disc:.3e} is not positive at ({x:.6g}, {y:.6g})"
         )
     return disc
-
-
-def _null_q(A: float, B: float, C: float, x: float, y: float) -> float:
-    """q of the cancellation-free quadratic branch: with s = sign(B) and
-    q = B + s*sqrt(B^2 - AC), the solution lines of
-    A dx^2 + 2B dxdy + C dy^2 = 0 are (-q, A) and (-C, q) in homogeneous
-    direction coordinates, which stays stable when A or C is small.
-    Raises NotHyperbolicHere when the discriminant is not positive."""
-    root = math.sqrt(_positive_disc(A, B, C, x, y))
-    return B + root if B >= 0.0 else B - root
-
-
-def _directions_from_values(
-    A: float, B: float, C: float, x: float, y: float
-) -> tuple[float, float]:
-    """The two solution lines of A dx^2 + 2B dxdy + C dy^2 = 0 at (x, y),
-    as angles in [0, pi), sorted, from the null vectors of :func:`_null_q`.
-    """
-    q = _null_q(A, B, C, x, y)
-    t1 = math.atan2(A, -q) % math.pi
-    t2 = math.atan2(q, -C) % math.pi
-    return (t1, t2) if t1 <= t2 else (t2, t1)
 
 
 @dataclass(frozen=True)

@@ -176,11 +176,35 @@ def line_distance(t1: float, t2: float) -> float:
     return abs(math.remainder(t1 - t2, math.pi))
 
 
+def _null_q(A: float, B: float, C: float, x: float, y: float) -> float:
+    """q of the cancellation-free quadratic branch: with s = sign(B) and
+    q = B + s*sqrt(B^2 - AC), the solution lines of
+    A dx^2 + 2B dxdy + C dy^2 = 0 are (-q, A) and (-C, q) in homogeneous
+    direction coordinates, which stays stable when A or C is small.
+    Raises NotHyperbolicHere when the discriminant is not positive."""
+    from hesstop.lineindex import _positive_disc
+
+    root = math.sqrt(_positive_disc(A, B, C, x, y))
+    return B + root if B >= 0.0 else B - root
+
+
+def _directions_from_values(
+    A: float, B: float, C: float, x: float, y: float
+) -> tuple[float, float]:
+    """The two solution lines of A dx^2 + 2B dxdy + C dy^2 = 0 at (x, y),
+    as angles in [0, pi), sorted, from the null vectors of :func:`_null_q`.
+    """
+    q = _null_q(A, B, C, x, y)
+    t1 = math.atan2(A, -q) % math.pi
+    t2 = math.atan2(q, -C) % math.pi
+    return (t1, t2) if t1 <= t2 else (t2, t1)
+
+
 def asymptotic_lines(w, x: float, y: float) -> tuple[float, float]:
     """The two asymptotic lines of ``w`` at (x, y), as the float layer reads
     them: the Fourier coefficients, one Horner pass at the unit point, then
     the quadratic."""
-    from hesstop.lineindex import _directions_from_values, _eval_abc, _float_coeffs
+    from hesstop.lineindex import _eval_abc, _float_coeffs
 
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     r = math.hypot(x, y)
@@ -219,13 +243,17 @@ def hypotheses_hold(cert: IsotopyCertificate) -> bool:
 
 # --- angle-based reference tracer --------------------------------------------
 
+# RK4 step of the reference tracer and the most steps per curve.
+_REF_STEP = 1e-3
+_REF_MAX_STEPS = 20000
+
 
 def _reference_direction(terms, odd, x: float, y: float, vref) -> tuple[float, float]:
     """Unit vector along the branch line nearest to vref, oriented with it,
     chosen by line angles: solve both lines as angles, keep the one nearer
     to the angle of vref in RP^1, and turn it back into a vector."""
     from hesstop.errors import NotHyperbolicHere
-    from hesstop.lineindex import _directions_from_values, _eval_abc
+    from hesstop.lineindex import _eval_abc
 
     r = math.hypot(x, y)
     if not r:
@@ -243,29 +271,34 @@ def _reference_direction(terms, odd, x: float, y: float, vref) -> tuple[float, f
 
 
 def reference_trace(w, seeds: int) -> list[list[tuple[float, float]]]:
-    """The curves of ``foliation.trace_foliation(w, seeds)``, traced with
-    :func:`_reference_direction` at every RK4 stage: the same seeds, step,
-    annulus and step cap."""
-    from hesstop.foliation import _MAX_STEPS, _STEP, R_MAX, R_MIN
-    from hesstop.lineindex import _directions_from_values, _eval_abc, _float_coeffs
+    """Leaves of the branch that ``trace_foliation(w, seeds)`` draws, by RK4
+    steps of 1e-3 up to 20000 steps, with :func:`_reference_direction` at
+    every stage: the same seeds and annulus, two curves per seed.
+
+    Each seed starts on the line of :func:`_directions_from_values` nearest
+    to the fixed branch 2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R) that
+    ``index_at_origin`` samples; the stages then follow that line."""
+    from hesstop.foliation import R_MAX, R_MIN
+    from hesstop.lineindex import _eval_abc, _float_coeffs
 
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     odd = w.degree % 2 == 1
 
     def leaf(x, y, v):
         pts = [(x, y)]
-        for _ in range(_MAX_STEPS):
+        for _ in range(_REF_MAX_STEPS):
             k1 = _reference_direction(terms, odd, x, y, v)
             k2 = _reference_direction(
-                terms, odd, x + 0.5 * _STEP * k1[0], y + 0.5 * _STEP * k1[1], k1)
+                terms, odd, x + 0.5 * _REF_STEP * k1[0], y + 0.5 * _REF_STEP * k1[1], k1)
             k3 = _reference_direction(
-                terms, odd, x + 0.5 * _STEP * k2[0], y + 0.5 * _STEP * k2[1], k2)
-            k4 = _reference_direction(terms, odd, x + _STEP * k3[0], y + _STEP * k3[1], k3)
+                terms, odd, x + 0.5 * _REF_STEP * k2[0], y + 0.5 * _REF_STEP * k2[1], k2)
+            k4 = _reference_direction(
+                terms, odd, x + _REF_STEP * k3[0], y + _REF_STEP * k3[1], k3)
             dx = (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
             dy = (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
             norm = math.hypot(dx, dy)
             dx, dy = dx / norm, dy / norm
-            nx, ny = x + _STEP * dx, y + _STEP * dy
+            nx, ny = x + _REF_STEP * dx, y + _REF_STEP * dy
             if not R_MIN <= math.hypot(nx, ny) <= R_MAX:
                 break
             x, y = nx, ny
@@ -279,7 +312,10 @@ def reference_trace(w, seeds: int) -> list[list[tuple[float, float]]]:
         phi = 2.0 * math.pi * ((i + golden * 0.5) / seeds)
         x, y = math.cos(phi), math.sin(phi)
         A, B, C = _eval_abc(terms, odd, complex(x, y))
-        theta = _directions_from_values(A, B, C, x, y)[0]
+        fixed = (math.atan2(2.0 * B, A - C)
+                 + math.atan2(math.sqrt(B * B - A * C), -0.5 * (A + C))) / 2.0
+        theta = min(_directions_from_values(A, B, C, x, y),
+                    key=lambda t: line_distance(t, fixed))
         for sign in (1.0, -1.0):
             curves.append(leaf(x, y, (sign * math.cos(theta), sign * math.sin(theta))))
     return curves

@@ -21,10 +21,25 @@ from hesstop.foliation import (
     reflection_identity_holds,
     trace_foliation,
 )
-from hesstop.polyalg import multiply, parse, product_family, radial_family, saddle_family
+from hesstop.polyalg import (
+    HomoPoly,
+    multiply,
+    parse,
+    product_family,
+    radial_family,
+    saddle_family,
+)
 from hesstop.quadform import QuadForm, second_fundamental_form
 
 from helpers import asymptotic_lines, line_distance, random_homopoly, reference_trace
+
+
+def _random_hyperbolic(seed):
+    rng = random.Random(seed)
+    while True:
+        f = random_homopoly(rng, rng.randint(3, 8))
+        if is_hyperbolic(f)[0]:
+            return f
 
 
 class TestSeparatrices:
@@ -150,20 +165,57 @@ class TestTracing:
 
     @pytest.mark.parametrize(
         "f,seeds",
-        [(saddle_family(7), 24), (product_family(12, 5), 6), (parse("x*y"), 6)],
+        [(saddle_family(7), 8), (product_family(12, 5), 6), (parse("x*y"), 6)],
         ids=["P7", "f12,5", "xy"],
     )
     def test_matches_the_angle_based_reference(self, f, seeds):
-        _assert_same_curves(second_fundamental_form(f), seeds)
+        _assert_same_leaves(second_fundamental_form(f), seeds)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_forms_match_the_angle_based_reference(self, seed):
-        rng = random.Random(seed)
-        while True:
-            f = random_homopoly(rng, rng.randint(3, 8))
-            if is_hyperbolic(f)[0]:
-                break
-        _assert_same_curves(second_fundamental_form(f), 4)
+        _assert_same_leaves(second_fundamental_form(_random_hyperbolic(seed)), 4)
+
+    @pytest.mark.parametrize(
+        "f,seeds",
+        [
+            (saddle_family(7), 24),
+            (product_family(12, 5), 12),
+            (_random_hyperbolic(0), 8),
+            (_random_hyperbolic(1), 8),
+        ],
+        ids=["P7", "f12,5", "random0", "random1"],
+    )
+    def test_one_foliation_per_figure(self, f, seeds):
+        # leaves of one branch never cross, while leaves of the two
+        # branches cross transversally
+        cs = trace_foliation(second_fundamental_form(f), seeds=seeds)
+        leaves = [cs.curves[i:i + 2] for i in range(0, len(cs.curves), 2)]
+        assert _crossing_leaf_pairs(leaves) == set()
+
+    @pytest.mark.parametrize("c,s,one_turn", [(Fraction(3, 5), Fraction(4, 5), 0),
+                                              (Fraction(399, 401), Fraction(40, 401), 12)])
+    def test_constant_rotation_field_gives_log_spirals(self, c, s, one_turn):
+        # the branch keeps the angle psi = (alpha + pi)/2 to the radius,
+        # (c, s) = (cos alpha, sin alpha), so each leaf is the log spiral
+        # log r = -tan(alpha/2) (phi - phi_seed); the flatter one changes
+        # log r by 0.05 * 2 pi < log R_MAX in a turn, and every half-leaf
+        # takes the one-turn exit
+        w = QuadForm(HomoPoly(2, (-s, -2 * c, s)), HomoPoly(2, (c, -2 * s, -c)),
+                     HomoPoly(2, (s, 2 * c, -s)))
+        slope = -float(s / (1 + c))
+        ends = []
+        for curve in trace_foliation(w, seeds=6).curves:
+            phi0 = math.atan2(curve[0][1], curve[0][0])
+            phi = phi0
+            for x, y in curve[1:]:
+                phi += math.remainder(math.atan2(y, x) - phi, 2.0 * math.pi)
+                assert math.log(math.hypot(x, y)) / (phi - phi0) == pytest.approx(
+                    slope, abs=1e-9)
+            r = math.hypot(*curve[-1])
+            on_boundary = min(abs(r - R_MIN), abs(r - R_MAX)) < 1e-12
+            assert on_boundary or abs(abs(phi - phi0) - 2.0 * math.pi) < 1e-12
+            ends.append(on_boundary)
+        assert ends.count(False) == one_turn
 
     def test_elliptic_form_is_not_traced(self):
         with pytest.raises(NotHyperbolicHere, match="discriminant"):
@@ -202,15 +254,80 @@ class TestTracing:
             trace_foliation(second_fundamental_form(saddle_family(3)), seeds=seeds)
 
 
-def _assert_same_curves(w, seeds):
-    # direction vectors and line angles pick the same branch and differ
-    # only by rounding: about 1e-15 at most, against a bound of 1e-9
+# 0.02 is about 3 px of the 640-px figure
+_LEAF_TOLERANCE = 0.02
+
+
+def _assert_same_leaves(w, seeds):
+    # every point of a seed's leaf lies near the RK4 leaf of the same seed,
+    # and every point of the RK4 leaf (every 5th, 5e-3 apart) near the leaf
     got = trace_foliation(w, seeds=seeds).curves
     want = reference_trace(w, seeds)
-    assert [len(c) for c in got] == [len(c) for c in want]
-    for curve, ref in zip(got, want):
-        for (x, y), (rx, ry) in zip(curve, ref):
-            assert abs(x - rx) <= 1e-9 and abs(y - ry) <= 1e-9
+    for i in range(0, 2 * seeds, 2):
+        leaf, ref = got[i:i + 2], want[i:i + 2]
+        assert _farthest([p for c in leaf for p in c], ref) <= _LEAF_TOLERANCE
+        assert _farthest([p for c in ref for p in c[::5]], leaf) <= _LEAF_TOLERANCE
+
+
+def _segment_distance(p, a, b):
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    px, py = p[0] - a[0], p[1] - a[1]
+    n = dx * dx + dy * dy
+    t = min(max((px * dx + py * dy) / n, 0.0), 1.0) if n else 0.0
+    return math.hypot(px - t * dx, py - t * dy)
+
+
+def _grid(curves, cell, pad):
+    """Cells of side ``cell`` mapped to the (curve index, segment) pairs
+    whose bounding box, widened by ``pad``, meets them."""
+    cells = {}
+    for k, curve in enumerate(curves):
+        for a, b in zip(curve, curve[1:]):
+            x0, x1 = sorted((a[0], b[0]))
+            y0, y1 = sorted((a[1], b[1]))
+            for i in range(math.floor((x0 - pad) / cell), math.floor((x1 + pad) / cell) + 1):
+                for j in range(math.floor((y0 - pad) / cell), math.floor((y1 + pad) / cell) + 1):
+                    cells.setdefault((i, j), []).append((k, a, b))
+    return cells
+
+
+def _farthest(points, curves):
+    """Largest distance from ``points`` to the polylines ``curves``, exact
+    up to _LEAF_TOLERANCE; above it, some point is farther than that."""
+    cell = _LEAF_TOLERANCE
+    cells = _grid(curves, cell, cell)
+    worst = 0.0
+    for p in points:
+        near = cells.get((math.floor(p[0] / cell), math.floor(p[1] / cell)), ())
+        worst = max(worst, min((_segment_distance(p, a, b) for _, a, b in near), default=math.inf))
+    return worst
+
+
+def _crossing_leaf_pairs(leaves):
+    """Pairs of leaves (each a list of polylines) with a proper segment
+    crossing farther than 1e-9 from every end point of both leaves."""
+    owner = [k for k, leaf in enumerate(leaves) for _ in leaf]
+    ends = [[c[0] for c in leaf] + [c[-1] for c in leaf] for leaf in leaves]
+    pairs = set()
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    for segs in _grid([c for leaf in leaves for c in leaf], 0.05, 0.0).values():
+        for n, (k1, a, b) in enumerate(segs):
+            for k2, c, d in segs[n + 1:]:
+                i, j = sorted((owner[k1], owner[k2]))
+                if i == j or (i, j) in pairs:
+                    continue
+                o1, o2 = cross(a, b, c), cross(a, b, d)
+                o3, o4 = cross(c, d, a), cross(c, d, b)
+                if o1 * o2 >= 0.0 or o3 * o4 >= 0.0:
+                    continue
+                t = o3 / (o3 - o4)
+                p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+                if all(math.dist(p, e) > 1e-9 for e in ends[i] + ends[j]):
+                    pairs.add((i, j))
+    return pairs
 
 
 class TestFigures:

@@ -10,7 +10,6 @@ from hesstop.lineindex import (
     HalfIndex,
     _eval_abc,
     _float_coeffs,
-    _directions_from_values,
     _fourier_halves,
     index_at_origin,
     origin_index,
@@ -27,7 +26,7 @@ from hesstop.polyalg import (
 from hesstop.foliation import count_separatrices
 from hesstop.quadform import QuadForm, second_fundamental_form
 
-from helpers import asymptotic_lines, line_distance, random_homopoly
+from helpers import _directions_from_values, asymptotic_lines, line_distance, random_homopoly
 
 # (m, k) of the benchmark's product ladder, total degrees 5 to 110
 PRODUCT_LADDER = ((3, 1), (8, 2), (12, 5), (20, 6), (30, 10), (40, 12), (50, 20), (40, 35))
