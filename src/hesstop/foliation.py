@@ -68,12 +68,19 @@ def alignment_form(w: QuadForm) -> HomoPoly:
 
 def _alignment(terms, odd: bool, phi: float) -> float:
     """h(phi) up to a positive factor, from the :func:`_float_coeffs` terms
-    of the alignment form: one Horner pass over e^(2i phi)."""
+    of the alignment form: one Horner pass over the gaps between its
+    nonzero powers of e^(2i phi), as in :func:`lineindex._eval_abc`."""
+    steps, tail = terms
     z = complex(math.cos(phi), math.sin(phi))
     w = z * z
+    wg, last = w, 1
     acc = 0j
-    for (g,) in terms:
-        acc = acc * w + g
+    for gap, g in steps:
+        if gap != last:
+            wg, last = w ** gap, gap
+        acc = acc * wg + g
+    if tail:
+        acc *= w ** tail
     return (acc * z).real if odd else acc.real
 
 
@@ -94,9 +101,10 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     scan reads the exact alignment form, converted once to the Fourier
     basis, so it does not cancel: saddle_family(m) gets m lines for every m
     up to the degree cap of 1024 (the monomial basis miscounted from m = 86
-    on).  The exact count is the number of distinct real linear factors of
-    f, since the alignment form of II_f is n(n-1)f; ``foliate`` checks
-    against it.
+    on).  Each sample reads only the nonzero Fourier powers, one for a
+    saddle of any degree.  The exact count is the number of distinct real
+    linear factors of f, since the alignment form of II_f is n(n-1)f;
+    ``foliate`` checks against it.
     """
     h = alignment_form(w)
     terms = lineindex._float_coeffs(h.degree, h)
@@ -196,7 +204,12 @@ def _half_leaf(phi: float, psi: float, path) -> list[tuple[float, float]]:
                 else:
                     t = mid
         end = phi + t * dphi
-        pts.append((r * math.cos(end), r * math.sin(end)))
+        x, y = r * math.cos(end), r * math.sin(end)
+        while math.hypot(x, y) < R_MIN:
+            # rounding can put the point an ulp inside the inner circle
+            r = math.nextafter(r, R_MAX)
+            x, y = r * math.cos(end), r * math.sin(end)
+        pts.append((x, y))
         break
     return pts
 

@@ -21,11 +21,13 @@ rounding residual is recorded and gated.
 
 The float layer evaluates forms on the unit circle in the Fourier basis:
 each form is converted once, exactly, to the coefficients of its
-trigonometric polynomial (:func:`_float_coeffs`), and A, B and C are then
-read in one complex Horner pass over e^(2i phi) (:func:`_eval_abc`).  The
+trigonometric polynomial (:func:`_float_coeffs`), which keeps only the
+nonzero powers, and A, B and C are then read in one complex Horner pass
+over the gaps between those powers of e^(2i phi) (:func:`_eval_abc`).  The
 monomial basis cancels: its binomial coefficients reach 2^d while the
 values stay near 1, which cost the index at degree 112 and the separatrix
-count at 86.  In the Fourier basis the saddle family is one term, and the
+count at 86.  In the Fourier basis the saddle family is one term, so a
+saddle of any degree costs O(1) complex operations per sample, and the
 float layer is right for every saddle the CLI accepts (m <= 1024).
 """
 
@@ -77,10 +79,18 @@ def _fourier_halves(c: list[int]) -> list[tuple[int, int]]:
     return ([(s[d // 2], 0)] if d % 2 == 0 else []) + half
 
 
-def _float_coeffs(degree: int, *forms: HomoPoly) -> list[tuple[complex, ...]]:
+def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
     """The float form of ``forms`` (each of ``degree`` or zero) that every
-    sampled evaluation reads: Horner coefficients in w = z^2, highest power
-    first, one complex per form, for :func:`_eval_abc` and its kin.
+    sampled evaluation reads, as Horner data in w = z^2 for
+    :func:`_eval_abc` and its kin: a pair (steps, tail).
+
+    ``steps`` lists the powers of w at which some form has a nonzero
+    coefficient, highest first, each as (gap, c_1, ..., c_k): its power gap
+    to the previous kept power (1 for the first, which multiplies zero) and
+    one complex per form.  ``tail`` is the power of the last kept term.  A
+    dense form has every gap 1 and tail 0; a saddle of any degree has one
+    term.  An evaluation costs O(len(steps)) complex operations plus a
+    power of w wherever the gap changes.
 
     The Fourier coefficients are exact integers (:func:`_fourier_halves`),
     after one common denominator; they are rounded to floats once, all
@@ -96,22 +106,34 @@ def _float_coeffs(degree: int, *forms: HomoPoly) -> list[tuple[complex, ...]]:
     ]
     bits = max(abs(v).bit_length() for series in exact for pair in series for v in pair)
     scale = 1 << max(bits - 1, 0)
-    return [
-        tuple(complex(re / scale, im / scale) for re, im in terms)
-        for terms in zip(*exact)
-    ][::-1]
+    steps, prev = [], None
+    for power in range(len(exact[0]) - 1, -1, -1):
+        pairs = [series[power] for series in exact]
+        if any(map(any, pairs)):
+            gap = 1 if prev is None else prev - power
+            steps.append((gap, *(complex(re / scale, im / scale) for re, im in pairs)))
+            prev = power
+    return steps, prev or 0
 
 
 def _eval_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
     """A, B and C at the unit point z, up to one common positive factor, in
-    one Horner pass over z^2 (``terms`` from :func:`_float_coeffs` on a, b,
-    c of a form of odd or even degree)."""
+    one Horner pass over the gaps of ``terms`` (from :func:`_float_coeffs`
+    on a, b, c of a form of odd or even degree): s = s * w^gap + c, with
+    w^gap computed again only where the gap changes."""
+    steps, tail = terms
     w = z * z
+    wg, last = w, 1
     sa = sb = sc = 0j
-    for a, b, c in terms:
-        sa = sa * w + a
-        sb = sb * w + b
-        sc = sc * w + c
+    for gap, a, b, c in steps:
+        if gap != last:
+            wg, last = w ** gap, gap
+        sa = sa * wg + a
+        sb = sb * wg + b
+        sc = sc * wg + c
+    if tail:
+        wt = w ** tail
+        sa, sb, sc = sa * wt, sb * wt, sc * wt
     if odd:
         sa, sb, sc = sa * z, sb * z, sc * z
     return sa.real, sb.real, sc.real

@@ -212,6 +212,27 @@ def asymptotic_lines(w, x: float, y: float) -> tuple[float, float]:
     return _directions_from_values(A, B, C, x, y)
 
 
+def dense_horner_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
+    """A, B and C from the ``_float_coeffs`` data of three forms by a plain
+    Horner pass over every power of w = z^2, the skipped powers filled in
+    with zeros: the reference that the gap evaluator ``_eval_abc`` must
+    match bit for bit on dense forms."""
+    steps, tail = terms
+    dense = []
+    for gap, a, b, c in steps:
+        dense += [(0j, 0j, 0j)] * (gap - 1) + [(a, b, c)]
+    dense += [(0j, 0j, 0j)] * tail
+    w = z * z
+    sa = sb = sc = 0j
+    for a, b, c in dense:
+        sa = sa * w + a
+        sb = sb * w + b
+        sc = sc * w + c
+    if odd:
+        sa, sb, sc = sa * z, sb * z, sc * z
+    return sa.real, sb.real, sc.real
+
+
 def circle_samples(p: HomoPoly, n: int = 401) -> list[float]:
     """Float values of p along the unit circle."""
     out = []

@@ -42,6 +42,14 @@ def _random_hyperbolic(seed):
             return f
 
 
+def _rotation_field(c, s):
+    """The line field whose branch keeps the angle psi = (alpha + pi)/2 to
+    the radius, (c, s) = (cos alpha, sin alpha): its leaves are the log
+    spirals log r = -tan(alpha/2) (phi - phi_seed)."""
+    return QuadForm(HomoPoly(2, (-s, -2 * c, s)), HomoPoly(2, (c, -2 * s, -c)),
+                    HomoPoly(2, (s, 2 * c, -s)))
+
+
 class TestSeparatrices:
     @pytest.mark.parametrize("m", range(3, 9))
     def test_saddle_line_count(self, m):
@@ -200,8 +208,7 @@ class TestTracing:
         # log r = -tan(alpha/2) (phi - phi_seed); the flatter one changes
         # log r by 0.05 * 2 pi < log R_MAX in a turn, and every half-leaf
         # takes the one-turn exit
-        w = QuadForm(HomoPoly(2, (-s, -2 * c, s)), HomoPoly(2, (c, -2 * s, -c)),
-                     HomoPoly(2, (s, 2 * c, -s)))
+        w = _rotation_field(c, s)
         slope = -float(s / (1 + c))
         ends = []
         for curve in trace_foliation(w, seeds=6).curves:
@@ -222,11 +229,19 @@ class TestTracing:
             trace_foliation(second_fundamental_form(parse("x^2 + y^2")), seeds=1)
 
     def test_curves_stay_in_annulus(self):
-        cs = trace_foliation(second_fundamental_form(saddle_family(3)), seeds=6)
-        for curve in cs.curves:
-            for x, y in curve:
-                r = math.hypot(x, y)
-                assert R_MIN <= r <= R_MAX + 1e-9
+        # no leaf of P3 reaches the inner circle, and every leaf of the log
+        # spiral field ends on it in one of its two directions
+        for w, seeds, inner_ends in (
+            (second_fundamental_form(saddle_family(3)), 6, 0),
+            (_rotation_field(Fraction(3, 5), Fraction(4, 5)), 64, 64),
+        ):
+            cs = trace_foliation(w, seeds=seeds)
+            for curve in cs.curves:
+                for x, y in curve:
+                    r = math.hypot(x, y)
+                    assert R_MIN <= r <= R_MAX + 1e-9
+            ends = [math.hypot(*curve[-1]) - R_MIN < 1e-12 for curve in cs.curves]
+            assert ends.count(True) == inner_ends
 
     def test_distinct_seed_curves_do_not_collide(self):
         cs = trace_foliation(second_fundamental_form(saddle_family(3)), seeds=4)

@@ -23,10 +23,16 @@ from hesstop.polyalg import (
     radial_family,
     saddle_family,
 )
-from hesstop.foliation import count_separatrices
+from hesstop.foliation import _alignment, alignment_form, count_separatrices
 from hesstop.quadform import QuadForm, second_fundamental_form
 
-from helpers import _directions_from_values, asymptotic_lines, line_distance, random_homopoly
+from helpers import (
+    _directions_from_values,
+    asymptotic_lines,
+    dense_horner_abc,
+    line_distance,
+    random_homopoly,
+)
 
 # (m, k) of the benchmark's product ladder, total degrees 5 to 110
 PRODUCT_LADDER = ((3, 1), (8, 2), (12, 5), (20, 6), (30, 10), (40, 12), (50, 20), (40, 35))
@@ -75,7 +81,15 @@ class TestFourierConversion:
         forms = list(self._forms(rng, d))
         odd = d % 2 == 1
         terms = _float_coeffs(d, *forms)
-        assert len(terms) == d // 2 + 1
+        # one term per nonzero Fourier power, the powers read back from the
+        # gaps and the tail
+        halves = [_fourier_halves(_numerators(p.coeffs)[0]) for p in forms]
+        nonzero = [i for i in range(d // 2 + 1) if any(any(h[i]) for h in halves)]
+        steps, tail = terms
+        powers = [tail]
+        for gap, *_ in steps[:0:-1]:
+            powers.append(powers[-1] + gap)
+        assert powers == nonzero
         for t in CIRCLE_T:
             x, y = _circle_point(t)
             got = _eval_abc(terms, odd, complex(float(x), float(y)))
@@ -84,6 +98,83 @@ class TestFourierConversion:
             ratios = [g / float(e) for g, e in zip(got[1:], exact[1:]) if e != 0]
             assert all(r > 0 for r in ratios)
             assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
+
+
+def _exact_on_circle(p, t):
+    """p at the rational unit point of t, exactly: the integer form at
+    (q^2 - r^2, 2qr) over (q^2 + r^2)^degree, for t = r/q."""
+    r, q = t.numerator, t.denominator
+    return Fraction(p.evaluate(q * q - r * r, 2 * q * r), (q * q + r * r) ** p.degree)
+
+
+class TestSparseEvaluation:
+    """_eval_abc and _alignment read only the nonzero Fourier powers."""
+
+    @pytest.mark.parametrize("m", [3, 7, 120, 1024])
+    def test_saddle_alignment_is_one_term(self, m):
+        h = alignment_form(second_fundamental_form(saddle_family(m)))
+        steps, tail = _float_coeffs(h.degree, h)
+        assert len(steps) == 1 and tail == h.degree // 2
+
+    @pytest.mark.parametrize("m,k", PRODUCT_LADDER)
+    def test_product_abc_has_at_most_three_terms(self, m, k):
+        w = second_fundamental_form(product_family(m, k))
+        steps, _ = _float_coeffs(w.degree, w.a, w.b, w.c)
+        assert 1 <= len(steps) <= 3
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 7, 40])
+    def test_zero_form_evaluates_to_zero(self, d):
+        zero = HomoPoly.zero(d)
+        z = complex(math.cos(0.7), math.sin(0.7))
+        terms = _float_coeffs(d, zero, zero, zero)
+        assert terms == ([], 0)
+        assert _eval_abc(terms, d % 2 == 1, z) == (0.0, 0.0, 0.0)
+        assert _alignment(_float_coeffs(d, zero), d % 2 == 1, 0.7) == 0.0
+
+    @pytest.mark.parametrize("d", [*range(13), 40, 61, 200])
+    def test_dense_forms_match_the_dense_horner_pass_bit_for_bit(self, rng, d):
+        forms = [HomoPoly(d, tuple(rng.randint(-(2**40), 2**40) for _ in range(d + 1)))
+                 for _ in range(3)]
+        terms = _float_coeffs(d, *forms)
+        steps, tail = terms
+        assert tail == 0 and all(gap == 1 for gap, *_ in steps)
+        assert len(steps) == d // 2 + 1
+        for _ in range(50):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            z = complex(math.cos(phi), math.sin(phi))
+            got = _eval_abc(terms, d % 2 == 1, z)
+            want = dense_horner_abc(terms, d % 2 == 1, z)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize(
+        "f",
+        [saddle_family(m) for m in (3, 7, 120, 1024)]
+        + [product_family(m, k) for m, k in ((12, 5), (40, 35), (50, 20), (1000, 12))]
+        + [saddle_family(16) + product_family(4, 6) * 5,
+           saddle_family(300) + product_family(20, 140) * 7],
+        ids=["P3", "P7", "P120", "P1024", "f12,5", "f40,35", "f50,20", "f1000,12",
+             "P16+5f4,6", "P300+7f20,140"],
+    )
+    def test_sparse_forms_match_exact_values(self, f):
+        # A, B, C and the alignment form at the rational circle points, each
+        # set up to its one positive factor, to 1e-12 of its largest value;
+        # the two sums have gaps other than 1 between their kept powers
+        w = second_fundamental_form(f)
+        h = alignment_form(w)
+        odd = w.degree % 2 == 1
+        points = [_circle_point(t) for t in CIRCLE_T]
+        abc = _float_coeffs(w.degree, w.a, w.b, w.c)
+        align = _float_coeffs(h.degree, h)
+        got = [[*_eval_abc(abc, odd, complex(float(x), float(y)))] for x, y in points]
+        got_h = [[_alignment(align, odd, math.atan2(float(y), float(x)))] for x, y in points]
+        for forms, values in (([w.a, w.b, w.c], got), ([h], got_h)):
+            exact = [[float(_exact_on_circle(p, t)) for p in forms] for t in CIRCLE_T]
+            flat = [(g, e) for row_g, row_e in zip(values, exact) for g, e in zip(row_g, row_e)]
+            g0, e0 = max(flat, key=lambda pair: abs(pair[1]))
+            factor = g0 / e0
+            assert factor > 0.0
+            for g, e in flat:
+                assert abs(g - factor * e) <= 1e-12 * abs(g0), (g, e)
 
 
 class TestAsymptoticDirections:
