@@ -6,7 +6,7 @@ of range).  Polynomials are accepted as text (--poly) or as family
 shortcuts (--family P:m, Q:k or f:m,k).  A degree below what a command
 needs (census --n 3, a form 2, the q of verify-ineq 1) or above
 polyalg.MAX_DEGREE, verify-identities --m-max outside 4..MAX_IDENTITY_M
-(the checks cost about m^3.6) and foliate --seeds outside
+(the checks cost about m^4) and foliate --seeds outside
 1..foliation.MAX_SEEDS are usage errors.
 
 index, certify and census --certify read origin indexes exactly
@@ -57,8 +57,9 @@ from .polyalg import MAX_DEGREE, HomoPoly, parse, product_family, radial_family,
 from .quadform import second_fundamental_form
 
 
-# Largest verify-identities --m-max: the checks cost about m^3.6 (1.6 s at
-# m = 80, 19.5 s at m = 160), so m = MAX_DEGREE would run for hours.
+# Largest verify-identities --m-max: the checks cost about m^4 (0.5 s at
+# m = 80, 6.5 s at m = 160, wall time of python -m hesstop on a 2-vCPU VM),
+# so m = MAX_DEGREE would run for hours.
 MAX_IDENTITY_M = 160
 
 
@@ -213,7 +214,8 @@ def _cmd_verify_identities(args) -> int:
     if not 4 <= m_max <= MAX_IDENTITY_M:
         raise UsageError(
             f"--m-max is {m_max}; this command needs 4..{MAX_IDENTITY_M}, since its "
-            f"cost grows about as m^3.6 and m = {MAX_DEGREE} would run for hours"
+            f"cost grows about as m^4 (6.5 s at m = 160) and "
+            f"m = {MAX_DEGREE} would run for hours"
         )
     checks: list[tuple[str, bool]] = []
 

@@ -8,7 +8,11 @@ reduction, and the two recurrent functions whose initial-value argument
 proves it.  Everything is exact integer or rational arithmetic.
 
 Convention: C(a, b) = 0 whenever b < 0 or b > a, which makes every sum
-total without index guards.
+total without index guards.  The sums keep that convention by their index
+ranges: each loop visits only the terms the convention leaves nonzero, calls
+math.comb on in-range arguments, and takes the sign (-1)^k from the parity
+of k.  The vanishing sum, whose terms carry a 1/m, is added up on ints as m
+times the sum and divided by m once at the end.
 """
 
 from __future__ import annotations
@@ -43,12 +47,15 @@ def raw_coeff_head(m: int, j: int) -> int:
     _require_even(m, 2)
     if not 0 <= j <= (m - 2) // 2:
         raise DomainError(f"j out of range for m={m}: {j}")
+    n = m - 1
+    comb = math.comb
     inner = sum(
-        binom(m - 1, 2 * k) * binom(m - 1, 2 * j - 2 * k)
-        - binom(m - 1, 2 * k + 1) * binom(m - 1, 2 * j - 2 * k - 1)
+        comb(n, 2 * k) * comb(n, 2 * j - 2 * k)
+        - comb(n, 2 * k + 1) * comb(n, 2 * j - 2 * k - 1)
         for k in range(j)
     )
-    return (-1) ** j * (binom(m - 1, 2 * j) + inner)
+    total = comb(n, 2 * j) + inner
+    return -total if j % 2 else total
 
 
 def raw_coeff_middle(m: int) -> int:
@@ -59,11 +66,14 @@ def raw_coeff_middle(m: int) -> int:
     Reduces to C(m-1, m/2).
     """
     _require_even(m, 2)
+    n = m - 1
+    comb = math.comb
     inner = sum(
-        binom(m - 1, 2 * k + 1) * (binom(m - 1, 2 * k + 2) - binom(m - 1, 2 * k))
+        comb(n, 2 * k + 1) * (comb(n, 2 * k + 2) - comb(n, 2 * k))
         for k in range(m // 2 - 1)
     )
-    return (-1) ** (m // 2) * (1 - m + inner)
+    total = 1 - m + inner
+    return -total if (m // 2) % 2 else total
 
 
 def raw_coeff_tail(m: int, j: int) -> int:
@@ -76,12 +86,15 @@ def raw_coeff_tail(m: int, j: int) -> int:
     _require_even(m, 4)
     if not 1 <= j <= (m - 2) // 2:
         raise DomainError(f"j out of range for m={m}: {j}")
+    n = m - 1
+    comb = math.comb
     inner = sum(
-        binom(m - 1, 2 * k + 2 * j) * binom(m - 1, 2 * k + 1)
-        - binom(m - 1, 2 * k) * binom(m - 1, 2 * k + 2 * j - 1)
+        comb(n, 2 * k + 2 * j) * comb(n, 2 * k + 1)
+        - comb(n, 2 * k) * comb(n, 2 * k + 2 * j - 1)
         for k in range(m // 2 - j)
     )
-    return (-1) ** (m // 2 + j - 1) * (-binom(m - 1, 2 * j - 1) + inner)
+    total = -comb(n, 2 * j - 1) + inner
+    return -total if (m // 2 + j - 1) % 2 else total
 
 
 def binomial_reduction_check(m: int) -> bool:
@@ -101,40 +114,58 @@ def binomial_reduction_check(m: int) -> bool:
 def vanishing_alternating_sum(m: int, j: int) -> Fraction:
     """sum_{k=1}^{j} (-1)^k C(m,j+k) [ 1 + (1-2k)/m * C(m,j-k+1) ].
 
-    Computed over exact rationals to absorb the 1/m factor; the value is 0
-    for every 0 <= j <= m-1 (empty sum at j=0).
+    Added up on ints as m times the sum, each term being
+    (-1)^k C(m,j+k) [ m + (1-2k) C(m,j-k+1) ], and returned as that total
+    over m, an exact Fraction.  Terms with k > m-j vanish (C(m,j+k) = 0) and
+    are not visited.  The value is 0 for every 0 <= j <= m-1 (empty sum at
+    j=0).
     """
     if m < 1 or j < 0 or j > m - 1:
         raise DomainError(f"needs m >= 1 and 0 <= j <= m-1, got m={m}, j={j}")
-    total = Fraction(0)
-    for k in range(1, j + 1):
-        total += (
-            (-1) ** k
-            * binom(m, j + k)
-            * (1 + Fraction(1 - 2 * k, m) * binom(m, j - k + 1))
-        )
-    return total
+    comb = math.comb
+    total = 0
+    for k in range(1, min(j, m - j) + 1):
+        term = comb(m, j + k) * (m + (1 - 2 * k) * comb(m, j - k + 1))
+        if k & 1:
+            total -= term
+        else:
+            total += term
+    return Fraction(total, m)
 
 
 def weighted_convolution_sum(m: int, j: int) -> int:
     """sum_{k=1}^{j+1} (-1)^(k+1) (2k-1) C(m,k+j) C(m,j-k+1).
 
     Equals (j+1) C(m, j+1); defined (and zero) at j = -1 as an empty sum.
+    Visits k from max(1, j+1-m) to min(j+1, m-j), where both binomials are
+    in range.
     """
-    return sum(
-        (-1) ** (k + 1) * (2 * k - 1) * binom(m, k + j) * binom(m, j - k + 1)
-        for k in range(1, j + 2)
-    )
+    comb = math.comb
+    total = 0
+    for k in range(max(1, j + 1 - m), min(j + 1, m - j) + 1):
+        term = (2 * k - 1) * comb(m, k + j) * comb(m, j - k + 1)
+        if k & 1:
+            total += term
+        else:
+            total -= term
+    return total
 
 
 def square_convolution_sum(m: int, j: int) -> int:
     """C(m,j)^2 + 2 sum_{k=1}^{j} (-1)^k C(m,j-k) C(m,j+k).
 
-    Equals C(m, j).
+    Equals C(m, j).  Visits k from max(1, j-m) to min(j, m-j), where both
+    binomials are in range.
     """
-    return binom(m, j) ** 2 + 2 * sum(
-        (-1) ** k * binom(m, j - k) * binom(m, j + k) for k in range(1, j + 1)
-    )
+    comb = math.comb
+    total = 0
+    for k in range(max(1, j - m), min(j, m - j) + 1):
+        term = comb(m, j - k) * comb(m, j + k)
+        if k & 1:
+            total -= term
+        else:
+            total += term
+    return binom(m, j) ** 2 + 2 * total
 
 
 def weighted_sum_recurrence_holds(m: int, j: int) -> bool:
@@ -161,10 +192,19 @@ def absorption_identity_holds(m: int, k: int) -> bool:
 
 
 def alternating_sum_identity_holds(m: int, r: int) -> bool:
-    """(-1)^r C(m-1,r) = sum_{k=0}^{r} (-1)^k C(m,k)."""
-    return (-1) ** r * binom(m - 1, r) == sum(
-        (-1) ** k * binom(m, k) for k in range(r + 1)
-    )
+    """(-1)^r C(m-1,r) = sum_{k=0}^{r} (-1)^k C(m,k).
+
+    The sum visits k up to min(r, m), where C(m, k) is in range.
+    """
+    comb = math.comb
+    rhs = 0
+    for k in range(min(r, m) + 1):
+        if k & 1:
+            rhs -= comb(m, k)
+        else:
+            rhs += comb(m, k)
+    lhs = binom(m - 1, r)
+    return (-lhs if r % 2 else lhs) == rhs
 
 
 def bracket_closed_form_check(m: int, k: int) -> bool:

@@ -92,10 +92,12 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     (so that zeros at round angles never land exactly on grid nodes),
     narrows each sign change by Illinois regula falsi (Dowell and Jarratt
     1971; the midpoint when the secant point leaves the bracket) to a
-    bracket of 1e-8, and reads its midpoint as a line angle in [0, pi); a
-    line within 1e-6 below pi is the line at 0.  Returns (number of lines,
-    sorted ray angles in [0, 2pi)), the rays being each line and its
-    antipode.  Tangential zeros without sign change are invisible to
+    bracket of 1e-8.  The line angle in [0, pi) is the evaluated point of
+    smallest |h| (the bracket ends included), a secant point within rounding
+    noise of the root, not the bracket's midpoint, which lies up to 5e-9
+    from it; a line within 1e-6 below pi is the line at 0.  Returns (number
+    of lines, sorted ray angles in [0, 2pi)), the rays being each line and
+    its antipode.  Tangential zeros without sign change are invisible to
     this scan, and so are two zeros closer than the grid step; the
     supported form families only have transversal alignment zeros.  The
     scan reads the exact alignment form, converted once to the Fourier
@@ -120,6 +122,7 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
         elif h0 * h1 < 0.0:
             lo, hi = grid[i], grid[i + 1]
             flo, fhi = h0, h1
+            root, best = (lo, abs(h0)) if abs(h0) < abs(h1) else (hi, abs(h1))
             # Illinois: halve the value kept at an end that stays put twice
             # running, so that both ends close in on the root
             kept = 0
@@ -128,8 +131,9 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
                 if not lo < mid < hi:
                     mid = (lo + hi) / 2.0
                 fmid = _alignment(terms, odd, mid)
+                if abs(fmid) < best:
+                    root, best = mid, abs(fmid)
                 if fmid == 0.0:
-                    lo = hi = mid
                     break
                 if flo * fmid < 0.0:
                     hi, fhi = mid, fmid
@@ -141,7 +145,6 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
                     if kept > 0:
                         fhi /= 2.0
                     kept = 1
-            root = (lo + hi) / 2.0
         else:
             continue
         line = root % math.pi

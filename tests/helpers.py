@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library code paths they check:
 dict-based convolution for products, repeated complex multiplication for
-the saddle family, and an interval-Descartes bisection isolator for real
-root counts.
+the saddle family, an interval-Descartes bisection isolator for real
+root counts, and the identity sums of combinat written term by term.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 
 from hesstop.classify import NonnegativityCertificate, SignCertificate, Verdict
+from hesstop.combinat import binom
+from hesstop.errors import DomainError
 from hesstop.isotopy import IsotopyCertificate
 from hesstop.polyalg import HomoPoly
 
@@ -340,3 +342,79 @@ def reference_trace(w, seeds: int) -> list[list[tuple[float, float]]]:
         for sign in (1.0, -1.0):
             curves.append(leaf(x, y, (sign * math.cos(theta), sign * math.sin(theta))))
     return curves
+
+
+# Literal identity sums: the term-by-term bodies the combinat module used
+# before it moved its hot loops onto ints, with Fraction for the 1/m factor,
+# (-1) ** k for the signs and the range-guarded binom for every binomial.
+# They are the reference the rewritten sums must match cell by cell.
+
+
+def _literal_require_even(m: int, minimum: int) -> None:
+    if m < minimum or m % 2 != 0:
+        raise DomainError(f"needs even m >= {minimum}, got {m}")
+
+
+def literal_raw_coeff_head(m: int, j: int) -> int:
+    _literal_require_even(m, 2)
+    if not 0 <= j <= (m - 2) // 2:
+        raise DomainError(f"j out of range for m={m}: {j}")
+    inner = sum(
+        binom(m - 1, 2 * k) * binom(m - 1, 2 * j - 2 * k)
+        - binom(m - 1, 2 * k + 1) * binom(m - 1, 2 * j - 2 * k - 1)
+        for k in range(j)
+    )
+    return (-1) ** j * (binom(m - 1, 2 * j) + inner)
+
+
+def literal_raw_coeff_middle(m: int) -> int:
+    _literal_require_even(m, 2)
+    inner = sum(
+        binom(m - 1, 2 * k + 1) * (binom(m - 1, 2 * k + 2) - binom(m - 1, 2 * k))
+        for k in range(m // 2 - 1)
+    )
+    return (-1) ** (m // 2) * (1 - m + inner)
+
+
+def literal_raw_coeff_tail(m: int, j: int) -> int:
+    _literal_require_even(m, 4)
+    if not 1 <= j <= (m - 2) // 2:
+        raise DomainError(f"j out of range for m={m}: {j}")
+    inner = sum(
+        binom(m - 1, 2 * k + 2 * j) * binom(m - 1, 2 * k + 1)
+        - binom(m - 1, 2 * k) * binom(m - 1, 2 * k + 2 * j - 1)
+        for k in range(m // 2 - j)
+    )
+    return (-1) ** (m // 2 + j - 1) * (-binom(m - 1, 2 * j - 1) + inner)
+
+
+def literal_vanishing_alternating_sum(m: int, j: int) -> Fraction:
+    if m < 1 or j < 0 or j > m - 1:
+        raise DomainError(f"needs m >= 1 and 0 <= j <= m-1, got m={m}, j={j}")
+    total = Fraction(0)
+    for k in range(1, j + 1):
+        total += (
+            (-1) ** k
+            * binom(m, j + k)
+            * (1 + Fraction(1 - 2 * k, m) * binom(m, j - k + 1))
+        )
+    return total
+
+
+def literal_weighted_convolution_sum(m: int, j: int) -> int:
+    return sum(
+        (-1) ** (k + 1) * (2 * k - 1) * binom(m, k + j) * binom(m, j - k + 1)
+        for k in range(1, j + 2)
+    )
+
+
+def literal_square_convolution_sum(m: int, j: int) -> int:
+    return binom(m, j) ** 2 + 2 * sum(
+        (-1) ** k * binom(m, j - k) * binom(m, j + k) for k in range(1, j + 1)
+    )
+
+
+def literal_alternating_sum_identity_holds(m: int, r: int) -> bool:
+    return (-1) ** r * binom(m - 1, r) == sum(
+        (-1) ** k * binom(m, k) for k in range(r + 1)
+    )

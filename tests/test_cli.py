@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -300,6 +301,14 @@ class TestFoliate:
         code, out, _ = run(capsys, "foliate", "--family", "P:120", "--json")
         assert code == 0
         assert json.loads(out)["separatrix_lines"] == 120
+
+    def test_printed_rays_are_correctly_rounded(self, capsys):
+        code, out, _ = run(capsys, "foliate", "--family", "P:120", "--json")
+        assert code == 0
+        rays = json.loads(out)["ray_angles"]
+        exact = [(2 * k + 1) * math.pi / 240 for k in range(240)]
+        assert len(rays) == 240
+        assert ["%.9f" % a for a in rays] == ["%.9f" % a for a in exact]
 
 
 class TestCertifyExactIndex:

@@ -19,6 +19,16 @@ from hesstop.combinat import (
 )
 from hesstop.errors import DomainError
 
+from helpers import (
+    literal_alternating_sum_identity_holds,
+    literal_raw_coeff_head,
+    literal_raw_coeff_middle,
+    literal_raw_coeff_tail,
+    literal_square_convolution_sum,
+    literal_vanishing_alternating_sum,
+    literal_weighted_convolution_sum,
+)
+
 
 class TestBinom:
     def test_zero_outside_range(self):
@@ -117,6 +127,45 @@ class TestClassicalIdentities:
         for m in range(1, 61):
             for r in range(m):
                 assert alternating_sum_identity_holds(m, r)
+
+
+def _outcome(fn, *args):
+    """The value and its type, or the exception type, of fn(*args)."""
+    try:
+        value = fn(*args)
+    except DomainError as exc:
+        return ("raises", type(exc))
+    return ("value", value, type(value))
+
+
+# m in -2..60 and j in -3..m+3: the empty sum at j = -1, out-of-range j on
+# both sides and the domain guards of the raw sums and the vanishing sum
+LITERAL_GRID = [(m, j) for m in range(-2, 61) for j in range(-3, m + 4)]
+
+
+class TestLiteralReference:
+    """The int sums of combinat against the literal term-by-term sums."""
+
+    @pytest.mark.parametrize("fn,literal", [
+        (raw_coeff_head, literal_raw_coeff_head),
+        (raw_coeff_tail, literal_raw_coeff_tail),
+        (vanishing_alternating_sum, literal_vanishing_alternating_sum),
+        (weighted_convolution_sum, literal_weighted_convolution_sum),
+        (square_convolution_sum, literal_square_convolution_sum),
+        (alternating_sum_identity_holds, literal_alternating_sum_identity_holds),
+    ], ids=lambda f: f.__name__)
+    def test_matches_literal_sum_on_grid(self, fn, literal):
+        for m, j in LITERAL_GRID:
+            assert _outcome(fn, m, j) == _outcome(literal, m, j), (m, j)
+
+    def test_middle_matches_literal_sum(self):
+        for m in range(-2, 61):
+            assert _outcome(raw_coeff_middle, m) == _outcome(literal_raw_coeff_middle, m), m
+
+    def test_vanishing_sum_stays_a_fraction(self):
+        for m, j in LITERAL_GRID:
+            if 1 <= m and 0 <= j <= m - 1:
+                assert type(vanishing_alternating_sum(m, j)) is Fraction
 
 
 class TestBracketClosedForm:

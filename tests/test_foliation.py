@@ -107,6 +107,15 @@ class TestSeparatrices:
         assert len(rays) == len(exact)
         assert max(abs(got - want) for got, want in zip(rays, exact)) <= _ALIGN_TOL
 
+    @pytest.mark.parametrize("m", [7, 120, 1024])
+    def test_saddle_rays_are_the_roots_to_rounding(self, m):
+        # the ray is the evaluated point of smallest |h|, a secant point at
+        # the root, not the midpoint of the final 1e-8 bracket
+        _, rays = count_separatrices(second_fundamental_form(saddle_family(m)))
+        exact = [(2 * k + 1) * math.pi / (2 * m) for k in range(2 * m)]
+        assert len(rays) == len(exact)
+        assert max(abs(got - want) for got, want in zip(rays, exact)) <= 1e-12
+
     def test_alignment_form_of_second_fundamental_form(self):
         # Euler: x^2 f_xx + 2xy f_xy + y^2 f_yy = n(n - 1) f
         f = parse("3*x^5 - 2/3*x^2*y^3 + x*y^4 - 7*y^5")
