@@ -26,7 +26,6 @@ from .foliation import (
 from .isotopy import (
     IsotopyCertificate,
     certify_gradient_term_path,
-    certify_path_positivity,
     certify_product_isotopy,
 )
 from .lineindex import (

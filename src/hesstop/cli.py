@@ -5,9 +5,9 @@ failure, 2 on usage errors (bad flags, unparseable polynomials, values out
 of range).  Polynomials are accepted as text (--poly) or as family
 shortcuts (--family P:m, Q:k or f:m,k).  A degree below what a command
 needs (census --n 3, a form 2, the q of verify-ineq 1) or above
-polyalg.MAX_DEGREE, verify-identities --m-max outside 4..MAX_IDENTITY_M
-(the checks cost about m^4) and foliate --seeds outside
-1..foliation.MAX_SEEDS are usage errors.
+polyalg.MAX_DEGREE (for a pair, deg p + deg q), verify-identities
+--m-max outside 4..MAX_IDENTITY_M (the checks cost about m^4) and foliate
+--seeds outside 1..foliation.MAX_SEEDS are usage errors.
 
 index, certify and census --certify read origin indexes exactly
 (origin_index); index first proves the form hyperbolic and exits 1 naming
@@ -26,8 +26,13 @@ JSON shapes: classify prints {"classification": label, "certificate":
 {"pairing_nonpositive": bool, "certificate": {...}}, the certificate of
 -hessian_pairing(p, q) >= 0, whose witness is a point where the pairing is
 positive; certify prints "certified" (the two exact origin indexes agree: a
-returned isotopy certificate has passed every hypothesis) beside the
-certificate and both indexes.  With --certify, census gives each row
+returned isotopy certificate has passed every hypothesis), "certificate",
+"index_product" and "index_factor", or {"certified": false,
+"failed_hypothesis": name}.  The certificate's "hypotheses" are
+q_elliptic, p_hyperbolic, q_positive, pairing_nonpositive and
+product_hyperbolic, each with its exact certificate, and
+gradient_term_leg, a nested certificate whose hypotheses are p_hyperbolic,
+q_positive and pairing_nonpositive.  With --certify, census gives each row
 "certified" and, on failure, "failed" (the hypothesis or exception class).
 ``python -m hesstop`` runs :func:`main`.  When the reader of stdout goes
 away early (``| head -1``), main stops quietly with exit code 1.
@@ -116,8 +121,8 @@ def _load_poly(args, floor: int) -> HomoPoly:
 
 
 def _load_pair(args, q_floor: int) -> tuple[HomoPoly, HomoPoly]:
-    """(p, q) from --family f:m,k or from --p and --q; deg p >= 2 and
-    deg q >= q_floor."""
+    """(p, q) from --family f:m,k or from --p and --q; deg p >= 2,
+    deg q >= q_floor and deg p + deg q <= MAX_DEGREE."""
     if args.family is not None:
         if args.p or args.q:
             raise UsageError("--family excludes --p/--q")
@@ -135,6 +140,7 @@ def _load_pair(args, q_floor: int) -> tuple[HomoPoly, HomoPoly]:
         p, q = _parse(args.p), _parse(args.q)
     _check_degree(p.degree, "the degree of p", 2)
     _check_degree(q.degree, "the degree of q", q_floor)
+    _check_degree(p.degree + q.degree, "the degree of p*q")
     return p, q
 
 

@@ -7,11 +7,20 @@ affine path joins a form w to w + delta when delta is nowhere hyperbolic;
 there positivity on t in [0, 1] follows from positivity at both endpoints
 plus concavity (the t^2 coefficient is nonpositive).
 
-Certificates are data, not booleans: every hypothesis is carried as the
-exact SignCertificate or NonnegativityCertificate that proved it, so the
-CLI can emit an auditable trail.  A failing hypothesis raises
+Five signs are proved, each by one kernel call on one polynomial: q
+elliptic, p hyperbolic, q positive, the hessian pairing nonpositive and pq
+hyperbolic.  Every other sign is read from an exact polynomial identity
+that writes the coefficient as a product of proved signs and squares:
+a0 = q^2 disc II_p, a1 = -2q * pairing and a2 = (p_x q_y - p_y q_x)^2 on
+the gradient-term path; on the affine path the start is a0 + a1 + a2, the
+t^2 coefficient is p^2 disc II_q and the end is disc II_{pq}.  Each
+identity is checked coefficient by coefficient at run time; it holds for
+every input, so a failure is an internal error.
+
+Certificates are data, not booleans: every proved hypothesis is carried as
+the exact SignCertificate or NonnegativityCertificate that proved it, so
+the CLI can emit an auditable trail.  A failing hypothesis raises
 PreconditionFailed with its name, so every returned certificate holds.
-Each sign question is one kernel call on one Sturm chain per slice.
 """
 
 from __future__ import annotations
@@ -19,19 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import (
-    NonnegativityCertificate,
-    SignCertificate,
     Verdict,
-    certify_nonnegative,
     certify_pairing_nonpositive,
     is_elliptic,
     is_hyperbolic,
     sign_on_punctured_plane,
 )
 from .errors import PreconditionFailed
-from .polyalg import HomoPoly, format_poly, multiply
+from .polyalg import HomoPoly, format_poly, multiply, partial
 from .quadform import (
+    discriminant,
     gradient_product_form,
+    hessian_pairing,
     path_discriminant_coeffs,
     second_fundamental_form,
 )
@@ -48,7 +56,7 @@ class IsotopyCertificate:
 
     ``t_coefficients`` are (a0, a1, a2) of the path discriminant as a
     quadratic in t; ``branch`` names the sufficient condition that closed
-    the argument; ``verdicts`` maps each checked condition to its exact
+    the argument; ``verdicts`` maps each proved hypothesis to its exact
     certificate.
     """
 
@@ -80,70 +88,46 @@ def _require(name: str, holds: bool, detail: str) -> None:
         raise PreconditionFailed(name, detail)
 
 
-def _positive(name: str, p: HomoPoly, detail: str) -> SignCertificate:
-    cert = sign_on_punctured_plane(p)
-    _require(name, cert.verdict is Verdict.POSITIVE, detail)
-    return cert
-
-
-def _nonnegative(name: str, p: HomoPoly, detail: str) -> NonnegativityCertificate:
-    cert = certify_nonnegative(p)
-    _require(name, cert.nonnegative, detail)
-    return cert
-
-
-def certify_path_positivity(a0: HomoPoly, a1: HomoPoly, a2: HomoPoly) -> dict:
-    """Certify a0 + t a1 + t^2 a2 > 0 on the punctured plane for t in [0,1].
-
-    Sufficient conditions, checked in this order: a2 <= 0, a0 > 0 and
-    a0 + a1 + a2 > 0.  With a nonpositive quadratic coefficient the path is
-    concave in t, so interior positivity follows from the endpoints.
-    Returns the three certificates by name; the first failing condition
-    raises PreconditionFailed with its name.
-    """
-    return {
-        "quadratic_term_nonpositive": _nonnegative(
-            "quadratic_term_nonpositive", -a2, "t^2 coefficient takes positive values"
-        ),
-        "start_positive": _positive("start_positive", a0, "not positive at t=0"),
-        "end_positive": _positive("end_positive", a0 + a1 + a2, "not positive at t=1"),
-    }
+def _identity(name: str, lhs, rhs) -> None:
+    _require(name, lhs == rhs, "an exact identity did not hold (internal error)")
 
 
 def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     """Certify that q*II_p + 2t dp dq is hyperbolic off the origin for all
     t in [0, 1].
 
-    Hypotheses: p hyperbolic, q positive on the punctured plane, and
-    hessian_pairing(p, q) <= 0 everywhere.  Then a0 = q^2 (disc II_p) is
-    strictly positive, a1 = -2 q hessian_pairing(p, q) is nonnegative and
-    a2 = (p_x q_y - p_y q_x)^2 is a square, which is stronger than the
-    concavity route needs.
+    Proved, in this order: p hyperbolic, q positive on the punctured plane,
+    and hessian_pairing(p, q) <= 0 everywhere.  Read from identities: a0 =
+    q^2 (disc II_p) is strictly positive, a1 = -2 q hessian_pairing(p, q)
+    is nonnegative and a2 = (p_x q_y - p_y q_x)^2 is a square.
     """
     hyp_ok, hyp_cert = is_hyperbolic(p)
     _require("p_hyperbolic", hyp_ok, "first argument is not hyperbolic")
-    q_pos = _positive(
-        "q_positive", q, "second argument is not positive on the punctured plane"
+    q_pos = sign_on_punctured_plane(q)
+    _require(
+        "q_positive",
+        q_pos.verdict is Verdict.POSITIVE,
+        "second argument is not positive on the punctured plane",
     )
     pairing = certify_pairing_nonpositive(p, q)
     _require("pairing_nonpositive", pairing.nonnegative, "hessian pairing is positive")
 
-    omega = second_fundamental_form(p).scale(q)
-    delta = gradient_product_form(p, q)
-    a0, a1, a2 = path_discriminant_coeffs(omega, delta)
-    verdicts = {
-        "p_hyperbolic": hyp_cert,
-        "q_positive": q_pos,
-        "pairing_nonpositive": pairing,
-        "a0_positive": _positive("a0_positive", a0, "not positive at t=0"),
-        "a1_nonnegative": _nonnegative("a1_nonnegative", a1, "t coefficient negative"),
-        "a2_nonnegative": _nonnegative("a2_nonnegative", a2, "t^2 coefficient negative"),
-    }
+    ii_p = second_fundamental_form(p)
+    a0, a1, a2 = path_discriminant_coeffs(ii_p.scale(q), gradient_product_form(p, q))
+    px, py = partial(p, "x"), partial(p, "y")
+    jac = multiply(px, partial(q, "y")) - multiply(py, partial(q, "x"))
+    _identity("a0_identity", a0, multiply(multiply(q, q), discriminant(ii_p)))
+    _identity("a1_identity", a1, -2 * multiply(q, hessian_pairing(p, q)))
+    _identity("a2_identity", a2, multiply(jac, jac))
     return IsotopyCertificate(
         kind=GRADIENT_TERM_PATH,
         t_coefficients=(a0, a1, a2),
         branch="all-t-coefficients-nonnegative",
-        verdicts=verdicts,
+        verdicts={
+            "p_hyperbolic": hyp_cert,
+            "q_positive": q_pos,
+            "pairing_nonpositive": pairing,
+        },
         conclusion="q*II_p + 2t dp dq is hyperbolic off the origin for t in [0,1]",
     )
 
@@ -151,15 +135,18 @@ def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
 def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     """Certify that II_{pq} and II_p are joined by hyperbolic isotopies.
 
-    All hypotheses are checked and certified internally, each once, in this
-    order: q elliptic; then the gradient-term leg, which proves p
-    hyperbolic, q positive off the origin and the hessian pairing
-    nonpositive; then pq hyperbolic; then the affine leg.  The first
-    failing hypothesis is named by the PreconditionFailed raised.
+    Five hypotheses are proved, each by one kernel call, in this order: q
+    elliptic; then the gradient-term leg, which proves p hyperbolic, q
+    positive off the origin and the hessian pairing nonpositive; then pq
+    hyperbolic.  The first failing hypothesis is named by the
+    PreconditionFailed raised.
 
     The affine leg deforms II_{pq} to w = q*II_p + 2 dp dq using the exact
-    split II_{pq} = p*II_q + q*II_p + 2 dp dq with delta = p*II_q nowhere
-    hyperbolic (its discriminant is p^2 disc II_q <= 0 by ellipticity of q).
+    split II_{pq} = p*II_q + q*II_p + 2 dp dq with delta = p*II_q.  Its
+    signs are read from identities: the start is the gradient-term leg at
+    t = 1, a0 + a1 + a2 > 0; the t^2 coefficient is p^2 disc II_q <= 0 as
+    q is elliptic; the end is disc II_{pq} > 0 as pq is hyperbolic.  A
+    concave quadratic in t positive at both ends stays positive between.
     The gradient-term leg then removes the 2 dp dq summand.  Finally
     q*II_p has the same null directions as II_p because q is positive.
     """
@@ -170,16 +157,16 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     prod_ok, f_cert = is_hyperbolic(f)
     _require("product_hyperbolic", prod_ok, "the product is not hyperbolic")
 
+    ii_q, ii_f = second_fundamental_form(q), second_fundamental_form(f)
     omega = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
-    delta = second_fundamental_form(q).scale(p)
-    _require(
-        "product_form_split",
-        (second_fundamental_form(f) - (omega + delta)).is_zero,
-        "II_{pq} did not split exactly (internal error)",
-    )
+    delta = ii_q.scale(p)
+    _identity("product_form_split", ii_f, omega + delta)
 
     a0, a1, a2 = path_discriminant_coeffs(omega, delta)
-    affine_verdicts = certify_path_positivity(a0, a1, a2)
+    g0, g1, g2 = gradient_leg.t_coefficients
+    _identity("affine_a0_identity", a0, g0 + g1 + g2)
+    _identity("affine_a2_identity", a2, multiply(multiply(p, p), discriminant(ii_q)))
+    _identity("affine_end_identity", a0 + a1 + a2, discriminant(ii_f))
 
     leg = gradient_leg.verdicts
     verdicts = {
@@ -188,11 +175,6 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
         "q_positive": leg["q_positive"],
         "product_hyperbolic": f_cert,
         "pairing_nonpositive": leg["pairing_nonpositive"],
-        "affine_start_positive": affine_verdicts["start_positive"],
-        "affine_end_positive": affine_verdicts["end_positive"],
-        "affine_quadratic_term_nonpositive": affine_verdicts[
-            "quadratic_term_nonpositive"
-        ],
         "gradient_term_leg": gradient_leg,
     }
     return IsotopyCertificate(

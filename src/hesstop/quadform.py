@@ -152,8 +152,9 @@ def path_discriminant_coeffs(
     quadratic in t.
 
     a0 = w.b^2 - w.a w.c, a1 = 2 w.b d.b - w.a d.c - w.c d.a (the bilinear
-    polarization of the discriminant), a2 = d.b^2 - d.a d.c.  Downstream
-    isotopy certificates analyse the sign of each coefficient.
+    polarization of the discriminant), a2 = d.b^2 - d.a d.c.  The isotopy
+    certificates read each coefficient's sign from an exact identity that
+    writes it through proved signs and squares, not from its own kernel call.
     """
     a0 = discriminant(w)
     a1 = (

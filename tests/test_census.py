@@ -99,7 +99,15 @@ class TestCertifyRow:
         assert bundle["index"].value == F(-1)
 
     def test_each_hypothesis_proved_once(self, monkeypatch):
-        calls = {"is_hyperbolic": [], "is_elliptic": [], "certify_pairing_nonpositive": []}
+        # the four named hypotheses plus the one direct kernel call (q_positive);
+        # every other sign of the isotopy is read from an identity
+        calls = {
+            "is_hyperbolic": [],
+            "is_elliptic": [],
+            "certify_pairing_nonpositive": [],
+            "sign_on_punctured_plane": [],
+            "certify_nonnegative": [],
+        }
 
         def counted(fn, seen):
             def wrapper(*args):
@@ -119,6 +127,8 @@ class TestCertifyRow:
             "is_hyperbolic": 2,
             "is_elliptic": 1,
             "certify_pairing_nonpositive": 1,
+            "sign_on_punctured_plane": 1,
+            "certify_nonnegative": 0,
         }
         (first,), (second,) = calls["is_hyperbolic"]
         assert first != second

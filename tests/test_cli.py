@@ -224,6 +224,21 @@ class TestCertify:
         data = json.loads(out)
         assert data["certified"] is True
         assert data["index_product"] == data["index_factor"] == "-1/2"
+        hypotheses = data["certificate"]["hypotheses"]
+        assert {h["name"] for h in hypotheses} == {
+            "q_elliptic",
+            "p_hyperbolic",
+            "q_positive",
+            "pairing_nonpositive",
+            "product_hyperbolic",
+            "gradient_term_leg",
+        }
+        (leg,) = [h for h in hypotheses if h["name"] == "gradient_term_leg"]
+        assert {h["name"] for h in leg["hypotheses"]} == {
+            "p_hyperbolic",
+            "q_positive",
+            "pairing_nonpositive",
+        }
 
     def test_failing_pair_reports_hypothesis(self, capsys):
         code, out, _ = run(
@@ -384,6 +399,8 @@ class TestUsage:
             ("index", "--family", "P:100000000"),
             ("classify", "--family", "Q:600"),
             ("certify", "--family", "f:1000,20"),
+            ("certify", "--p", "x^1024 - y^1024", "--q", "x^2 + y^2"),
+            ("verify-ineq", "--p", "x^1024 - y^1024", "--q", "x^2 + y^2"),
             ("census", "--n", "1025", "--certify"),
         ],
     )

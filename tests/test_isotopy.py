@@ -2,15 +2,11 @@ import math
 
 import pytest
 
-from hesstop.classify import Verdict
+from hesstop import isotopy
+from hesstop.classify import certify_nonnegative
 from hesstop.errors import PreconditionFailed
-from hesstop.isotopy import (
-    certify_gradient_term_path,
-    certify_path_positivity,
-    certify_product_isotopy,
-)
+from hesstop.isotopy import certify_gradient_term_path, certify_product_isotopy
 from hesstop.polyalg import (
-    HomoPoly,
     multiply,
     parse,
     partial,
@@ -21,40 +17,33 @@ from hesstop.quadform import (
     discriminant,
     gradient_product_form,
     hessian_pairing,
+    path_discriminant_coeffs,
     second_fundamental_form,
 )
 
 from helpers import hypotheses_hold, random_homopoly
 
 
-class TestPathPositivity:
-    def test_constant_positive_path(self):
-        one = HomoPoly.constant(1)
-        zero = HomoPoly.zero(0)
-        verdicts = certify_path_positivity(one, zero, zero)
-        assert verdicts["start_positive"].verdict is Verdict.POSITIVE
+def checked_t_coefficients(p, q):
+    """(a0, a1, a2) of the gradient-term leg and of the affine leg for the
+    pair, after asserting the identities the certificates read their signs
+    from: a0 = q^2 disc II_p, a1 = -2q * pairing, a2 = (p_x q_y - p_y q_x)^2;
+    then A0 = a0 + a1 + a2, A2 = p^2 disc II_q, A0 + A1 + A2 = disc II_{pq}."""
+    ii_p, ii_q = second_fundamental_form(p), second_fundamental_form(q)
+    dpdq = gradient_product_form(p, q)
+    a0, a1, a2 = path_discriminant_coeffs(ii_p.scale(q), dpdq)
+    jac = multiply(partial(p, "x"), partial(q, "y")) - multiply(
+        partial(p, "y"), partial(q, "x")
+    )
+    assert a0 == multiply(multiply(q, q), discriminant(ii_p))
+    assert a1 == (-2) * multiply(q, hessian_pairing(p, q))
+    assert a2 == multiply(jac, jac)
 
-    def test_positive_quadratic_term_rejected(self):
-        one = HomoPoly.constant(1)
-        with pytest.raises(PreconditionFailed) as exc:
-            certify_path_positivity(one, HomoPoly.constant(-3), one)
-        assert exc.value.hypothesis == "quadratic_term_nonpositive"
-
-    def test_negative_start_is_named(self):
-        minus_one, zero = HomoPoly.constant(-1), HomoPoly.zero(0)
-        with pytest.raises(PreconditionFailed) as exc:
-            certify_path_positivity(minus_one, zero, zero)
-        assert exc.value.hypothesis == "start_positive"
-
-    def test_product_pair_data(self):
-        p, q = saddle_family(3), radial_family(1)
-        from hesstop.quadform import path_discriminant_coeffs
-
-        omega = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
-        delta = second_fundamental_form(q).scale(p)
-        a0, a1, a2 = path_discriminant_coeffs(omega, delta)
-        verdicts = certify_path_positivity(a0, a1, a2)
-        assert verdicts["quadratic_term_nonpositive"].nonnegative
+    A0, A1, A2 = path_discriminant_coeffs(ii_p.scale(q) + dpdq, ii_q.scale(p))
+    assert A0 == a0 + a1 + a2
+    assert A2 == multiply(multiply(p, p), discriminant(ii_q))
+    assert A0 + A1 + A2 == discriminant(second_fundamental_form(multiply(p, q)))
+    return (a0, a1, a2), (A0, A1, A2)
 
 
 class TestGradientTermPath:
@@ -74,17 +63,17 @@ class TestGradientTermPath:
             certify_gradient_term_path(radial_family(1), radial_family(1))
         assert exc.value.hypothesis == "p_hyperbolic"
 
-    def test_t_coefficient_identities(self):
-        # a1 = -2 q * pairing, a2 = discriminant of the gradient form, exactly
+    def test_t_coefficient_identities(self, rng):
         for m, k in [(3, 1), (4, 2), (5, 1), (6, 3)]:
             p, q = saddle_family(m), radial_family(k)
-            cert = certify_gradient_term_path(p, q)
-            a0, a1, a2 = cert.t_coefficients
-            assert a1 == (-2) * multiply(q, hessian_pairing(p, q))
-            assert a2 == discriminant(gradient_product_form(p, q))
-            assert a0 == multiply(
-                multiply(q, q), discriminant(second_fundamental_form(p))
-            )
+            gradient, affine = checked_t_coefficients(p, q)
+            assert certify_gradient_term_path(p, q).t_coefficients == gradient
+            assert certify_product_isotopy(p, q).t_coefficients == affine
+            # on product data (q elliptic) the affine t^2 coefficient is <= 0
+            assert certify_nonnegative(-affine[2]).nonnegative
+        for _ in range(60):
+            p = random_homopoly(rng, rng.randint(2, 6))
+            checked_t_coefficients(p, random_homopoly(rng, rng.randint(2, 6)))
 
 
 class TestProductIsotopy:
@@ -107,6 +96,34 @@ class TestProductIsotopy:
         with pytest.raises(PreconditionFailed) as exc:
             certify_product_isotopy(saddle_family(3), parse("-x^2 - y^2"))
         assert exc.value.hypothesis == "q_positive"
+
+    @pytest.mark.parametrize(
+        "leg, slot, name",
+        [
+            (0, 0, "a0_identity"),
+            (0, 1, "a1_identity"),
+            (0, 2, "a2_identity"),
+            (1, 0, "affine_a0_identity"),
+            (1, 1, "affine_end_identity"),
+            (1, 2, "affine_a2_identity"),
+        ],
+    )
+    def test_broken_identity_is_named(self, monkeypatch, leg, slot, name):
+        # the signs read from identities hold only while each identity is
+        # checked: a doubled coefficient on either leg is refused by name
+        legs = []
+
+        def tampered(w, d):
+            coeffs = list(path_discriminant_coeffs(w, d))
+            if len(legs) == leg:
+                coeffs[slot] = 2 * coeffs[slot]
+            legs.append(coeffs)
+            return tuple(coeffs)
+
+        monkeypatch.setattr(isotopy, "path_discriminant_coeffs", tampered)
+        with pytest.raises(PreconditionFailed) as exc:
+            certify_product_isotopy(saddle_family(3), radial_family(1))
+        assert exc.value.hypothesis == name
 
     def test_json_schema(self):
         cert = certify_product_isotopy(saddle_family(3), radial_family(1))
