@@ -14,17 +14,23 @@ are integral (see polyalg), so the slice of an integer form is copied as it
 is; only a form with a denominator above 1 is scaled by the lcm first.
 Root counts come from Sturm chains built as primitive remainder sequences
 (Collins 1967, Brown 1971) with a sign-preserving pseudo-remainder,
-evaluated at t = p/q as q^deg * u(p/q).
-Semidefinite questions (p >= 0 with zeros allowed) are settled by Yun
-squarefree factorization over Z: p >= 0 iff the product of odd-multiplicity
-factors has no real root, the leading constant is positive and p(0,1) >= 0.
+evaluated at t = p/q as q^deg * u(p/q).  Isolation bisects from +-B, where
+B is a power of two above every root's modulus (Fujiwara 1916), so every
+bisection point is dyadic.
 
 Each public call builds at most one Sturm chain per distinct polynomial and
-isolates at most once.  The slice's chain counts its roots, drives the
-isolation, and ends in gcd(u, u'), which is Yun's first gcd (Basu, Pollack
-and Roy, Algorithms in Real Algebraic Geometry, ch. 2); only a squarefree
-part or an odd part that differs from the slice gets a chain of its own.
-Early answers (zero form, odd degree, p(0, 1) < 0) build none.
+isolates at most once.  The slice's chain counts its roots and drives the
+isolation; only a squarefree part that differs from the slice gets a chain
+of its own.  Early answers (zero form, odd degree, p(0, 1) < 0 for p >= 0)
+build none.
+
+Both kinds of sign question take the same route.  A slice with real roots
+is probed at the isolating intervals' ends and the midpoints between them,
+which meets every open interval between adjacent distinct roots, and at
++-B, beyond both ends.  u has one sign off its roots exactly when no probe
+has the sign opposite to a nonzero sample, so p >= 0 with zeros allowed is
+read off the strict sign certificate (Basu, Pollack and Roy, Algorithms in
+Real Algebraic Geometry, ch. 2 and 10).
 
 Two certificate types leave the kernel: SignCertificate for strict sign
 questions and NonnegativityCertificate for p >= 0 questions, including the
@@ -37,11 +43,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Optional
 
 from .errors import DomainError
-from .polyalg import HomoPoly, _convolve, _numerators
+from .polyalg import HomoPoly, _numerators
 from .quadform import discriminant, hessian_pairing, second_fundamental_form
 
 Point = tuple[Fraction, Fraction]
@@ -80,10 +85,6 @@ def _eval_at(u: list[int], t) -> int:
 
 def _deriv(u: list[int]) -> list[int]:
     return [u[j] * j for j in range(1, len(u))]
-
-
-def _sub(f: list[int], g: list[int]) -> list[int]:
-    return _trim([a - b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def _prem(f: list[int], g: list[int]) -> list[int]:
@@ -125,45 +126,6 @@ def _divexact(f: list[int], g: list[int]) -> list[int]:
     if f:
         raise ArithmeticError("division was not exact")
     return out
-
-
-def _gcd(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd with a positive leading coefficient, by primitive PRS."""
-    a, b = _primitive(f), _primitive(g)
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a if a[-1] > 0 else [-c for c in a]
-
-
-def _yun_squarefree(
-    u, chain: Optional[SturmChain] = None
-) -> tuple[Fraction, list[tuple[list[int], int]]]:
-    """u = lead * prod a_i^i with the a_i primitive int vectors of positive
-    leading coefficient, squarefree and pairwise coprime; u trimmed.
-
-    Yun's first gcd, gcd(u, u'), is the last entry of u's Sturm chain made
-    positive; ``chain`` is that chain when the caller already has it.
-    """
-    w = _ints(u)
-    factors: list[tuple[list[int], int]] = []
-    if len(w) > 1:
-        g = (chain or SturmChain.of(w)).polys[-1]
-        if g[-1] < 0:
-            g = [-c for c in g]
-        dw = _deriv(w)
-        c = _divexact(w, g)
-        d = _sub(_divexact(dw, g), _deriv(c))
-        i = 1
-        while len(c) > 1:
-            a = _gcd(c, d)
-            if len(a) > 1:
-                factors.append((a, i))
-                c = _divexact(c, a)
-                d = _divexact(d, a)
-            d = _sub(d, _deriv(c))
-            i += 1
-    lead = Fraction(u[-1], math.prod(a[-1] ** mult for a, mult in factors))
-    return lead, factors
 
 
 def _sign_variations(values) -> int:
@@ -226,10 +188,19 @@ def count_real_roots(u) -> int:
     return SturmChain.of(u).count_real_roots()
 
 
-def _cauchy_bound(u: list[int]) -> Fraction:
-    if len(u) == 1:
-        return Fraction(1)
-    return 1 + Fraction(max(abs(c) for c in u[:-1]), abs(u[-1]))
+def _fujiwara_bound(u: list[int]) -> Fraction:
+    """A power of two strictly above |r| for every complex root r of u.
+
+    Fujiwara (1916): |r| <= 2 max_i |c_(d-i) / c_d|^(1/i).  With bit lengths
+    |c_(d-i) / c_d| < 2^(bitlen c_(d-i) - bitlen c_d + 1), so every term is
+    below 2^e and the bound below 2^(e+1).  Dyadic ends keep the bisection's
+    midpoints dyadic, with small denominators.
+    """
+    d, lead = len(u) - 1, u[-1].bit_length()
+    # e = max over i of ceil((bitlen c_(d-i) - bitlen c_d + 1) / i)
+    e = max((-((lead - 1 - u[d - i].bit_length()) // i)
+             for i in range(1, d + 1) if u[d - i]), default=0)
+    return Fraction(2) ** (e + 1)
 
 
 def isolate_real_roots(u) -> list[tuple[Fraction, Fraction]]:
@@ -244,7 +215,7 @@ def isolate_real_roots(u) -> list[tuple[Fraction, Fraction]]:
 
 def _isolate(u: list[int], chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
     """isolate_real_roots for a nonconstant int slice u and its own chain."""
-    bound = _cauchy_bound(u) + 1
+    bound = _fujiwara_bound(u)
     if len(chain.polys[-1]) > 1:
         # every chain entry vanishes at a multiple root, so a bisection point
         # there would miscount; the squarefree part has the same roots
@@ -355,7 +326,7 @@ def _strict_violation_witness(
 ) -> Optional[Point]:
     """A rational t with sign(u(t)) == want_sign, as the point (1, t);
     ``intervals`` isolate the real roots of u."""
-    bound = _cauchy_bound(u) + 2
+    bound = _fujiwara_bound(u)
     candidates = [Fraction(0), Fraction(1), Fraction(-1), bound, -bound]
     for iv in intervals:
         candidates.extend(iv)
@@ -369,8 +340,15 @@ def _strict_violation_witness(
 
 
 def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
-    """Exact sign verdict for p on R^2 minus the origin, from one Sturm
-    chain of the slice and at most one isolation with it."""
+    """Exact sign verdict for p on R^2 minus the origin.
+
+    One Sturm chain of the slice counts its real roots.  Only a slice with
+    real roots is isolated, once; a slice with a multiple root isolates its
+    squarefree part, which builds a second chain.  The probes of a Mixed
+    verdict's search are the isolating intervals' ends, the midpoints
+    between them, 0, +-1 and +-bound, so a sign opposite to the slice's
+    nonzero sample is found whenever u takes one.
+    """
     if p.is_zero:
         return SignCertificate(Verdict.ZERO, method="all-coefficients-zero")
     # u(t) = p(1, t) as a primitive int vector; the coefficient of y^j is
@@ -412,46 +390,33 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
 
 
 def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
-    """Certify p >= 0 on the whole plane, zeros allowed.
+    """Certify p >= 0 on the whole plane, zeros allowed, read off
+    :func:`sign_on_punctured_plane`.
 
-    Route: Yun squarefree factorization of the slice.  p >= 0 iff the degree
-    is even, the odd-multiplicity part of u(t) = p(1, t) has no real root,
-    the leading constant of the factorization is positive, and p(0, 1) >= 0.
-    The slice's one Sturm chain gives Yun's first gcd, the strictness count,
-    the odd part's count when the slice is squarefree, and the isolation
-    behind a witness.
+    When p is not definite, the sign certificate has probed the slice
+    u(t) = p(1, t) in every open interval between adjacent distinct real
+    roots and beyond both ends, looking for the sign opposite to the slice's
+    nonzero sample.  So p >= 0 iff that witness is not negative, the sample
+    is positive and p(0, 1) >= 0; a failure's witness is the certificate's
+    own or the sample point.  Builds no Sturm chain of its own.
     """
     if p.is_zero:
         return NonnegativityCertificate(True, False, method="identically-zero")
-    u = _ints(p.coeffs)
-    if p.degree % 2 == 1:
-        return NonnegativityCertificate(
-            False, False, _odd_degree_witness(u), "odd-degree-sign-flip"
-        )
-
-    at_infinity = p.coeffs[p.degree]
-    if at_infinity < 0:
+    if p.degree % 2 == 0 and p.coeffs[p.degree] < 0:
         return NonnegativityCertificate(
             False, False, (Fraction(0), Fraction(1)), "negative-at-vertical-direction"
         )
-    chain = SturmChain.of(u)
-    lead, factors = _yun_squarefree(u, chain)
-    odd_part = [1]
-    for a, mult in factors:
-        if mult % 2 == 1:
-            odd_part = _convolve(odd_part, a)
-    odd_rootless = len(odd_part) == 1 or (
-        chain if odd_part == u else SturmChain.of(odd_part)
-    ).count_real_roots() == 0
-    if lead > 0 and odd_rootless:
-        strict = at_infinity > 0 and chain.count_real_roots() == 0
-        method = "yun-odd-part-rootless" if not strict else "yun-strictly-positive"
-        return NonnegativityCertificate(True, strict, None, method)
-    # u takes negative values somewhere, find an exact rational witness
-    witness = _strict_violation_witness(u, -1, _isolate(u, chain))
-    if witness is None:
-        raise AssertionError("negativity detected but no rational witness found")
-    return NonnegativityCertificate(False, False, witness, "yun-odd-part-has-root")
+    cert = sign_on_punctured_plane(p)
+    if cert.verdict is Verdict.POSITIVE:
+        return NonnegativityCertificate(True, True, None, cert.method)
+    if cert.witness is not None and p.evaluate(*cert.witness) < 0:
+        return NonnegativityCertificate(False, False, cert.witness, cert.method)
+    t, v = _nonzero_sample(_ints(p.coeffs))
+    if v < 0:
+        return NonnegativityCertificate(
+            False, False, (Fraction(1), t), "negative-at-sample"
+        )
+    return NonnegativityCertificate(True, False, None, "no-negative-probe")
 
 
 def _discriminant_verdict(

@@ -266,7 +266,12 @@ def _parse_term(term: str) -> tuple[int | Fraction, int, int]:
             raise PolynomialSyntaxError(
                 f"expected digits at position {pos} in term {term!r}"
             )
-        return int(term[pos:j]), j
+        try:
+            return int(term[pos:j]), j
+        except ValueError:  # over the interpreter's int-string digit limit
+            raise PolynomialSyntaxError(
+                f"integer literal of {j - pos} digits is too long"
+            ) from None
 
     if i < n and term[i].isdigit():
         num, i = read_int(i)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hesstop.classify import (
     isolate_real_roots,
     polar_hyperbolicity_criterion,
     sign_on_punctured_plane,
-    _yun_squarefree,
+    _fujiwara_bound,
 )
 from hesstop.census import enumerate_rows
 from hesstop.errors import DomainError
@@ -119,36 +120,6 @@ class TestCauchyIndex:
                 continue
             expected = sum(1 if a * b > 0 else -1 for a, b in values)
             assert self.index(u, v) == expected
-
-
-class TestYun:
-    @given(homopolys(min_degree=1, max_degree=6))
-    @settings(max_examples=60)
-    def test_factorization_reconstructs(self, p):
-        u = [c for c in p.coeffs]
-        while u and u[-1] == 0:
-            u.pop()
-        if not u or len(u) == 1:
-            return
-        lead, factors = _yun_squarefree(u)
-        prod = [lead]
-        for a, mult in factors:
-            for _ in range(mult):
-                out = [F(0)] * (len(prod) + len(a) - 1)
-                for i, x in enumerate(prod):
-                    for j, y in enumerate(a):
-                        out[i + j] += x * y
-                prod = out
-        assert prod == u
-
-    def test_squarefree_parts_have_simple_roots(self):
-        # (t-1)^2 (t+1)^3 = t^5 + t^4 - 2t^3 - 2t^2 + t + 1
-        u = [F(1), F(1), F(-2), F(-2), F(1), F(1)]
-        lead, factors = _yun_squarefree(u)
-        assert lead == 1
-        by_mult = {m: a for a, m in factors}
-        assert by_mult[2] == [F(-1), F(1)]
-        assert by_mult[3] == [F(1), F(1)]
 
 
 class TestSignCertificates:
@@ -360,8 +331,8 @@ class TestPairingCertificate:
 
 class TestOneChainPerSlice:
     """Each kernel call builds at most one Sturm chain per distinct
-    polynomial: the slice's chain answers the count, Yun's first gcd, the
-    strictness count and the isolation."""
+    polynomial: the slice's chain answers the count, the strictness count
+    and the isolation, and certify_nonnegative builds none of its own."""
 
     @pytest.fixture
     def chains(self, monkeypatch):
@@ -376,9 +347,14 @@ class TestOneChainPerSlice:
         return built
 
     def test_sign_on_a_square_builds_two_chains(self, chains):
-        # (x^2 - 2y^2)^2: the slice's chain, then its squarefree part's
-        cert = sign_on_punctured_plane(parse("x^4 - 4*x^2*y^2 + 4*y^4"))
-        assert cert.method == "semidefinite-irrational-zeros"
+        # (x^2 - 2y^2)^2: the slice's chain, then its squarefree part's,
+        # and certify_nonnegative builds no more than that
+        p = parse("x^4 - 4*x^2*y^2 + 4*y^4")
+        assert sign_on_punctured_plane(p).method == "semidefinite-irrational-zeros"
+        assert len(chains) <= 2
+        chains.clear()
+        cert = certify_nonnegative(p)
+        assert cert.nonnegative and not cert.strict
         assert len(chains) <= 2
 
     def test_nonnegative_on_a_squarefree_slice_builds_one_chain(self, chains):
@@ -471,6 +447,59 @@ class TestKernelOracles:
         cert = sign_on_punctured_plane(p)
         assert cert.verdict is Verdict.MIXED
         assert p.evaluate(*cert.witness) == 0
+
+    @given(st.lists(st.integers(min_value=-(10**6), max_value=10**6),
+                    min_size=2, max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_fujiwara_bound_is_strict(self, coeffs):
+        assume(coeffs[-1] != 0 and len(SturmChain.of(coeffs).polys[-1]) == 1)
+        bound = _fujiwara_bound(coeffs)
+        u = [F(c) for c in coeffs]
+        assert _eval(u, bound) != 0 and _eval(u, -bound) != 0
+        assert descartes_count_roots(u, -bound, bound) == count_real_roots(u)
+
+    def test_nonnegativity_agrees_with_sympy(self):
+        # products of rational lines and irrational line pairs of
+        # multiplicity 1-4, times definite quadratics, of either sign
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(15)
+        triple_roots, seen = 0, set()
+        for _ in range(150):
+            factors = []
+            for _ in range(rng.randint(0, 3)):
+                if rng.random() < 0.5:
+                    line = [rng.randint(-3, 3), rng.randint(0, 3)]
+                    if line == [0, 0]:
+                        line = [1, 1]
+                else:  # a x^2 + e xy - c y^2 with a, c > 0 and e^2 + 4ac no square
+                    a, e, c = rng.randint(1, 3), rng.randint(-3, 3), rng.randint(1, 3)
+                    square = math.isqrt(e * e + 4 * a * c) ** 2 == e * e + 4 * a * c
+                    line = [1, 0, -2] if square else [a, e, -c]
+                factors += [line] * rng.randint(1, 4)
+            for _ in range(rng.randint(0, 2)):
+                b = rng.randint(-3, 3)
+                factors.append([rng.randint(1, 4), b, b * b + rng.randint(1, 4)])
+            coeffs = [rng.choice([-1, 1]) * rng.randint(1, 3)]
+            for f in factors:  # y^j coefficients, x^(d-j) implied
+                coeffs = [int(c) for c in _mul_uni(coeffs, f)]
+            p = HomoPoly(len(coeffs) - 1, tuple(F(c) for c in coeffs))
+            u = sympy.Poly(list(reversed(coeffs)), t)
+            roots = {}
+            for r in u.real_roots():
+                roots[r] = roots.get(r, 0) + 1
+            triple_roots += 3 in roots.values()
+            at_vertical = coeffs[-1]
+            nonnegative = (p.degree % 2 == 0 and at_vertical >= 0 and u.LC() > 0
+                           and all(m % 2 == 0 for m in roots.values()))
+            cert = certify_nonnegative(p)
+            assert cert.nonnegative == nonnegative
+            assert cert.strict == (nonnegative and not roots and at_vertical > 0)
+            assert (cert.witness is None) == nonnegative
+            if not nonnegative:
+                assert p.evaluate(*cert.witness) < 0
+            seen.add((cert.nonnegative, cert.strict))
+        assert triple_roots > 0 and len(seen) == 3
 
     @pytest.mark.parametrize("n", [40, 60])
     def test_census_discriminants_agree_with_sympy(self, n):

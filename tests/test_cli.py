@@ -49,6 +49,11 @@ class TestClassify:
         assert code == 2
         assert "usage error" in err
 
+    def test_overlong_literal_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "classify", "--poly", "1" * 5000 + "*x^2 + y^2")
+        assert code == 2
+        assert "usage error" in err and "5000 digits" in err
+
 
 class TestIndex:
     def test_saddle_index(self, capsys):

@@ -62,7 +62,12 @@ class TestParse:
             parse("x^100000000 - y^100000000")
 
     @pytest.mark.parametrize(
-        "bad", ["bogus(", "x^", "2//3", "x**2", "", "3*", "x^-2", "1/0*x"]
+        "bad",
+        [
+            "bogus(", "x^", "2//3", "x**2", "", "3*", "x^-2", "1/0*x",
+            pytest.param("1" * 5000 + "*x^2 + y^2", id="long-coefficient"),
+            pytest.param("x^" + "1" * 5000, id="long-exponent"),
+        ],
     )
     def test_syntax_errors(self, bad):
         with pytest.raises(PolynomialSyntaxError):
