@@ -12,17 +12,29 @@ primitive int vector that is a positive multiple of it, which keeps every
 sign, root and multiplicity.  A form's coefficients are ints whenever they
 are integral (see polyalg), so the slice of an integer form is copied as it
 is; only a form with a denominator above 1 is scaled by the lcm first.
-Root counts come from Sturm chains built as primitive remainder sequences
-(Collins 1967, Brown 1971) with a sign-preserving pseudo-remainder,
-evaluated at t = p/q as q^deg * u(p/q).  Isolation bisects from +-B, where
-B is a power of two above every root's modulus (Fujiwara 1916), so every
-bisection point is dyadic.
+
+A slice without real roots is first offered to a Descartes test: the
+Vincent-Collins-Akritas recursion on u(t) and u(-t) under a node budget of
+one split per 12 degrees (Collins and Akritas 1976; Rouillier and
+Zimmermann 2004).  It only ever proves that u has no real root; it gives
+up, and builds nothing further, on any sign of a root or when the budget
+is spent.  Every sign question of the census whose slice has degree above
+22 is proved this way, with no Sturm chain; a few smaller slices spend
+their budget and fall back.
+
+Every other root fact comes from Sturm chains built as primitive remainder
+sequences (Collins 1967, Brown 1971) with a sign-preserving
+pseudo-remainder, evaluated at t = p/q as q^deg * u(p/q).  Isolation
+bisects from +-B, where B is a power of two above every root's modulus
+(Fujiwara 1916), so every bisection point is dyadic.  The Descartes test
+never counts or isolates roots: on a slice whose roots are all real its
+recursion is far slower than a chain.
 
 Each public call builds at most one Sturm chain per distinct polynomial and
-isolates at most once.  The slice's chain counts its roots and drives the
-isolation; only a squarefree part that differs from the slice gets a chain
-of its own.  Early answers (zero form, odd degree, p(0, 1) < 0 for p >= 0)
-build none.
+isolates at most once, and none when the Descartes test succeeds.  The
+slice's chain counts its roots and drives the isolation; only a squarefree
+part that differs from the slice gets a chain of its own.  Early answers
+(zero form, odd degree, p(0, 1) < 0 for p >= 0) build none.
 
 Both kinds of sign question take the same route.  A slice with real roots
 is probed at the isolating intervals' ends and the midpoints between them,
@@ -43,6 +55,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import DomainError
@@ -85,6 +98,19 @@ def _eval_at(u: list[int], t) -> int:
 
 def _deriv(u: list[int]) -> list[int]:
     return [u[j] * j for j in range(1, len(u))]
+
+
+def _taylor_shift(a: list[int]) -> list[int]:
+    """Coefficients of a(t + 1), both lists indexed by the power of t.
+
+    Horner's scheme as running sums over the coefficients from the top,
+    each one shorter than the last: d(d + 1)/2 additions in C loops.
+    """
+    b = a[::-1]
+    for k in range(len(b), 1, -1):
+        b[:k] = accumulate(b[:k])
+    b.reverse()
+    return b
 
 
 def _prem(f: list[int], g: list[int]) -> list[int]:
@@ -248,6 +274,47 @@ def _isolate(u: list[int], chain: SturmChain) -> list[tuple[Fraction, Fraction]]
     return out
 
 
+# splits the Descartes test may make: one per this many degrees of the slice
+_DEGREES_PER_DESCARTES_SPLIT = 12
+
+
+def _descartes_rootless(u: list[int]) -> bool:
+    """True only when it has proved that the int slice u has no real root.
+
+    The real roots of u are 0 and the positive roots of u(t) and of u(-t).
+    Each side runs the Vincent-Collins-Akritas recursion on (0, inf): a
+    node g with no sign variation has no positive root (Descartes' rule of
+    signs) and is closed; any other node splits at 1 into g(t + 1), whose
+    positive roots are those of g above 1, and the reversal of g shifted
+    by 1, whose positive roots are those of g in (0, 1).
+
+    Gives up, returning False, when u(0) = 0, when a node has exactly one
+    variation (it has exactly one positive root), when g(1) = 0, or when
+    the budget of deg(u) // 12 splits over both sides is spent.  A split
+    costs two Taylor shifts, O(d^2) integer additions each; a rootless
+    census slice needs at most 3 splits a side.
+    """
+    if not u[0]:
+        return False
+    splits = (len(u) - 1) // _DEGREES_PER_DESCARTES_SPLIT
+    for g in (u, [-c if j % 2 else c for j, c in enumerate(u)]):
+        # (node, shift): a child is shifted only when it is reached, so a
+        # give-up skips the shifts of the children still waiting
+        stack = [(g, False)]
+        while stack:
+            g, shift = stack.pop()
+            if shift:
+                g = _taylor_shift(g)
+            v = _sign_variations(g)
+            if v == 0:
+                continue
+            if v == 1 or splits == 0 or sum(g) == 0:
+                return False
+            splits -= 1
+            stack += ((g, True), (g[::-1], True))
+    return True
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -339,15 +406,31 @@ def _strict_violation_witness(
     return None
 
 
+def _rootless_verdict(at_infinity, ref: int, method: str) -> SignCertificate:
+    """The verdict for a slice with no real root and nonzero sample ``ref``,
+    given the value at the direction (0, 1)."""
+    if at_infinity > 0 and ref > 0:
+        return SignCertificate(Verdict.POSITIVE, method=method)
+    if at_infinity < 0 and ref < 0:
+        return SignCertificate(Verdict.NEGATIVE, method=method)
+    # slice is definite but the (0, 1) direction vanishes
+    return SignCertificate(
+        Verdict.MIXED, (Fraction(0), Fraction(1)), "vanishes-at-vertical-direction"
+    )
+
+
 def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
     """Exact sign verdict for p on R^2 minus the origin.
 
-    One Sturm chain of the slice counts its real roots.  Only a slice with
-    real roots is isolated, once; a slice with a multiple root isolates its
-    squarefree part, which builds a second chain.  The probes of a Mixed
-    verdict's search are the isolating intervals' ends, the midpoints
-    between them, 0, +-1 and +-bound, so a sign opposite to the slice's
-    nonzero sample is found whenever u takes one.
+    The Descartes test (:func:`_descartes_rootless`) runs first; when it
+    proves the slice rootless the method is ``descartes-no-real-roots`` and
+    no chain is built.  Otherwise one Sturm chain of the slice counts its
+    real roots.  Only a slice with real roots is isolated, once; a slice
+    with a multiple root isolates its squarefree part, which builds a
+    second chain.  The probes of a Mixed verdict's search are the
+    isolating intervals' ends, the midpoints between them, 0, +-1 and
+    +-bound, so a sign opposite to the slice's nonzero sample is found
+    whenever u takes one.
     """
     if p.is_zero:
         return SignCertificate(Verdict.ZERO, method="all-coefficients-zero")
@@ -360,17 +443,12 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
         )
 
     at_infinity = p.coeffs[p.degree]  # value at the direction (0, 1)
-    chain = SturmChain.of(u)
     _, ref = _nonzero_sample(u)
+    if _descartes_rootless(u):
+        return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
+    chain = SturmChain.of(u)
     if chain.count_real_roots() == 0:
-        if at_infinity > 0 and ref > 0:
-            return SignCertificate(Verdict.POSITIVE, method="sturm-no-real-roots")
-        if at_infinity < 0 and ref < 0:
-            return SignCertificate(Verdict.NEGATIVE, method="sturm-no-real-roots")
-        # slice is definite but the (0, 1) direction vanishes
-        return SignCertificate(
-            Verdict.MIXED, (Fraction(0), Fraction(1)), "vanishes-at-vertical-direction"
-        )
+        return _rootless_verdict(at_infinity, ref, "sturm-no-real-roots")
 
     # the slice has real zeros: decide strict sign change vs semidefinite
     intervals = _isolate(u, chain)

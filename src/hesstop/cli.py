@@ -6,8 +6,10 @@ of range).  Polynomials are accepted as text (--poly) or as family
 shortcuts (--family P:m, Q:k or f:m,k).  A degree below what a command
 needs (census --n 3, a form 2, the q of verify-ineq 1) or above
 polyalg.MAX_DEGREE (for a pair, deg p + deg q), verify-identities
---m-max outside 4..MAX_IDENTITY_M (the checks cost about m^4) and foliate
---seeds outside 1..foliation.MAX_SEEDS are usage errors.
+--m-max outside 4..MAX_IDENTITY_M (the checks cost about m^4), foliate
+--seeds outside 1..foliation.MAX_SEEDS and polynomial text longer than
+MAX_POLY_TEXT characters are usage errors.  An error message quotes at
+most errors.ECHO_CHARS characters of the user's text.
 
 index, certify and census --certify read origin indexes exactly
 (origin_index); index first proves the form hyperbolic and exits 1 naming
@@ -48,7 +50,7 @@ import sys
 from . import census as census_mod
 from . import combinat
 from .classify import Verdict, certify_pairing_nonpositive, count_real_roots, is_hyperbolic
-from .errors import HesstopError, PreconditionFailed
+from .errors import HesstopError, PreconditionFailed, excerpt
 from .foliation import (
     MAX_SEEDS,
     count_separatrices,
@@ -66,6 +68,11 @@ from .quadform import second_fundamental_form
 # m = 80, 6.5 s at m = 160, wall time of python -m hesstop on a 2-vCPU VM),
 # so m = MAX_DEGREE would run for hours.
 MAX_IDENTITY_M = 160
+
+# Longest polynomial text (--poly, --p, --q), in characters: above the
+# formatted text of every family form up to MAX_DEGREE (121k characters
+# for P:1024), and the longest single argument Linux passes to a program.
+MAX_POLY_TEXT = 1 << 17
 
 
 class UsageError(Exception):
@@ -100,15 +107,19 @@ def _family_poly(spec: str) -> HomoPoly:
         if tag == "f":
             return product_family(*_pair_spec(args, spec))
     except (ValueError, HesstopError) as exc:
-        raise UsageError(f"bad family spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown family tag in {spec!r} (use P:m, Q:k or f:m,k)")
+        raise UsageError(f"bad family spec {excerpt(spec)}: {exc}") from exc
+    raise UsageError(f"unknown family tag in {excerpt(spec)} (use P:m, Q:k or f:m,k)")
 
 
 def _parse(text: str) -> HomoPoly:
+    if len(text) > MAX_POLY_TEXT:
+        raise UsageError(
+            f"polynomial text of {len(text)} characters is over the limit of {MAX_POLY_TEXT}"
+        )
     try:
         return parse(text)
     except HesstopError as exc:
-        raise UsageError(f"cannot parse polynomial {text!r}: {exc}") from exc
+        raise UsageError(f"cannot parse polynomial {excerpt(text)}: {exc}") from exc
 
 
 def _load_poly(args, floor: int) -> HomoPoly:
@@ -133,7 +144,7 @@ def _load_pair(args, q_floor: int) -> tuple[HomoPoly, HomoPoly]:
             m, k = _pair_spec(rest, args.family)
             p, q = saddle_family(m), radial_family(k)
         except (ValueError, HesstopError) as exc:
-            raise UsageError(f"bad family spec {args.family!r}: {exc}") from exc
+            raise UsageError(f"bad family spec {excerpt(args.family)}: {exc}") from exc
     elif not (args.p and args.q):
         raise UsageError("provide --family f:m,k or both --p and --q")
     else:

@@ -1,4 +1,17 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how their messages
+quote user text."""
+
+# characters of user text that an error message repeats
+ECHO_CHARS = 48
+
+
+def excerpt(text: str) -> str:
+    """repr of ``text`` for an error message: its first ECHO_CHARS
+    characters and its length when it is longer, so a message stays short
+    whatever the input."""
+    if len(text) <= ECHO_CHARS:
+        return repr(text)
+    return f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
 class HesstopError(Exception):

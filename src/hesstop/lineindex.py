@@ -39,20 +39,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import SturmChain, count_real_roots
+from .classify import SturmChain, _taylor_shift, count_real_roots
 from .errors import DomainError, NotHyperbolicHere, RefinementLimit
 from .polyalg import HomoPoly, _numerators
 from .quadform import QuadForm
 
 _MAX_DEPTH = 20
-
-
-def _taylor_shift(a: list[int]) -> list[int]:
-    """Coefficients of a(t + 1), both lists indexed by the power of t."""
-    acc = a[-1:]
-    for c in reversed(a[:-1]):
-        acc = [p + q for p, q in zip([c, *acc], [*acc, 0])]
-    return acc
 
 
 def _fourier_halves(c: list[int]) -> list[tuple[int, int]]:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NotHomogeneousError, PolynomialSyntaxError
+from .errors import DomainError, NotHomogeneousError, PolynomialSyntaxError, excerpt
 
 # Largest degree accepted from user input (parse, CLI families and --n):
 # a dense form stores degree + 1 coefficients, so text like x^100000000
@@ -264,7 +264,7 @@ def _parse_term(term: str) -> tuple[int | Fraction, int, int]:
             j += 1
         if j == pos:
             raise PolynomialSyntaxError(
-                f"expected digits at position {pos} in term {term!r}"
+                f"expected digits at position {pos} in term {excerpt(term)}"
             )
         try:
             return int(term[pos:j]), j
@@ -278,7 +278,7 @@ def _parse_term(term: str) -> tuple[int | Fraction, int, int]:
         if i < n and term[i] == "/":
             den, i = read_int(i + 1)
             if den == 0:
-                raise PolynomialSyntaxError(f"zero denominator in term {term!r}")
+                raise PolynomialSyntaxError(f"zero denominator in term {excerpt(term)}")
             coef = Fraction(num, den)
         else:
             coef = num
@@ -304,7 +304,7 @@ def _parse_term(term: str) -> tuple[int | Fraction, int, int]:
         seen_y = True
     if i != n:
         raise PolynomialSyntaxError(
-            f"unexpected character {term[i]!r} at position {i} in term {term!r}"
+            f"unexpected character {term[i]!r} at position {i} in term {excerpt(term)}"
         )
     if coef is None and not seen_x and not seen_y:
         raise PolynomialSyntaxError("empty term")
@@ -336,7 +336,7 @@ def parse(text: str) -> HomoPoly:
             chunk = s[term_start:cur]
             if not chunk:
                 raise PolynomialSyntaxError(
-                    f"empty term at position {term_start} in {text!r}"
+                    f"empty term at position {term_start} in {excerpt(text)}"
                 )
             pieces.append((sign, chunk))
             if cur < len(s):

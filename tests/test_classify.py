@@ -17,8 +17,10 @@ from hesstop.classify import (
     isolate_real_roots,
     polar_hyperbolicity_criterion,
     sign_on_punctured_plane,
+    _descartes_rootless,
     _fujiwara_bound,
 )
+from hesstop import classify
 from hesstop.census import enumerate_rows
 from hesstop.errors import DomainError
 from hesstop.polyalg import (
@@ -370,6 +372,11 @@ class TestOneChainPerSlice:
         sign_on_punctured_plane(parse("x^3"))
         assert chains == []
 
+    def test_descartes_proof_builds_no_chain(self, chains):
+        ok, cert = is_hyperbolic(product_family(20, 1))
+        assert ok and cert.method == "descartes-no-real-roots"
+        assert chains == []
+
 
 def test_origin_not_separately_tested():
     # homogeneity forces every positive-degree pairing to vanish at the
@@ -511,6 +518,100 @@ class TestKernelOracles:
             want = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                                for c in reversed(u)], t).count_roots()
             assert count_real_roots(list(u)) == want
+
+
+def _int_product(factors):
+    out = [1]
+    for f in factors:
+        out = [int(c) for c in _mul_uni(out, f)]
+    return out
+
+
+def _definite_quadratic(rng):
+    # a t^2 + b t + c with b^2 < 4ac, its roots anywhere from near the real
+    # axis to far from it
+    a, b = rng.randint(1, 12), rng.randint(-12, 12)
+    return [(b * b) // (4 * a) + rng.randint(1, 12), b, a]
+
+
+def _descartes_slice(rng, kind):
+    """An int slice of even degree 12-24 of the given kind."""
+    factors = []
+    if kind == "double":  # (q t - p)^2, a double real root
+        line = [-rng.randint(-9, 9), rng.randint(1, 9)]
+        factors = [line, line]
+    elif kind == "simple":  # two simple real roots, maybe on one side of 0
+        factors = [[-rng.randint(-9, 9), rng.randint(1, 9)] for _ in range(2)]
+    elif kind == "near-axis":  # roots p/q +- i/q, q large
+        p, q = rng.randint(-50, 50), rng.randint(30, 100)
+        factors = [[p * p + 1, -2 * p * q, q * q]]
+    elif kind == "zero-at-origin":
+        factors = [[0, 1], [0, 1]]
+    degree = rng.choice((12, 16, 20, 24))
+    while sum(len(f) - 1 for f in factors) < degree:
+        factors.append(_definite_quadratic(rng))
+    return _int_product(factors)
+
+
+class TestDescartesRootless:
+    """_descartes_rootless proves only true rootlessness, and whenever it
+    fails the sign certificate is the Sturm route's, unchanged."""
+
+    KINDS = ("rootless", "double", "simple", "near-axis", "zero-at-origin")
+
+    def test_proofs_agree_with_sturm_and_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(16)
+        proved = dict.fromkeys(self.KINDS, 0)
+        for _ in range(60):
+            for kind in self.KINDS:
+                u = _descartes_slice(rng, kind)
+                if _descartes_rootless(u):
+                    proved[kind] += 1
+                    assert SturmChain.of(u).count_real_roots() == 0
+                    assert sympy.Poly(list(reversed(u)), t).count_roots() == 0
+        assert proved["double"] == proved["simple"] == proved["zero-at-origin"] == 0
+        assert proved["rootless"] > 0
+
+    def test_small_cases(self):
+        assert _descartes_rootless([1])
+        assert _descartes_rootless([1, 0, 1])  # 1 + t^2: no variation either side
+        assert not _descartes_rootless([0, 0, 1])  # t^2: u(0) = 0
+        assert not _descartes_rootless([-1, 0, 1])  # one variation
+        # 1 - t + t^2 needs a split, and degree 2 buys none
+        assert not _descartes_rootless([1, -1, 1])
+        assert count_real_roots([1, -1, 1]) == 0
+
+    def test_exhausted_budget_falls_back_to_sturm(self, monkeypatch):
+        rng = random.Random(61)
+        forms = [_descartes_slice(rng, kind) for kind in self.KINDS for _ in range(8)]
+        forms.append(discriminant(second_fundamental_form(product_family(14, 1))).coeffs)
+        forms = [HomoPoly(len(c) - 1, tuple(F(x) for x in c)) for c in forms]
+        forms += [-f for f in forms]
+        with_budget = [sign_on_punctured_plane(f) for f in forms]
+        monkeypatch.setattr(classify, "_DEGREES_PER_DESCARTES_SPLIT", 10**9)
+        methods = set()
+        for f, cert in zip(forms, with_budget):
+            fallback = sign_on_punctured_plane(f)
+            methods.add(cert.method)
+            assert (fallback.verdict, fallback.witness) == (cert.verdict, cert.witness)
+            want = cert.method.replace("descartes-", "sturm-")
+            assert fallback.method == want
+        assert "descartes-no-real-roots" in methods and "sturm-no-real-roots" in methods
+        assert len(methods) > 2
+
+    def test_budget_scales_with_degree(self):
+        # the degree-14 slice of P_7 (x^2 + y^2) needs a split on each side;
+        # its budget is 14 // 12 = 1, so the chain answers
+        u = [int(c) for c in discriminant(second_fundamental_form(product_family(7, 1))).coeffs]
+        assert not _descartes_rootless(u)
+        ok, cert = is_hyperbolic(product_family(7, 1))
+        assert ok and cert.method == "sturm-no-real-roots"
+
+    def test_degree_236_slice(self):
+        ok, cert = is_hyperbolic(product_family(118, 1))
+        assert ok and cert.method == "descartes-no-real-roots"
 
 
 def _eval(u, t):

@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from hesstop import census, cli, lineindex
-from hesstop.cli import main
+from hesstop.cli import MAX_POLY_TEXT, main
 from hesstop.foliation import MAX_SEEDS, count_separatrices
-from hesstop.polyalg import MAX_DEGREE
-from hesstop.errors import RefinementLimit
+from hesstop.polyalg import MAX_DEGREE, format_poly, saddle_family
+from hesstop.errors import ECHO_CHARS, RefinementLimit
 
 
 def run(capsys, *argv):
@@ -53,6 +53,37 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--poly", "1" * 5000 + "*x^2 + y^2")
         assert code == 2
         assert "usage error" in err and "5000 digits" in err
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            # one 6001-character term: the parser's and the CLI's echo are cut
+            ("x*" * 3000 + "x", "unexpected character"),
+            ("x^2 ++ y^2" + " + x*y" * 2000, "empty term"),
+        ],
+    )
+    def test_error_echo_is_bounded(self, capsys, text, error):
+        code, _, err = run(capsys, "classify", "--poly", text)
+        assert code == 2
+        assert error in err and f"({len(text)} characters)" in err
+        assert len(err) < 4 * ECHO_CHARS + 200
+
+    @pytest.mark.parametrize("flag", ["--poly", "--p"])
+    def test_overlong_text_is_refused(self, capsys, flag):
+        text = "x^2" + " + x^2" * (MAX_POLY_TEXT // 6)
+        assert len(text) > MAX_POLY_TEXT
+        argv = ["classify", "--poly", text]
+        if flag == "--p":
+            argv = ["verify-ineq", "--p", text, "--q", "x^2 + y^2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"{len(text)} characters" in err and str(MAX_POLY_TEXT) in err
+        assert len(err) < 200
+
+    def test_longest_family_text_is_accepted(self):
+        text = format_poly(saddle_family(MAX_DEGREE))
+        assert len(text) <= MAX_POLY_TEXT
+        assert cli._parse(text) == saddle_family(MAX_DEGREE)
 
 
 class TestIndex:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesstop.errors import DomainError, NotHomogeneousError, PolynomialSyntaxError
+from hesstop.errors import ECHO_CHARS, DomainError, NotHomogeneousError, PolynomialSyntaxError
 from hesstop.quadform import second_fundamental_form
 from hesstop.polyalg import (
     MAX_DEGREE,
@@ -72,6 +72,13 @@ class TestParse:
     def test_syntax_errors(self, bad):
         with pytest.raises(PolynomialSyntaxError):
             parse(bad)
+
+    @pytest.mark.parametrize("bad", ["x*" * 3000 + "x", "x^2 ++ y^2" + " + x*y" * 2000])
+    def test_syntax_error_message_is_bounded(self, bad):
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse(bad)
+        assert "characters)" in str(info.value)
+        assert len(str(info.value)) < 2 * ECHO_CHARS + 100
 
     @given(homopolys())
     @settings(max_examples=150)
