@@ -2,51 +2,33 @@
 plane, and the hyperbolic/elliptic classification built on it.
 
 A homogeneous p of even degree d has its sign pattern on R^2 \\ {0}
-determined by the univariate slice u(t) = p(1, t) together with the single
-value p(0, 1): every direction (x, y) with x != 0 rescales to (1, y/x) with
-a positive factor x^d, and the remaining direction is (0, 1).  Odd-degree
-nonzero polynomials always change sign under (x, y) -> (-x, -y).
+determined by the slice u(t) = p(1, t) and the value p(0, 1): a direction
+(x, y) with x != 0 rescales to (1, y/x) by the positive factor x^d.
+Odd-degree nonzero forms always change sign under (x, y) -> (-x, -y).  A
+slice is read once into the primitive int vector that is a positive
+multiple of it, which keeps every sign, root and multiplicity.
 
-One integer kernel answers every question.  A slice is read once into the
-primitive int vector that is a positive multiple of it, which keeps every
-sign, root and multiplicity.  A form's coefficients are ints whenever they
-are integral (see polyalg), so the slice of an integer form is copied as it
-is; only a form with a denominator above 1 is scaled by the lcm first.
-
-A slice without real roots is first offered to a Descartes test: the
-Vincent-Collins-Akritas recursion on u(t) and u(-t) under a node budget of
-one split per 12 degrees (Collins and Akritas 1976; Rouillier and
-Zimmermann 2004).  It only ever proves that u has no real root; it gives
-up, and builds nothing further, on any sign of a root or when the budget
-is spent.  Every sign question of the census whose slice has degree above
-22 is proved this way, with no Sturm chain; a few smaller slices spend
-their budget and fall back.
-
-Every other root fact comes from Sturm chains built as primitive remainder
-sequences (Collins 1967, Brown 1971) with a sign-preserving
-pseudo-remainder, evaluated at t = p/q as q^deg * u(p/q).  Isolation
-bisects from +-B, where B is a power of two above every root's modulus
-(Fujiwara 1916), so every bisection point is dyadic.  The Descartes test
-never counts or isolates roots: on a slice whose roots are all real its
-recursion is far slower than a chain.
-
-Each public call builds at most one Sturm chain per distinct polynomial and
-isolates at most once, and none when the Descartes test succeeds.  The
-slice's chain counts its roots and drives the isolation; only a squarefree
-part that differs from the slice gets a chain of its own.  Early answers
-(zero form, odd degree, p(0, 1) < 0 for p >= 0) build none.
+One algorithm finds real roots: the Vincent-Collins-Akritas recursion in
+its continued-fraction form, which reads Descartes' rule of signs off the
+coefficients (Collins and Akritas 1976; Akritas, Strzebonski and Vigklas
+2008).  A sign question first runs it under a budget of one split per 12
+degrees; that proves every rootless census slice above degree 22 with no
+further work.  Otherwise one Sturm chain, a primitive remainder sequence
+(Collins 1967, Brown 1971) with a sign-preserving pseudo-remainder, counts
+the roots and gives gcd(u, u'), and the recursion isolates the squarefree
+part with no limit.  Chains only count roots, give gcds and give Cauchy
+indexes; none is evaluated at a finite point.  Early answers (zero form,
+odd degree, p(0, 1) < 0 for p >= 0) build no chain.
 
 Both kinds of sign question take the same route.  A slice with real roots
 is probed at the isolating intervals' ends and the midpoints between them,
 which meets every open interval between adjacent distinct roots, and at
-+-B, beyond both ends.  u has one sign off its roots exactly when no probe
++-B beyond every root.  u has one sign off its roots exactly when no probe
 has the sign opposite to a nonzero sample, so p >= 0 with zeros allowed is
 read off the strict sign certificate (Basu, Pollack and Roy, Algorithms in
-Real Algebraic Geometry, ch. 2 and 10).
-
-Two certificate types leave the kernel: SignCertificate for strict sign
-questions and NonnegativityCertificate for p >= 0 questions, including the
-hessian pairing's p <= 0 read as -p >= 0.
+Real Algebraic Geometry, ch. 2 and 10).  SignCertificate answers strict
+sign questions and NonnegativityCertificate p >= 0 questions, including
+the hessian pairing's p <= 0 read as -p >= 0.
 """
 
 from __future__ import annotations
@@ -164,9 +146,11 @@ class SturmChain:
     """Canonical Sturm chain of a univariate slice, as a primitive PRS.
 
     Each entry is a positive multiple of the rational chain's entry, so the
-    sign variations are the same.  The terminal entry is a multiple of
-    gcd(u, v), so the chain counts distinct real roots also for
-    non-squarefree input.
+    sign variations at +-inf are the same.  The terminal entry is a multiple
+    of gcd(u, v), so the chain counts distinct real roots also for
+    non-squarefree input, and for v = u' it divides u down to its
+    squarefree part.  Chains count roots and give Cauchy indexes; roots are
+    isolated by :func:`_descartes`.
     """
 
     polys: tuple[list[int], ...]
@@ -187,9 +171,6 @@ class SturmChain:
             chain.append(_primitive([-c for c in r]))
         return cls(tuple(chain))
 
-    def variations_at(self, t) -> int:
-        return _sign_variations(_eval_at(p, t) for p in self.polys)
-
     def variations_at_minus_inf(self) -> int:
         return _sign_variations(p[-1] if len(p) % 2 else -p[-1] for p in self.polys)
 
@@ -199,120 +180,105 @@ class SturmChain:
     def count_real_roots(self) -> int:
         return self.variations_at_minus_inf() - self.variations_at_plus_inf()
 
-    def count_in(self, lo, hi) -> int:
-        """Distinct roots in (lo, hi]; endpoints must not be roots of the head."""
-        return self.variations_at(lo) - self.variations_at(hi)
-
 
 def count_real_roots(u) -> int:
     """Distinct real roots of a nonzero univariate polynomial."""
     u = _ints(u)
     if not u:
         raise DomainError("root count of the zero polynomial")
-    if len(u) == 1:
-        return 0
     return SturmChain.of(u).count_real_roots()
 
 
-def _fujiwara_bound(u: list[int]) -> Fraction:
-    """A power of two strictly above |r| for every complex root r of u.
+def _fujiwara_exponent(u: list[int]) -> int:
+    """A k with 2^k strictly above |r| for every complex root r of u.
 
     Fujiwara (1916): |r| <= 2 max_i |c_(d-i) / c_d|^(1/i).  With bit lengths
     |c_(d-i) / c_d| < 2^(bitlen c_(d-i) - bitlen c_d + 1), so every term is
-    below 2^e and the bound below 2^(e+1).  Dyadic ends keep the bisection's
-    midpoints dyadic, with small denominators.
+    below 2^e and the bound below 2^(e+1).  On the reversal of u, 2^-k is
+    strictly below every root's modulus.
     """
     d, lead = len(u) - 1, u[-1].bit_length()
     # e = max over i of ceil((bitlen c_(d-i) - bitlen c_d + 1) / i)
     e = max((-((lead - 1 - u[d - i].bit_length()) // i)
              for i in range(1, d + 1) if u[d - i]), default=0)
-    return Fraction(2) ** (e + 1)
+    return e + 1
 
 
 def isolate_real_roots(u) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals, one distinct real root each; endpoints are
-    never roots.  Exact roots hit by a bisection midpoint collapse to a
-    degenerate (r, r) pair."""
+    """Sorted isolating intervals of the distinct real roots of u, as
+    :func:`_descartes` gives them for the squarefree part u / gcd(u, u'),
+    which one Sturm chain provides."""
     u = _ints(u)
     if len(u) <= 1:
         return []
-    return _isolate(u, SturmChain.of(u))
+    return _descartes(_divexact(u, SturmChain.of(u).polys[-1]), None)
 
 
-def _isolate(u: list[int], chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
-    """isolate_real_roots for a nonconstant int slice u and its own chain."""
-    bound = _fujiwara_bound(u)
-    if len(chain.polys[-1]) > 1:
-        # every chain entry vanishes at a multiple root, so a bisection point
-        # there would miscount; the squarefree part has the same roots
-        u = _divexact(u, chain.polys[-1])
-        chain = SturmChain.of(u)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound, chain.count_in(-bound, bound))]
-    while stack:
-        a, b, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if _eval_at(u, mid) == 0:
-            out.append((mid, mid))
-            # shrink a symmetric gap until it contains only this root; the
-            # count is over (mid - gap, mid + gap], so mid - gap is checked
-            gap = (b - a) / 4
-            while (chain.count_in(mid - gap, mid + gap) > 1
-                   or _eval_at(u, mid - gap) == 0):
-                gap /= 2
-            stack.append((a, mid - gap, chain.count_in(a, mid - gap)))
-            stack.append((mid + gap, b, chain.count_in(mid + gap, b)))
-        else:
-            stack.append((a, mid, chain.count_in(a, mid)))
-            stack.append((mid, b, chain.count_in(mid, b)))
-    out.sort()
-    return out
-
-
-# splits the Descartes test may make: one per this many degrees of the slice
+# splits a sign question's budgeted Descartes run may make: one per this
+# many degrees of the slice
 _DEGREES_PER_DESCARTES_SPLIT = 12
 
 
-def _descartes_rootless(u: list[int]) -> bool:
-    """True only when it has proved that the int slice u has no real root.
+def _descartes(
+    u: list[int], splits: Optional[int]
+) -> Optional[list[tuple[Fraction, Fraction]]]:
+    """Sorted isolating intervals of the distinct real roots of the int
+    slice u, or None once ``splits`` splits are spent; with ``splits=None``
+    there is no limit and u must be squarefree.
 
-    The real roots of u are 0 and the positive roots of u(t) and of u(-t).
-    Each side runs the Vincent-Collins-Akritas recursion on (0, inf): a
-    node g with no sign variation has no positive root (Descartes' rule of
-    signs) and is closed; any other node splits at 1 into g(t + 1), whose
-    positive roots are those of g above 1, and the reversal of g shifted
-    by 1, whose positive roots are those of g in (0, 1).
+    An interval (lo, hi) with lo < hi holds one simple root and neither end
+    is a root; a root hit exactly comes as (r, r), and no interval touches
+    it, so the probes between intervals see every gap between roots.
 
-    Gives up, returning False, when u(0) = 0, when a node has exactly one
-    variation (it has exactly one positive root), when g(1) = 0, or when
-    the budget of deg(u) // 12 splits over both sides is spent.  A split
-    costs two Taylor shifts, O(d^2) integer additions each; a rootless
-    census slice needs at most 3 splits a side.
+    The real roots are 0 and the positive roots of u(t) and of u(-t).  Each
+    side's nodes are polynomials g on (0, inf) whose Moebius map
+    x = (a t + b) / (c t + d) sends (0, inf) onto the node's interval.  By
+    Descartes' rule of signs a node with no sign variation has no positive
+    root, and one with one variation has one.  Any other node is shifted
+    past 2^k when that bounds its roots' moduli from below (Fujiwara on
+    the reversal of g), then split at t = 1 into g(t + 1) and the reversal
+    of g shifted by 1, a root at 1 first recorded and divided out.  A split
+    costs two Taylor shifts, O(d^2) integer additions each.
     """
+    out: list[tuple[Fraction, Fraction]] = []
+    hits: set[Fraction] = set()  # exact roots, which no interval may touch
     if not u[0]:
-        return False
-    splits = (len(u) - 1) // _DEGREES_PER_DESCARTES_SPLIT
-    for g in (u, [-c if j % 2 else c for j, c in enumerate(u)]):
-        # (node, shift): a child is shifted only when it is reached, so a
-        # give-up skips the shifts of the children still waiting
-        stack = [(g, False)]
+        hits.add(Fraction(0))
+        u = u[next(j for j, c in enumerate(u) if c):]
+    for side, g in ((1, u), (-1, [-c if j % 2 else c for j, c in enumerate(u)])):
+        # (node, a, b, c, d, shift): a child is shifted only when it is
+        # reached, so running out of splits skips the shifts still waiting
+        stack = [(g, 1, 0, 0, 1, False)]
         while stack:
-            g, shift = stack.pop()
+            g, a, b, c, d, shift = stack.pop()
             if shift:
                 g = _taylor_shift(g)
             v = _sign_variations(g)
             if v == 0:
                 continue
-            if v == 1 or splits == 0 or sum(g) == 0:
-                return False
-            splits -= 1
-            stack += ((g, True), (g[::-1], True))
-    return True
+            if v == 1:
+                top = Fraction(a, c) if c else Fraction(2) ** _fujiwara_exponent(u)
+                lo, hi = sorted((side * Fraction(b, d), side * top))
+                if lo not in hits and hi not in hits:
+                    out.append((lo, hi))
+                    continue
+            if splits == 0:
+                return None
+            if splits is not None:
+                splits -= 1
+            k = -_fujiwara_exponent(g[::-1])  # 2^k < every root's modulus
+            if k >= 0:  # g(t + 2^k), read off g(2^k (t + 1))
+                g = _taylor_shift([x << (k * j) for j, x in enumerate(g)])
+                g = [x >> (k * j) for j, x in enumerate(g)]
+                b, d = b + (a << k), d + (c << k)
+            if not sum(g):
+                hits.add(Fraction(side * (a + b), c + d))
+                while not sum(g):
+                    g = _divexact(g, [-1, 1])
+            # g(t + 1) on t > 1, and the reversal of g shifted by 1 on (0, 1)
+            stack += ((g, a, a + b, c, c + d, True),
+                      (g[::-1], b, a + b, d, c + d, True))
+    return sorted(out + [(r, r) for r in hits])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +359,7 @@ def _strict_violation_witness(
 ) -> Optional[Point]:
     """A rational t with sign(u(t)) == want_sign, as the point (1, t);
     ``intervals`` isolate the real roots of u."""
-    bound = _fujiwara_bound(u)
+    bound = Fraction(2) ** _fujiwara_exponent(u)
     candidates = [Fraction(0), Fraction(1), Fraction(-1), bound, -bound]
     for iv in intervals:
         candidates.extend(iv)
@@ -419,18 +385,42 @@ def _rootless_verdict(at_infinity, ref: int, method: str) -> SignCertificate:
     )
 
 
+def _rational_root(g: list[int], lo: Fraction, hi: Fraction) -> Optional[Fraction]:
+    """The root of g in (lo, hi), where g changes sign once, if rational.
+
+    A rational root p/q in lowest terms has q | lc(g), so it is a multiple
+    of 1/|lc(g)|: bisect on the sign of g below that width, and test the
+    one multiple left inside.
+    """
+    lead = abs(g[-1])
+    low_positive = _eval_at(g, lo) > 0
+    while (hi - lo) * lead >= 1:
+        mid = (lo + hi) / 2
+        v = _eval_at(g, mid)
+        if v == 0:
+            return mid
+        if (v > 0) == low_positive:
+            lo = mid
+        else:
+            hi = mid
+    t = Fraction(math.ceil(lo * lead), lead)
+    return t if t < hi and _eval_at(g, t) == 0 else None
+
+
 def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
     """Exact sign verdict for p on R^2 minus the origin.
 
-    The Descartes test (:func:`_descartes_rootless`) runs first; when it
-    proves the slice rootless the method is ``descartes-no-real-roots`` and
-    no chain is built.  Otherwise one Sturm chain of the slice counts its
-    real roots.  Only a slice with real roots is isolated, once; a slice
-    with a multiple root isolates its squarefree part, which builds a
-    second chain.  The probes of a Mixed verdict's search are the
-    isolating intervals' ends, the midpoints between them, 0, +-1 and
-    +-bound, so a sign opposite to the slice's nonzero sample is found
-    whenever u takes one.
+    :func:`_descartes` runs first on the slice u with a budget of deg // 12
+    splits, and finding no root answers ``descartes-no-real-roots``.
+    Otherwise one Sturm chain counts u's real roots (none answers
+    ``sturm-no-real-roots``) and gives g = gcd(u, u'), and the recursion
+    isolates u / g with no limit.  The probes at the intervals' ends, the
+    midpoints between them, 0, +-1 and +-bound find a sign opposite to the
+    slice's nonzero sample whenever u takes one (``descartes-sign-change``).
+    Otherwise u is semidefinite, each real root of even multiplicity in u
+    and odd in g, and the witness is the least rational root that
+    :func:`_rational_root` finds (``semidefinite-zeros``), or None when
+    every real zero is irrational (``semidefinite-irrational-zeros``).
     """
     if p.is_zero:
         return SignCertificate(Verdict.ZERO, method="all-coefficients-zero")
@@ -444,25 +434,27 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
 
     at_infinity = p.coeffs[p.degree]  # value at the direction (0, 1)
     _, ref = _nonzero_sample(u)
-    if _descartes_rootless(u):
+    if _descartes(u, (len(u) - 1) // _DEGREES_PER_DESCARTES_SPLIT) == []:
         return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
     chain = SturmChain.of(u)
     if chain.count_real_roots() == 0:
         return _rootless_verdict(at_infinity, ref, "sturm-no-real-roots")
 
     # the slice has real zeros: decide strict sign change vs semidefinite
-    intervals = _isolate(u, chain)
+    g = chain.polys[-1]
+    intervals = _descartes(_divexact(u, g), None)
     witness = _strict_violation_witness(u, -1 if ref > 0 else 1, intervals)
     if witness is not None:
-        return SignCertificate(Verdict.MIXED, witness, "sturm-sign-change")
+        return SignCertificate(Verdict.MIXED, witness, "descartes-sign-change")
     if at_infinity == 0:
         return SignCertificate(
             Verdict.MIXED, (Fraction(0), Fraction(1)), "semidefinite-zeros"
         )
     for lo, hi in intervals:
-        if lo == hi:
+        t = lo if lo == hi else _rational_root(g, lo, hi)
+        if t is not None:
             return SignCertificate(
-                Verdict.MIXED, (Fraction(1), lo), "semidefinite-zeros"
+                Verdict.MIXED, (Fraction(1), t), "semidefinite-zeros"
             )
     return SignCertificate(Verdict.MIXED, None, "semidefinite-irrational-zeros")
 

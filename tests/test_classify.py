@@ -17,8 +17,8 @@ from hesstop.classify import (
     isolate_real_roots,
     polar_hyperbolicity_criterion,
     sign_on_punctured_plane,
-    _descartes_rootless,
-    _fujiwara_bound,
+    _descartes,
+    _fujiwara_exponent,
 )
 from hesstop import classify
 from hesstop.census import enumerate_rows
@@ -65,10 +65,15 @@ class TestSturm:
         assert degrees == sorted(degrees, reverse=True)
 
     def test_interval_count(self):
-        chain = SturmChain.of([F(-2), F(0), F(1)])  # roots at +-sqrt(2)
-        assert chain.count_in(F(0), F(2)) == 1
-        assert chain.count_in(F(-2), F(2)) == 2
-        assert chain.count_in(F(2), F(3)) == 0
+        u = [F(-2), F(0), F(1)]  # roots at +-sqrt(2)
+        intervals = isolate_real_roots(u)
+        assert len(intervals) == 2
+        assert all(descartes_count_roots(u, lo, hi) == 1 for lo, hi in intervals)
+        (a, b), (c, d) = intervals
+        bound = 2 ** _fujiwara_exponent([-2, 0, 1])
+        assert -bound <= a and d <= bound and b <= c
+        assert descartes_count_roots(u, -bound, bound) == 2
+        assert descartes_count_roots(u, F(2), F(3)) == 0
 
     def test_agrees_with_descartes_isolator(self, rng):
         # 100 random squarefree slices with known real-root counts
@@ -89,9 +94,10 @@ class TestSturm:
             assert len(intervals) == expected
             for lo, hi in intervals:
                 assert lo <= hi
-                chain = SturmChain.of(u)
                 if lo < hi:
-                    assert chain.count_in(lo, hi) == 1
+                    assert descartes_count_roots(u, lo, hi) == 1
+                else:
+                    assert _eval(u, lo) == 0
 
 
 class TestCauchyIndex:
@@ -163,6 +169,20 @@ class TestSignCertificates:
         assert cert.verdict is Verdict.MIXED
         assert cert.witness is None
         assert "semidefinite" in cert.method
+
+    @pytest.mark.parametrize("line", [
+        [-3, 1], [-2, 1], [5, 7], [-1, 12], [-1000003, 1000], [0, 1],
+    ])
+    def test_semidefinite_rational_zeros_have_a_witness(self, line):
+        # (line)^2 times a definite quadratic, alone and beside the
+        # irrational double zeros of (t^2 - 2)^2; the coefficient of t^j in
+        # a line is that of y^j
+        for extra in ([[1, 1, 3]], [[-2, 0, 1], [-2, 0, 1]]):
+            p = _form(_int_product([line, line] + extra))
+            cert = sign_on_punctured_plane(p)
+            assert cert.verdict is Verdict.MIXED
+            assert cert.method == "semidefinite-zeros"
+            assert cert.witness is not None and p.evaluate(*cert.witness) == 0
 
     @given(homopolys(max_degree=8))
     @settings(max_examples=60, deadline=None)
@@ -332,9 +352,9 @@ class TestPairingCertificate:
 
 
 class TestOneChainPerSlice:
-    """Each kernel call builds at most one Sturm chain per distinct
-    polynomial: the slice's chain answers the count, the strictness count
-    and the isolation, and certify_nonnegative builds none of its own."""
+    """Each kernel call builds at most one Sturm chain: the slice's chain
+    counts its roots and gives the squarefree part, and certify_nonnegative
+    builds none of its own."""
 
     @pytest.fixture
     def chains(self, monkeypatch):
@@ -348,16 +368,17 @@ class TestOneChainPerSlice:
         monkeypatch.setattr(SturmChain, "of", classmethod(counted))
         return built
 
-    def test_sign_on_a_square_builds_two_chains(self, chains):
-        # (x^2 - 2y^2)^2: the slice's chain, then its squarefree part's,
-        # and certify_nonnegative builds no more than that
+    def test_sign_on_a_square_builds_one_chain(self, chains):
+        # (x^2 - 2y^2)^2: the slice's chain gives the squarefree part, which
+        # the Descartes recursion isolates, and certify_nonnegative builds
+        # no more than that
         p = parse("x^4 - 4*x^2*y^2 + 4*y^4")
         assert sign_on_punctured_plane(p).method == "semidefinite-irrational-zeros"
-        assert len(chains) <= 2
+        assert len(chains) == 1
         chains.clear()
         cert = certify_nonnegative(p)
         assert cert.nonnegative and not cert.strict
-        assert len(chains) <= 2
+        assert len(chains) == 1
 
     def test_nonnegative_on_a_squarefree_slice_builds_one_chain(self, chains):
         # (x^2 - y^2)(x^2 - 3y^2): the odd part is the slice itself
@@ -402,15 +423,9 @@ class TestKernelOracles:
         power=st.integers(min_value=1, max_value=3),
         scale=st.fractions(min_value=F(-7), max_value=F(7), max_denominator=9),
         double=st.fractions(min_value=F(-8), max_value=F(8), max_denominator=3),
-        interval=st.lists(
-            st.fractions(min_value=F(-12), max_value=F(12), max_denominator=8),
-            min_size=2, max_size=2, unique=True,
-        ),
     )
     @settings(max_examples=80, deadline=None)
-    def test_repeated_factors_agree_with_descartes(
-        self, seed, power, scale, double, interval
-    ):
+    def test_repeated_factors_agree_with_descartes(self, seed, power, scale, double):
         assume(scale != 0)
         rng = random.Random(seed)
         base, n_real = squarefree_with_known_roots(
@@ -435,20 +450,18 @@ class TestKernelOracles:
                 assert _eval(squarefree, lo) == 0
             else:
                 assert descartes_count_roots(squarefree, lo, hi) == 1
-        lo, hi = sorted(interval)
-        assume(_eval(squarefree, lo) != 0 and _eval(squarefree, hi) != 0)
-        assert SturmChain.of(u).count_in(lo, hi) == descartes_count_roots(
-            squarefree, lo, hi
-        )
 
     def test_bisection_point_on_a_multiple_root(self):
-        # (t - 1)(t - 1/2)^2: bisection lands on both roots, where every
-        # entry of the input's own chain vanishes
+        # (t - 1)(t - 1/2)^2: the recursion's split point 1 is a root, and
+        # 1/2 a double one; each comes exactly or in an interval of its own
         u = _mul_uni(_mul_uni([F(-1), F(1)], [F(-1, 2), F(1)]), [F(-1, 2), F(1)])
         intervals = isolate_real_roots(u)
         assert len(intervals) == 2
-        for lo, hi in intervals:
-            assert lo == hi == 1 or (lo < F(1, 2) < hi and _eval(u, hi) != 0)
+        for (lo, hi), root in zip(intervals, (F(1, 2), F(1))):
+            assert lo == hi == root or (
+                lo < root < hi and _eval(u, lo) != 0 and _eval(u, hi) != 0
+            )
+        assert intervals[0][1] < intervals[1][0]
         # y^2 (x + y)^2: semidefinite, zero on rational lines
         p = parse("x^2*y^2 + 2*x*y^3 + y^4")
         cert = sign_on_punctured_plane(p)
@@ -460,7 +473,7 @@ class TestKernelOracles:
     @settings(max_examples=100, deadline=None)
     def test_fujiwara_bound_is_strict(self, coeffs):
         assume(coeffs[-1] != 0 and len(SturmChain.of(coeffs).polys[-1]) == 1)
-        bound = _fujiwara_bound(coeffs)
+        bound = F(2) ** _fujiwara_exponent(coeffs)
         u = [F(c) for c in coeffs]
         assert _eval(u, bound) != 0 and _eval(u, -bound) != 0
         assert descartes_count_roots(u, -bound, bound) == count_real_roots(u)
@@ -553,9 +566,14 @@ def _descartes_slice(rng, kind):
     return _int_product(factors)
 
 
+def _rootless(u):
+    """The budgeted Descartes proof of sign_on_punctured_plane."""
+    return _descartes(u, (len(u) - 1) // classify._DEGREES_PER_DESCARTES_SPLIT) == []
+
+
 class TestDescartesRootless:
-    """_descartes_rootless proves only true rootlessness, and whenever it
-    fails the sign certificate is the Sturm route's, unchanged."""
+    """The budgeted Descartes recursion proves only true rootlessness, and
+    the budget changes no verdict or witness, only the method's name."""
 
     KINDS = ("rootless", "double", "simple", "near-axis", "zero-at-origin")
 
@@ -567,7 +585,7 @@ class TestDescartesRootless:
         for _ in range(60):
             for kind in self.KINDS:
                 u = _descartes_slice(rng, kind)
-                if _descartes_rootless(u):
+                if _rootless(u):
                     proved[kind] += 1
                     assert SturmChain.of(u).count_real_roots() == 0
                     assert sympy.Poly(list(reversed(u)), t).count_roots() == 0
@@ -575,12 +593,14 @@ class TestDescartesRootless:
         assert proved["rootless"] > 0
 
     def test_small_cases(self):
-        assert _descartes_rootless([1])
-        assert _descartes_rootless([1, 0, 1])  # 1 + t^2: no variation either side
-        assert not _descartes_rootless([0, 0, 1])  # t^2: u(0) = 0
-        assert not _descartes_rootless([-1, 0, 1])  # one variation
+        assert _descartes([1], 0) == []
+        assert _descartes([1, 0, 1], 0) == []  # 1 + t^2: no variation either side
+        assert _descartes([0, 0, 1], 0) == [(0, 0)]  # t^2: a root at 0
+        # t^2 - 1: one variation a side, so one interval each, and no split
+        assert len(_descartes([-1, 0, 1], 0)) == 2
         # 1 - t + t^2 needs a split, and degree 2 buys none
-        assert not _descartes_rootless([1, -1, 1])
+        assert _descartes([1, -1, 1], 0) is None
+        assert _descartes([1, -1, 1], 1) == []
         assert count_real_roots([1, -1, 1]) == 0
 
     def test_exhausted_budget_falls_back_to_sturm(self, monkeypatch):
@@ -596,16 +616,16 @@ class TestDescartesRootless:
             fallback = sign_on_punctured_plane(f)
             methods.add(cert.method)
             assert (fallback.verdict, fallback.witness) == (cert.verdict, cert.witness)
-            want = cert.method.replace("descartes-", "sturm-")
+            want = cert.method.replace("descartes-no-", "sturm-no-")
             assert fallback.method == want
         assert "descartes-no-real-roots" in methods and "sturm-no-real-roots" in methods
-        assert len(methods) > 2
+        assert {"descartes-sign-change", "semidefinite-zeros"} <= methods
 
     def test_budget_scales_with_degree(self):
         # the degree-14 slice of P_7 (x^2 + y^2) needs a split on each side;
         # its budget is 14 // 12 = 1, so the chain answers
         u = [int(c) for c in discriminant(second_fundamental_form(product_family(7, 1))).coeffs]
-        assert not _descartes_rootless(u)
+        assert _descartes(u, 1) is None
         ok, cert = is_hyperbolic(product_family(7, 1))
         assert ok and cert.method == "sturm-no-real-roots"
 
@@ -614,8 +634,97 @@ class TestDescartesRootless:
         assert ok and cert.method == "descartes-no-real-roots"
 
 
+def _check_isolation(u, intervals):
+    """intervals isolate the distinct real roots of the int polynomial u,
+    by the Fraction Descartes oracle and by sympy."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(list(reversed(u)), t)
+    roots = sorted(set(poly.real_roots()))
+    assert len(intervals) == len(roots)
+    squarefree = [F(int(c)) for c in reversed(poly.sqf_part().all_coeffs())]
+    for (lo, hi), root in zip(intervals, roots):
+        if lo == hi:
+            assert root == sympy.Rational(lo.numerator, lo.denominator)
+            continue
+        assert sympy.Rational(lo.numerator, lo.denominator) < root
+        assert root < sympy.Rational(hi.numerator, hi.denominator)
+        assert descartes_count_roots(squarefree, lo, hi) == 1
+    for (_, b), (c, _) in zip(intervals, intervals[1:]):
+        # intervals may share an end only when it is not a root
+        assert b < c or (b == c and _eval(u, b) != 0)
+
+
+def _form(u):
+    """The form whose slice p(1, t) is the int polynomial u."""
+    return HomoPoly(len(u) - 1, tuple(F(c) for c in u))
+
+
 def _eval(u, t):
     acc = F(0)
     for c in reversed(u):
         acc = acc * t + c
     return acc
+
+
+class TestDescartesIsolation:
+    """isolate_real_roots and _descartes against the Fraction Descartes
+    oracle and sympy, on roots that land on the recursion's split points,
+    sit far from 1 or close together, or repeat."""
+
+    @staticmethod
+    def product(*roots, quadratics=()):
+        """The int polynomial with these rational roots (repeats kept)
+        times the given definite quadratics."""
+        factors = [[-F(r).numerator, F(r).denominator] for r in roots]
+        return _int_product(factors + list(quadratics))
+
+    @pytest.mark.parametrize("roots", [
+        (0,), (1,), (-1,), (0, 1, -1), (0, 0, 1, 1, -1),
+        (1, F(3, 4)), (1, F(5, 4)), (-1, F(-3, 4), 2),  # split root beside a simple one
+        (F(99, 100), 1, F(101, 100)),
+        (10**30,), (F(1, 10**30),), (-(10**30), F(-1, 10**30), 10**30),
+        (10**30, 10**30 + 1),
+        (1, 1 + F(1, 2**60)), (1 + F(1, 2**60), 1 + F(1, 2**59)),
+        (2, 2, 2, F(1, 3), F(1, 3)), (F(-7, 3), F(-7, 3), 5),
+    ])
+    def test_isolation_agrees_with_oracles(self, roots):
+        u = self.product(*roots, quadratics=[[1, 0, 1], [5, -2, 1]])
+        intervals = isolate_real_roots(u)
+        _check_isolation(u, intervals)
+        assert len(intervals) == len(set(roots))
+
+    def test_squarefree_recursion_agrees_with_oracles(self, rng):
+        # roots on the small dyadic and integer points the recursion splits
+        # and shifts at, beside random rationals and definite quadratics
+        points = [0, 1, -1, 2, F(1, 2), F(3, 2), 4, F(1, 4), -2, F(-1, 2)]
+        for _ in range(60):
+            roots = set(rng.sample(points, rng.randint(0, 4)))
+            for _ in range(rng.randint(0, 3)):
+                roots.add(F(rng.randint(-40, 40), rng.randint(1, 9)))
+            quads = [_definite_quadratic(rng) for _ in range(rng.randint(0, 2))]
+            u = self.product(*roots, quadratics=quads)
+            if len(u) < 2:
+                continue
+            _check_isolation(u, _descartes(u, None))
+
+    def test_budget_gives_the_unlimited_answer_or_none(self, rng):
+        for _ in range(40):
+            roots = {F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)}
+            u = self.product(*roots, quadratics=[_definite_quadratic(rng)])
+            full = _descartes(u, None)
+            for splits in range(4):
+                assert _descartes(u, splits) in (None, full)
+
+    def test_split_root_between_simple_roots_changes_sign(self):
+        # (100y - 99x)(y - x)^2(100y - 101x): its slice's squarefree part has
+        # the root 1 on the recursion's first split, between the simple
+        # roots 99/100 and 101/100, and is negative only between them
+        line = [-1, 1]
+        p = _form(_int_product([[-99, 100], line, line, [-101, 100]]))
+        u = _int_product([[-99, 100], line, [-101, 100]])
+        assert (F(1), F(1)) in _descartes(u, None)
+        cert = sign_on_punctured_plane(p)
+        assert cert.verdict is Verdict.MIXED and cert.method == "descartes-sign-change"
+        assert p.evaluate(*cert.witness) < 0
+        assert not certify_nonnegative(p).nonnegative
