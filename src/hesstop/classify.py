@@ -411,14 +411,15 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
     """Exact sign verdict for p on R^2 minus the origin.
 
     :func:`_descartes` runs first on the slice u with a budget of deg // 12
-    splits, and finding no root answers ``descartes-no-real-roots``.
-    Otherwise one Sturm chain counts u's real roots (none answers
-    ``sturm-no-real-roots``) and gives g = gcd(u, u'), and the recursion
-    isolates u / g with no limit.  The probes at the intervals' ends, the
-    midpoints between them, 0, +-1 and +-bound find a sign opposite to the
-    slice's nonzero sample whenever u takes one (``descartes-sign-change``).
-    Otherwise u is semidefinite, each real root of even multiplicity in u
-    and odd in g, and the witness is the least rational root that
+    splits: no root answers ``descartes-no-real-roots``, and a list isolates
+    every distinct real root.  When the budget runs out, one Sturm chain
+    counts u's real roots (none answers ``sturm-no-real-roots``) and gives
+    g = gcd(u, u'), and the recursion isolates u / g with no limit.  The
+    probes at the intervals' ends, the midpoints between them, 0, +-1 and
+    +-bound find a sign opposite to the slice's nonzero sample whenever u
+    takes one (``descartes-sign-change``).  Otherwise u is semidefinite,
+    each real root of even multiplicity in u and odd in g (a budgeted list
+    hits each exactly), and the witness is the least rational root that
     :func:`_rational_root` finds (``semidefinite-zeros``), or None when
     every real zero is irrational (``semidefinite-irrational-zeros``).
     """
@@ -434,15 +435,18 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
 
     at_infinity = p.coeffs[p.degree]  # value at the direction (0, 1)
     _, ref = _nonzero_sample(u)
-    if _descartes(u, (len(u) - 1) // _DEGREES_PER_DESCARTES_SPLIT) == []:
+    g = u  # a budgeted list's open intervals hold simple roots of u
+    intervals = _descartes(u, (len(u) - 1) // _DEGREES_PER_DESCARTES_SPLIT)
+    if intervals == []:
         return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
-    chain = SturmChain.of(u)
-    if chain.count_real_roots() == 0:
-        return _rootless_verdict(at_infinity, ref, "sturm-no-real-roots")
+    if intervals is None:
+        chain = SturmChain.of(u)
+        if chain.count_real_roots() == 0:
+            return _rootless_verdict(at_infinity, ref, "sturm-no-real-roots")
+        g = chain.polys[-1]
+        intervals = _descartes(_divexact(u, g), None)
 
     # the slice has real zeros: decide strict sign change vs semidefinite
-    g = chain.polys[-1]
-    intervals = _descartes(_divexact(u, g), None)
     witness = _strict_violation_witness(u, -1 if ref > 0 else 1, intervals)
     if witness is not None:
         return SignCertificate(Verdict.MIXED, witness, "descartes-sign-change")

@@ -3,13 +3,15 @@
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on usage errors (bad flags, unparseable polynomials, values out
 of range).  Polynomials are accepted as text (--poly) or as family
-shortcuts (--family P:m, Q:k or f:m,k).  A degree below what a command
-needs (census --n 3, a form 2, the q of verify-ineq 1) or above
-polyalg.MAX_DEGREE (for a pair, deg p + deg q), verify-identities
---m-max outside 4..MAX_IDENTITY_M (the checks cost about m^4), foliate
---seeds outside 1..foliation.MAX_SEEDS and polynomial text longer than
-MAX_POLY_TEXT characters are usage errors.  An error message quotes at
-most errors.ECHO_CHARS characters of the user's text.
+shortcuts (--family P:m, Q:k or f:m,k with integers m >= 2, k >= 0; the
+pair commands take f:m,k only), and any other spec is refused by name with
+the accepted forms.  A degree below what a command needs (census --n 3, a
+form 2, the q of verify-ineq 1) or above polyalg.MAX_DEGREE (for a pair,
+deg p + deg q), verify-identities --m-max outside 4..MAX_IDENTITY_M (the
+checks cost about m^4), foliate --seeds outside 1..foliation.MAX_SEEDS and
+polynomial text longer than MAX_POLY_TEXT characters are usage errors.  An
+error message quotes at most errors.ECHO_CHARS characters of the user's
+text.
 
 index, certify and census --certify read origin indexes exactly
 (origin_index); index first proves the form hyperbolic and exits 1 naming
@@ -21,7 +23,9 @@ but refuses to draw one (--svg/--csv exit 1 naming ``hyperbolic``, before
 any sampling).  The float layer samples forms in the Fourier basis, where
 nothing cancels: the tracer and foliate agree with the exact answers on the
 saddle family up to the degree cap (the monomial basis failed from P:112
-and P:86).
+and P:86).  A batch of figures is a shell loop of checked foliate calls:
+``for s in P:3 P:4 f:3,1; do python -m hesstop foliate --family $s --svg
+out/$s.svg; done``.
 
 JSON shapes: classify prints {"classification": label, "certificate":
 {...}}; index prints {"index": "n/2"}; verify-ineq prints
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,7 +65,7 @@ from .foliation import (
 )
 from .isotopy import certify_product_isotopy
 from .lineindex import index_at_origin, origin_index
-from .polyalg import MAX_DEGREE, HomoPoly, parse, product_family, radial_family, saddle_family
+from .polyalg import MAX_DEGREE, HomoPoly, parse, radial_family, saddle_family
 from .quadform import second_fundamental_form
 
 
@@ -87,28 +92,26 @@ def _check_degree(degree: int, what: str, floor: int = 0) -> None:
         raise UsageError(f"{what} is {degree}; this command needs {floor}..{MAX_DEGREE}")
 
 
-def _pair_spec(args: str, spec: str) -> tuple[int, int]:
-    """(m, k) from the "m,k" of an f:m,k spec, its degree m + 2k capped."""
-    m_str, k_str = args.split(",")
-    m, k = int(m_str), int(k_str)
-    _check_degree(m + 2 * k, f"the degree of {spec}")
-    return m, k
-
-
-def _family_poly(spec: str) -> HomoPoly:
+def _family(spec: str) -> tuple[HomoPoly, ...]:
+    """The factors of a family spec: (P_m,) for P:m, (Q_k,) for Q:k and
+    (P_m, Q_k) for f:m,k, where m >= 2, k >= 0 and the product's degree
+    m + 2k is at most MAX_DEGREE."""
+    tag, _, args = spec.partition(":")
     try:
-        tag, _, args = spec.partition(":")
-        if tag == "P":
-            _check_degree(int(args), f"the degree of {spec}")
-            return saddle_family(int(args))
-        if tag == "Q":
-            _check_degree(2 * int(args), f"the degree of {spec}")
-            return radial_family(int(args))
-        if tag == "f":
-            return product_family(*_pair_spec(args, spec))
-    except (ValueError, HesstopError) as exc:
-        raise UsageError(f"bad family spec {excerpt(spec)}: {exc}") from exc
-    raise UsageError(f"unknown family tag in {excerpt(spec)} (use P:m, Q:k or f:m,k)")
+        # {"m": m}, {"k": k} or both; a strict zip refuses a wrong count
+        names = {"P": "m", "Q": "k", "f": "mk"}.get(tag, "")
+        nums = dict(zip(names, map(int, args.split(",")), strict=True))
+    except ValueError:
+        nums = {}
+    if not nums or nums.get("m", 2) < 2 or nums.get("k", 0) < 0:
+        raise UsageError(
+            f"bad family spec {excerpt(spec)}: use P:m, Q:k or f:m,k "
+            f"with integers m >= 2 and k >= 0"
+        )
+    degree = nums.get("m", 0) + 2 * nums.get("k", 0)
+    _check_degree(degree, f"the degree of {excerpt(spec)}")
+    build = {"m": saddle_family, "k": radial_family}
+    return tuple(build[n](v) for n, v in nums.items())
 
 
 def _parse(text: str) -> HomoPoly:
@@ -126,7 +129,7 @@ def _load_poly(args, floor: int) -> HomoPoly:
     """The --poly or --family polynomial, of degree at least ``floor``."""
     if (args.poly is None) == (args.family is None):
         raise UsageError("provide exactly one of --poly or --family")
-    f = _parse(args.poly) if args.poly is not None else _family_poly(args.family)
+    f = _parse(args.poly) if args.poly is not None else math.prod(_family(args.family))
     _check_degree(f.degree, "the degree", floor)
     return f
 
@@ -137,14 +140,11 @@ def _load_pair(args, q_floor: int) -> tuple[HomoPoly, HomoPoly]:
     if args.family is not None:
         if args.p or args.q:
             raise UsageError("--family excludes --p/--q")
-        tag, _, rest = args.family.partition(":")
-        if tag != "f":
-            raise UsageError("pair commands need --family f:m,k")
-        try:
-            m, k = _pair_spec(rest, args.family)
-            p, q = saddle_family(m), radial_family(k)
-        except (ValueError, HesstopError) as exc:
-            raise UsageError(f"bad family spec {excerpt(args.family)}: {exc}") from exc
+        if not args.family.startswith("f:"):
+            raise UsageError(
+                f"bad family spec {excerpt(args.family)}: pair commands need f:m,k"
+            )
+        p, q = _family(args.family)
     elif not (args.p and args.q):
         raise UsageError("provide --family f:m,k or both --p and --q")
     else:

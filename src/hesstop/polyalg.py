@@ -12,13 +12,17 @@ Python ints end to end.  :func:`multiply` works on integers: it convolves the
 numerators over each factor's common denominator and divides by the product
 of the two denominators once, and only when that product is not 1.
 
-Text grammar accepted by :func:`parse` (whitespace insignificant)::
+Text grammar accepted by :func:`parse`, read after all whitespace is
+dropped::
 
     poly   := ['+'|'-'] term (('+'|'-') term)*
-    term   := [coef] ['*'] [x-part] ['*'] [y-part]
-    coef   := integer | integer '/' integer
+    term   := [coef] [x-part] [y-part], not empty, with an optional '*'
+              between two parts that are both present
+    coef   := integer ['/' integer]
     x-part := 'x' ['^' integer]
     y-part := 'y' ['^' integer]
+
+The pattern :data:`_TERM` is this grammar, one signed term per match.
 
 The canonical formatter (``str(p)``) emits terms in descending powers of x,
 for example ``x^3 - 3*x*y^2``, and round-trips through :func:`parse`.
@@ -27,6 +31,7 @@ for example ``x^3 - 3*x*y^2``, and round-trips through :func:`parse`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +41,19 @@ from .errors import DomainError, NotHomogeneousError, PolynomialSyntaxError, exc
 # a dense form stores degree + 1 coefficients, so text like x^100000000
 # would otherwise allocate that many before any check runs.
 MAX_DEGREE = 1024
+
+# One signed term of the grammar above.  Only '?' applies to a group, so no
+# repetition nests and a match takes time linear in its length.  A '*' is
+# matched only where another part of the same term follows it.
+_TERM = re.compile(
+    r"""(?P<sign>[+-]?)
+        (?P<body>
+          (?: (?P<num>\d+) (?: / (?P<den>\d+) )? (?: \* (?=[xy]) )? )?
+          (?: (?P<x>x) (?: \^ (?P<xe>\d+) )? (?: \* (?=y) )? )?
+          (?: (?P<y>y) (?: \^ (?P<ye>\d+) )? )?
+        )""",
+    re.VERBOSE,
+)
 
 
 def _exact(c) -> int | Fraction:
@@ -253,107 +271,52 @@ def complex_power_parts(n: int) -> tuple[HomoPoly, HomoPoly]:
     return re, im
 
 
-def _parse_term(term: str) -> tuple[int | Fraction, int, int]:
-    """Parse one unsigned term into (coefficient, x-exponent, y-exponent)."""
-    i, n = 0, len(term)
-    coef = None
-
-    def read_int(pos: int) -> tuple[int, int]:
-        j = pos
-        while j < n and term[j].isdigit():
-            j += 1
-        if j == pos:
-            raise PolynomialSyntaxError(
-                f"expected digits at position {pos} in term {excerpt(term)}"
-            )
-        try:
-            return int(term[pos:j]), j
-        except ValueError:  # over the interpreter's int-string digit limit
-            raise PolynomialSyntaxError(
-                f"integer literal of {j - pos} digits is too long"
-            ) from None
-
-    if i < n and term[i].isdigit():
-        num, i = read_int(i)
-        if i < n and term[i] == "/":
-            den, i = read_int(i + 1)
-            if den == 0:
-                raise PolynomialSyntaxError(f"zero denominator in term {excerpt(term)}")
-            coef = Fraction(num, den)
-        else:
-            coef = num
-        if i < n and term[i] == "*" and i + 1 < n and term[i + 1] in "xy":
-            i += 1
-
-    def read_var(pos: int) -> tuple[int, int]:
-        exp = 1
-        pos += 1
-        if pos < n and term[pos] == "^":
-            exp, pos = read_int(pos + 1)
-        return exp, pos
-
-    xexp = yexp = 0
-    seen_x = seen_y = False
-    if i < n and term[i] == "x":
-        xexp, i = read_var(i)
-        seen_x = True
-        if i < n and term[i] == "*" and i + 1 < n and term[i + 1] == "y":
-            i += 1
-    if i < n and term[i] == "y":
-        yexp, i = read_var(i)
-        seen_y = True
-    if i != n:
-        raise PolynomialSyntaxError(
-            f"unexpected character {term[i]!r} at position {i} in term {excerpt(term)}"
-        )
-    if coef is None and not seen_x and not seen_y:
-        raise PolynomialSyntaxError("empty term")
-    if coef is None:
-        coef = 1
-    return coef, xexp, yexp
-
-
 def parse(text: str) -> HomoPoly:
     """Parse polynomial text; rejects non-homogeneous input.
 
-    Raises PolynomialSyntaxError on bad tokens, NotHomogeneousError
-    naming the two offending term degrees on a degree mismatch, and
-    DomainError on a degree above MAX_DEGREE.
+    Reads one :data:`_TERM` match per signed term of the text with its
+    whitespace dropped; positions in messages index that text.  Raises
+    PolynomialSyntaxError on bad tokens, then NotHomogeneousError naming
+    two term degrees that differ, then DomainError on a degree above
+    MAX_DEGREE.
     """
     s = "".join(text.split())
     if not s:
         raise PolynomialSyntaxError("empty input")
-    pieces: list[tuple[int, str]] = []
-    sign = 1
-    start = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        start = 1
-    cur = start
-    term_start = start
-    while cur <= len(s):
-        if cur == len(s) or s[cur] in "+-":
-            chunk = s[term_start:cur]
-            if not chunk:
-                raise PolynomialSyntaxError(
-                    f"empty term at position {term_start} in {excerpt(text)}"
-                )
-            pieces.append((sign, chunk))
-            if cur < len(s):
-                sign = -1 if s[cur] == "-" else 1
-                term_start = cur + 1
-        cur += 1
+    terms: list[tuple[int | Fraction, int, int]] = []
+    pos = 0
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        pos = m.end()
+        if pos < len(s) and s[pos] not in "+-":
+            raise PolynomialSyntaxError(
+                f"unexpected character {s[pos]!r} at position {pos} in {excerpt(s)}"
+            )
+        if not m["body"]:
+            raise PolynomialSyntaxError(f"empty term at position {pos} in {excerpt(s)}")
+        literals = m.group("num", "den", "xe", "ye")
+        try:
+            num, den, a, b = [int(g or 1) for g in literals]
+        except ValueError:  # over the interpreter's int-string digit limit
+            digits = max(len(g or "") for g in literals)
+            raise PolynomialSyntaxError(
+                f"integer literal of {digits} digits is too long"
+            ) from None
+        if den == 0:
+            raise PolynomialSyntaxError(f"zero denominator in term {excerpt(m['body'])}")
+        coef = num if den == 1 else Fraction(num, den)
+        a, b = (a if m["x"] else 0), (b if m["y"] else 0)
+        terms.append((-coef if m["sign"] == "-" else coef, a, b))
 
-    parsed = [(sgn, *_parse_term(chunk)) for sgn, chunk in pieces]
-    degree = parsed[0][2] + parsed[0][3]
-    for sgn, coef, a, b in parsed:
+    degree = terms[0][1] + terms[0][2]
+    for _, a, b in terms:
         if a + b != degree:
             raise NotHomogeneousError(degree, a + b)
     if degree > MAX_DEGREE:
         raise DomainError(f"degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
     coeffs = [0] * (degree + 1)
-    for sgn, coef, a, b in parsed:
-        coeffs[b] += sgn * coef
+    for coef, _, b in terms:
+        coeffs[b] += coef
     return HomoPoly(degree, tuple(coeffs))
 
 

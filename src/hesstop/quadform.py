@@ -59,14 +59,6 @@ class QuadForm:
             )
         return QuadForm(self.a * factor, self.b * factor, self.c * factor)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadForm):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash(("QuadForm", self.a, self.b, self.c))
-
 
 def second_fundamental_form(f: HomoPoly) -> QuadForm:
     """(f_xx, f_xy, f_yy) packed as a QuadForm; needs deg f >= 2."""

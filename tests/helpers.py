@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library code paths they check:
 dict-based convolution for products, repeated complex multiplication for
 the saddle family, an interval-Descartes bisection isolator for real
-root counts, and the identity sums of combinat written term by term.
+root counts, the identity sums of combinat written term by term, and a
+character-scanning polynomial parser.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ from fractions import Fraction
 
 from hesstop.classify import NonnegativityCertificate, SignCertificate, Verdict
 from hesstop.combinat import binom
-from hesstop.errors import DomainError
+from hesstop.errors import (
+    DomainError,
+    NotHomogeneousError,
+    PolynomialSyntaxError,
+    excerpt,
+)
 from hesstop.isotopy import IsotopyCertificate
-from hesstop.polyalg import HomoPoly
+from hesstop.polyalg import MAX_DEGREE, HomoPoly
 
 
 def random_homopoly(
@@ -418,3 +424,113 @@ def literal_alternating_sum_identity_holds(m: int, r: int) -> bool:
     return (-1) ** r * binom(m - 1, r) == sum(
         (-1) ** k * binom(m, k) for k in range(r + 1)
     )
+
+
+# Reference parser: the character scanner polyalg.parse used before it
+# moved to one regex match per term, kept verbatim.  The rewritten parser
+# must accept the same strings, raise the same exception classes and build
+# the same polynomials.
+
+
+def _reference_parse_term(term: str) -> tuple[int | Fraction, int, int]:
+    """Parse one unsigned term into (coefficient, x-exponent, y-exponent)."""
+    i, n = 0, len(term)
+    coef = None
+
+    def read_int(pos: int) -> tuple[int, int]:
+        j = pos
+        while j < n and term[j].isdigit():
+            j += 1
+        if j == pos:
+            raise PolynomialSyntaxError(
+                f"expected digits at position {pos} in term {excerpt(term)}"
+            )
+        try:
+            return int(term[pos:j]), j
+        except ValueError:  # over the interpreter's int-string digit limit
+            raise PolynomialSyntaxError(
+                f"integer literal of {j - pos} digits is too long"
+            ) from None
+
+    if i < n and term[i].isdigit():
+        num, i = read_int(i)
+        if i < n and term[i] == "/":
+            den, i = read_int(i + 1)
+            if den == 0:
+                raise PolynomialSyntaxError(f"zero denominator in term {excerpt(term)}")
+            coef = Fraction(num, den)
+        else:
+            coef = num
+        if i < n and term[i] == "*" and i + 1 < n and term[i + 1] in "xy":
+            i += 1
+
+    def read_var(pos: int) -> tuple[int, int]:
+        exp = 1
+        pos += 1
+        if pos < n and term[pos] == "^":
+            exp, pos = read_int(pos + 1)
+        return exp, pos
+
+    xexp = yexp = 0
+    seen_x = seen_y = False
+    if i < n and term[i] == "x":
+        xexp, i = read_var(i)
+        seen_x = True
+        if i < n and term[i] == "*" and i + 1 < n and term[i + 1] == "y":
+            i += 1
+    if i < n and term[i] == "y":
+        yexp, i = read_var(i)
+        seen_y = True
+    if i != n:
+        raise PolynomialSyntaxError(
+            f"unexpected character {term[i]!r} at position {i} in term {excerpt(term)}"
+        )
+    if coef is None and not seen_x and not seen_y:
+        raise PolynomialSyntaxError("empty term")
+    if coef is None:
+        coef = 1
+    return coef, xexp, yexp
+
+
+def reference_parse(text: str) -> HomoPoly:
+    """Parse polynomial text; rejects non-homogeneous input.
+
+    Raises PolynomialSyntaxError on bad tokens, NotHomogeneousError
+    naming the two offending term degrees on a degree mismatch, and
+    DomainError on a degree above MAX_DEGREE.
+    """
+    s = "".join(text.split())
+    if not s:
+        raise PolynomialSyntaxError("empty input")
+    pieces: list[tuple[int, str]] = []
+    sign = 1
+    start = 0
+    if s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        start = 1
+    cur = start
+    term_start = start
+    while cur <= len(s):
+        if cur == len(s) or s[cur] in "+-":
+            chunk = s[term_start:cur]
+            if not chunk:
+                raise PolynomialSyntaxError(
+                    f"empty term at position {term_start} in {excerpt(text)}"
+                )
+            pieces.append((sign, chunk))
+            if cur < len(s):
+                sign = -1 if s[cur] == "-" else 1
+                term_start = cur + 1
+        cur += 1
+
+    parsed = [(sgn, *_reference_parse_term(chunk)) for sgn, chunk in pieces]
+    degree = parsed[0][2] + parsed[0][3]
+    for sgn, coef, a, b in parsed:
+        if a + b != degree:
+            raise NotHomogeneousError(degree, a + b)
+    if degree > MAX_DEGREE:
+        raise DomainError(f"degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
+    coeffs = [0] * (degree + 1)
+    for sgn, coef, a, b in parsed:
+        coeffs[b] += sgn * coef
+    return HomoPoly(degree, tuple(coeffs))

@@ -398,6 +398,25 @@ class TestOneChainPerSlice:
         assert ok and cert.method == "descartes-no-real-roots"
         assert chains == []
 
+    @pytest.mark.parametrize(
+        "text, method",
+        [
+            ("x^2 - 4*x*y + 3*y^2", "descartes-sign-change"),  # roots 1/3 and 1
+            ("x^4 - 2*x^2*y^2 + y^4", "semidefinite-zeros"),  # double roots -1, 1
+        ],
+    )
+    def test_full_budgeted_list_builds_no_chain(self, chains, monkeypatch, text, method):
+        # times a radial power the slice has degree 24 and a budget of two
+        # splits, within which the recursion isolates every root: its list
+        # is used as it is, and the chain path gives the same certificate
+        f = parse(text)
+        p = f * radial_family((24 - f.degree) // 2)
+        cert = sign_on_punctured_plane(p)
+        assert cert.method == method and chains == []
+        monkeypatch.setattr(classify, "_DEGREES_PER_DESCARTES_SPLIT", 10**9)
+        assert sign_on_punctured_plane(p) == cert
+        assert len(chains) == 1
+
 
 def test_origin_not_separately_tested():
     # homogeneity forces every positive-degree pairing to vanish at the

@@ -461,3 +461,29 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("classify", "--family", "P:abc"), "P:m, Q:k or f:m,k"),
+            (("classify", "--family", "Z:3"), "P:m, Q:k or f:m,k"),
+            (("classify", "--family", "f:3"), "P:m, Q:k or f:m,k"),
+            (("classify", "--family", "P:"), "P:m, Q:k or f:m,k"),
+            (("classify", "--family", ":3"), "P:m, Q:k or f:m,k"),
+            (("classify", "--family", "P:1"), "m >= 2"),
+            (("classify", "--family", "f:2000,-600"), "k >= 0"),
+            (("classify", "--family", "P:" + "9" * 5000), "P:m, Q:k or f:m,k"),
+            (("certify", "--family", "P:7"), "pair commands need f:m,k"),
+            (("verify-ineq", "--family", "Q:2"), "pair commands need f:m,k"),
+            (("certify", "--family", "f:3,1", "--p", "x^2"), "--family excludes --p/--q"),
+        ],
+        ids=["P:abc", "Z:3", "f:3", "P:", ":3", "P:1", "f:2000,-600", "P:9...9",
+             "certify-P:7", "verify-ineq-Q:2", "family-and-p"],
+    )
+    def test_bad_family_spec(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert named in err and len(err) < 4 * ECHO_CHARS + 200
+        assert "invalid literal" not in err and "unpack" not in err
+        if "excludes" not in named:
+            assert f"bad family spec {argv[2][:ECHO_CHARS]!r}" in err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,13 @@ from hesstop.polyalg import (
 )
 
 from conftest import homopolys
-from helpers import complex_power_oracle, dict_multiply, poly_as_dict, random_homopoly
+from helpers import (
+    complex_power_oracle,
+    dict_multiply,
+    poly_as_dict,
+    random_homopoly,
+    reference_parse,
+)
 
 
 F = Fraction
@@ -84,6 +91,44 @@ class TestParse:
     @settings(max_examples=150)
     def test_format_parse_round_trip(self, p):
         assert parse(format_poly(p)) == p
+
+
+def parse_outcome(parser, text):
+    """The polynomial a parser builds, coefficient types included, or the
+    class of the exception it raises."""
+    try:
+        p = parser(text)
+    except Exception as exc:
+        return type(exc)
+    return p.degree, [(type(c), c) for c in p.coeffs]
+
+
+class TestParseMatchesReference:
+    def test_random_strings(self):
+        rng = random.Random(1301)
+        accepted = 0
+        for _ in range(20000):
+            n = rng.randint(1, 12)
+            text = "".join(rng.choice("xy0123456789^*/+- ") for _ in range(n))
+            got = parse_outcome(parse, text)
+            assert got == parse_outcome(reference_parse, text), text
+            accepted += isinstance(got, tuple)
+        assert accepted > 1000  # the draw reaches the accepting paths
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "   ", "+", "-", "x+", "++x", "*x", "x*", "3*", "x^", "2//3", "1/2/3",
+            "x*x", "3*yx", "3xy", "3 x * y", "x^0*y", "0/5*y^3", "1/0*x",
+            "x + y^2 + *", "x + x*y", "x^100000000 - y^100000000",
+            "\u0663x", "\u00b2x", "1\u00b2x", "3/\u0660*x",
+            pytest.param("1" * 5000 + "*x^2 + y^2", id="long-coefficient"),
+            pytest.param("x^" + "1" * 5000, id="long-exponent"),
+            pytest.param("1/" + "2" * 5000 + "*x", id="long-denominator"),
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
 
 
 class TestArithmetic:
