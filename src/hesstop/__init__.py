@@ -49,7 +49,6 @@ from .polyalg import (
 from .quadform import (
     QuadForm,
     discriminant,
-    discriminant_expansion_residual,
     gradient_product_form,
     hessian_pairing,
     path_discriminant_coeffs,

@@ -87,15 +87,16 @@ def enumerate_rows(n: int) -> list[CensusRow]:
 
 
 def certify_row(row: CensusRow) -> dict:
-    """Run the full certificate bundle for one census row.
+    """Run the full certificate bundle for one census row; each certificate
+    appears in it once.
 
-    For k = 0 checks hyperbolicity of the saddle; for k >= 1 runs the
-    product isotopy once, which certifies the product hyperbolic, the radial
-    factor elliptic and the hessian pairing nonpositive, and fills those
-    bundle entries from its verdicts.  Finally the exact origin index, read
-    by origin_index from one Sturm chain once hyperbolicity is proved, must
-    equal the theoretical (2 - m)/2.  Raises PreconditionFailed naming the
-    first failing certificate.
+    For k = 0 the bundle's "product_hyperbolic" proves the saddle
+    hyperbolic.  For k >= 1 its "isotopy" is the product isotopy, whose
+    verdicts prove the product hyperbolic, the radial factor elliptic and
+    the hessian pairing nonpositive.  Finally "index", the exact origin
+    index read by origin_index from one Sturm chain once hyperbolicity is
+    proved, must equal the theoretical (2 - m)/2.  Raises PreconditionFailed
+    naming the first failing certificate.
     """
     p = saddle_family(row.m)
     bundle: dict = {"row": row}
@@ -103,11 +104,7 @@ def certify_row(row: CensusRow) -> dict:
     if row.k >= 1:
         q = radial_family(row.k)
         f = multiply(p, q)
-        isotopy = certify_product_isotopy(p, q)
-        bundle["product_hyperbolic"] = isotopy.verdicts["product_hyperbolic"]
-        bundle["radial_elliptic"] = isotopy.verdicts["q_elliptic"]
-        bundle["pairing_nonpositive"] = isotopy.verdicts["pairing_nonpositive"]
-        bundle["isotopy"] = isotopy
+        bundle["isotopy"] = certify_product_isotopy(p, q)
     else:
         f = p
         hyp_ok, hyp_cert = is_hyperbolic(f)

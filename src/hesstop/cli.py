@@ -34,9 +34,9 @@ JSON shapes: classify prints {"classification": label, "certificate":
 positive; certify prints "certified" (the two exact origin indexes agree: a
 returned isotopy certificate has passed every hypothesis), "certificate",
 "index_product" and "index_factor", or {"certified": false,
-"failed_hypothesis": name}.  The certificate's "hypotheses" are
-q_elliptic, p_hyperbolic, q_positive, pairing_nonpositive and
-product_hyperbolic, each with its exact certificate, and
+"failed_hypothesis": name}.  The certificate's "hypotheses" are, in order,
+p_hyperbolic, q_elliptic, q_positive, product_hyperbolic and
+pairing_nonpositive, each with its exact certificate, then
 gradient_term_leg, a nested certificate whose hypotheses are p_hyperbolic,
 q_positive and pairing_nonpositive.  With --certify, census gives each row
 "certified" and, on failure, "failed" (the hypothesis or exception class).
@@ -97,13 +97,18 @@ def _family(spec: str) -> tuple[HomoPoly, ...]:
     (P_m, Q_k) for f:m,k, where m >= 2, k >= 0 and the product's degree
     m + 2k is at most MAX_DEGREE."""
     tag, _, args = spec.partition(":")
+    fields = args.split(",")
     try:
-        # {"m": m}, {"k": k} or both; a strict zip refuses a wrong count
+        # {"m": m}, {"k": k} or both; a strict zip refuses a wrong count.
+        # int() alone would also take signs, spaces, underscores and the
+        # digits of other scripts
+        if not all(s.isascii() and s.isdigit() for s in fields):
+            raise ValueError
         names = {"P": "m", "Q": "k", "f": "mk"}.get(tag, "")
-        nums = dict(zip(names, map(int, args.split(",")), strict=True))
+        nums = dict(zip(names, map(int, fields), strict=True))
     except ValueError:
         nums = {}
-    if not nums or nums.get("m", 2) < 2 or nums.get("k", 0) < 0:
+    if not nums or nums.get("m", 2) < 2:
         raise UsageError(
             f"bad family spec {excerpt(spec)}: use P:m, Q:k or f:m,k "
             f"with integers m >= 2 and k >= 0"
@@ -122,7 +127,8 @@ def _parse(text: str) -> HomoPoly:
     try:
         return parse(text)
     except HesstopError as exc:
-        raise UsageError(f"cannot parse polynomial {excerpt(text)}: {exc}") from exc
+        # the parser's message already quotes the text
+        raise UsageError(f"cannot parse polynomial: {exc}") from exc
 
 
 def _load_poly(args, floor: int) -> HomoPoly:

@@ -7,15 +7,19 @@ affine path joins a form w to w + delta when delta is nowhere hyperbolic;
 there positivity on t in [0, 1] follows from positivity at both endpoints
 plus concavity (the t^2 coefficient is nonpositive).
 
-Five signs are proved, each by one kernel call on one polynomial: q
-elliptic, p hyperbolic, q positive, the hessian pairing nonpositive and pq
-hyperbolic.  Every other sign is read from an exact polynomial identity
-that writes the coefficient as a product of proved signs and squares:
-a0 = q^2 disc II_p, a1 = -2q * pairing and a2 = (p_x q_y - p_y q_x)^2 on
-the gradient-term path; on the affine path the start is a0 + a1 + a2, the
-t^2 coefficient is p^2 disc II_q and the end is disc II_{pq}.  Each
-identity is checked coefficient by coefficient at run time; it holds for
-every input, so a failure is an internal error.
+Every form is built once per certificate: II_p, II_q, II_{pq}, 2 dp dq,
+the hessian pairing, q*II_p and the discriminants of II_p, II_q and
+II_{pq}.  Five signs are proved, each by one kernel call on one of those
+polynomials: q elliptic, p hyperbolic, q positive and pq hyperbolic by
+sign_on_punctured_plane, the hessian pairing nonpositive by
+certify_nonnegative of its negative.  Every other sign is read from an
+exact polynomial identity that writes the coefficient as a product of
+proved signs and squares: a0 = q^2 disc II_p, a1 = -2q * pairing and
+a2 = (p_x q_y - p_y q_x)^2 on the gradient-term path; on the affine path
+the start is a0 + a1 + a2, the t^2 coefficient is p^2 disc II_q and the
+end is disc II_{pq}.  Each identity is checked coefficient by coefficient
+at run time on the same objects the proofs read; it holds for every
+input, so a failure is an internal error.
 
 Certificates are data, not booleans: every proved hypothesis is carried as
 the exact SignCertificate or NonnegativityCertificate that proved it, so
@@ -28,15 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import (
+    SignCertificate,
     Verdict,
-    certify_pairing_nonpositive,
-    is_elliptic,
-    is_hyperbolic,
+    certify_nonnegative,
     sign_on_punctured_plane,
 )
 from .errors import PreconditionFailed
 from .polyalg import HomoPoly, format_poly, multiply, partial
 from .quadform import (
+    QuadForm,
     discriminant,
     gradient_product_form,
     hessian_pairing,
@@ -92,6 +96,47 @@ def _identity(name: str, lhs, rhs) -> None:
     _require(name, lhs == rhs, "an exact identity did not hold (internal error)")
 
 
+def _prove_sign(
+    name: str, f: HomoPoly, detail: str, want: Verdict = Verdict.POSITIVE
+) -> SignCertificate:
+    cert = sign_on_punctured_plane(f)
+    _require(name, cert.verdict is want, detail)
+    return cert
+
+
+def _gradient_leg(p: HomoPoly, q: HomoPoly) -> tuple[IsotopyCertificate, QuadForm]:
+    """The gradient-term certificate and its end form q*II_p + 2 dp dq."""
+    ii_p = second_fundamental_form(p)
+    disc_p = discriminant(ii_p)
+    p_hyp = _prove_sign("p_hyperbolic", disc_p, "first argument is not hyperbolic")
+    q_pos = _prove_sign(
+        "q_positive", q, "second argument is not positive on the punctured plane"
+    )
+    pairing = hessian_pairing(p, q)
+    pairing_cert = certify_nonnegative(-pairing)
+    _require("pairing_nonpositive", pairing_cert.nonnegative, "hessian pairing is positive")
+
+    q_ii_p, dpdq = ii_p.scale(q), gradient_product_form(p, q)
+    a0, a1, a2 = path_discriminant_coeffs(q_ii_p, dpdq)
+    px, py = partial(p, "x"), partial(p, "y")
+    jac = multiply(px, partial(q, "y")) - multiply(py, partial(q, "x"))
+    _identity("a0_identity", a0, multiply(multiply(q, q), disc_p))
+    _identity("a1_identity", a1, -2 * multiply(q, pairing))
+    _identity("a2_identity", a2, multiply(jac, jac))
+    cert = IsotopyCertificate(
+        kind=GRADIENT_TERM_PATH,
+        t_coefficients=(a0, a1, a2),
+        branch="all-t-coefficients-nonnegative",
+        verdicts={
+            "p_hyperbolic": p_hyp,
+            "q_positive": q_pos,
+            "pairing_nonpositive": pairing_cert,
+        },
+        conclusion="q*II_p + 2t dp dq is hyperbolic off the origin for t in [0,1]",
+    )
+    return cert, q_ii_p + dpdq
+
+
 def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     """Certify that q*II_p + 2t dp dq is hyperbolic off the origin for all
     t in [0, 1].
@@ -101,35 +146,7 @@ def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     q^2 (disc II_p) is strictly positive, a1 = -2 q hessian_pairing(p, q)
     is nonnegative and a2 = (p_x q_y - p_y q_x)^2 is a square.
     """
-    hyp_ok, hyp_cert = is_hyperbolic(p)
-    _require("p_hyperbolic", hyp_ok, "first argument is not hyperbolic")
-    q_pos = sign_on_punctured_plane(q)
-    _require(
-        "q_positive",
-        q_pos.verdict is Verdict.POSITIVE,
-        "second argument is not positive on the punctured plane",
-    )
-    pairing = certify_pairing_nonpositive(p, q)
-    _require("pairing_nonpositive", pairing.nonnegative, "hessian pairing is positive")
-
-    ii_p = second_fundamental_form(p)
-    a0, a1, a2 = path_discriminant_coeffs(ii_p.scale(q), gradient_product_form(p, q))
-    px, py = partial(p, "x"), partial(p, "y")
-    jac = multiply(px, partial(q, "y")) - multiply(py, partial(q, "x"))
-    _identity("a0_identity", a0, multiply(multiply(q, q), discriminant(ii_p)))
-    _identity("a1_identity", a1, -2 * multiply(q, hessian_pairing(p, q)))
-    _identity("a2_identity", a2, multiply(jac, jac))
-    return IsotopyCertificate(
-        kind=GRADIENT_TERM_PATH,
-        t_coefficients=(a0, a1, a2),
-        branch="all-t-coefficients-nonnegative",
-        verdicts={
-            "p_hyperbolic": hyp_cert,
-            "q_positive": q_pos,
-            "pairing_nonpositive": pairing,
-        },
-        conclusion="q*II_p + 2t dp dq is hyperbolic off the origin for t in [0,1]",
-    )
+    return _gradient_leg(p, q)[0]
 
 
 def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
@@ -141,39 +158,40 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     hyperbolic.  The first failing hypothesis is named by the
     PreconditionFailed raised.
 
-    The affine leg deforms II_{pq} to w = q*II_p + 2 dp dq using the exact
-    split II_{pq} = p*II_q + q*II_p + 2 dp dq with delta = p*II_q.  Its
-    signs are read from identities: the start is the gradient-term leg at
-    t = 1, a0 + a1 + a2 > 0; the t^2 coefficient is p^2 disc II_q <= 0 as
-    q is elliptic; the end is disc II_{pq} > 0 as pq is hyperbolic.  A
-    concave quadratic in t positive at both ends stays positive between.
-    The gradient-term leg then removes the 2 dp dq summand.  Finally
-    q*II_p has the same null directions as II_p because q is positive.
+    The affine leg deforms II_{pq} to w = q*II_p + 2 dp dq, the gradient
+    leg's end form, using the exact split II_{pq} = p*II_q + q*II_p +
+    2 dp dq with delta = p*II_q.  Its signs are read from identities: the
+    start is the gradient-term leg at t = 1, a0 + a1 + a2 > 0; the t^2
+    coefficient is p^2 disc II_q <= 0 as q is elliptic; the end is
+    disc II_{pq} > 0 as pq is hyperbolic.  A concave quadratic in t
+    positive at both ends stays positive between.  The gradient-term leg
+    then removes the 2 dp dq summand.  Finally q*II_p has the same null
+    directions as II_p because q is positive.
     """
-    ell_ok, q_cert = is_elliptic(q)
-    _require("q_elliptic", ell_ok, "second factor is not elliptic")
-    gradient_leg = certify_gradient_term_path(p, q)
-    f = multiply(p, q)
-    prod_ok, f_cert = is_hyperbolic(f)
-    _require("product_hyperbolic", prod_ok, "the product is not hyperbolic")
+    ii_q = second_fundamental_form(q)
+    disc_q = discriminant(ii_q)
+    q_ell = _prove_sign(
+        "q_elliptic", disc_q, "second factor is not elliptic", Verdict.NEGATIVE
+    )
+    gradient_leg, omega = _gradient_leg(p, q)
+    ii_f = second_fundamental_form(multiply(p, q))
+    disc_f = discriminant(ii_f)
+    f_hyp = _prove_sign("product_hyperbolic", disc_f, "the product is not hyperbolic")
 
-    ii_q, ii_f = second_fundamental_form(q), second_fundamental_form(f)
-    omega = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
     delta = ii_q.scale(p)
     _identity("product_form_split", ii_f, omega + delta)
-
     a0, a1, a2 = path_discriminant_coeffs(omega, delta)
     g0, g1, g2 = gradient_leg.t_coefficients
     _identity("affine_a0_identity", a0, g0 + g1 + g2)
-    _identity("affine_a2_identity", a2, multiply(multiply(p, p), discriminant(ii_q)))
-    _identity("affine_end_identity", a0 + a1 + a2, discriminant(ii_f))
+    _identity("affine_a2_identity", a2, multiply(multiply(p, p), disc_q))
+    _identity("affine_end_identity", a0 + a1 + a2, disc_f)
 
     leg = gradient_leg.verdicts
     verdicts = {
         "p_hyperbolic": leg["p_hyperbolic"],
-        "q_elliptic": q_cert,
+        "q_elliptic": q_ell,
         "q_positive": leg["q_positive"],
-        "product_hyperbolic": f_cert,
+        "product_hyperbolic": f_hyp,
         "pairing_nonpositive": leg["pairing_nonpositive"],
         "gradient_term_leg": gradient_leg,
     }

@@ -111,32 +111,6 @@ def hessian_pairing(p: HomoPoly, q: HomoPoly) -> HomoPoly:
     )
 
 
-def discriminant_expansion_residual(p: HomoPoly, q: HomoPoly) -> HomoPoly:
-    """Discriminant of q*II_p + 2 dp dq minus its closed-form expansion.
-
-    The expansion is -q^2 det(Hess p) + (p_x q_y - p_y q_x)^2
-    - 2 q * hessian_pairing(p, q).  The residual is identically zero; this
-    operation exists so the identity can be certified coefficient by
-    coefficient over random inputs.
-    """
-    if p.degree < 2 or q.degree < 1:
-        raise DomainError("needs deg p >= 2 and deg q >= 1")
-    form = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
-    lhs = discriminant(form)
-
-    px, py = partial(p, "x"), partial(p, "y")
-    qx, qy = partial(q, "x"), partial(q, "y")
-    pxx, pxy, pyy = partial(px, "x"), partial(px, "y"), partial(py, "y")
-    det_hess = multiply(pxx, pyy) - multiply(pxy, pxy)
-    jac = multiply(px, qy) - multiply(py, qx)
-    rhs = (
-        -multiply(multiply(q, q), det_hess)
-        + multiply(jac, jac)
-        - 2 * multiply(q, hessian_pairing(p, q))
-    )
-    return lhs - rhs
-
-
 def path_discriminant_coeffs(
     w: QuadForm, d: QuadForm
 ) -> tuple[HomoPoly, HomoPoly, HomoPoly]:

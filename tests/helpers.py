@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library code paths they check:
 dict-based convolution for products, repeated complex multiplication for
 the saddle family, an interval-Descartes bisection isolator for real
 root counts, the identity sums of combinat written term by term, and a
-character-scanning polynomial parser.
+character-scanning polynomial parser.  discriminant_expansion_residual is
+a reference identity over the library's forms, kept for the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from hesstop.errors import (
     excerpt,
 )
 from hesstop.isotopy import IsotopyCertificate
-from hesstop.polyalg import MAX_DEGREE, HomoPoly
+from hesstop.polyalg import MAX_DEGREE, HomoPoly, multiply, partial
+from hesstop.quadform import (
+    discriminant,
+    gradient_product_form,
+    hessian_pairing,
+    second_fundamental_form,
+)
 
 
 def random_homopoly(
@@ -248,6 +255,33 @@ def circle_samples(p: HomoPoly, n: int = 401) -> list[float]:
         phi = 2 * math.pi * i / n
         out.append(float(p.evaluate(math.cos(phi), math.sin(phi))))
     return out
+
+
+def discriminant_expansion_residual(p: HomoPoly, q: HomoPoly) -> HomoPoly:
+    """Discriminant of q*II_p + 2 dp dq minus its closed-form expansion.
+
+    The expansion is -q^2 det(Hess p) + (p_x q_y - p_y q_x)^2
+    - 2 q * hessian_pairing(p, q).  The residual is identically zero; this
+    reference exists so the identity can be checked coefficient by
+    coefficient over random inputs, with det(Hess p) written out here
+    rather than read from disc II_p.
+    """
+    if p.degree < 2 or q.degree < 1:
+        raise DomainError("needs deg p >= 2 and deg q >= 1")
+    form = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
+    lhs = discriminant(form)
+
+    px, py = partial(p, "x"), partial(p, "y")
+    qx, qy = partial(q, "x"), partial(q, "y")
+    pxx, pxy, pyy = partial(px, "x"), partial(px, "y"), partial(py, "y")
+    det_hess = multiply(pxx, pyy) - multiply(pxy, pxy)
+    jac = multiply(px, qy) - multiply(py, qx)
+    rhs = (
+        -multiply(multiply(q, q), det_hess)
+        + multiply(jac, jac)
+        - 2 * multiply(q, hessian_pairing(p, q))
+    )
+    return lhs - rhs
 
 
 def hypotheses_hold(cert: IsotopyCertificate) -> bool:

@@ -33,13 +33,9 @@ from hesstop.foliation import (
 from hesstop.isotopy import certify_product_isotopy
 from hesstop.lineindex import index_at_origin
 from hesstop.polyalg import multiply, radial_family, saddle_family
-from hesstop.quadform import (
-    discriminant_expansion_residual,
-    gradient_product_form,
-    second_fundamental_form,
-)
+from hesstop.quadform import gradient_product_form, second_fundamental_form
 
-from helpers import hypotheses_hold, random_homopoly
+from helpers import discriminant_expansion_residual, hypotheses_hold, random_homopoly
 
 F = Fraction
 

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from hesstop import census, isotopy
+from hesstop import census, classify, isotopy
 from hesstop.census import CensusRow, certify_row, enumerate_rows, lower_bound
 from hesstop.errors import DomainError, PreconditionFailed
+from hesstop.polyalg import multiply, radial_family, saddle_family
+from hesstop.quadform import discriminant, hessian_pairing, second_fundamental_form
 
 from helpers import hypotheses_hold
 
@@ -90,7 +92,7 @@ class TestCertifyRow:
         bundle = certify_row(row)
         assert bundle["index"].value == F(-1, 2)
         assert hypotheses_hold(bundle["isotopy"])
-        assert bundle["pairing_nonpositive"].nonnegative
+        assert bundle["isotopy"].verdicts["pairing_nonpositive"].nonnegative
 
     def test_product_row_degree_six(self):
         row = enumerate_rows(6)[1]
@@ -99,15 +101,13 @@ class TestCertifyRow:
         assert bundle["index"].value == F(-1)
 
     def test_each_hypothesis_proved_once(self, monkeypatch):
-        # the four named hypotheses plus the one direct kernel call (q_positive);
-        # every other sign of the isotopy is read from an identity
-        calls = {
-            "is_hyperbolic": [],
-            "is_elliptic": [],
-            "certify_pairing_nonpositive": [],
-            "sign_on_punctured_plane": [],
-            "certify_nonnegative": [],
-        }
+        # five direct kernel calls, one per named hypothesis, each on its own
+        # polynomial: disc II_q (q_elliptic), disc II_p (p_hyperbolic), q
+        # (q_positive), -pairing (pairing_nonpositive) and disc II_{pq}
+        # (product_hyperbolic); every other sign of the isotopy is read from
+        # an identity, and no wrapper proves a hypothesis a second time
+        kernels = {"sign_on_punctured_plane": [], "certify_nonnegative": []}
+        wrappers = {"is_hyperbolic": [], "is_elliptic": [], "certify_pairing_nonpositive": []}
 
         def counted(fn, seen):
             def wrapper(*args):
@@ -116,22 +116,30 @@ class TestCertifyRow:
 
             return wrapper
 
-        for module in (census, isotopy):
+        # a kernel is counted where the certificates call it, a wrapper
+        # wherever it lives, so a hidden proof through classify shows too
+        for module, calls in [(census, kernels), (isotopy, kernels)] + [
+            (module, wrappers) for module in (census, classify, isotopy)
+        ]:
             for name, seen in calls.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(getattr(module, name), seen))
         row = enumerate_rows(7)[1]
         assert (row.k, row.m) == (1, 5)
         certify_row(row)
-        assert {name: len(seen) for name, seen in calls.items()} == {
-            "is_hyperbolic": 2,
-            "is_elliptic": 1,
-            "certify_pairing_nonpositive": 1,
-            "sign_on_punctured_plane": 1,
-            "certify_nonnegative": 0,
+        assert {name: len(seen) for name, seen in (kernels | wrappers).items()} == {
+            "sign_on_punctured_plane": 4,
+            "certify_nonnegative": 1,
+            "is_hyperbolic": 0,
+            "is_elliptic": 0,
+            "certify_pairing_nonpositive": 0,
         }
-        (first,), (second,) = calls["is_hyperbolic"]
-        assert first != second
+        p, q = saddle_family(5), radial_family(1)
+        discs = [discriminant(second_fundamental_form(f)) for f in (q, p, multiply(p, q))]
+        signs = [f for (f,) in kernels["sign_on_punctured_plane"]]
+        assert signs == [discs[0], discs[1], q, discs[2]]
+        assert all(f != g for i, f in enumerate(signs) for g in signs[:i])
+        assert kernels["certify_nonnegative"] == [(-hessian_pairing(p, q),)]
 
     def test_tampered_row_fails_by_name(self):
         row = CensusRow(8, 1, 6, F(-5, 2), 3)  # wrong theoretical index

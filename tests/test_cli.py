@@ -57,7 +57,7 @@ class TestClassify:
     @pytest.mark.parametrize(
         "text, error",
         [
-            # one 6001-character term: the parser's and the CLI's echo are cut
+            # one 6001-character term: the parser's echo, the only one, is cut
             ("x*" * 3000 + "x", "unexpected character"),
             ("x^2 ++ y^2" + " + x*y" * 2000, "empty term"),
         ],
@@ -65,7 +65,9 @@ class TestClassify:
     def test_error_echo_is_bounded(self, capsys, text, error):
         code, _, err = run(capsys, "classify", "--poly", text)
         assert code == 2
-        assert error in err and f"({len(text)} characters)" in err
+        # the parser quotes the text with its whitespace dropped
+        echoed = "".join(text.split())
+        assert error in err and f"({len(echoed)} characters)" in err
         assert len(err) < 4 * ECHO_CHARS + 200
 
     @pytest.mark.parametrize("flag", ["--poly", "--p"])
@@ -476,9 +478,14 @@ class TestUsage:
             (("certify", "--family", "P:7"), "pair commands need f:m,k"),
             (("verify-ineq", "--family", "Q:2"), "pair commands need f:m,k"),
             (("certify", "--family", "f:3,1", "--p", "x^2"), "--family excludes --p/--q"),
+            (("classify", "--family", "P:1_0"), "P:m, Q:k or f:m,k"),
+            (("classify", "--family", "P:+3"), "P:m, Q:k or f:m,k"),
+            (("classify", "--family", "P:\uff13"), "P:m, Q:k or f:m,k"),
+            (("classify", "--family", "f: +3 , 1"), "P:m, Q:k or f:m,k"),
         ],
         ids=["P:abc", "Z:3", "f:3", "P:", ":3", "P:1", "f:2000,-600", "P:9...9",
-             "certify-P:7", "verify-ineq-Q:2", "family-and-p"],
+             "certify-P:7", "verify-ineq-Q:2", "family-and-p", "P:1_0", "P:+3",
+             "P:fullwidth-3", "f:spaced-signed"],
     )
     def test_bad_family_spec(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
@@ -487,3 +494,15 @@ class TestUsage:
         assert "invalid literal" not in err and "unpack" not in err
         if "excludes" not in named:
             assert f"bad family spec {argv[2][:ECHO_CHARS]!r}" in err
+
+    @pytest.mark.parametrize(
+        "text, marker",
+        [("x + 3 * yy", "yy"), ("x+3*yy", "x+3*yy"), ("x^2+" + "y" * 300, "x^2+yyy")],
+        ids=["spaced", "compact", "long"],
+    )
+    def test_parse_error_quotes_text_once(self, capsys, text, marker):
+        code, out, err = run(capsys, "classify", "--poly", text)
+        assert code == 2 and out == ""
+        assert "cannot parse polynomial: " in err
+        # the parser's message quotes the text; the CLI adds no second quote
+        assert err.count(marker) == 1

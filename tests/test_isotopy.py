@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hesstop import isotopy
+from hesstop import classify, isotopy, quadform
 from hesstop.classify import certify_nonnegative
 from hesstop.errors import PreconditionFailed
 from hesstop.isotopy import certify_gradient_term_path, certify_product_isotopy
@@ -124,6 +124,30 @@ class TestProductIsotopy:
         with pytest.raises(PreconditionFailed) as exc:
             certify_product_isotopy(saddle_family(3), radial_family(1))
         assert exc.value.hypothesis == name
+
+    def test_each_form_built_once(self, monkeypatch):
+        # one certificate builds each II, discriminant, pairing and 2 dp dq
+        # once; the proofs and the identity checks read the same objects
+        builders = ("second_fundamental_form", "discriminant", "hessian_pairing",
+                    "gradient_product_form")
+        calls = {name: [] for name in builders}
+
+        def counted(fn, seen):
+            def wrapper(*args):
+                seen.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        for module in (classify, isotopy, quadform):
+            for name, seen in calls.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name), seen))
+        certify_product_isotopy(saddle_family(5), radial_family(1))
+        for name, seen in calls.items():
+            assert seen, name
+            repeats = [args for i, args in enumerate(seen) if args in seen[:i]]
+            assert repeats == [], name
 
     def test_json_schema(self):
         cert = certify_product_isotopy(saddle_family(3), radial_family(1))

@@ -9,7 +9,6 @@ from hesstop.polyalg import HomoPoly, multiply, parse, partial, radial_family, s
 from hesstop.quadform import (
     QuadForm,
     discriminant,
-    discriminant_expansion_residual,
     gradient_product_form,
     hessian_pairing,
     path_discriminant_coeffs,
@@ -17,7 +16,7 @@ from hesstop.quadform import (
 )
 
 from conftest import homopolys
-from helpers import random_homopoly
+from helpers import discriminant_expansion_residual, random_homopoly
 
 F = Fraction
 
