@@ -19,7 +19,7 @@ from .classify import is_hyperbolic
 from .errors import DomainError, PreconditionFailed
 from .isotopy import certify_product_isotopy
 from .lineindex import origin_index
-from .polyalg import multiply, radial_family, saddle_family
+from .polyalg import radial_family, saddle_family
 from .quadform import second_fundamental_form
 
 
@@ -95,24 +95,24 @@ def certify_row(row: CensusRow) -> dict:
     verdicts prove the product hyperbolic, the radial factor elliptic and
     the hessian pairing nonpositive.  Finally "index", the exact origin
     index read by origin_index from one Sturm chain once hyperbolicity is
-    proved, must equal the theoretical (2 - m)/2.  Raises PreconditionFailed
-    naming the first failing certificate.
+    proved, must equal the theoretical (2 - m)/2; for k >= 1 it is read
+    from the II_{pq} the isotopy built and names first in its ``joins``.
+    Raises PreconditionFailed naming the first failing certificate.
     """
     p = saddle_family(row.m)
     bundle: dict = {"row": row}
 
     if row.k >= 1:
-        q = radial_family(row.k)
-        f = multiply(p, q)
-        bundle["isotopy"] = certify_product_isotopy(p, q)
+        bundle["isotopy"] = certify_product_isotopy(p, radial_family(row.k))
+        w = bundle["isotopy"].joins[0]
     else:
-        f = p
-        hyp_ok, hyp_cert = is_hyperbolic(f)
+        hyp_ok, hyp_cert = is_hyperbolic(p)
         bundle["product_hyperbolic"] = hyp_cert
         if not hyp_ok:
             raise PreconditionFailed("product_hyperbolic", f"row {row}")
+        w = second_fundamental_form(p)
 
-    half = origin_index(second_fundamental_form(f))
+    half = origin_index(w)
     bundle["index"] = half
     if half.value != row.index:
         raise PreconditionFailed(

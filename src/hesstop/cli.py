@@ -2,16 +2,18 @@
 
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on usage errors (bad flags, unparseable polynomials, values out
-of range).  Polynomials are accepted as text (--poly) or as family
-shortcuts (--family P:m, Q:k or f:m,k with integers m >= 2, k >= 0; the
-pair commands take f:m,k only), and any other spec is refused by name with
-the accepted forms.  A degree below what a command needs (census --n 3, a
-form 2, the q of verify-ineq 1) or above polyalg.MAX_DEGREE (for a pair,
-deg p + deg q), verify-identities --m-max outside 4..MAX_IDENTITY_M (the
-checks cost about m^4), foliate --seeds outside 1..foliation.MAX_SEEDS and
-polynomial text longer than MAX_POLY_TEXT characters are usage errors.  An
-error message quotes at most errors.ECHO_CHARS characters of the user's
-text.
+of range, or an output that cannot be written: the path of index --trace,
+foliate --svg or --csv, or stdout, refused in one line, ``usage error:
+cannot write <path>: <reason>``).  Polynomials are accepted as text
+(--poly) or as family shortcuts (--family P:m, Q:k or f:m,k with integers
+m >= 2, k >= 0; the pair commands take f:m,k only), and any other spec is
+refused by name with the accepted forms.  A degree below what a command
+needs (census --n 3, a form 2, the q of verify-ineq 1) or above
+polyalg.MAX_DEGREE (for a pair, deg p + deg q), verify-identities --m-max
+outside 4..MAX_IDENTITY_M (the checks cost about m^4), foliate --seeds
+outside 1..foliation.MAX_SEEDS and polynomial text longer than
+MAX_POLY_TEXT characters are usage errors.  An error message quotes at most
+errors.ECHO_CHARS characters of the user's text.
 
 index, certify and census --certify read origin indexes exactly
 (origin_index); index first proves the form hyperbolic and exits 1 naming
@@ -33,13 +35,14 @@ JSON shapes: classify prints {"classification": label, "certificate":
 -hessian_pairing(p, q) >= 0, whose witness is a point where the pairing is
 positive; certify prints "certified" (the two exact origin indexes agree: a
 returned isotopy certificate has passed every hypothesis), "certificate",
-"index_product" and "index_factor", or {"certified": false,
-"failed_hypothesis": name}.  The certificate's "hypotheses" are, in order,
-p_hyperbolic, q_elliptic, q_positive, product_hyperbolic and
-pairing_nonpositive, each with its exact certificate, then
-gradient_term_leg, a nested certificate whose hypotheses are p_hyperbolic,
-q_positive and pairing_nonpositive.  With --certify, census gives each row
-"certified" and, on failure, "failed" (the hypothesis or exception class).
+"index_product" and "index_factor", read from the II_{pq} and II_p the
+certificate joins, or {"certified": false, "failed_hypothesis": name}.
+The certificate's "hypotheses" are, in order, p_hyperbolic, q_elliptic,
+q_positive, product_hyperbolic and pairing_nonpositive, each with its
+exact certificate, then gradient_term_leg, a nested certificate whose
+hypotheses are p_hyperbolic, q_positive and pairing_nonpositive.  With
+--certify, census gives each row "certified" and, on failure, "failed"
+(the hypothesis or exception class).
 ``python -m hesstop`` runs :func:`main`.  When the reader of stdout goes
 away early (``| head -1``), main stops quietly with exit code 1.
 """
@@ -320,9 +323,8 @@ def _cmd_certify(args) -> int:
             f"FAILED: hypothesis {exc.hypothesis}",
         )
         return 1
-    # every hypothesis held, or certify_product_isotopy would have raised
-    idx_product = origin_index(second_fundamental_form(p * q))
-    idx_factor = origin_index(second_fundamental_form(p))
+    # every hypothesis held (or it would have raised); read II_{pq} and II_p
+    idx_product, idx_factor = map(origin_index, cert.joins)
     agreed = idx_product.value == idx_factor.value
     payload = {
         "certified": agreed,
@@ -452,6 +454,11 @@ def main(argv=None) -> int:
         # devnull so the interpreter's last flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # after BrokenPipeError, an OSError too: --trace, --svg, --csv or stdout
+        target = "stdout" if exc.filename is None else excerpt(str(exc.filename))
+        print(f"usage error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

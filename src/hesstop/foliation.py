@@ -217,7 +217,7 @@ def _half_leaf(phi: float, psi: float, path) -> list[tuple[float, float]]:
     return pts
 
 
-def trace_foliation(w: QuadForm, seeds: int = 12) -> CurveSet:
+def trace_foliation(w: QuadForm, seeds: int) -> CurveSet:
     """Leaves of the branch that :func:`lineindex.index_at_origin` samples
     through ``seeds`` points of the unit circle, two half-leaves each, one
     towards growing and one towards falling angle.

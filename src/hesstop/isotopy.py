@@ -7,24 +7,26 @@ affine path joins a form w to w + delta when delta is nowhere hyperbolic;
 there positivity on t in [0, 1] follows from positivity at both endpoints
 plus concavity (the t^2 coefficient is nonpositive).
 
-Every form is built once per certificate: II_p, II_q, II_{pq}, 2 dp dq,
-the hessian pairing, q*II_p and the discriminants of II_p, II_q and
-II_{pq}.  Five signs are proved, each by one kernel call on one of those
-polynomials: q elliptic, p hyperbolic, q positive and pq hyperbolic by
-sign_on_punctured_plane, the hessian pairing nonpositive by
-certify_nonnegative of its negative.  Every other sign is read from an
-exact polynomial identity that writes the coefficient as a product of
-proved signs and squares: a0 = q^2 disc II_p, a1 = -2q * pairing and
-a2 = (p_x q_y - p_y q_x)^2 on the gradient-term path; on the affine path
-the start is a0 + a1 + a2, the t^2 coefficient is p^2 disc II_q and the
-end is disc II_{pq}.  Each identity is checked coefficient by coefficient
-at run time on the same objects the proofs read; it holds for every
-input, so a failure is an internal error.
+Every form is built once per certificate: II_p, II_q, II_{pq}, the four
+products p_x q_x, p_x q_y, p_y q_x, p_y q_y and over them 2 dp dq, the
+hessian pairing and the Jacobian (quadform.gradient_forms), q*II_p and
+the discriminants of II_p, II_q and II_{pq}.  Five signs are proved, each
+by one kernel call on one of those polynomials: q elliptic, p hyperbolic,
+q positive and pq hyperbolic by sign_on_punctured_plane, the hessian
+pairing nonpositive by certify_nonnegative of its negative.  Every other
+sign is read from an exact polynomial identity that writes the
+coefficient as a product of proved signs and squares: a0 = q^2 disc II_p,
+a1 = -2q * pairing and a2 = (p_x q_y - p_y q_x)^2 on the gradient-term
+path; on the affine path the start is a0 + a1 + a2, the t^2 coefficient
+is p^2 disc II_q and the end is disc II_{pq}.  Each identity is checked
+coefficient by coefficient at run time on the same objects the proofs
+read; it holds for every input, so a failure is an internal error.
 
 Certificates are data, not booleans: every proved hypothesis is carried as
 the exact SignCertificate or NonnegativityCertificate that proved it, so
-the CLI can emit an auditable trail.  A failing hypothesis raises
-PreconditionFailed with its name, so every returned certificate holds.
+the CLI can emit an auditable trail; callers read origin indexes from the
+forms in ``joins``.  A failing hypothesis raises PreconditionFailed with
+its name, so every returned certificate holds.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ from .classify import (
     sign_on_punctured_plane,
 )
 from .errors import PreconditionFailed
-from .polyalg import HomoPoly, format_poly, multiply, partial
+from .polyalg import HomoPoly, format_poly, multiply
 from .quadform import (
     QuadForm,
     discriminant,
-    gradient_product_form,
-    hessian_pairing,
+    gradient_forms,
     path_discriminant_coeffs,
     second_fundamental_form,
 )
@@ -61,7 +62,7 @@ class IsotopyCertificate:
     ``t_coefficients`` are (a0, a1, a2) of the path discriminant as a
     quadratic in t; ``branch`` names the sufficient condition that closed
     the argument; ``verdicts`` maps each proved hypothesis to its exact
-    certificate.
+    certificate; ``joins`` are the two forms whose line fields it connects.
     """
 
     kind: str
@@ -69,6 +70,7 @@ class IsotopyCertificate:
     branch: str
     verdicts: dict
     conclusion: str
+    joins: tuple[QuadForm, QuadForm]
 
     def to_json(self) -> dict:
         a0, a1, a2 = self.t_coefficients
@@ -104,26 +106,31 @@ def _prove_sign(
     return cert
 
 
-def _gradient_leg(p: HomoPoly, q: HomoPoly) -> tuple[IsotopyCertificate, QuadForm]:
-    """The gradient-term certificate and its end form q*II_p + 2 dp dq."""
+def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
+    """Certify that q*II_p + 2t dp dq is hyperbolic off the origin for all
+    t in [0, 1]; the certificate joins II_p and q*II_p + 2 dp dq.
+
+    Proved, in this order: p hyperbolic, q positive on the punctured plane,
+    and hessian_pairing(p, q) <= 0 everywhere.  Read from identities: a0 =
+    q^2 (disc II_p) is strictly positive, a1 = -2 q hessian_pairing(p, q)
+    is nonnegative and a2 = (p_x q_y - p_y q_x)^2 is a square.
+    """
     ii_p = second_fundamental_form(p)
     disc_p = discriminant(ii_p)
     p_hyp = _prove_sign("p_hyperbolic", disc_p, "first argument is not hyperbolic")
     q_pos = _prove_sign(
         "q_positive", q, "second argument is not positive on the punctured plane"
     )
-    pairing = hessian_pairing(p, q)
+    dpdq, pairing, jac = gradient_forms(p, q)
     pairing_cert = certify_nonnegative(-pairing)
     _require("pairing_nonpositive", pairing_cert.nonnegative, "hessian pairing is positive")
 
-    q_ii_p, dpdq = ii_p.scale(q), gradient_product_form(p, q)
+    q_ii_p = ii_p.scale(q)
     a0, a1, a2 = path_discriminant_coeffs(q_ii_p, dpdq)
-    px, py = partial(p, "x"), partial(p, "y")
-    jac = multiply(px, partial(q, "y")) - multiply(py, partial(q, "x"))
     _identity("a0_identity", a0, multiply(multiply(q, q), disc_p))
     _identity("a1_identity", a1, -2 * multiply(q, pairing))
     _identity("a2_identity", a2, multiply(jac, jac))
-    cert = IsotopyCertificate(
+    return IsotopyCertificate(
         kind=GRADIENT_TERM_PATH,
         t_coefficients=(a0, a1, a2),
         branch="all-t-coefficients-nonnegative",
@@ -133,24 +140,13 @@ def _gradient_leg(p: HomoPoly, q: HomoPoly) -> tuple[IsotopyCertificate, QuadFor
             "pairing_nonpositive": pairing_cert,
         },
         conclusion="q*II_p + 2t dp dq is hyperbolic off the origin for t in [0,1]",
+        joins=(ii_p, q_ii_p + dpdq),
     )
-    return cert, q_ii_p + dpdq
-
-
-def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
-    """Certify that q*II_p + 2t dp dq is hyperbolic off the origin for all
-    t in [0, 1].
-
-    Proved, in this order: p hyperbolic, q positive on the punctured plane,
-    and hessian_pairing(p, q) <= 0 everywhere.  Read from identities: a0 =
-    q^2 (disc II_p) is strictly positive, a1 = -2 q hessian_pairing(p, q)
-    is nonnegative and a2 = (p_x q_y - p_y q_x)^2 is a square.
-    """
-    return _gradient_leg(p, q)[0]
 
 
 def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
-    """Certify that II_{pq} and II_p are joined by hyperbolic isotopies.
+    """Certify that II_{pq} and II_p, the forms in ``joins``, are joined by
+    hyperbolic isotopies.
 
     Five hypotheses are proved, each by one kernel call, in this order: q
     elliptic; then the gradient-term leg, which proves p hyperbolic, q
@@ -173,7 +169,8 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     q_ell = _prove_sign(
         "q_elliptic", disc_q, "second factor is not elliptic", Verdict.NEGATIVE
     )
-    gradient_leg, omega = _gradient_leg(p, q)
+    gradient_leg = certify_gradient_term_path(p, q)
+    ii_p, omega = gradient_leg.joins
     ii_f = second_fundamental_form(multiply(p, q))
     disc_f = discriminant(ii_f)
     f_hyp = _prove_sign("product_hyperbolic", disc_f, "the product is not hyperbolic")
@@ -204,4 +201,5 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
             "II of the product and II of the first factor are hyperbolic "
             "isotopic; their origin indexes coincide"
         ),
+        joins=(ii_f, ii_p),
     )

@@ -46,9 +46,6 @@ class QuadForm:
     def __sub__(self, other: "QuadForm") -> "QuadForm":
         return QuadForm(self.a - other.a, self.b - other.b, self.c - other.c)
 
-    def __neg__(self) -> "QuadForm":
-        return QuadForm(-self.a, -self.b, -self.c)
-
     def scale(self, factor) -> "QuadForm":
         """Multiply all three coefficients by a polynomial or a rational."""
         if isinstance(factor, HomoPoly):
@@ -74,41 +71,38 @@ def discriminant(w: QuadForm) -> HomoPoly:
     return multiply(w.b, w.b) - multiply(w.a, w.c)
 
 
-def gradient_product_form(p: HomoPoly, q: HomoPoly) -> QuadForm:
-    """The symmetric gradient product 2 dp dq as a QuadForm.
+def gradient_forms(p: HomoPoly, q: HomoPoly) -> tuple[QuadForm, HomoPoly, HomoPoly]:
+    """(2 dp dq, hessian pairing, Jacobian p_x q_y - p_y q_x) over the four
+    products p_x q_x, p_x q_y, p_y q_x, p_y q_y, each computed once.
 
-    Stored coefficients: a = 2 p_x q_x, b = p_x q_y + p_y q_x, c = 2 p_y q_y.
-    Its discriminant is (p_x q_y - p_y q_x)^2.
+    2 dp dq has (a, b, c) = (2 p_x q_x, p_x q_y + p_y q_x, 2 p_y q_y) and
+    discriminant jac^2; the pairing is p_xx p_y q_y + p_yy p_x q_x - p_xy b.
     """
     if p.degree < 1 or q.degree < 1:
-        raise DomainError("gradient product needs both degrees >= 1")
+        raise DomainError("gradient forms need both degrees >= 1")
     px, py = partial(p, "x"), partial(p, "y")
     qx, qy = partial(q, "x"), partial(q, "y")
-    return QuadForm(
-        2 * multiply(px, qx),
-        multiply(px, qy) + multiply(py, qx),
-        2 * multiply(py, qy),
-    )
+    xx, yy = multiply(px, qx), multiply(py, qy)
+    xy, yx = multiply(px, qy), multiply(py, qx)
+    pxx, pxy, pyy = partial(px, "x"), partial(px, "y"), partial(py, "y")
+    pairing = multiply(pxx, yy) + multiply(pyy, xx) - multiply(pxy, xy + yx)
+    return QuadForm(2 * xx, xy + yx, 2 * yy), pairing, xy - yx
+
+
+def gradient_product_form(p: HomoPoly, q: HomoPoly) -> QuadForm:
+    """The symmetric gradient product 2 dp dq as a QuadForm."""
+    if p.degree < 1 or q.degree < 1:
+        raise DomainError("gradient product needs both degrees >= 1")
+    return gradient_forms(p, q)[0]
 
 
 def hessian_pairing(p: HomoPoly, q: HomoPoly) -> HomoPoly:
-    """The contraction grad(p) . Hess(p) . grad(q)^t.
-
-    Expanded: p_xx p_y q_y + p_yy p_x q_x - p_xy (p_x q_y + p_y q_x).
-    Degree 2*deg(p) + deg(q) - 4 when nonzero.
-    """
+    """grad(p) . Hess(p) . grad(q)^t, of degree 2 deg p + deg q - 4 when nonzero."""
     if p.degree < 2:
         raise DomainError("first argument needs degree >= 2")
     if q.degree < 1:
         raise DomainError("second argument needs degree >= 1")
-    px, py = partial(p, "x"), partial(p, "y")
-    qx, qy = partial(q, "x"), partial(q, "y")
-    pxx, pxy, pyy = partial(px, "x"), partial(px, "y"), partial(py, "y")
-    return (
-        multiply(pxx, multiply(py, qy))
-        + multiply(pyy, multiply(px, qx))
-        - multiply(pxy, multiply(px, qy) + multiply(py, qx))
-    )
+    return gradient_forms(p, q)[1]
 
 
 def path_discriminant_coeffs(

@@ -141,6 +141,29 @@ class TestCertifyRow:
         assert all(f != g for i, f in enumerate(signs) for g in signs[:i])
         assert kernels["certify_nonnegative"] == [(-hessian_pairing(p, q),)]
 
+    def test_index_read_from_the_isotopy_form(self, monkeypatch):
+        # a product row reads its index from the II_{pq} the isotopy built
+        # and names first in ``joins``; census builds no product and no II
+        calls = {"origin_index": [], "multiply": [], "second_fundamental_form": []}
+
+        def counted(fn, seen):
+            def wrapper(*args):
+                seen.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        for name, seen in calls.items():
+            if hasattr(census, name):
+                monkeypatch.setattr(census, name, counted(getattr(census, name), seen))
+        row = enumerate_rows(13)[3]
+        assert (row.k, row.m) == (3, 7)
+        bundle = certify_row(row)
+        ((w,),) = calls["origin_index"]
+        assert w is bundle["isotopy"].joins[0]
+        assert calls["multiply"] == calls["second_fundamental_form"] == []
+        assert bundle["index"].value == row.index
+
     def test_tampered_row_fails_by_name(self):
         row = CensusRow(8, 1, 6, F(-5, 2), 3)  # wrong theoretical index
         with pytest.raises(PreconditionFailed) as exc:

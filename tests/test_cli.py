@@ -278,6 +278,34 @@ class TestCertify:
             "pairing_nonpositive",
         }
 
+    def test_indexes_read_from_the_joined_forms(self, capsys, monkeypatch):
+        # both origin indexes come from the II_{pq} and II_p the certificate
+        # joins; certify builds no form of its own
+        certs, read = [], []
+        certify_product_isotopy = cli.certify_product_isotopy
+
+        def certify(p, q):
+            certs.append(certify_product_isotopy(p, q))
+            return certs[-1]
+
+        def index(w):
+            read.append(w)
+            return lineindex.origin_index(w)
+
+        def refuse(*args):
+            raise AssertionError("certify rebuilt a second fundamental form")
+
+        monkeypatch.setattr(cli, "certify_product_isotopy", certify)
+        monkeypatch.setattr(cli, "origin_index", index)
+        monkeypatch.setattr(cli, "second_fundamental_form", refuse)
+        code, out, _ = run(capsys, "certify", "--family", "f:3,1", "--json")
+        assert code == 0
+        (cert,) = certs
+        assert len(read) == 2
+        assert read[0] is cert.joins[0] and read[1] is cert.joins[1]
+        data = json.loads(out)
+        assert data["index_product"] == data["index_factor"] == "-1/2"
+
     def test_failing_pair_reports_hypothesis(self, capsys):
         code, out, _ = run(
             capsys, "certify", "--p", "x^3 - 3*x*y^2", "--q", "x^2 - y^2", "--json"
@@ -422,6 +450,19 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert proc.stderr == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_refused_in_one_line(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hesstop", "census", "--n", "5"],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("usage error: cannot write stdout: ")
+        assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -506,3 +547,20 @@ class TestUsage:
         assert "cannot parse polynomial: " in err
         # the parser's message quotes the text; the CLI adds no second quote
         assert err.count(marker) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("index", "--family", "P:3", "--trace", "{missing}/t.csv"),
+            ("foliate", "--family", "P:3", "--svg", "{missing}/p.svg"),
+            ("foliate", "--family", "P:3", "--csv", "{dir}"),
+        ],
+        ids=["trace-missing-dir", "svg-missing-dir", "csv-is-a-directory"],
+    )
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: cannot write ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert argv[-1][:ECHO_CHARS] in err

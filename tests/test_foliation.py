@@ -138,9 +138,12 @@ class TestFloatEntryPoint:
         def refuse(*args):
             raise AssertionError("sampled")
 
+        def trace(w):
+            return trace_foliation(w, seeds=12)
+
         monkeypatch.setattr(lineindex, "_float_coeffs", refuse)
         w = second_fundamental_form(saddle_family(3))
-        for sampler in (count_separatrices, lineindex.index_at_origin, trace_foliation):
+        for sampler in (count_separatrices, lineindex.index_at_origin, trace):
             with pytest.raises(AssertionError, match="sampled"):
                 sampler(w)
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hesstop import classify, isotopy, quadform
+from hesstop import classify, isotopy, polyalg, quadform
 from hesstop.classify import certify_nonnegative
 from hesstop.errors import PreconditionFailed
 from hesstop.isotopy import certify_gradient_term_path, certify_product_isotopy
@@ -126,11 +126,13 @@ class TestProductIsotopy:
         assert exc.value.hypothesis == name
 
     def test_each_form_built_once(self, monkeypatch):
-        # one certificate builds each II, discriminant, pairing and 2 dp dq
-        # once; the proofs and the identity checks read the same objects
-        builders = ("second_fundamental_form", "discriminant", "hessian_pairing",
-                    "gradient_product_form")
-        calls = {name: [] for name in builders}
+        # one certificate builds each II and discriminant once and the four
+        # first-order products once, through the shared builder; the proofs
+        # and the identity checks read the same objects, and neither public
+        # view of the builder runs a second time
+        builders = ("second_fundamental_form", "discriminant", "gradient_forms")
+        views = ("hessian_pairing", "gradient_product_form")
+        calls = {name: [] for name in builders + views}
 
         def counted(fn, seen):
             def wrapper(*args):
@@ -144,10 +146,42 @@ class TestProductIsotopy:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(getattr(module, name), seen))
         certify_product_isotopy(saddle_family(5), radial_family(1))
-        for name, seen in calls.items():
+        for name in builders:
+            seen = calls[name]
             assert seen, name
             repeats = [args for i, args in enumerate(seen) if args in seen[:i]]
             assert repeats == [], name
+        assert len(calls["gradient_forms"]) == 1
+        assert {name: calls[name] for name in views} == {name: [] for name in views}
+
+    def test_no_product_computed_twice(self, monkeypatch):
+        # every multiply of one certificate has its own arguments: the
+        # first-order products p_x q_x, p_x q_y, p_y q_x, p_y q_y are shared
+        # by 2 dp dq, the pairing and the Jacobian.  P_20 * Q_6 has no two
+        # products that coincide by symmetry (P_5 * Q_1 has)
+        seen = []
+
+        def counted(a, b):
+            seen.append((a, b))
+            return multiply(a, b)
+
+        for module in (polyalg, quadform, isotopy, classify):
+            if hasattr(module, "multiply"):
+                monkeypatch.setattr(module, "multiply", counted)
+        certify_product_isotopy(saddle_family(20), radial_family(6))
+        assert seen
+        repeats = [args for i, args in enumerate(seen) if args in seen[:i]]
+        assert repeats == []
+
+    def test_joins_name_the_connected_forms(self):
+        p, q = saddle_family(5), radial_family(2)
+        leg = certify_gradient_term_path(p, q)
+        ii_p = second_fundamental_form(p)
+        assert leg.joins == (ii_p, ii_p.scale(q) + gradient_product_form(p, q))
+        cert = certify_product_isotopy(p, q)
+        assert cert.joins == (second_fundamental_form(multiply(p, q)), ii_p)
+        # the product's II_p is the one its gradient leg built
+        assert cert.joins[1] is cert.verdicts["gradient_term_leg"].joins[0]
 
     def test_json_schema(self):
         cert = certify_product_isotopy(saddle_family(3), radial_family(1))

@@ -9,6 +9,7 @@ from hesstop.polyalg import HomoPoly, multiply, parse, partial, radial_family, s
 from hesstop.quadform import (
     QuadForm,
     discriminant,
+    gradient_forms,
     gradient_product_form,
     hessian_pairing,
     path_discriminant_coeffs,
@@ -98,10 +99,28 @@ class TestGradientProductForm:
     @given(homopolys(min_degree=1, max_degree=6), homopolys(min_degree=1, max_degree=6))
     @settings(max_examples=60)
     def test_discriminant_is_jacobian_squared(self, p, q):
-        jac = multiply(partial(p, "x"), partial(q, "y")) - multiply(
-            partial(p, "y"), partial(q, "x")
-        )
+        px, py = partial(p, "x"), partial(p, "y")
+        qx, qy = partial(q, "x"), partial(q, "y")
+        jac = multiply(px, qy) - multiply(py, qx)
         assert discriminant(gradient_product_form(p, q)) == multiply(jac, jac)
+        # the shared builder's forms against the reference formulas; the
+        # pairing p_xx p_y q_y + p_yy p_x q_x - p_xy (p_x q_y + p_y q_x) is
+        # grouped here as (p_xx p_y) q_y and so on
+        dpdq, pairing, builder_jac = gradient_forms(p, q)
+        assert dpdq == QuadForm(
+            2 * multiply(px, qx), multiply(px, qy) + multiply(py, qx), 2 * multiply(py, qy)
+        )
+        assert builder_jac == jac
+        pxx, pxy, pyy = partial(px, "x"), partial(px, "y"), partial(py, "y")
+        reference = (
+            multiply(multiply(pxx, py), qy)
+            + multiply(multiply(pyy, px), qx)
+            - multiply(multiply(pxy, px), qy)
+            - multiply(multiply(pxy, py), qx)
+        )
+        assert pairing == reference
+        if p.degree >= 2:
+            assert hessian_pairing(p, q) == reference
 
 
 class TestHessianPairing:
