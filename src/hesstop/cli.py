@@ -199,7 +199,7 @@ def _cmd_index(args) -> int:
     w = second_fundamental_form(f)
     half = origin_index(w)
     if args.trace:
-        index_at_origin(w)[1].to_csv(args.trace)
+        _write(index_at_origin(w)[1].to_csv, args.trace)
     _emit(args, {"index": str(half)}, f"index {half}")
     return 0
 
@@ -243,61 +243,43 @@ def _cmd_verify_identities(args) -> int:
             f"cost grows about as m^4 (6.5 s at m = 160) and "
             f"m = {MAX_DEGREE} would run for hours"
         )
-    checks: list[tuple[str, bool]] = []
-
-    ok = all(combinat.binomial_reduction_check(m) for m in range(4, m_max + 1, 2))
-    checks.append(("binomial-reductions", ok))
-
-    ok = all(
-        combinat.vanishing_alternating_sum(m, j) == 0
-        for m in range(1, m_max + 1)
-        for j in range(m)
-    )
-    checks.append(("vanishing-alternating-sum", ok))
-
-    ok = all(
-        combinat.weighted_convolution_sum(m, j) == (j + 1) * combinat.binom(m, j + 1)
-        and combinat.square_convolution_sum(m, j) == combinat.binom(m, j)
-        for m in range(2, m_max + 1)
-        for j in range(m)
-    )
-    checks.append(("convolution-closed-forms", ok))
-
-    ok = all(
-        combinat.weighted_sum_recurrence_holds(m, j)
-        and combinat.square_sum_recurrence_holds(m, j)
-        for m in range(2, m_max + 1)
-        for j in range(m)
-    )
-    checks.append(("convolution-recurrences", ok))
-
-    ok = all(
-        combinat.absorption_identity_holds(m, k)
-        for m in range(1, m_max + 1)
-        for k in range(m + 1)
-    )
-    checks.append(("absorption", ok))
-
-    ok = all(
-        combinat.alternating_sum_identity_holds(m, r)
-        for m in range(1, m_max + 1)
-        for r in range(m)
-    )
-    checks.append(("alternating-sum", ok))
-
-    ok = all(
-        combinat.bracket_closed_form_check(m, k)
-        for m in range(2, min(m_max, 12) + 1)
-        for k in range(1, 7)
-    )
-    checks.append(("bracket-closed-form", ok))
-
+    checks = {
+        "binomial-reductions": all(
+            combinat.binomial_reduction_check(m) for m in range(4, m_max + 1, 2)
+        ),
+        "vanishing-alternating-sum": all(
+            combinat.vanishing_alternating_sum(m, j) == 0
+            for m in range(1, m_max + 1) for j in range(m)
+        ),
+        "convolution-closed-forms": all(
+            combinat.weighted_convolution_sum(m, j) == (j + 1) * combinat.binom(m, j + 1)
+            and combinat.square_convolution_sum(m, j) == combinat.binom(m, j)
+            for m in range(2, m_max + 1) for j in range(m)
+        ),
+        "convolution-recurrences": all(
+            combinat.weighted_sum_recurrence_holds(m, j)
+            and combinat.square_sum_recurrence_holds(m, j)
+            for m in range(2, m_max + 1) for j in range(m)
+        ),
+        "absorption": all(
+            combinat.absorption_identity_holds(m, k)
+            for m in range(1, m_max + 1) for k in range(m + 1)
+        ),
+        "alternating-sum": all(
+            combinat.alternating_sum_identity_holds(m, r)
+            for m in range(1, m_max + 1) for r in range(m)
+        ),
+        "bracket-closed-form": all(
+            combinat.bracket_closed_form_check(m, k)
+            for m in range(2, min(m_max, 12) + 1) for k in range(1, 7)
+        ),
+    }
     if args.json:
-        print(json.dumps({name: ok for name, ok in checks}, indent=2))
+        print(json.dumps(checks, indent=2))
     else:
-        for name, ok in checks:
+        for name, ok in checks.items():
             print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    return 0 if all(ok for _, ok in checks) else 1
+    return 0 if all(checks.values()) else 1
 
 
 def _cmd_verify_ineq(args) -> int:
@@ -367,9 +349,9 @@ def _cmd_foliate(args) -> int:
             f"but f has {exact} distinct real linear factors"
         )
     if args.svg:
-        curves_to_svg(cs, args.svg)
+        _write(curves_to_svg, cs, args.svg)
     if args.csv:
-        curves_to_csv(cs, args.csv)
+        _write(curves_to_csv, cs, args.csv)
     payload = {
         "separatrix_lines": count,
         "ray_angles": [round(a, 9) for a in angles],
@@ -439,6 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(write, *args) -> None:
+    """write(*args), whose last argument is the output path; a path that
+    cannot be written (missing directory, full device) is a usage error."""
+    try:
+        write(*args)
+    except OSError as exc:
+        raise UsageError(f"cannot write {excerpt(args[-1])}: {exc.strerror}") from None
+
+
+def _drop_stdout() -> None:
+    # point stdout at devnull so the interpreter's last flush of the bytes
+    # it still holds cannot fail a second time
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -450,14 +447,14 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # the reader closed stdout early (``| head``); send what is left to
-        # devnull so the interpreter's last flush does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout early (``| head``)
+        _drop_stdout()
         return 1
     except OSError as exc:
-        # after BrokenPipeError, an OSError too: --trace, --svg, --csv or stdout
-        target = "stdout" if exc.filename is None else excerpt(str(exc.filename))
-        print(f"usage error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        # after BrokenPipeError, an OSError too: any other refused write to
+        # stdout (the output paths go through _write)
+        _drop_stdout()
+        print(f"usage error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

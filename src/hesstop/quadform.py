@@ -84,9 +84,10 @@ def gradient_forms(p: HomoPoly, q: HomoPoly) -> tuple[QuadForm, HomoPoly, HomoPo
     qx, qy = partial(q, "x"), partial(q, "y")
     xx, yy = multiply(px, qx), multiply(py, qy)
     xy, yx = multiply(px, qy), multiply(py, qx)
+    b = xy + yx
     pxx, pxy, pyy = partial(px, "x"), partial(px, "y"), partial(py, "y")
-    pairing = multiply(pxx, yy) + multiply(pyy, xx) - multiply(pxy, xy + yx)
-    return QuadForm(2 * xx, xy + yx, 2 * yy), pairing, xy - yx
+    pairing = multiply(pxx, yy) + multiply(pyy, xx) - multiply(pxy, b)
+    return QuadForm(2 * xx, b, 2 * yy), pairing, xy - yx
 
 
 def gradient_product_form(p: HomoPoly, q: HomoPoly) -> QuadForm:

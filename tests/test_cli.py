@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -450,15 +451,38 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert proc.stderr == b""
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_full_stdout_is_refused_in_one_line(self):
+    @staticmethod
+    def _refused_stdout(sink: str, buffered: bool):
+        # a sink whose every write fails: /dev/full (ENOSPC) or a regular
+        # file past a zero file-size limit (EFBIG; Python ignores SIGXFSZ)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "hesstop", "census", "--n", "5"],
-                stdout=full, stderr=subprocess.PIPE, env=env, timeout=120,
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "hesstop", "census", "--n", "5"]
+        if sink == "/dev/full":
+            with open("/dev/full", "w") as full:
+                return subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+        resource = pytest.importorskip("resource")
+
+        def no_file_growth():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (0, resource.RLIM_INFINITY))
+
+        with tempfile.TemporaryFile() as out:
+            return subprocess.run(
+                argv, stdout=out, stderr=subprocess.PIPE, env=env, timeout=120,
+                preexec_fn=no_file_growth,
             )
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["/dev/full", "size-limited-file"])
+    def test_full_stdout_is_refused_in_one_line(self, sink, buffered):
+        # buffered stdout still holds the bytes when main returns, so the
+        # interpreter's last flush must not fail a second time
+        if sink == "/dev/full" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        proc = self._refused_stdout(sink, buffered)
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith("usage error: cannot write stdout: ")
         assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
@@ -564,3 +588,11 @@ class TestUsage:
         assert err.startswith("usage error: cannot write ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert argv[-1][:ECHO_CHARS] in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_named_not_stdout(self, capsys):
+        # the path opens, and the write fails only when the figure is flushed
+        code, out, err = run(capsys, "foliate", "--family", "P:3", "--svg", "/dev/full")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: cannot write '/dev/full': ")
+        assert err.count("\n") == 1
