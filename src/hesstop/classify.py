@@ -11,14 +11,21 @@ multiple of it, which keeps every sign, root and multiplicity.
 One algorithm finds real roots: the Vincent-Collins-Akritas recursion in
 its continued-fraction form, which reads Descartes' rule of signs off the
 coefficients (Collins and Akritas 1976; Akritas, Strzebonski and Vigklas
-2008).  A sign question first runs it under a budget of one split per 12
-degrees; that proves every rootless census slice above degree 22 with no
-further work.  Otherwise one Sturm chain, a primitive remainder sequence
-(Collins 1967, Brown 1971) with a sign-preserving pseudo-remainder, counts
-the roots and gives gcd(u, u'), and the recursion isolates the squarefree
-part with no limit.  Chains only count roots, give gcds and give Cauchy
-indexes; none is evaluated at a finite point.  Early answers (zero form,
-odd degree, p(0, 1) < 0 for p >= 0) build no chain.
+2008), one side of 0 at a time.  A sign question first runs it under a
+budget of one split per 12 degrees.  An even slice u(t) = g(t^2) with
+u(0) != 0, as the census models P_m (x^2 + y^2)^k and every form built
+from them have, is rootless iff g has no positive root, so the recursion
+runs on g over s > 0 only: half the degree, a quarter of the work per
+Taylor shift and one side instead of two.  For the census n = 3..60 that
+proves 2899 of the 2903 sign questions; the other 4 are slices of degree
+6 to 10, whose budget is 0 splits.  Any other slice, and an even one not
+proved rootless, runs the recursion on both sides of u.  When the budget
+runs out, one Sturm chain, a primitive remainder sequence (Collins 1967,
+Brown 1971) with a sign-preserving pseudo-remainder, counts the roots and
+gives gcd(u, u'), and the recursion isolates the squarefree part with no
+limit.  Chains only count roots, give gcds and give Cauchy indexes; none
+is evaluated at a finite point.  Early answers (zero form, odd degree,
+p(0, 1) < 0 for p >= 0) build no chain.
 
 Both kinds of sign question take the same route.  A slice with real roots
 is probed at the isolating intervals' ends and the midpoints between them,
@@ -230,55 +237,79 @@ def _descartes(
     is a root; a root hit exactly comes as (r, r), and no interval touches
     it, so the probes between intervals see every gap between roots.
 
-    The real roots are 0 and the positive roots of u(t) and of u(-t).  Each
-    side's nodes are polynomials g on (0, inf) whose Moebius map
+    The real roots are 0 and the positive roots of u(t) and of u(-t), which
+    :func:`_positive_roots` isolates one side after the other, the second
+    side getting the splits the first left over.
+    """
+    out: list[tuple[Fraction, Fraction]] = []
+    zero_root = not u[0]
+    if zero_root:
+        u = u[next(j for j, c in enumerate(u) if c):]
+    for side, g in ((1, u), (-1, [-c if j % 2 else c for j, c in enumerate(u)])):
+        found = _positive_roots(g, splits, zero_root)
+        if found is None:
+            return None
+        roots, splits = found
+        out += [(lo, hi) if side > 0 else (-hi, -lo) for lo, hi in roots]
+    if zero_root:
+        out.append((Fraction(0), Fraction(0)))
+    return sorted(out)
+
+
+def _positive_roots(
+    g: list[int], splits: Optional[int], zero_root: bool
+) -> Optional[tuple[list[tuple[Fraction, Fraction]], Optional[int]]]:
+    """Isolating intervals of the positive roots of the int polynomial g,
+    g(0) != 0, and the splits left over, or None once ``splits`` splits are
+    spent (no limit when None).  ``zero_root`` says the caller has a root at
+    0, which no interval may touch.
+
+    The nodes are polynomials h on (0, inf) whose Moebius map
     x = (a t + b) / (c t + d) sends (0, inf) onto the node's interval.  By
     Descartes' rule of signs a node with no sign variation has no positive
     root, and one with one variation has one.  Any other node is shifted
     past 2^k when that bounds its roots' moduli from below (Fujiwara on
-    the reversal of g), then split at t = 1 into g(t + 1) and the reversal
-    of g shifted by 1, a root at 1 first recorded and divided out.  A split
+    the reversal of h), then split at t = 1 into h(t + 1) and the reversal
+    of h shifted by 1, a root at 1 first recorded and divided out.  A split
     costs two Taylor shifts, O(d^2) integer additions each.
     """
     out: list[tuple[Fraction, Fraction]] = []
-    hits: set[Fraction] = set()  # exact roots, which no interval may touch
-    if not u[0]:
-        hits.add(Fraction(0))
-        u = u[next(j for j, c in enumerate(u) if c):]
-    for side, g in ((1, u), (-1, [-c if j % 2 else c for j, c in enumerate(u)])):
-        # (node, a, b, c, d, shift): a child is shifted only when it is
-        # reached, so running out of splits skips the shifts still waiting
-        stack = [(g, 1, 0, 0, 1, False)]
-        while stack:
-            g, a, b, c, d, shift = stack.pop()
-            if shift:
-                g = _taylor_shift(g)
-            v = _sign_variations(g)
-            if v == 0:
+    # exact roots, which no interval may touch
+    hits: set[Fraction] = {Fraction(0)} if zero_root else set()
+    # (node, a, b, c, d, shift): a child is shifted only when it is reached,
+    # so running out of splits skips the shifts still waiting
+    stack = [(g, 1, 0, 0, 1, False)]
+    while stack:
+        h, a, b, c, d, shift = stack.pop()
+        if shift:
+            h = _taylor_shift(h)
+        v = _sign_variations(h)
+        if v == 0:
+            continue
+        if v == 1:
+            top = Fraction(a, c) if c else Fraction(2) ** _fujiwara_exponent(g)
+            lo, hi = sorted((Fraction(b, d), top))
+            if lo not in hits and hi not in hits:
+                out.append((lo, hi))
                 continue
-            if v == 1:
-                top = Fraction(a, c) if c else Fraction(2) ** _fujiwara_exponent(u)
-                lo, hi = sorted((side * Fraction(b, d), side * top))
-                if lo not in hits and hi not in hits:
-                    out.append((lo, hi))
-                    continue
-            if splits == 0:
-                return None
-            if splits is not None:
-                splits -= 1
-            k = -_fujiwara_exponent(g[::-1])  # 2^k < every root's modulus
-            if k >= 0:  # g(t + 2^k), read off g(2^k (t + 1))
-                g = _taylor_shift([x << (k * j) for j, x in enumerate(g)])
-                g = [x >> (k * j) for j, x in enumerate(g)]
-                b, d = b + (a << k), d + (c << k)
-            if not sum(g):
-                hits.add(Fraction(side * (a + b), c + d))
-                while not sum(g):
-                    g = _divexact(g, [-1, 1])
-            # g(t + 1) on t > 1, and the reversal of g shifted by 1 on (0, 1)
-            stack += ((g, a, a + b, c, c + d, True),
-                      (g[::-1], b, a + b, d, c + d, True))
-    return sorted(out + [(r, r) for r in hits])
+        if splits == 0:
+            return None
+        if splits is not None:
+            splits -= 1
+        k = -_fujiwara_exponent(h[::-1])  # 2^k < every root's modulus
+        if k >= 0:  # h(t + 2^k), read off h(2^k (t + 1))
+            h = _taylor_shift([x << (k * j) for j, x in enumerate(h)])
+            h = [x >> (k * j) for j, x in enumerate(h)]
+            b, d = b + (a << k), d + (c << k)
+        if not sum(h):
+            hits.add(Fraction(a + b, c + d))
+            while not sum(h):
+                h = _divexact(h, [-1, 1])
+        # h(t + 1) on t > 1, and the reversal of h shifted by 1 on (0, 1)
+        stack += ((h, a, a + b, c, c + d, True),
+                  (h[::-1], b, a + b, d, c + d, True))
+    hits.discard(Fraction(0))
+    return out + [(r, r) for r in hits], splits
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +441,15 @@ def _rational_root(g: list[int], lo: Fraction, hi: Fraction) -> Optional[Fractio
 def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
     """Exact sign verdict for p on R^2 minus the origin.
 
-    :func:`_descartes` runs first on the slice u with a budget of deg // 12
-    splits: no root answers ``descartes-no-real-roots``, and a list isolates
-    every distinct real root.  When the budget runs out, one Sturm chain
+    The Descartes recursion runs first, with a budget of deg // 12 splits.
+    An even slice u(t) = g(t^2) with u(0) != 0 is first tested on g over
+    s > 0 (:func:`_positive_roots`): no positive root of g means no real
+    root of u and answers ``descartes-no-real-roots``.  That test answers
+    only the rootless question, since the roots +-sqrt s would give
+    intervals with irrational ends; any other outcome, and every slice that
+    is not even, goes to :func:`_descartes` on u with the same budget.  No
+    root answers ``descartes-no-real-roots``, and a list isolates every
+    distinct real root.  When the budget runs out, one Sturm chain
     counts u's real roots (none answers ``sturm-no-real-roots``) and gives
     g = gcd(u, u'), and the recursion isolates u / g with no limit.  The
     probes at the intervals' ends, the midpoints between them, 0, +-1 and
@@ -435,8 +472,14 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
 
     at_infinity = p.coeffs[p.degree]  # value at the direction (0, 1)
     _, ref = _nonzero_sample(u)
+    splits = (len(u) - 1) // _DEGREES_PER_DESCARTES_SPLIT
+    if u[0] and not any(u[1::2]):
+        # u(t) = g(t^2) with g(0) != 0 is rootless iff g has no positive root
+        found = _positive_roots(u[::2], splits, False)
+        if found is not None and not found[0]:
+            return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
     g = u  # a budgeted list's open intervals hold simple roots of u
-    intervals = _descartes(u, (len(u) - 1) // _DEGREES_PER_DESCARTES_SPLIT)
+    intervals = _descartes(u, splits)
     if intervals == []:
         return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
     if intervals is None:

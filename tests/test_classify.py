@@ -590,6 +590,36 @@ def _rootless(u):
     return _descartes(u, (len(u) - 1) // classify._DEGREES_PER_DESCARTES_SPLIT) == []
 
 
+EVEN_KINDS = ("rootless", "semidefinite", "sign-change")
+
+
+def _even_slice(rng, kind):
+    """An even int slice u(t) = g(t^2) with u(0) != 0 and g of degree 6-13
+    with no positive root, a double one or a simple one."""
+    factors = []
+    if kind == "semidefinite":
+        line = [-rng.randint(1, 9), rng.randint(1, 9)]
+        factors = [line, line]
+    elif kind == "sign-change":
+        factors = [[-rng.randint(1, 9), rng.randint(1, 9)]]
+    degree = rng.choice((6, 8, 10, 12))
+    while sum(len(f) - 1 for f in factors) < degree:
+        negative_root = [rng.randint(1, 9), rng.randint(1, 9)]
+        factors.append(rng.choice((negative_root, _definite_quadratic(rng))))
+    g = _int_product(factors)
+    u = [0] * (2 * len(g) - 1)
+    u[::2] = g
+    return u
+
+
+def _sheared(f):
+    """f(x + y, y)."""
+    out = HomoPoly.zero(f.degree)
+    for j, c in enumerate(f.coeffs):
+        out = out + c * HomoPoly(1, (1, 1)) ** (f.degree - j) * HomoPoly(1, (0, 1)) ** j
+    return out
+
+
 class TestDescartesRootless:
     """The budgeted Descartes recursion proves only true rootlessness, and
     the budget changes no verdict or witness, only the method's name."""
@@ -627,6 +657,11 @@ class TestDescartesRootless:
         forms = [_descartes_slice(rng, kind) for kind in self.KINDS for _ in range(8)]
         forms.append(discriminant(second_fundamental_form(product_family(14, 1))).coeffs)
         forms = [HomoPoly(len(c) - 1, tuple(F(x) for x in c)) for c in forms]
+        # even slices, which the even route tests at half degree: census
+        # discriminants, and semidefinite and sign-changing ones
+        forms += [discriminant(second_fundamental_form(product_family(m, k)))
+                  for m, k in ((7, 1), (9, 2), (14, 1), (13, 3), (20, 6))]
+        forms += [_form(_even_slice(rng, kind)) for kind in EVEN_KINDS for _ in range(4)]
         forms += [-f for f in forms]
         with_budget = [sign_on_punctured_plane(f) for f in forms]
         monkeypatch.setattr(classify, "_DEGREES_PER_DESCARTES_SPLIT", 10**9)
@@ -635,22 +670,126 @@ class TestDescartesRootless:
             fallback = sign_on_punctured_plane(f)
             methods.add(cert.method)
             assert (fallback.verdict, fallback.witness) == (cert.verdict, cert.witness)
-            want = cert.method.replace("descartes-no-", "sturm-no-")
-            assert fallback.method == want
+            # a slice with no sign variation either side needs no split
+            u = classify._ints(f.coeffs)
+            if _descartes(u, 0) == []:
+                assert fallback.method == cert.method == "descartes-no-real-roots"
+            else:
+                assert fallback.method == cert.method.replace("descartes-no-", "sturm-no-")
         assert "descartes-no-real-roots" in methods and "sturm-no-real-roots" in methods
-        assert {"descartes-sign-change", "semidefinite-zeros"} <= methods
+        assert {"descartes-sign-change", "semidefinite-zeros",
+                "semidefinite-irrational-zeros"} <= methods
 
     def test_budget_scales_with_degree(self):
-        # the degree-14 slice of P_7 (x^2 + y^2) needs a split on each side;
-        # its budget is 14 // 12 = 1, so the chain answers
+        # the degree-14 slice of P_7 (x^2 + y^2) needs a split on each side,
+        # and its budget is 14 // 12 = 1; it is even, so its half-degree
+        # g(s) = u(sqrt s) is tested on s > 0 only, and one split proves it
         u = [int(c) for c in discriminant(second_fundamental_form(product_family(7, 1))).coeffs]
         assert _descartes(u, 1) is None
         ok, cert = is_hyperbolic(product_family(7, 1))
+        assert ok and cert.method == "descartes-no-real-roots"
+        # sheared by (x, y) -> (x + y, y) the form is still hyperbolic, but
+        # its degree-14 slice is not even, and the chain answers
+        f = _sheared(product_family(7, 1))
+        u = [int(c) for c in discriminant(second_fundamental_form(f)).coeffs]
+        assert any(u[1::2]) and _descartes(u, 1) is None
+        ok, cert = is_hyperbolic(f)
         assert ok and cert.method == "sturm-no-real-roots"
 
     def test_degree_236_slice(self):
         ok, cert = is_hyperbolic(product_family(118, 1))
         assert ok and cert.method == "descartes-no-real-roots"
+
+
+class TestEvenRoute:
+    """An even slice u(t) = g(t^2) with u(0) != 0 is proved rootless by the
+    recursion on g over s > 0 alone; every other slice, and every even one
+    it does not prove rootless, takes the route of any other slice."""
+
+    @pytest.fixture
+    def sides(self, monkeypatch):
+        """The polynomials each call of the per-side recursion starts from."""
+        seen = []
+        positive_roots = classify._positive_roots
+
+        def spy(g, splits, zero_root):
+            seen.append(g)
+            return positive_roots(g, splits, zero_root)
+
+        monkeypatch.setattr(classify, "_positive_roots", spy)
+        return seen
+
+    def test_zero_at_origin_is_left_to_both_sides(self, sides):
+        # t^2 (1 + t^2)^3: u(0) = 0, so both sides of u run, with t^2 divided out
+        p = parse("y^2") * radial_family(3)
+        cert = sign_on_punctured_plane(p)
+        assert cert == classify.SignCertificate(
+            Verdict.MIXED, (F(1), F(0)), "semidefinite-zeros")
+        assert sides == [[1, 0, 3, 0, 3, 0, 1], [1, 0, 3, 0, 3, 0, 1]]
+
+    def test_vertical_direction_still_vanishes(self, sides):
+        # x^2 (x^2 + y^2)^2: the slice (1 + t^2)^2 is even and rootless,
+        # but p(0, 1) = 0
+        cert = sign_on_punctured_plane(parse("x^2") * radial_family(2))
+        assert cert.verdict is Verdict.MIXED
+        assert cert.witness == (F(0), F(1))
+        assert cert.method == "vanishes-at-vertical-direction"
+        assert sides == [[1, 2, 1]]
+
+    def test_even_semidefinite_slice(self):
+        # (t^2 - 2)^2 (t^2 + 1): the zeros +-sqrt 2 are irrational
+        p = _form(_int_product([[-2, 0, 1], [-2, 0, 1], [1, 0, 1]]))
+        cert = sign_on_punctured_plane(p)
+        assert cert == classify.SignCertificate(
+            Verdict.MIXED, None, "semidefinite-irrational-zeros")
+        assert certify_nonnegative(p).nonnegative
+
+    def test_even_sign_changing_slice(self):
+        # (t^2 - 2)(t^2 + 1) is negative between -sqrt 2 and sqrt 2, and
+        # the witness has the sign opposite to u(0) = -2
+        p = _form(_int_product([[-2, 0, 1], [1, 0, 1]]))
+        cert = sign_on_punctured_plane(p)
+        assert cert.verdict is Verdict.MIXED and cert.method == "descartes-sign-change"
+        assert p.evaluate(*cert.witness) > 0
+        nonnegative = certify_nonnegative(p)
+        assert not nonnegative.nonnegative and p.evaluate(*nonnegative.witness) < 0
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 30])
+    def test_radial_power_needs_no_split(self, sides, monkeypatch, k):
+        monkeypatch.setattr(classify, "_DEGREES_PER_DESCARTES_SPLIT", 10**9)
+        cert = sign_on_punctured_plane(radial_family(k))
+        assert cert == classify.SignCertificate(
+            Verdict.POSITIVE, method="descartes-no-real-roots")
+        assert len(sides) == 1 and len(sides[0]) == k + 1
+
+    @given(
+        g=st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=13),
+        scale=st.sampled_from((1, -1, 3)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rootless_verdicts_agree_with_oracles(self, g, scale):
+        assume(g[0] != 0 and g[-1] != 0)
+        u = [0] * (2 * len(g) - 1)
+        u[::2] = [scale * c for c in g]
+        # the oracle counts the roots of a squarefree polynomial
+        assume(len(SturmChain.of(u).polys[-1]) == 1)
+        found = classify._positive_roots(
+            u[::2], (len(u) - 1) // classify._DEGREES_PER_DESCARTES_SPLIT, False)
+        radius = cauchy_radius([F(c) for c in u])
+        real_roots = descartes_count_roots([F(c) for c in u], -radius, radius)
+        if found is not None:
+            # each positive root s of g gives the two real roots +-sqrt s of u
+            assert 2 * len(found[0]) == real_roots
+        cert = sign_on_punctured_plane(_form(u))
+        if found is not None and not found[0]:
+            assert cert.method == "descartes-no-real-roots"
+            want = Verdict.POSITIVE if u[-1] > 0 else Verdict.NEGATIVE
+            assert cert.verdict is want
+        else:
+            assert cert.method != "descartes-no-real-roots" or real_roots == 0
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        assert sympy.Poly(list(reversed(u)), t).count_roots() == real_roots
 
 
 def _check_isolation(u, intervals):
