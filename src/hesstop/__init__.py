@@ -18,9 +18,6 @@ from .foliation import (
     CurveSet,
     alignment_form,
     count_separatrices,
-    hopf_model_form,
-    reflected_form,
-    reflection_identity_holds,
     trace_foliation,
 )
 from .isotopy import (
@@ -44,7 +41,6 @@ from .polyalg import (
     product_family,
     radial_family,
     saddle_family,
-    swap_xy,
 )
 from .quadform import (
     QuadForm,

@@ -23,13 +23,14 @@ never depends on the tracer.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
 
 from . import lineindex
 from .errors import DomainError
-from .polyalg import HomoPoly, complex_power_parts, swap_xy
+from .polyalg import HomoPoly
 from .quadform import QuadForm
 
 # Separatrix scan: grid points on the half turn (the density of 4096 on the
@@ -84,6 +85,36 @@ def _alignment(terms, odd: bool, phi: float) -> float:
     return (acc * z).real if odd else acc.real
 
 
+def _grid_alignment(
+    terms, odd: bool, roots: list[complex], count: int, offset: float
+) -> list[float]:
+    """h at the unit points e^(i offset) z_j, j < ``count``, where z_j =
+    roots[j] and ``roots`` lists the m-th roots of unity in order, up to the
+    positive factor of :func:`_alignment`.  A power of such a point is
+    e^(i e offset) roots[e j mod m], so the offset turns each Fourier
+    coefficient once, and the pass over the gaps reads table entries as
+    :func:`lineindex._grid_abc` does."""
+    steps, tail = terms
+    m = len(roots)
+    (_, g0), *rest = steps or [(1, 0j)]
+    power = tail + sum(gap for gap, _ in rest)
+    seed = g0 * cmath.rect(1.0, (2 * power + odd) * offset)
+    turned = []
+    for gap, g in rest:
+        power -= gap
+        turned.append((2 * gap, g * cmath.rect(1.0, (2 * power + odd) * offset)))
+    end = 2 * tail + odd
+    values = []
+    for j in range(count):
+        acc, last = seed, 0
+        for e, g in turned:
+            if e != last:
+                wg, last = roots[e * j % m], e
+            acc = acc * wg + g
+        values.append((acc * roots[end * j % m]).real)
+    return values
+
+
 def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     """Invariant lines of the foliation and the ray angles carrying them.
 
@@ -99,28 +130,33 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     of lines, sorted ray angles in [0, 2pi)), the rays being each line and
     its antipode.  Tangential zeros without sign change are invisible to
     this scan, and so are two zeros closer than the grid step; the
-    supported form families only have transversal alignment zeros.  The
-    scan reads the exact alignment form, converted once to the Fourier
+    supported form families only have transversal alignment zeros.
+
+    The scan reads the exact alignment form, converted once to the Fourier
     basis, so it does not cancel: saddle_family(m) gets m lines for every m
     up to the degree cap of 1024 (the monomial basis miscounted from m = 86
-    on).  Each sample reads only the nonzero Fourier powers, one for a
-    saddle of any degree.  The exact count is the number of distinct real
-    linear factors of f, since the alignment form of II_f is n(n-1)f;
-    ``foliate`` checks against it.
+    on).  The grid is evaluated in one pass (:func:`_grid_alignment`) over
+    a table of the 4096-th roots of unity built for this call, with the
+    offset folded into the Fourier coefficients; only the regula falsi
+    points are evaluated one at a time (:func:`_alignment`).  Either way a
+    sample reads only the nonzero Fourier powers, one for a saddle of any
+    degree.  The exact count is the number of distinct real linear factors
+    of f, since the alignment form of II_f is n(n-1)f; ``foliate`` checks
+    against it.
     """
     h = alignment_form(w)
     terms = lineindex._float_coeffs(h.degree, h)
     odd = h.degree % 2 == 1
     offset = 1e-3
-    grid = [offset + math.pi * i / _SCAN_SAMPLES for i in range(_SCAN_SAMPLES + 1)]
-    values = [_alignment(terms, odd, phi) for phi in grid]
+    step = math.pi / _SCAN_SAMPLES
+    roots = [cmath.rect(1.0, step * j) for j in range(2 * _SCAN_SAMPLES)]
+    values = _grid_alignment(terms, odd, roots, _SCAN_SAMPLES + 1, offset)
     lines: list[float] = []
-    for i in range(_SCAN_SAMPLES):
-        h0, h1 = values[i], values[i + 1]
+    for i, (h0, h1) in enumerate(zip(values, values[1:])):
         if h0 == 0.0:
-            root = grid[i]
+            root = offset + step * i
         elif h0 * h1 < 0.0:
-            lo, hi = grid[i], grid[i + 1]
+            lo, hi = offset + step * i, offset + step * (i + 1)
             flo, fhi = h0, h1
             root, best = (lo, abs(h0)) if abs(h0) < abs(h1) else (hi, abs(h1))
             # Illinois: halve the value kept at an end that stays put twice
@@ -252,44 +288,6 @@ def trace_foliation(w: QuadForm, seeds: int) -> CurveSet:
         curves.append(_half_leaf(phi, psi, chain(back, [(phi - 2.0 * math.pi, psi - turn)])))
     count, angles = count_separatrices(w)
     return CurveSet(curves, angles, count)
-
-
-def hopf_model_form(m: int) -> QuadForm:
-    """The reference form Im((dx + i dy)^2 (x + i y)^(m-2)).
-
-    With U + iV = (x + i y)^(m-2) the coefficients are (V, U, -V).  Its
-    alignment function on the unit circle is sin(m phi), so its separatrix
-    count is m: the model the saddle family is isotopic to.
-    """
-    if m < 2:
-        raise DomainError(f"model form needs m >= 2, got {m}")
-    re, im = complex_power_parts(m - 2)
-    return QuadForm(im, re, -im)
-
-
-def reflected_form(w: QuadForm) -> QuadForm:
-    """Pullback under the reflection (x, y) -> (y, x): swaps dx and dy and
-    composes each coefficient with the swap."""
-    return QuadForm(swap_xy(w.c), swap_xy(w.b), swap_xy(w.a))
-
-
-def reflection_identity_holds(m: int) -> bool:
-    """For odd m, the reflected second fundamental form of saddle_family(m)
-    equals (-1)^((m-1)/2) * m(m-1) times the degree-m model form, exactly.
-
-    The sign alternates with m mod 4 because composing the saddle with the
-    swap gives (-1)^((m-1)/2) Im((x+iy)^m); both signs define the same
-    foliation.
-    """
-    if m < 3 or m % 2 == 0:
-        raise DomainError(f"reflection identity needs odd m >= 3, got {m}")
-    from .polyalg import saddle_family
-    from .quadform import second_fundamental_form
-
-    lhs = reflected_form(second_fundamental_form(saddle_family(m)))
-    sign = (-1) ** ((m - 1) // 2)
-    rhs = hopf_model_form(m).scale(sign * m * (m - 1))
-    return lhs == rhs
 
 
 def curves_to_svg(cs: CurveSet, path: str) -> None:

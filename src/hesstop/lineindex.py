@@ -19,23 +19,30 @@ ever chosen.  It is the toolkit's float layer: the source of
 draws, and an independent oracle for the exact index in the tests.  Its
 rounding residual is recorded and gated.
 
-The float layer evaluates forms on the unit circle in the Fourier basis:
-each form is converted once, exactly, to the coefficients of its
-trigonometric polynomial (:func:`_float_coeffs`), which keeps only the
-nonzero powers, and A, B and C are then read in one complex Horner pass
-over the gaps between those powers of e^(2i phi) (:func:`_eval_abc`).  The
-monomial basis cancels: its binomial coefficients reach 2^d while the
-values stay near 1, which cost the index at degree 112 and the separatrix
-count at 86.  In the Fourier basis the saddle family is one term, so a
-saddle of any degree costs O(1) complex operations per sample, and the
-float layer is right for every saddle the CLI accepts (m <= 1024).
+The float layer evaluates forms on the unit circle in the Fourier basis.
+All the forms one call reads (A, B and C, or the alignment form) are
+converted together, once and exactly, to the coefficients of their
+trigonometric polynomials (:func:`_float_coeffs`: the forms packed into
+one integer per coefficient, one pair of Taylor shifts for all), keeping
+only the nonzero powers.  A value is then one complex Horner pass over the
+gaps between those powers of e^(2i phi).  The fixed grids, the index grid
+here and the separatrix scan of ``foliation``, are evaluated in one loop
+per call over a table of roots of unity built for that call, from which
+every power of a grid point is read, rounded once (:func:`_grid_abc`);
+bisection midpoints and root refinement read single points
+(:func:`_eval_abc`).  The monomial basis cancels: its binomial
+coefficients reach 2^d while the values stay near 1, which cost the index
+at degree 112 and the separatrix count at 86.  In the Fourier basis the
+saddle family is one term, so a saddle of any degree costs O(1) complex
+operations per sample, and the float layer is right for every saddle the
+CLI accepts (m <= 1024).
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,28 +81,54 @@ def _fourier_halves(c: list[int]) -> list[tuple[int, int]]:
 def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
     """The float form of ``forms`` (each of ``degree`` or zero) that every
     sampled evaluation reads, as Horner data in w = z^2 for
-    :func:`_eval_abc` and its kin: a pair (steps, tail).
+    :func:`_eval_abc`, :func:`_grid_abc` and their kin: a pair (steps, tail).
 
     ``steps`` lists the powers of w at which some form has a nonzero
     coefficient, highest first, each as (gap, c_1, ..., c_k): its power gap
-    to the previous kept power (1 for the first, which multiplies zero) and
-    one complex per form.  ``tail`` is the power of the last kept term.  A
-    dense form has every gap 1 and tail 0; a saddle of any degree has one
-    term.  An evaluation costs O(len(steps)) complex operations plus a
-    power of w wherever the gap changes.
+    to the previous kept power (1 for the first, whose coefficients seed
+    the pass) and one complex per form.  ``tail`` is the power of the last
+    kept term.  A dense form has every gap 1 and tail 0; a saddle of any
+    degree has one term.
 
     The Fourier coefficients are exact integers (:func:`_fourier_halves`),
     after one common denominator; they are rounded to floats once, all
     scaled by one power of two.  A common positive factor changes neither
-    a line direction nor a sign.  Costs O(degree^2) integer additions.
+    a line direction nor a sign.
+
+    The forms are converted together, by one pair of Taylor shifts: form
+    i's numerators sit in a balanced slot of K bits at bit K i of one
+    integer per coefficient.  The conversion is linear over Z, so the
+    packed result is exactly sum_i F_i 2^(K i) for the forms' own results
+    F_i, however wide the intermediate values grow; only the final values
+    must fit their slots for the unpacking (balanced residues mod 2^K of
+    the low slots, the rest for the top one) to be exact.  Each is
+    S_j +- S_(d-j) (or S_(d/2)) for the coefficients S of the real
+    substitution, and sum_j |S_j| <= 2^d sum |c| <= 2^d (d + 1) max|c|,
+    since a monomial of degree d maps to one of absolute coefficient sum
+    2^d.  With max|c| < 2^bits, K = bits + d + bitlen(d + 1) + 3 keeps
+    every value below 2^(K - 3), well inside the slot's
+    [-2^(K - 1), 2^(K - 1)).  Costs O(degree^2) additions of integers of
+    k K bits for k forms.
     """
+    size = degree + 1
     nums, _ = _numerators(
-        [c for p in forms for c in (p.coeffs if not p.is_zero else (0,) * (degree + 1))]
+        [c for p in forms for c in (p.coeffs if not p.is_zero else (0,) * size)]
     )
-    exact = [
-        _fourier_halves(nums[i * (degree + 1):(i + 1) * (degree + 1)])
-        for i in range(len(forms))
-    ]
+    width = max(abs(v).bit_length() for v in nums) + degree + size.bit_length() + 3
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    packed = nums[:size]
+    for i in range(1, len(forms)):
+        packed = [p + (v << width * i) for p, v in zip(packed, nums[i * size:(i + 1) * size])]
+    series = _fourier_halves(packed)
+    # per form, its (real, imaginary) pairs by power of w: the balanced
+    # residues of the low slots, what is left for the top one
+    exact: list[list[tuple[int, int]]] = []
+    for _ in forms[1:]:
+        low = [(((re + half) & mask) - half, ((im + half) & mask) - half) for re, im in series]
+        exact.append(low)
+        series = [((re - lo) >> width, (im - li) >> width)
+                  for (re, im), (lo, li) in zip(series, low)]
+    exact.append(series)
     bits = max(abs(v).bit_length() for series in exact for pair in series for v in pair)
     scale = 1 << max(bits - 1, 0)
     steps, prev = [], None
@@ -129,6 +162,33 @@ def _eval_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
     if odd:
         sa, sb, sc = sa * z, sb * z, sc * z
     return sa.real, sb.real, sc.real
+
+
+def _grid_abc(terms, odd: bool, roots: list[complex]) -> list[tuple[float, float, float]]:
+    """A, B and C at every unit point z_i = roots[i], where ``roots`` lists
+    the m-th roots of unity in order, as :func:`_eval_abc` reads them one
+    point at a time.  Every power of a grid point is a table entry,
+    z_i^e = roots[e i mod m], rounded once, so the pass over the gaps of
+    ``terms`` raises no power: it starts from the first step's
+    coefficients, multiplies by roots[2 gap i mod m] at each later step and
+    by the entry of z^(2 tail + odd) once at the end."""
+    steps, tail = terms
+    m = len(roots)
+    (_, a0, b0, c0), *rest = steps or [(1, 0j, 0j, 0j)]
+    rest = [(2 * gap, a, b, c) for gap, a, b, c in rest]
+    end = 2 * tail + odd
+    values = []
+    for i in range(m):
+        sa, sb, sc, last = a0, b0, c0, 0
+        for e, a, b, c in rest:
+            if e != last:
+                wg, last = roots[e * i % m], e
+            sa = sa * wg + a
+            sb = sb * wg + b
+            sc = sc * wg + c
+        zt = roots[end * i % m]
+        values.append(((sa * zt).real, (sb * zt).real, (sc * zt).real))
+    return values
 
 
 def _positive_disc(A: float, B: float, C: float, x: float, y: float) -> float:
@@ -195,50 +255,73 @@ def index_at_origin(w: QuadForm) -> tuple[HalfIndex, DirectionTrace]:
     Like any sampled winding this has a Nyquist limit: a step that turns
     the doubled angle by nearly a full turn (more than 3 pi/2) aliases to a
     small step and silently loses that turn.  So the sampling density is
-    fixed from the degree: max(1024, 8 * degree) initial samples.  The
-    doubled angle of II of saddle_family(m) turns by 2 pi (m - 2) in all,
-    so no step of a saddle up to m = 1024 turns it by more than pi/4.
-    Certification does not depend on this function; it reads the index
-    from origin_index.
+    fixed from the degree: N = max(1024, 8 * degree) grid points
+    phi_i = 2 pi i / N.  The doubled angle of II of saddle_family(m) turns
+    by 2 pi (m - 2) in all, so no step of a saddle up to m = 1024 turns it
+    by more than pi/4.
+
+    The grid is evaluated first, in one complex Horner pass per point over
+    a table of the N-th roots of unity built for this call
+    (:func:`_grid_abc`); the walk then reads it in order.  Bisection
+    midpoints, and grid points whose discriminant is not positive, are
+    evaluated one at a time by :func:`_eval_abc` as the walk reaches them,
+    so a NotHyperbolicHere or RefinementLimit names the first failing point
+    in walk order.  Certification does not depend on this function; it
+    reads the index from origin_index.
     """
-    n_initial = max(1024, 8 * w.degree)
+    n = max(1024, 8 * w.degree)
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     odd = w.degree % 2 == 1
     two_pi = 2.0 * math.pi
+    half_pi = math.pi / 2.0
+    atan2, sqrt, remainder = math.atan2, math.sqrt, math.remainder
 
     def doubled_angle(phi: float) -> float:
         x, y = math.cos(phi), math.sin(phi)
         A, B, C = _eval_abc(terms, odd, complex(x, y))
-        root = math.sqrt(_positive_disc(A, B, C, x, y))
-        return math.atan2(2.0 * B, A - C) + math.atan2(root, -0.5 * (A + C))
+        root = sqrt(_positive_disc(A, B, C, x, y))
+        return atan2(2.0 * B, A - C) + atan2(root, -0.5 * (A + C))
 
+    grid = _grid_abc(terms, odd, [cmath.rect(1.0, two_pi * i / n) for i in range(n)])
     prev = doubled_angle(0.0)
     samples = [(0.0, (prev % two_pi) / 2.0)]
     unwrapped = [0.0]
     psi = 0.0
     max_depth = 0
     phi_prev = 0.0
-    pending: deque[tuple[float, int]] = deque(
-        (two_pi * i / n_initial, 0) for i in range(1, n_initial + 1)
-    )
-    while pending:
-        phi, depth = pending.popleft()
-        max_depth = max(max_depth, depth)
-        cur = doubled_angle(phi)
-        step = math.remainder(cur - prev, two_pi)
-        if abs(step) > math.pi / 2.0:
-            if depth >= _MAX_DEPTH:
-                raise RefinementLimit(
-                    f"bisection depth {_MAX_DEPTH} reached near phi={phi:.6f}"
-                )
-            pending.appendleft((phi, depth + 1))
-            pending.appendleft(((phi_prev + phi) / 2.0, depth + 1))
-            continue
-        psi += step
-        prev = cur
-        phi_prev = phi
-        samples.append((phi, (cur % two_pi) / 2.0))
-        unwrapped.append(psi)
+    # a step of more than pi/2 is bisected depth first: the point waits on
+    # ``todo`` while the midpoint towards the last accepted sample is settled
+    todo: list[tuple[float, int, float]] = []
+    for i in range(1, n + 1):
+        # the last point, phi = 2 pi, is the first point of the table again
+        phi, depth = two_pi * i / n, 0
+        A, B, C = grid[i % n]
+        disc = B * B - A * C
+        if disc > 0.0:
+            cur = atan2(2.0 * B, A - C) + atan2(sqrt(disc), -0.5 * (A + C))
+        else:
+            cur = doubled_angle(phi)
+        while True:
+            step = remainder(cur - prev, two_pi)
+            if abs(step) > half_pi:
+                if depth >= _MAX_DEPTH:
+                    raise RefinementLimit(
+                        f"bisection depth {_MAX_DEPTH} reached near phi={phi:.6f}"
+                    )
+                depth += 1
+                todo.append((phi, depth, cur))
+                phi = (phi_prev + phi) / 2.0
+                cur = doubled_angle(phi)
+                continue
+            if depth > max_depth:
+                max_depth = depth
+            psi += step
+            prev, phi_prev = cur, phi
+            samples.append((phi, (cur % two_pi) / 2.0))
+            unwrapped.append(psi)
+            if not todo:
+                break
+            phi, depth, cur = todo.pop()
 
     raw = psi / (2.0 * two_pi)
     numerator = round(2.0 * raw)

@@ -224,11 +224,6 @@ def multiply(p: HomoPoly, q: HomoPoly) -> HomoPoly:
     return HomoPoly(len(out) - 1, tuple(out))
 
 
-def swap_xy(p: HomoPoly) -> HomoPoly:
-    """The polynomial p(y, x); reverses the coefficient vector."""
-    return HomoPoly(p.degree, tuple(reversed(p.coeffs)))
-
-
 def saddle_family(m: int) -> HomoPoly:
     """The degree-m generalized saddle: the real part of (x + i y)^m.
 

@@ -5,13 +5,19 @@ dict-based convolution for products, repeated complex multiplication for
 the saddle family, an interval-Descartes bisection isolator for real
 root counts, the identity sums of combinat written term by term, and a
 character-scanning polynomial parser.  discriminant_expansion_residual is
-a reference identity over the library's forms, kept for the tests.
+a reference identity over the library's forms, kept for the tests.  The
+reflection model (``hopf_model_form`` and its kin) lives here, since only
+the tests use it.
+The per-sample float layer (``reference_index_at_origin``,
+``reference_separatrix_scan``, ``reference_float_coeffs``) is the oracle of
+the grid evaluators and the packed Fourier conversion.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 from hesstop.classify import NonnegativityCertificate, SignCertificate, Verdict
@@ -23,8 +29,17 @@ from hesstop.errors import (
     excerpt,
 )
 from hesstop.isotopy import IsotopyCertificate
-from hesstop.polyalg import MAX_DEGREE, HomoPoly, multiply, partial
+from hesstop.polyalg import (
+    MAX_DEGREE,
+    HomoPoly,
+    _numerators,
+    complex_power_parts,
+    multiply,
+    partial,
+    saddle_family,
+)
 from hesstop.quadform import (
+    QuadForm,
     discriminant,
     gradient_product_form,
     hessian_pairing,
@@ -568,3 +583,184 @@ def reference_parse(text: str) -> HomoPoly:
     for sgn, coef, a, b in parsed:
         coeffs[b] += sgn * coef
     return HomoPoly(degree, tuple(coeffs))
+
+
+# --- reflection model ----------------------------------------------------------
+
+
+def swap_xy(p: HomoPoly) -> HomoPoly:
+    """The polynomial p(y, x); reverses the coefficient vector."""
+    return HomoPoly(p.degree, tuple(reversed(p.coeffs)))
+
+
+def hopf_model_form(m: int) -> QuadForm:
+    """The reference form Im((dx + i dy)^2 (x + i y)^(m-2)).
+
+    With U + iV = (x + i y)^(m-2) the coefficients are (V, U, -V).  Its
+    alignment function on the unit circle is sin(m phi), so its separatrix
+    count is m: the model the saddle family is isotopic to.
+    """
+    if m < 2:
+        raise DomainError(f"model form needs m >= 2, got {m}")
+    re, im = complex_power_parts(m - 2)
+    return QuadForm(im, re, -im)
+
+
+def reflected_form(w: QuadForm) -> QuadForm:
+    """Pullback under the reflection (x, y) -> (y, x): swaps dx and dy and
+    composes each coefficient with the swap."""
+    return QuadForm(swap_xy(w.c), swap_xy(w.b), swap_xy(w.a))
+
+
+def reflection_identity_holds(m: int) -> bool:
+    """For odd m, the reflected second fundamental form of saddle_family(m)
+    equals (-1)^((m-1)/2) * m(m-1) times the degree-m model form, exactly.
+
+    The sign alternates with m mod 4 because composing the saddle with the
+    swap gives (-1)^((m-1)/2) Im((x+iy)^m); both signs define the same
+    foliation.
+    """
+    if m < 3 or m % 2 == 0:
+        raise DomainError(f"reflection identity needs odd m >= 3, got {m}")
+    lhs = reflected_form(second_fundamental_form(saddle_family(m)))
+    sign = (-1) ** ((m - 1) // 2)
+    rhs = hopf_model_form(m).scale(sign * m * (m - 1))
+    return lhs == rhs
+
+
+# --- per-sample float layer ------------------------------------------------------
+#
+# The sampled layer as it read one point at a time: one form converted per
+# pair of Taylor shifts, and every sample through the scalar evaluators, each
+# power of e^(2i phi) raised by complex **.  The grid evaluators and the
+# packed conversion must reproduce these.
+
+
+def reference_float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
+    """The (steps, tail) Horner data of ``forms``, converting each form by
+    its own call of ``_fourier_halves``."""
+    from hesstop.lineindex import _fourier_halves
+
+    nums, _ = _numerators(
+        [c for p in forms for c in (p.coeffs if not p.is_zero else (0,) * (degree + 1))]
+    )
+    exact = [
+        _fourier_halves(nums[i * (degree + 1):(i + 1) * (degree + 1)])
+        for i in range(len(forms))
+    ]
+    bits = max(abs(v).bit_length() for series in exact for pair in series for v in pair)
+    scale = 1 << max(bits - 1, 0)
+    steps, prev = [], None
+    for power in range(len(exact[0]) - 1, -1, -1):
+        pairs = [series[power] for series in exact]
+        if any(map(any, pairs)):
+            gap = 1 if prev is None else prev - power
+            steps.append((gap, *(complex(re / scale, im / scale) for re, im in pairs)))
+            prev = power
+    return steps, prev or 0
+
+
+def reference_index_at_origin(w: QuadForm):
+    """``index_at_origin`` one sample at a time: every grid point and every
+    bisection midpoint through the scalar ``_eval_abc``, in the order of a
+    work queue."""
+    from hesstop.errors import RefinementLimit
+    from hesstop.lineindex import (
+        _MAX_DEPTH,
+        DirectionTrace,
+        HalfIndex,
+        _eval_abc,
+        _float_coeffs,
+        _positive_disc,
+    )
+
+    n_initial = max(1024, 8 * w.degree)
+    terms = _float_coeffs(w.degree, w.a, w.b, w.c)
+    odd = w.degree % 2 == 1
+    two_pi = 2.0 * math.pi
+
+    def doubled_angle(phi: float) -> float:
+        x, y = math.cos(phi), math.sin(phi)
+        A, B, C = _eval_abc(terms, odd, complex(x, y))
+        root = math.sqrt(_positive_disc(A, B, C, x, y))
+        return math.atan2(2.0 * B, A - C) + math.atan2(root, -0.5 * (A + C))
+
+    prev = doubled_angle(0.0)
+    samples = [(0.0, (prev % two_pi) / 2.0)]
+    unwrapped = [0.0]
+    psi = 0.0
+    max_depth = 0
+    phi_prev = 0.0
+    pending = deque((two_pi * i / n_initial, 0) for i in range(1, n_initial + 1))
+    while pending:
+        phi, depth = pending.popleft()
+        max_depth = max(max_depth, depth)
+        cur = doubled_angle(phi)
+        step = math.remainder(cur - prev, two_pi)
+        if abs(step) > math.pi / 2.0:
+            if depth >= _MAX_DEPTH:
+                raise RefinementLimit(
+                    f"bisection depth {_MAX_DEPTH} reached near phi={phi:.6f}"
+                )
+            pending.appendleft((phi, depth + 1))
+            pending.appendleft(((phi_prev + phi) / 2.0, depth + 1))
+            continue
+        psi += step
+        prev = cur
+        phi_prev = phi
+        samples.append((phi, (cur % two_pi) / 2.0))
+        unwrapped.append(psi)
+
+    raw = psi / (2.0 * two_pi)
+    numerator = round(2.0 * raw)
+    residual = abs(raw - numerator / 2.0)
+    return HalfIndex(numerator, residual), DirectionTrace(samples, unwrapped, max_depth)
+
+
+def reference_separatrix_scan(w: QuadForm) -> tuple[int, list[float]]:
+    """``count_separatrices`` one sample at a time: every grid point and
+    every regula falsi point through the scalar ``_alignment``."""
+    from hesstop.foliation import _ALIGN_TOL, _SCAN_SAMPLES, _alignment, alignment_form
+    from hesstop.lineindex import _float_coeffs
+
+    h = alignment_form(w)
+    terms = _float_coeffs(h.degree, h)
+    odd = h.degree % 2 == 1
+    offset = 1e-3
+    grid = [offset + math.pi * i / _SCAN_SAMPLES for i in range(_SCAN_SAMPLES + 1)]
+    values = [_alignment(terms, odd, phi) for phi in grid]
+    lines: list[float] = []
+    for i in range(_SCAN_SAMPLES):
+        h0, h1 = values[i], values[i + 1]
+        if h0 == 0.0:
+            root = grid[i]
+        elif h0 * h1 < 0.0:
+            lo, hi = grid[i], grid[i + 1]
+            flo, fhi = h0, h1
+            root, best = (lo, abs(h0)) if abs(h0) < abs(h1) else (hi, abs(h1))
+            kept = 0
+            while hi - lo > _ALIGN_TOL:
+                mid = (lo * fhi - hi * flo) / (fhi - flo)
+                if not lo < mid < hi:
+                    mid = (lo + hi) / 2.0
+                fmid = _alignment(terms, odd, mid)
+                if abs(fmid) < best:
+                    root, best = mid, abs(fmid)
+                if fmid == 0.0:
+                    break
+                if flo * fmid < 0.0:
+                    hi, fhi = mid, fmid
+                    if kept < 0:
+                        flo /= 2.0
+                    kept = -1
+                else:
+                    lo, flo = mid, fmid
+                    if kept > 0:
+                        fhi /= 2.0
+                    kept = 1
+        else:
+            continue
+        line = root % math.pi
+        lines.append(0.0 if math.pi - line < 1e-6 else line)
+    lines.sort()
+    return len(lines), lines + [line + math.pi for line in lines]

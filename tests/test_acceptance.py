@@ -25,17 +25,19 @@ from hesstop.combinat import (
     weighted_convolution_sum,
     weighted_sum_recurrence_holds,
 )
-from hesstop.foliation import (
-    count_separatrices,
-    hopf_model_form,
-    reflection_identity_holds,
-)
+from hesstop.foliation import count_separatrices
 from hesstop.isotopy import certify_product_isotopy
 from hesstop.lineindex import index_at_origin
 from hesstop.polyalg import multiply, radial_family, saddle_family
 from hesstop.quadform import gradient_product_form, second_fundamental_form
 
-from helpers import discriminant_expansion_residual, hypotheses_hold, random_homopoly
+from helpers import (
+    discriminant_expansion_residual,
+    hopf_model_form,
+    hypotheses_hold,
+    random_homopoly,
+    reflection_identity_holds,
+)
 
 F = Fraction
 

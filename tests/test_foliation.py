@@ -16,9 +16,6 @@ from hesstop.foliation import (
     count_separatrices,
     curves_to_csv,
     curves_to_svg,
-    hopf_model_form,
-    reflected_form,
-    reflection_identity_holds,
     trace_foliation,
 )
 from hesstop.polyalg import (
@@ -31,7 +28,15 @@ from hesstop.polyalg import (
 )
 from hesstop.quadform import QuadForm, second_fundamental_form
 
-from helpers import asymptotic_lines, line_distance, random_homopoly, reference_trace
+from helpers import (
+    asymptotic_lines,
+    hopf_model_form,
+    line_distance,
+    random_homopoly,
+    reference_trace,
+    reflected_form,
+    reflection_identity_holds,
+)
 
 
 def _random_hyperbolic(seed):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hesstop.lineindex import (
     _eval_abc,
     _float_coeffs,
     _fourier_halves,
+    _grid_abc,
     index_at_origin,
     origin_index,
 )
@@ -23,7 +25,7 @@ from hesstop.polyalg import (
     radial_family,
     saddle_family,
 )
-from hesstop.foliation import _alignment, alignment_form, count_separatrices
+from hesstop.foliation import _alignment, _grid_alignment, alignment_form, count_separatrices
 from hesstop.quadform import QuadForm, second_fundamental_form
 
 from helpers import (
@@ -32,6 +34,9 @@ from helpers import (
     dense_horner_abc,
     line_distance,
     random_homopoly,
+    reference_float_coeffs,
+    reference_index_at_origin,
+    reference_separatrix_scan,
 )
 
 # (m, k) of the benchmark's product ladder, total degrees 5 to 110
@@ -130,6 +135,10 @@ class TestSparseEvaluation:
         assert terms == ([], 0)
         assert _eval_abc(terms, d % 2 == 1, z) == (0.0, 0.0, 0.0)
         assert _alignment(_float_coeffs(d, zero), d % 2 == 1, 0.7) == 0.0
+        # and at every point of both grids
+        assert all(v == 0.0 for row in _grid_abc(terms, d % 2 == 1, _index_roots(d)) for v in row)
+        values = _grid_alignment(_float_coeffs(d, zero), d % 2 == 1, _scan_roots(), 2049, 1e-3)
+        assert len(values) == 2049 and all(v == 0.0 for v in values)
 
     @pytest.mark.parametrize("d", [*range(13), 40, 61, 200])
     def test_dense_forms_match_the_dense_horner_pass_bit_for_bit(self, rng, d):
@@ -362,3 +371,188 @@ class TestOriginIndex:
         # II of y^4 is 12y^2 dy^2: A - C and B both vanish at (1, 0)
         with pytest.raises(DomainError):
             origin_index(second_fundamental_form(parse("y^4")))
+
+
+# --- grids, packing and the per-sample oracle --------------------------------
+
+# the benchmark's saddle ladder
+SADDLE_LADDER = (
+    3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 56, 64, 72, 80, 84, 85,
+    86, 88, 90, 95, 100, 105, 110, 111, 112, 115, 120,
+)
+
+
+def _line_product(pairs):
+    """The product of the linear forms a x + b y."""
+    f = HomoPoly(0, (1,))
+    for a, b in pairs:
+        f = multiply(f, HomoPoly(1, (a, b)))
+    return f
+
+
+def _fan(n):
+    """n distinct integer lines spread over the half turn: the product is
+    hyperbolic with index (2 - n)/2, and its A, B, C are dense."""
+    angles = [math.pi * (k + 0.3) / n for k in range(n)]
+    return _line_product((round(64 * math.cos(t)), round(64 * math.sin(t))) for t in angles)
+
+
+def _index_roots(degree):
+    n = max(1024, 8 * degree)
+    return [cmath.rect(1.0, 2.0 * math.pi * i / n) for i in range(n)]
+
+
+def _scan_roots():
+    return [cmath.rect(1.0, 2.0 * math.pi * j / 4096) for j in range(4096)]
+
+
+class TestPackedConversion:
+    """The packed conversion gives exactly the data of converting each form
+    by itself."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 7, 40, 700, 1022])
+    def test_packed_equals_per_form(self, rng, d):
+        rational = random_homopoly(rng, d, max_abs=9)
+        big = HomoPoly(d, tuple(rng.randint(-(2**260), 2**260) for _ in range(d + 1)))
+        small = HomoPoly(d, tuple(rng.randint(-9, 9) for _ in range(d + 1)))
+        forms = [rational, HomoPoly.zero(d), big, small]
+        assert _float_coeffs(d, *forms) == reference_float_coeffs(d, *forms)
+        assert _float_coeffs(d, big, small) == reference_float_coeffs(d, big, small)
+        assert _float_coeffs(d, rational) == reference_float_coeffs(d, rational)
+
+    @pytest.mark.parametrize(
+        "f",
+        [saddle_family(m) for m in (3, 24, 85, 120, 1024)]
+        + [product_family(m, k) for m, k in PRODUCT_LADDER] + [_fan(43)],
+        ids=[f"P{m}" for m in (3, 24, 85, 120, 1024)]
+        + [f"f{m},{k}" for m, k in PRODUCT_LADDER] + ["fan43"],
+    )
+    def test_line_field_forms(self, f):
+        w = second_fundamental_form(f)
+        h = alignment_form(w)
+        forms = (w.a, w.b, w.c)
+        assert _float_coeffs(w.degree, *forms) == reference_float_coeffs(w.degree, *forms)
+        assert _float_coeffs(h.degree, h) == reference_float_coeffs(h.degree, h)
+
+
+class TestGridEvaluators:
+    """The grid evaluators against the scalar ones at every grid point."""
+
+    @staticmethod
+    def _forms(rng, d):
+        dense = [HomoPoly(d, tuple(rng.randint(-(2**40), 2**40) for _ in range(d + 1)))
+                 for _ in range(3)]
+        # II of a product has the parity of d and at most three Fourier terms
+        w = second_fundamental_form(product_family(d, 3))
+        return [dense, [w.a, w.b, w.c]]
+
+    @staticmethod
+    def _close(got, want):
+        top = max(abs(v) for row in want for v in row)
+        assert all(abs(g - v) <= 1e-12 * top for rg, rw in zip(got, want) for g, v in zip(rg, rw))
+
+    @pytest.mark.parametrize("d", [7, 8, 41, 140])
+    def test_abc_grid_matches_eval_abc(self, rng, d):
+        odd = d % 2 == 1
+        for forms in self._forms(rng, d):
+            terms = _float_coeffs(forms[0].degree, *forms)
+            roots = _index_roots(forms[0].degree)
+            got = _grid_abc(terms, odd, roots)
+            assert len(got) == len(roots)
+            self._close(got, [_eval_abc(terms, odd, z) for z in roots])
+
+    @pytest.mark.parametrize("d", [7, 8, 41, 140])
+    def test_alignment_grid_matches_alignment(self, rng, d):
+        odd = d % 2 == 1
+        offset = 1e-3
+        for forms in self._forms(rng, d):
+            for p in forms:
+                terms = _float_coeffs(p.degree, p)
+                got = _grid_alignment(terms, odd, _scan_roots(), 2049, offset)
+                want = [_alignment(terms, odd, offset + math.pi * j / 2048) for j in range(2049)]
+                assert len(got) == 2049
+                self._close([got], [want])
+
+
+_ORACLE_FORMS = (
+    [(f"P{m}", saddle_family(m)) for m in SADDLE_LADDER + (1024,)]
+    + [(f"f{m},{k}", product_family(m, k)) for m, k in PRODUCT_LADDER]
+    + [(f"fan{n}", _fan(n)) for n in (42, 43, 135, 140)]
+)
+
+
+class TestPerSampleOracle:
+    """index_at_origin and count_separatrices against the per-sample layer
+    they replace: the same walk, samples and lines, to rounding."""
+
+    @staticmethod
+    def _compare(w):
+        ref_half, ref = reference_index_at_origin(w)
+        half, trace = index_at_origin(w)
+        assert half.numerator == ref_half.numerator
+        assert len(trace.samples) == len(ref.samples)
+        assert trace.refinement_depth == ref.refinement_depth
+        assert [phi for phi, _ in trace.samples] == [phi for phi, _ in ref.samples]
+        # the line angles to 1e-9; the running sum of up to 8176 steps (near
+        # 6400 at P1024) also carries the rounding of its additions
+        for (_, theta), (_, ref_theta) in zip(trace.samples, ref.samples):
+            assert line_distance(theta, ref_theta) < 1e-9
+        for psi, ref_psi in zip(trace.unwrapped, ref.unwrapped):
+            assert abs(psi - ref_psi) < 1e-9 + 1e-12 * abs(ref_psi)
+        ref_count, ref_rays = reference_separatrix_scan(w)
+        count, rays = count_separatrices(w)
+        assert count == ref_count
+        assert max((abs(a - b) for a, b in zip(rays, ref_rays)), default=0.0) < 1e-9
+        return half, count
+
+    @pytest.mark.parametrize("name,f", _ORACLE_FORMS, ids=[name for name, _ in _ORACLE_FORMS])
+    def test_line_field_forms(self, name, f):
+        w = second_fundamental_form(f)
+        half, count = self._compare(w)
+        lines = f.degree if name.startswith("fan") else int(name[1:].split(",")[0])
+        assert half.value == Fraction(2 - lines, 2) and count == lines
+
+    @pytest.mark.parametrize("n", [42, 43, 135, 140])
+    def test_fans_are_dense(self, n):
+        w = second_fundamental_form(_fan(n))
+        steps, tail = _float_coeffs(w.degree, w.a, w.b, w.c)
+        assert len(steps) >= 20 and tail == 0
+        if n > 130:
+            # II degree > 128: the index grid of 8 * degree points is not a
+            # power of two
+            grid = max(1024, 8 * w.degree)
+            assert grid & (grid - 1)
+
+    def test_bisected_walk(self):
+        # the fast winding near phi = pi/2 is bisected on both sides alike
+        x, y = parse("x"), parse("y")
+        half, _ = self._compare(QuadForm(x, y * Fraction(1, 10**9), -x))
+        assert half.value == Fraction(1, 2)
+
+
+class TestErrorPath:
+    """Where the grid's discriminant is not positive the point is evaluated
+    again in walk order, so the error is the per-sample layer's."""
+
+    @staticmethod
+    def _error(fn, w):
+        with pytest.raises(NotHyperbolicHere) as info:
+            fn(w)
+        return str(info.value)
+
+    @pytest.mark.parametrize("text,k", [("x^3 + 3*x^2*y + y^3", 91), ("x^3 + x^2*y + 2*y^3", 9)])
+    def test_fails_on_a_grid_point(self, text, k):
+        w = second_fundamental_form(parse(text))
+        message = self._error(index_at_origin, w)
+        assert message == self._error(reference_index_at_origin, w)
+        phi = 2.0 * math.pi * k / 1024
+        assert message.endswith(f"at ({math.cos(phi):.6g}, {math.sin(phi):.6g})")
+
+    def test_clustered_lines_fail_at_the_same_midpoint(self):
+        # 136 lines packed near the axes: the discriminant rounds to below
+        # zero at a bisection midpoint before the first grid step settles
+        pairs = [(j, 1) if j % 3 == 0 else (1, j) for j in range(-68, 68)]
+        w = second_fundamental_form(_line_product(pairs))
+        message = self._error(index_at_origin, w)
+        assert message == self._error(reference_index_at_origin, w)
+        assert message.endswith("at (1, 0.000732647)")

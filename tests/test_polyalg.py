@@ -18,7 +18,6 @@ from hesstop.polyalg import (
     product_family,
     radial_family,
     saddle_family,
-    swap_xy,
 )
 
 from conftest import homopolys
@@ -28,6 +27,7 @@ from helpers import (
     poly_as_dict,
     random_homopoly,
     reference_parse,
+    swap_xy,
 )
 
 
