@@ -3,15 +3,12 @@
 from .census import CensusRow, certify_row, enumerate_rows, lower_bound
 from .classify import (
     NonnegativityCertificate,
-    PolarCriterion,
     SignCertificate,
     SturmChain,
     Verdict,
     certify_nonnegative,
     certify_pairing_nonpositive,
-    is_elliptic,
     is_hyperbolic,
-    polar_hyperbolicity_criterion,
     sign_on_punctured_plane,
 )
 from .foliation import (
@@ -45,7 +42,6 @@ from .polyalg import (
 from .quadform import (
     QuadForm,
     discriminant,
-    gradient_product_form,
     hessian_pairing,
     path_discriminant_coeffs,
     second_fundamental_form,

@@ -20,7 +20,6 @@ from .errors import DomainError, PreconditionFailed
 from .isotopy import certify_product_isotopy
 from .lineindex import origin_index
 from .polyalg import radial_family, saddle_family
-from .quadform import second_fundamental_form
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,10 @@ def lower_bound(n: int) -> int:
 
     Equals floor((n - 1) / 2) for degrees 3 through 8 (and 10).  For some
     larger degrees the product family cannot reach that formula: at n = 9
-    the top pair (k, m) = (3, 3) sits exactly on the hyperbolicity boundary
-    (the polar criterion value is 0), so its product has parabolic rays and
-    no sound admissibility rule can include it.  The bound reported here is
-    the one the enumerated rows actually certify.
+    the top pair (k, m) = (3, 3) has n = m^2 = 9, which sits on the
+    boundary of the hyperbolic products n < m^2, so its product has
+    parabolic rays and no sound admissibility rule can include it.  The
+    bound reported here is the one the enumerated rows actually certify.
     """
     if n < 3:
         raise DomainError(f"census needs degree n >= 3, got {n}")
@@ -91,7 +90,8 @@ def certify_row(row: CensusRow) -> dict:
     appears in it once.
 
     For k = 0 the bundle's "product_hyperbolic" proves the saddle
-    hyperbolic.  For k >= 1 its "isotopy" is the product isotopy, whose
+    hyperbolic, and the index is read from the II_p that proof signed.
+    For k >= 1 its "isotopy" is the product isotopy, whose
     verdicts prove the product hyperbolic, the radial factor elliptic and
     the hessian pairing nonpositive.  Finally "index", the exact origin
     index read by origin_index from one Sturm chain once hyperbolicity is
@@ -106,11 +106,10 @@ def certify_row(row: CensusRow) -> dict:
         bundle["isotopy"] = certify_product_isotopy(p, radial_family(row.k))
         w = bundle["isotopy"].joins[0]
     else:
-        hyp_ok, hyp_cert = is_hyperbolic(p)
+        hyp_ok, hyp_cert, w = is_hyperbolic(p)
         bundle["product_hyperbolic"] = hyp_cert
         if not hyp_ok:
             raise PreconditionFailed("product_hyperbolic", f"row {row}")
-        w = second_fundamental_form(p)
 
     half = origin_index(w)
     bundle["index"] = half

@@ -1,5 +1,9 @@
 """Exact sign certification of homogeneous polynomials on the punctured
-plane, and the hyperbolic/elliptic classification built on it.
+plane, and the hyperbolic/elliptic classification read off it.  A form f
+of degree >= 2 is hyperbolic when disc II_f is positive off the origin and
+elliptic when it is negative there: both are read off one sign
+certificate on disc II_f, which :func:`is_hyperbolic` returns together
+with the II_f it signed.
 
 A homogeneous p of even degree d has its sign pattern on R^2 \\ {0}
 determined by the slice u(t) = p(1, t) and the value p(0, 1): a direction
@@ -49,7 +53,7 @@ from typing import Optional
 
 from .errors import DomainError
 from .polyalg import HomoPoly, _numerators
-from .quadform import discriminant, hessian_pairing, second_fundamental_form
+from .quadform import QuadForm, discriminant, hessian_pairing, second_fundamental_form
 
 Point = tuple[Fraction, Fraction]
 
@@ -209,16 +213,6 @@ def _fujiwara_exponent(u: list[int]) -> int:
     e = max((-((lead - 1 - u[d - i].bit_length()) // i)
              for i in range(1, d + 1) if u[d - i]), default=0)
     return e + 1
-
-
-def isolate_real_roots(u) -> list[tuple[Fraction, Fraction]]:
-    """Sorted isolating intervals of the distinct real roots of u, as
-    :func:`_descartes` gives them for the squarefree part u / gcd(u, u'),
-    which one Sturm chain provides."""
-    u = _ints(u)
-    if len(u) <= 1:
-        return []
-    return _descartes(_divexact(u, SturmChain.of(u).polys[-1]), None)
 
 
 # splits a sign question's budgeted Descartes run may make: one per this
@@ -536,45 +530,16 @@ def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
     return NonnegativityCertificate(True, False, None, "no-negative-probe")
 
 
-def _discriminant_verdict(
-    f: HomoPoly, want: Verdict, claim: str
-) -> tuple[bool, SignCertificate]:
+def is_hyperbolic(f: HomoPoly) -> tuple[bool, SignCertificate, QuadForm]:
+    """(ok, cert, II_f): cert is the exact sign verdict on the discriminant
+    of II_f, and ok says it is POSITIVE, f hyperbolic.  The same verdict
+    NEGATIVE says f is elliptic.  II_f is the form whose discriminant was
+    signed, so a caller that goes on to its line field builds no second."""
     if f.degree < 2:
-        raise DomainError(f"{claim} needs degree >= 2, got {f.degree}")
-    cert = sign_on_punctured_plane(discriminant(second_fundamental_form(f)))
-    return cert.verdict is want, cert
-
-
-def is_hyperbolic(f: HomoPoly) -> tuple[bool, SignCertificate]:
-    """True iff the discriminant of II_f is positive off the origin."""
-    return _discriminant_verdict(f, Verdict.POSITIVE, "hyperbolicity")
-
-
-def is_elliptic(f: HomoPoly) -> tuple[bool, SignCertificate]:
-    """True iff the discriminant of II_f is negative off the origin."""
-    return _discriminant_verdict(f, Verdict.NEGATIVE, "ellipticity")
-
-
-@dataclass(frozen=True)
-class PolarCriterion:
-    max_value: int
-    hyperbolic: bool
-
-
-def polar_hyperbolicity_criterion(m: int, k: int) -> PolarCriterion:
-    """Closed-form polar-coordinate hyperbolicity test for the product
-    saddle_family(m) * radial_family(k).
-
-    In polar coordinates the product is r^(m+2k) cos(m phi), and the
-    hyperbolicity functional reduces to cos^2(m phi) * 4k(m+k)
-    - m^2 (m+2k-1).  The cosine amplitude is nonnegative, so the maximum
-    over phi is 4k(m+k) - m^2(m+2k-1); the product is certified hyperbolic
-    when that maximum is negative.
-    """
-    if m < 2 or k < 0:
-        raise DomainError(f"criterion needs m >= 2 and k >= 0, got m={m}, k={k}")
-    max_value = 4 * k * (m + k) - m * m * (m + 2 * k - 1)
-    return PolarCriterion(max_value, max_value < 0)
+        raise DomainError(f"hyperbolicity needs degree >= 2, got {f.degree}")
+    w = second_fundamental_form(f)
+    cert = sign_on_punctured_plane(discriminant(w))
+    return cert.verdict is Verdict.POSITIVE, cert, w
 
 
 def certify_pairing_nonpositive(p: HomoPoly, q: HomoPoly) -> NonnegativityCertificate:

@@ -17,17 +17,19 @@ errors.ECHO_CHARS characters of the user's text.
 
 index, certify and census --certify read origin indexes exactly
 (origin_index); index first proves the form hyperbolic and exits 1 naming
-the hypothesis when it is not.  Only index --trace and the foliate
-figures run the float tracer.  foliate checks the float separatrix count
-against the exact number of distinct real linear factors of f and exits 1
-with both numbers when they differ; it counts 0 lines for an elliptic form
-but refuses to draw one (--svg/--csv exit 1 naming ``hyperbolic``, before
-any sampling).  The float layer samples forms in the Fourier basis, where
-nothing cancels: the tracer and foliate agree with the exact answers on the
-saddle family up to the degree cap (the monomial basis failed from P:112
-and P:86).  A batch of figures is a shell loop of checked foliate calls:
-``for s in P:3 P:4 f:3,1; do python -m hesstop foliate --family $s --svg
-out/$s.svg; done``.
+the hypothesis when it is not.  index and foliate read II_f from that
+hyperbolicity verdict (classify.is_hyperbolic returns the II_f whose
+discriminant it signed), so each builds II_f once.  Only index --trace
+and the foliate figures run the float tracer.  foliate checks the float
+separatrix count against the exact number of distinct real linear factors
+of f and exits 1 with both numbers when they differ; it counts 0 lines for
+an elliptic form but refuses to draw one (--svg/--csv exit 1 naming
+``hyperbolic``, before any sampling).  The float layer samples forms in
+the Fourier basis, where nothing cancels: the tracer and foliate agree
+with the exact answers on the saddle family up to the degree cap (the
+monomial basis failed from P:112 and P:86).  A batch of figures is a
+shell loop of checked foliate calls: ``for s in P:3 P:4 f:3,1; do python
+-m hesstop foliate --family $s --svg out/$s.svg; done``.
 
 JSON shapes: classify prints {"classification": label, "certificate":
 {...}}; index prints {"index": "n/2"}; verify-ineq prints
@@ -69,7 +71,6 @@ from .foliation import (
 from .isotopy import certify_product_isotopy
 from .lineindex import index_at_origin, origin_index
 from .polyalg import MAX_DEGREE, HomoPoly, parse, radial_family, saddle_family
-from .quadform import second_fundamental_form
 
 
 # Largest verify-identities --m-max: the checks cost about m^4 (0.5 s at
@@ -172,15 +173,15 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _classification(f: HomoPoly):
-    """("hyperbolic" | "elliptic" | "neither", certificate) from one exact
-    sign verdict on the discriminant of II_f."""
-    _, cert = is_hyperbolic(f)
-    return _CLASS_LABELS.get(cert.verdict, "neither"), cert
+    """("hyperbolic" | "elliptic" | "neither", certificate, II_f) from one
+    exact sign verdict on the discriminant of II_f."""
+    _, cert, w = is_hyperbolic(f)
+    return _CLASS_LABELS.get(cert.verdict, "neither"), cert, w
 
 
 def _cmd_classify(args) -> int:
     f = _load_poly(args, 2)
-    label, cert = _classification(f)
+    label, cert, _ = _classification(f)
     _emit(
         args,
         {"classification": label, "certificate": cert.to_json()},
@@ -191,12 +192,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_index(args) -> int:
     f = _load_poly(args, 2)
-    label, _ = _classification(f)
+    label, _, w = _classification(f)
     if label != "hyperbolic":
         raise PreconditionFailed(
             "hyperbolic", f"the line field index needs a hyperbolic form; this one is {label}"
         )
-    w = second_fundamental_form(f)
     half = origin_index(w)
     if args.trace:
         _write(index_at_origin(w)[1].to_csv, args.trace)
@@ -322,7 +322,7 @@ def _cmd_foliate(args) -> int:
     if not 1 <= args.seeds <= MAX_SEEDS:
         raise UsageError(f"--seeds must lie in 1..{MAX_SEEDS}, got {args.seeds}")
     f = _load_poly(args, 2)
-    label, cert = _classification(f)
+    label, cert, w = _classification(f)
     if label == "neither":
         raise PreconditionFailed(
             "hyperbolic",
@@ -334,7 +334,6 @@ def _cmd_foliate(args) -> int:
             "hyperbolic",
             "a figure traces asymptotic lines, and an elliptic form has none",
         )
-    w = second_fundamental_form(f)
     if args.svg or args.csv:
         cs = trace_foliation(w, seeds=args.seeds)
         count, angles = cs.sector_count, cs.separatrix_angles

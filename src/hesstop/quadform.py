@@ -90,13 +90,6 @@ def gradient_forms(p: HomoPoly, q: HomoPoly) -> tuple[QuadForm, HomoPoly, HomoPo
     return QuadForm(2 * xx, b, 2 * yy), pairing, xy - yx
 
 
-def gradient_product_form(p: HomoPoly, q: HomoPoly) -> QuadForm:
-    """The symmetric gradient product 2 dp dq as a QuadForm."""
-    if p.degree < 1 or q.degree < 1:
-        raise DomainError("gradient product needs both degrees >= 1")
-    return gradient_forms(p, q)[0]
-
-
 def hessian_pairing(p: HomoPoly, q: HomoPoly) -> HomoPoly:
     """grad(p) . Hess(p) . grad(q)^t, of degree 2 deg p + deg q - 4 when nonzero."""
     if p.degree < 2:

@@ -5,9 +5,12 @@ dict-based convolution for products, repeated complex multiplication for
 the saddle family, an interval-Descartes bisection isolator for real
 root counts, the identity sums of combinat written term by term, and a
 character-scanning polynomial parser.  discriminant_expansion_residual is
-a reference identity over the library's forms, kept for the tests.  The
-reflection model (``hopf_model_form`` and its kin) lives here, since only
-the tests use it.
+a reference identity over the library's forms, kept for the tests.
+isolate_real_roots runs the library's own Descartes recursion on the
+squarefree part one Sturm chain gives, the isolation entry the root
+tests check against the oracles above.  The reflection model
+(``hopf_model_form`` and its kin) lives here, since only the tests use
+it.
 The per-sample float layer (``reference_index_at_origin``,
 ``reference_separatrix_scan``, ``reference_float_coeffs``) is the oracle of
 the grid evaluators and the packed Fourier conversion.
@@ -20,7 +23,15 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from hesstop.classify import NonnegativityCertificate, SignCertificate, Verdict
+from hesstop.classify import (
+    NonnegativityCertificate,
+    SignCertificate,
+    SturmChain,
+    Verdict,
+    _descartes,
+    _divexact,
+    _ints,
+)
 from hesstop.combinat import binom
 from hesstop.errors import (
     DomainError,
@@ -41,7 +52,7 @@ from hesstop.polyalg import (
 from hesstop.quadform import (
     QuadForm,
     discriminant,
-    gradient_product_form,
+    gradient_forms,
     hessian_pairing,
     second_fundamental_form,
 )
@@ -201,6 +212,16 @@ def squarefree_with_known_roots(
     return u, n_real
 
 
+def isolate_real_roots(u) -> list[tuple[Fraction, Fraction]]:
+    """Sorted isolating intervals of the distinct real roots of u, as the
+    library's ``_descartes`` gives them for the squarefree part
+    u / gcd(u, u'), which one Sturm chain provides."""
+    u = _ints(u)
+    if len(u) <= 1:
+        return []
+    return _descartes(_divexact(u, SturmChain.of(u).polys[-1]), None)
+
+
 def line_distance(t1: float, t2: float) -> float:
     """RP^1 distance: the angle between two lines, in [0, pi/2]."""
     return abs(math.remainder(t1 - t2, math.pi))
@@ -283,7 +304,7 @@ def discriminant_expansion_residual(p: HomoPoly, q: HomoPoly) -> HomoPoly:
     """
     if p.degree < 2 or q.degree < 1:
         raise DomainError("needs deg p >= 2 and deg q >= 1")
-    form = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
+    form = second_fundamental_form(p).scale(q) + gradient_forms(p, q)[0]
     lhs = discriminant(form)
 
     px, py = partial(p, "x"), partial(p, "y")

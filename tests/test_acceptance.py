@@ -10,11 +10,7 @@ import time
 from fractions import Fraction
 
 from hesstop.census import enumerate_rows
-from hesstop.classify import (
-    certify_pairing_nonpositive,
-    is_hyperbolic,
-    polar_hyperbolicity_criterion,
-)
+from hesstop.classify import certify_pairing_nonpositive, is_hyperbolic
 from hesstop.combinat import (
     binom,
     binomial_reduction_check,
@@ -29,7 +25,7 @@ from hesstop.foliation import count_separatrices
 from hesstop.isotopy import certify_product_isotopy
 from hesstop.lineindex import index_at_origin
 from hesstop.polyalg import multiply, radial_family, saddle_family
-from hesstop.quadform import gradient_product_form, second_fundamental_form
+from hesstop.quadform import gradient_forms, second_fundamental_form
 
 from helpers import (
     discriminant_expansion_residual,
@@ -163,7 +159,7 @@ def test_discriminant_expansion_and_product_split():
         rhs = (
             second_fundamental_form(q).scale(p)
             + second_fundamental_form(p).scale(q)
-            + gradient_product_form(p, q)
+            + gradient_forms(p, q)[0]
         )
         ok = ok and (lhs - rhs).is_zero
     elapsed = time.perf_counter() - start
@@ -175,17 +171,18 @@ def test_discriminant_expansion_and_product_split():
 
 
 def test_hyperbolicity_double_certification():
-    # both certification routes agree on every admissible pair with
-    # m + 2k <= 14, and the criterion value matches its closed form
+    # the polar criterion n < m^2 and the exact kernel agree on every
+    # admissible pair with n = m + 2k <= 14; the criterion's peak value
+    # 4k(m + k) - m^2 (m + 2k - 1) is n (n - m^2)
     ok = True
     checked = 0
     for m in range(3, 15):
         for k in range(0, m):
             if m + 2 * k > 14 or (k >= 1 and m <= max(2, k)):
                 continue
-            crit = polar_hyperbolicity_criterion(m, k)
-            ok = ok and crit.max_value == 4 * k * (m + k) - m * m * (m + 2 * k - 1)
-            ok = ok and crit.hyperbolic
+            n = m + 2 * k
+            ok = ok and 4 * k * (m + k) - m * m * (m + 2 * k - 1) == n * (n - m * m)
+            ok = ok and n < m * m
             product = multiply(saddle_family(m), radial_family(k))
             ok = ok and is_hyperbolic(product)[0]
             ok = ok and certify_pairing_nonpositive(

@@ -107,7 +107,7 @@ class TestCertifyRow:
         # (product_hyperbolic); every other sign of the isotopy is read from
         # an identity, and no wrapper proves a hypothesis a second time
         kernels = {"sign_on_punctured_plane": [], "certify_nonnegative": []}
-        wrappers = {"is_hyperbolic": [], "is_elliptic": [], "certify_pairing_nonpositive": []}
+        wrappers = {"is_hyperbolic": [], "certify_pairing_nonpositive": []}
 
         def counted(fn, seen):
             def wrapper(*args):
@@ -131,7 +131,6 @@ class TestCertifyRow:
             "sign_on_punctured_plane": 4,
             "certify_nonnegative": 1,
             "is_hyperbolic": 0,
-            "is_elliptic": 0,
             "certify_pairing_nonpositive": 0,
         }
         p, q = saddle_family(5), radial_family(1)

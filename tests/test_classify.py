@@ -12,10 +12,7 @@ from hesstop.classify import (
     certify_nonnegative,
     certify_pairing_nonpositive,
     count_real_roots,
-    is_elliptic,
     is_hyperbolic,
-    isolate_real_roots,
-    polar_hyperbolicity_criterion,
     sign_on_punctured_plane,
     _descartes,
     _fujiwara_exponent,
@@ -39,6 +36,7 @@ from helpers import (
     cauchy_radius,
     circle_samples,
     descartes_count_roots,
+    isolate_real_roots,
     random_homopoly,
     squarefree_with_known_roots,
 )
@@ -260,27 +258,30 @@ class TestNonnegativity:
 
 class TestClassification:
     def test_monkey_saddle_hyperbolic(self):
-        ok, cert = is_hyperbolic(saddle_family(3))
+        # the verdict hands back the II_f whose discriminant it signed
+        ok, cert, w = is_hyperbolic(saddle_family(3))
         assert ok and cert.verdict is Verdict.POSITIVE
+        assert w == second_fundamental_form(saddle_family(3))
+        assert cert == sign_on_punctured_plane(discriminant(w))
 
     def test_circle_not_hyperbolic_but_elliptic(self):
-        assert not is_hyperbolic(radial_family(1))[0]
-        assert is_elliptic(radial_family(1))[0]
+        ok, cert, _ = is_hyperbolic(radial_family(1))
+        assert not ok and cert.verdict is Verdict.NEGATIVE
 
     def test_degree_five_product_hyperbolic(self):
-        ok, _ = is_hyperbolic(multiply(saddle_family(3), radial_family(1)))
+        ok, _, _ = is_hyperbolic(multiply(saddle_family(3), radial_family(1)))
         assert ok
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_radial_powers_elliptic(self, k):
-        assert is_elliptic(radial_family(k))[0]
+        assert is_hyperbolic(radial_family(k))[1].verdict is Verdict.NEGATIVE
 
     def test_xy_not_elliptic(self):
-        assert not is_elliptic(parse("x*y"))[0]
-        assert is_hyperbolic(parse("x*y"))[0]
+        ok, cert, _ = is_hyperbolic(parse("x*y"))
+        assert ok and cert.verdict is not Verdict.NEGATIVE
 
     def test_anisotropic_ellipse(self):
-        assert is_elliptic(parse("x^2 + 2*y^2"))[0]
+        assert is_hyperbolic(parse("x^2 + 2*y^2"))[1].verdict is Verdict.NEGATIVE
 
     def test_degree_guard(self):
         with pytest.raises(DomainError):
@@ -288,36 +289,29 @@ class TestClassification:
 
     def test_quartic_with_parabolic_axes_not_hyperbolic(self):
         # x^4 - y^4: the discriminant of its second form vanishes on the axes
-        ok, cert = is_hyperbolic(parse("x^4 - y^4"))
+        ok, cert, _ = is_hyperbolic(parse("x^4 - y^4"))
         assert not ok
         assert cert.verdict is Verdict.MIXED
 
 
 class TestPolarCriterion:
-    def test_values(self):
-        assert polar_hyperbolicity_criterion(3, 1).max_value == -20
-        assert polar_hyperbolicity_criterion(3, 0).max_value == -18
-        assert polar_hyperbolicity_criterion(2, 5).max_value == 96
-        assert polar_hyperbolicity_criterion(3, 1).hyperbolic
-        assert not polar_hyperbolicity_criterion(2, 5).hyperbolic
+    """In polar coordinates P_m (x^2 + y^2)^k is r^n cos(m phi), n = m + 2k,
+    and its hyperbolicity functional peaks at 4k(m + k) - m^2 (m + 2k - 1)
+    = n (n - m^2): the product is hyperbolic iff n < m^2.  The exact kernel
+    reads the same boundary from disc II on both sides."""
 
     def test_boundary_pair_not_certified(self):
-        # m = 2, k = 1 sits exactly on the boundary: the criterion value is 0
-        crit = polar_hyperbolicity_criterion(2, 1)
-        assert crit.max_value == 0 and not crit.hyperbolic
+        # n = m^2: parabolic rays, the discriminant vanishes on lines
+        for m, k in ((2, 1), (3, 3)):
+            ok, cert, _ = is_hyperbolic(product_family(m, k))
+            assert not ok and cert.verdict is Verdict.MIXED
 
-    def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            polar_hyperbolicity_criterion(1, 1)
-
-    @pytest.mark.parametrize("m", range(3, 9))
+    @pytest.mark.parametrize("m", range(2, 31))
     def test_agrees_with_sturm_route(self, m):
-        for k in range(1, m):
-            if m + 2 * k > 14:
-                continue
-            crit = polar_hyperbolicity_criterion(m, k)
-            sturm = is_hyperbolic(multiply(saddle_family(m), radial_family(k)))[0]
-            assert crit.hyperbolic == sturm == True
+        # all 225 pairs m >= 2, k >= 0 with m + 2k <= 30, both sides
+        for k in range((30 - m) // 2 + 1):
+            n = m + 2 * k
+            assert is_hyperbolic(product_family(m, k))[0] == (n < m * m), (m, k)
 
 
 class TestPairingCertificate:
@@ -394,7 +388,7 @@ class TestOneChainPerSlice:
         assert chains == []
 
     def test_descartes_proof_builds_no_chain(self, chains):
-        ok, cert = is_hyperbolic(product_family(20, 1))
+        ok, cert, _ = is_hyperbolic(product_family(20, 1))
         assert ok and cert.method == "descartes-no-real-roots"
         assert chains == []
 
@@ -686,18 +680,18 @@ class TestDescartesRootless:
         # g(s) = u(sqrt s) is tested on s > 0 only, and one split proves it
         u = [int(c) for c in discriminant(second_fundamental_form(product_family(7, 1))).coeffs]
         assert _descartes(u, 1) is None
-        ok, cert = is_hyperbolic(product_family(7, 1))
+        ok, cert, _ = is_hyperbolic(product_family(7, 1))
         assert ok and cert.method == "descartes-no-real-roots"
         # sheared by (x, y) -> (x + y, y) the form is still hyperbolic, but
         # its degree-14 slice is not even, and the chain answers
         f = _sheared(product_family(7, 1))
         u = [int(c) for c in discriminant(second_fundamental_form(f)).coeffs]
         assert any(u[1::2]) and _descartes(u, 1) is None
-        ok, cert = is_hyperbolic(f)
+        ok, cert, _ = is_hyperbolic(f)
         assert ok and cert.method == "sturm-no-real-roots"
 
     def test_degree_236_slice(self):
-        ok, cert = is_hyperbolic(product_family(118, 1))
+        ok, cert, _ = is_hyperbolic(product_family(118, 1))
         assert ok and cert.method == "descartes-no-real-roots"
 
 
@@ -826,7 +820,7 @@ def _eval(u, t):
 
 
 class TestDescartesIsolation:
-    """isolate_real_roots and _descartes against the Fraction Descartes
+    """The helpers' isolate_real_roots and _descartes against the Fraction Descartes
     oracle and sympy, on roots that land on the recursion's split points,
     sit far from 1 or close together, or repeat."""
 

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from hesstop import census, cli, lineindex
+from hesstop import census, classify, cli, isotopy, lineindex, quadform
 from hesstop.cli import MAX_POLY_TEXT, main
 from hesstop.foliation import MAX_SEEDS, count_separatrices
-from hesstop.polyalg import MAX_DEGREE, format_poly, saddle_family
+from hesstop.polyalg import MAX_DEGREE, format_poly, multiply, radial_family, saddle_family
 from hesstop.errors import ECHO_CHARS, RefinementLimit
 
 
@@ -281,7 +281,8 @@ class TestCertify:
 
     def test_indexes_read_from_the_joined_forms(self, capsys, monkeypatch):
         # both origin indexes come from the II_{pq} and II_p the certificate
-        # joins; certify builds no form of its own
+        # joins; that certify builds no form of its own is counted in
+        # TestSecondFundamentalFormBuiltOnce
         certs, read = [], []
         certify_product_isotopy = cli.certify_product_isotopy
 
@@ -293,12 +294,8 @@ class TestCertify:
             read.append(w)
             return lineindex.origin_index(w)
 
-        def refuse(*args):
-            raise AssertionError("certify rebuilt a second fundamental form")
-
         monkeypatch.setattr(cli, "certify_product_isotopy", certify)
         monkeypatch.setattr(cli, "origin_index", index)
-        monkeypatch.setattr(cli, "second_fundamental_form", refuse)
         code, out, _ = run(capsys, "certify", "--family", "f:3,1", "--json")
         assert code == 0
         (cert,) = certs
@@ -400,6 +397,48 @@ class TestCertifyExactIndex:
         data = json.loads(out)
         assert data["certified"] is True
         assert data["index_product"] == data["index_factor"] == "-55"
+
+
+class TestSecondFundamentalFormBuiltOnce:
+    """II_f is built once per form: a k = 0 census row, index and foliate
+    read it from the hyperbolicity verdict, and certify builds only the
+    II_q, II_p and II_{pq} its isotopy proves and joins.  The builder is
+    counted in every module that holds it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        seen = []
+
+        def counted(fn):
+            def wrapper(f):
+                seen.append(f)
+                return fn(f)
+
+            return wrapper
+
+        for module in (census, classify, cli, isotopy, quadform):
+            if hasattr(module, "second_fundamental_form"):
+                fn = module.second_fundamental_form
+                monkeypatch.setattr(module, "second_fundamental_form", counted(fn))
+        return seen
+
+    def test_census_saddle_row(self, builds):
+        row = census.enumerate_rows(13)[0]
+        assert row.k == 0
+        census.certify_row(row)
+        assert builds == [saddle_family(13)]
+
+    @pytest.mark.parametrize("command", ["index", "foliate"])
+    def test_line_field_commands(self, capsys, builds, command):
+        code, _, _ = run(capsys, command, "--family", "P:7", "--json")
+        assert code == 0
+        assert builds == [saddle_family(7)]
+
+    def test_certify(self, capsys, builds):
+        code, _, _ = run(capsys, "certify", "--family", "f:3,1")
+        assert code == 0
+        p, q = saddle_family(3), radial_family(1)
+        assert builds == [q, p, multiply(p, q)]
 
 
 class TestFoliateSeeds:

@@ -15,7 +15,7 @@ from hesstop.polyalg import (
 )
 from hesstop.quadform import (
     discriminant,
-    gradient_product_form,
+    gradient_forms,
     hessian_pairing,
     path_discriminant_coeffs,
     second_fundamental_form,
@@ -30,7 +30,7 @@ def checked_t_coefficients(p, q):
     from: a0 = q^2 disc II_p, a1 = -2q * pairing, a2 = (p_x q_y - p_y q_x)^2;
     then A0 = a0 + a1 + a2, A2 = p^2 disc II_q, A0 + A1 + A2 = disc II_{pq}."""
     ii_p, ii_q = second_fundamental_form(p), second_fundamental_form(q)
-    dpdq = gradient_product_form(p, q)
+    dpdq = gradient_forms(p, q)[0]
     a0, a1, a2 = path_discriminant_coeffs(ii_p.scale(q), dpdq)
     jac = multiply(partial(p, "x"), partial(q, "y")) - multiply(
         partial(p, "y"), partial(q, "x")
@@ -128,10 +128,10 @@ class TestProductIsotopy:
     def test_each_form_built_once(self, monkeypatch):
         # one certificate builds each II and discriminant once and the four
         # first-order products once, through the shared builder; the proofs
-        # and the identity checks read the same objects, and neither public
-        # view of the builder runs a second time
+        # and the identity checks read the same objects, and the builder's
+        # public view hessian_pairing does not run
         builders = ("second_fundamental_form", "discriminant", "gradient_forms")
-        views = ("hessian_pairing", "gradient_product_form")
+        views = ("hessian_pairing",)
         calls = {name: [] for name in builders + views}
 
         def counted(fn, seen):
@@ -177,7 +177,7 @@ class TestProductIsotopy:
         p, q = saddle_family(5), radial_family(2)
         leg = certify_gradient_term_path(p, q)
         ii_p = second_fundamental_form(p)
-        assert leg.joins == (ii_p, ii_p.scale(q) + gradient_product_form(p, q))
+        assert leg.joins == (ii_p, ii_p.scale(q) + gradient_forms(p, q)[0])
         cert = certify_product_isotopy(p, q)
         assert cert.joins == (second_fundamental_form(multiply(p, q)), ii_p)
         # the product's II_p is the one its gradient leg built
@@ -220,7 +220,7 @@ class TestProductFormSplit:
             rhs = (
                 second_fundamental_form(q).scale(p)
                 + second_fundamental_form(p).scale(q)
-                + gradient_product_form(p, q)
+                + gradient_forms(p, q)[0]
             )
             assert (lhs - rhs).is_zero
 
@@ -230,6 +230,6 @@ class TestProductFormSplit:
         rhs = (
             second_fundamental_form(q).scale(p)
             + second_fundamental_form(p).scale(q)
-            + gradient_product_form(p, q)
+            + gradient_forms(p, q)[0]
         )
         assert lhs.a == rhs.a and lhs.b == rhs.b and lhs.c == rhs.c

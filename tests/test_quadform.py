@@ -10,7 +10,6 @@ from hesstop.quadform import (
     QuadForm,
     discriminant,
     gradient_forms,
-    gradient_product_form,
     hessian_pairing,
     path_discriminant_coeffs,
     second_fundamental_form,
@@ -73,28 +72,30 @@ class TestDiscriminant:
 
 
 class TestGradientProductForm:
+    """2 dp dq, the first form of the shared builder gradient_forms."""
+
     def test_x_and_y(self):
-        w = gradient_product_form(parse("x"), parse("y"))
+        w = gradient_forms(parse("x"), parse("y"))[0]
         assert w.a.is_zero and w.c.is_zero
         assert w.b == HomoPoly.constant(1)
 
     def test_parallel_gradients_have_zero_discriminant(self):
         q = radial_family(1)
-        w = gradient_product_form(q, q)
+        w = gradient_forms(q, q)[0]
         assert w.a == parse("8*x^2")
         assert w.b == parse("8*x*y")
         assert w.c == parse("8*y^2")
         assert discriminant(w).is_zero
 
     def test_saddle_radial_pair(self):
-        w = gradient_product_form(saddle_family(2), radial_family(1))
+        w = gradient_forms(saddle_family(2), radial_family(1))[0]
         assert w.a == parse("8*x^2")
         assert w.b.is_zero
         assert w.c == parse("-8*y^2")
 
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
-            gradient_product_form(HomoPoly.constant(3), parse("x"))
+            gradient_forms(HomoPoly.constant(3), parse("x"))
 
     @given(homopolys(min_degree=1, max_degree=6), homopolys(min_degree=1, max_degree=6))
     @settings(max_examples=60)
@@ -102,7 +103,7 @@ class TestGradientProductForm:
         px, py = partial(p, "x"), partial(p, "y")
         qx, qy = partial(q, "x"), partial(q, "y")
         jac = multiply(px, qy) - multiply(py, qx)
-        assert discriminant(gradient_product_form(p, q)) == multiply(jac, jac)
+        assert discriminant(gradient_forms(p, q)[0]) == multiply(jac, jac)
         # the shared builder's forms against the reference formulas; the
         # pairing p_xx p_y q_y + p_yy p_x q_x - p_xy (p_x q_y + p_y q_x) is
         # grouped here as (p_xx p_y) q_y and so on
@@ -190,7 +191,7 @@ class TestPathCoefficients:
         for _ in range(40):
             p = random_homopoly(rng, rng.randint(2, 5))
             q = random_homopoly(rng, rng.randint(2, 5))
-            w = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
+            w = second_fundamental_form(p).scale(q) + gradient_forms(p, q)[0]
             d = second_fundamental_form(q).scale(p)
             a0, a1, a2 = path_discriminant_coeffs(w, d)
             assert a0 + a1 + a2 == discriminant(w + d)
@@ -199,7 +200,7 @@ class TestPathCoefficients:
         from hesstop.classify import certify_nonnegative
 
         p, q = saddle_family(3), radial_family(1)
-        omega = second_fundamental_form(p).scale(q) + gradient_product_form(p, q)
+        omega = second_fundamental_form(p).scale(q) + gradient_forms(p, q)[0]
         delta = second_fundamental_form(q).scale(p)
         a0, a1, a2 = path_discriminant_coeffs(omega, delta)
         assert a2 == multiply(multiply(p, p), discriminant(second_fundamental_form(q)))
