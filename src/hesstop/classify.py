@@ -37,9 +37,12 @@ which meets every open interval between adjacent distinct roots, and at
 +-B beyond every root.  u has one sign off its roots exactly when no probe
 has the sign opposite to a nonzero sample, so p >= 0 with zeros allowed is
 read off the strict sign certificate (Basu, Pollack and Roy, Algorithms in
-Real Algebraic Geometry, ch. 2 and 10).  SignCertificate answers strict
-sign questions and NonnegativityCertificate p >= 0 questions, including
-the hessian pairing's p <= 0 read as -p >= 0.
+Real Algebraic Geometry, ch. 2 and 10).  The probes, the rational-root
+search and the sign of a returned witness run on integers: Horner passes
+at numerator/denominator pairs, reduced or not, so a Fraction is built
+only for an interval end and for a point that is returned.
+SignCertificate answers strict sign questions and NonnegativityCertificate
+p >= 0 questions, including the hessian pairing's p <= 0 read as -p >= 0.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
+from operator import ne
 from typing import Optional
 
 from .errors import DomainError
@@ -78,10 +82,9 @@ def _ints(u) -> list[int]:
     return _primitive(_trim(_numerators(u)[0]))
 
 
-def _eval_at(u: list[int], t) -> int:
-    """q^deg(u) * u(p/q) for t = p/q in lowest terms, q > 0: an integer with
-    the sign of u(t)."""
-    p, q = t.numerator, t.denominator
+def _eval_at(u: list[int], p: int, q: int = 1) -> int:
+    """q^deg(u) * u(p/q) for integers p and q > 0, p/q in lowest terms or
+    not: an integer with the sign of u(p/q)."""
     acc, qk = 0, 1
     for c in reversed(u):
         acc = acc * p + c * qk
@@ -149,7 +152,7 @@ def _divexact(f: list[int], g: list[int]) -> list[int]:
 
 def _sign_variations(values) -> int:
     signs = [v > 0 for v in values if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    return sum(map(ne, signs, signs[1:]))
 
 
 @dataclass(frozen=True)
@@ -372,10 +375,9 @@ def _nonzero_sample(u: list[int]) -> tuple[Fraction, int]:
     """(t, v) with v of the sign of u(t) != 0; scans d+1 integers, one must
     miss all roots."""
     for k in range(len(u) + 1):
-        t = Fraction(k)
-        v = _eval_at(u, t)
+        v = _eval_at(u, k)
         if v != 0:
-            return t, v
+            return Fraction(k), v
     raise AssertionError("nonzero polynomial vanished on more points than its degree")
 
 
@@ -383,17 +385,23 @@ def _strict_violation_witness(
     u: list[int], want_sign: int, intervals: list[tuple[Fraction, Fraction]]
 ) -> Optional[Point]:
     """A rational t with sign(u(t)) == want_sign, as the point (1, t);
-    ``intervals`` isolate the real roots of u."""
+    ``intervals`` isolate the real roots of u.
+
+    The sorted candidates are probed first, then the midpoints between
+    neighbours a/b < c/d, each as the unreduced pair (a d + b c, 2 b d).
+    """
     bound = Fraction(2) ** _fujiwara_exponent(u)
-    candidates = [Fraction(0), Fraction(1), Fraction(-1), bound, -bound]
+    candidates = [0, 1, -1, bound, -bound]
     for iv in intervals:
         candidates.extend(iv)
-    mids = sorted(set(candidates))
-    probes = mids + [(a + b) / 2 for a, b in zip(mids, mids[1:])]
-    for t in probes:
-        v = _eval_at(u, t)
-        if v != 0 and (v > 0) == (want_sign > 0):
-            return (Fraction(1), t)
+    mids = [(t.numerator, t.denominator) for t in sorted(set(candidates))]
+    probes = mids + [(a * d + b * c, 2 * b * d)
+                     for (a, b), (c, d) in zip(mids, mids[1:])]
+    positive = want_sign > 0
+    for p, q in probes:
+        v = _eval_at(u, p, q)
+        if v != 0 and (v > 0) == positive:
+            return (Fraction(1), Fraction(p, q))
     return None
 
 
@@ -413,23 +421,27 @@ def _rootless_verdict(at_infinity, ref: int, method: str) -> SignCertificate:
 def _rational_root(g: list[int], lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     """The root of g in (lo, hi), where g changes sign once, if rational.
 
-    A rational root p/q in lowest terms has q | lc(g), so it is a multiple
-    of 1/|lc(g)|: bisect on the sign of g below that width, and test the
-    one multiple left inside.
+    A rational root p/q in lowest terms has q | lc(g), so it is P / |lc(g)|
+    for an integer P with lo |lc(g)| < P < hi |lc(g)|.  P is bisected on
+    integers between floor(lo |lc(g)|) and ceil(hi |lc(g)|), g read at
+    P / |lc(g)| unreduced; every P tested lies strictly inside, so g has
+    the sign of g(lo) below the root and the other sign above it.  An open
+    gap with no integer left in it holds no rational root.
     """
     lead = abs(g[-1])
-    low_positive = _eval_at(g, lo) > 0
-    while (hi - lo) * lead >= 1:
-        mid = (lo + hi) / 2
-        v = _eval_at(g, mid)
+    low_positive = _eval_at(g, lo.numerator, lo.denominator) > 0
+    a = lo.numerator * lead // lo.denominator
+    b = -(-hi.numerator * lead // hi.denominator)
+    while b - a > 1:
+        m = (a + b) // 2
+        v = _eval_at(g, m, lead)
         if v == 0:
-            return mid
+            return Fraction(m, lead)
         if (v > 0) == low_positive:
-            lo = mid
+            a = m
         else:
-            hi = mid
-    t = Fraction(math.ceil(lo * lead), lead)
-    return t if t < hi and _eval_at(g, t) == 0 else None
+            b = m
+    return None
 
 
 def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
@@ -500,6 +512,18 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
     return SignCertificate(Verdict.MIXED, None, "semidefinite-irrational-zeros")
 
 
+def _sign_at(p: HomoPoly, u: list[int], point: Point) -> int:
+    """A number with the sign of p at ``point``, for the int slice u of
+    p: x^d u(y/x) when x != 0, with y/x read as the unreduced pair
+    (y_n x_d sign(x), y_d |x_n|), and p(0, 1) y^d when x = 0."""
+    x, y = point
+    if not x:
+        return p.coeffs[p.degree] * (-1 if y < 0 and p.degree % 2 else 1)
+    v = _eval_at(u, y.numerator * x.denominator * (1 if x > 0 else -1),
+                 y.denominator * abs(x.numerator))
+    return -v if x < 0 and p.degree % 2 else v
+
+
 def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
     """Certify p >= 0 on the whole plane, zeros allowed, read off
     :func:`sign_on_punctured_plane`.
@@ -520,9 +544,10 @@ def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
     cert = sign_on_punctured_plane(p)
     if cert.verdict is Verdict.POSITIVE:
         return NonnegativityCertificate(True, True, None, cert.method)
-    if cert.witness is not None and p.evaluate(*cert.witness) < 0:
+    u = _ints(p.coeffs)
+    if cert.witness is not None and _sign_at(p, u, cert.witness) < 0:
         return NonnegativityCertificate(False, False, cert.witness, cert.method)
-    t, v = _nonzero_sample(_ints(p.coeffs))
+    t, v = _nonzero_sample(u)
     if v < 0:
         return NonnegativityCertificate(
             False, False, (Fraction(1), t), "negative-at-sample"

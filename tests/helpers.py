@@ -13,7 +13,11 @@ tests check against the oracles above.  The reflection model
 it.
 The per-sample float layer (``reference_index_at_origin``,
 ``reference_separatrix_scan``, ``reference_float_coeffs``) is the oracle of
-the grid evaluators and the packed Fourier conversion.
+the grid evaluators and the packed Fourier conversion.  The sign kernel's
+probes on Fractions (``reference_rational_root``,
+``reference_strict_violation_witness``, ``reference_sign_at``) are the
+oracle of its probes on integer pairs, over the seeded forms of known sign
+class that ``random_sign_class_form`` builds.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from hesstop.classify import (
     Verdict,
     _descartes,
     _divexact,
+    _fujiwara_exponent,
     _ints,
 )
 from hesstop.combinat import binom
@@ -785,3 +790,102 @@ def reference_separatrix_scan(w: QuadForm) -> tuple[int, list[float]]:
         lines.append(0.0 if math.pi - line < 1e-6 else line)
     lines.sort()
     return len(lines), lines + [line + math.pi for line in lines]
+
+
+# --- sign kernel probes on Fractions -----------------------------------------
+#
+# The witness search, the rational-root search and the check of a returned
+# witness as the sign kernel ran them on Fractions: every probe a reduced
+# Fraction, read by Fraction Horner or HomoPoly.evaluate.  The integer
+# probes must give == certificates.
+
+SIGN_CLASSES = ("definite", "rational_double", "irrational_double", "two_lines")
+
+
+def random_sign_class_form(rng: random.Random, kind: str, degree: int, bits: int) -> HomoPoly:
+    """A form of even ``degree`` >= 4 whose sign class is known by
+    construction, a product of factors with ``bits``-bit coefficients:
+
+    - definite: positive definite quadratics only;
+    - rational_double: (r x + s y)^2 times definite quadratics;
+    - irrational_double: (a x^2 + e xy - c y^2)^2, two real lines of
+      irrational slope, times definite quadratics;
+    - two_lines: two distinct rational lines times definite quadratics.
+    """
+    low, high = 1 << (bits - 1), (1 << bits) - 1
+
+    def line() -> list[int]:
+        return [rng.randint(low, high), rng.choice((-1, 1)) * rng.randint(low, high)]
+
+    if kind == "definite":
+        factors = []
+    elif kind == "rational_double":
+        factors = [line()] * 2
+    elif kind == "irrational_double":
+        while True:
+            a, c = rng.randint(low, high), rng.randint(low, high)
+            e = rng.choice((-1, 1)) * rng.randint(low, high)
+            if math.isqrt(e * e + 4 * a * c) ** 2 != e * e + 4 * a * c:
+                break
+        factors = [[a, e, -c]] * 2
+    elif kind == "two_lines":
+        first, second = line(), line()
+        while first[0] * second[1] == first[1] * second[0]:
+            second = line()
+        factors = [first, second]
+    else:
+        raise ValueError(f"unknown sign class {kind!r}")
+    # a x^2 + e xy + c y^2 with a, c >= 2^(bits-1) and |e| < 2^bits has
+    # e^2 < 4^bits <= 4ac
+    while sum(len(f) - 1 for f in factors) < degree:
+        factors.append([rng.randint(low, high), rng.randint(-high, high),
+                        rng.randint(low, high)])
+    coeffs = [1]
+    for f in factors:
+        out = [0] * (len(coeffs) + len(f) - 1)
+        for i, x in enumerate(coeffs):
+            for j, y in enumerate(f):
+                out[i + j] += x * y
+        coeffs = out
+    return HomoPoly(degree, tuple(Fraction(c) for c in coeffs))
+
+
+def reference_strict_violation_witness(u, want_sign, intervals):
+    """``_strict_violation_witness`` on Fractions: the sorted candidates,
+    then the reduced midpoints between neighbours."""
+    bound = Fraction(2) ** _fujiwara_exponent(u)
+    candidates = [Fraction(0), Fraction(1), Fraction(-1), bound, -bound]
+    for iv in intervals:
+        candidates.extend(iv)
+    mids = sorted(set(candidates))
+    probes = mids + [(a + b) / 2 for a, b in zip(mids, mids[1:])]
+    for t in probes:
+        v = _uni_eval(u, t)
+        if v != 0 and (v > 0) == (want_sign > 0):
+            return (Fraction(1), t)
+    return None
+
+
+def reference_rational_root(g, lo, hi):
+    """``_rational_root`` on Fractions: bisect (lo, hi) until it is
+    narrower than 1/|lc(g)|, then test the one multiple of 1/|lc(g)| left
+    inside."""
+    lead = abs(g[-1])
+    low_positive = _uni_eval(g, lo) > 0
+    while (hi - lo) * lead >= 1:
+        mid = (lo + hi) / 2
+        v = _uni_eval(g, mid)
+        if v == 0:
+            return mid
+        if (v > 0) == low_positive:
+            lo = mid
+        else:
+            hi = mid
+    t = Fraction(math.ceil(lo * lead), lead)
+    return t if t < hi and _uni_eval(g, t) == 0 else None
+
+
+def reference_sign_at(p: HomoPoly, u, point) -> Fraction:
+    """p at ``point`` by HomoPoly.evaluate on Fractions; the int slice u is
+    not read."""
+    return p.evaluate(*point)

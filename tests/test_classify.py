@@ -32,12 +32,17 @@ from hesstop.quadform import discriminant, hessian_pairing, second_fundamental_f
 
 from conftest import homopolys
 from helpers import (
+    SIGN_CLASSES,
     _uni_eval,
     cauchy_radius,
     circle_samples,
     descartes_count_roots,
     isolate_real_roots,
     random_homopoly,
+    random_sign_class_form,
+    reference_rational_root,
+    reference_sign_at,
+    reference_strict_violation_witness,
     squarefree_with_known_roots,
 )
 
@@ -880,3 +885,154 @@ class TestDescartesIsolation:
         assert cert.verdict is Verdict.MIXED and cert.method == "descartes-sign-change"
         assert p.evaluate(*cert.witness) < 0
         assert not certify_nonnegative(p).nonnegative
+
+
+class TestIntegerProbes:
+    """The probes of the sign kernel on integer pairs against the Fraction
+    probes kept in helpers."""
+
+    @staticmethod
+    def certificates(forms, monkeypatch):
+        """(sign, nonnegativity) certificates of every form, with the
+        integer probes and then with the Fraction probes, and the results of
+        the Fraction rational-root searches."""
+        ints = [(sign_on_punctured_plane(p), certify_nonnegative(p)) for p in forms]
+        searched = []
+
+        def rational_root(g, lo, hi):
+            searched.append(reference_rational_root(g, lo, hi))
+            return searched[-1]
+
+        monkeypatch.setattr(classify, "_rational_root", rational_root)
+        monkeypatch.setattr(
+            classify, "_strict_violation_witness", reference_strict_violation_witness
+        )
+        monkeypatch.setattr(classify, "_sign_at", reference_sign_at)
+        fractions = [(sign_on_punctured_plane(p), certify_nonnegative(p)) for p in forms]
+        monkeypatch.undo()
+        assert ints == fractions
+        for (a, b), (c, d) in zip(ints, fractions):
+            assert (a.to_json(), b.to_json()) == (c.to_json(), d.to_json())
+        return ints, searched
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_certificates_equal_fraction_probes(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        forms = [
+            random_sign_class_form(rng, kind, degree, bits)
+            for degree in (8, 12, 16, 20, 24)
+            for bits in (2, 4, 6, 8)
+            for kind in SIGN_CLASSES
+        ]
+        ints, searched = self.certificates(forms, monkeypatch)
+        # every probing route ran: a sign change, a rational root found by
+        # bisection, irrational zeros, and a negative witness
+        assert {a.method for a, _ in ints} >= {
+            "descartes-sign-change", "semidefinite-zeros", "semidefinite-irrational-zeros",
+        }
+        assert any(t is not None for t in searched) and None in searched
+        assert any(not b.nonnegative and b.method == "descartes-sign-change"
+                   for _, b in ints)
+
+    def test_root_bound_below_one(self, monkeypatch):
+        # slices whose roots all lie in (-1/8, 1/8): 2^k with k < 0 bounds
+        # them, and the probes still equal the Fraction probes
+        forms = [parse(text) for text in (
+            "1000*y^2 - x^2",
+            "x^4 - 2000*x^3*y + 2000000*x^2*y^2 - 2000000000*x*y^3 + 1000000000000*y^4",
+            "x^4 - 4000*x^2*y^2 + 4000000*y^4",
+            "x^4 + 400*x^3*y + 790000*x^2*y^2 + 400000000*x*y^3 - 210000000000*y^4",
+        )]
+        assert all(_fujiwara_exponent(classify._ints(p.coeffs)) < 0 for p in forms)
+        ints, _ = self.certificates(forms, monkeypatch)
+        assert [a.method for a, _ in ints] == [
+            "descartes-sign-change", "semidefinite-zeros",
+            "semidefinite-irrational-zeros", "descartes-sign-change",
+        ]
+
+    @pytest.mark.parametrize("g, lo, hi, root", [
+        ([-5, 7], F(0), F(1), F(5, 7)),  # lo |lc| and hi |lc| are integers
+        ([-2, 3], F(1, 3), F(1), F(2, 3)),  # the root sits next to lo |lc|
+        ([-1, 3], F(1, 7), F(1, 2), F(1, 3)),  # neither end times |lc| is
+        ([-5, 1], F(0), F(8), F(5)),  # lead 1
+        ([-2, 0, 1], F(1), F(2), None),  # lead 1, irrational: no integer inside
+        ([-(2**60 - 1), 2**60 + 1], F(0), F(1), F(2**60 - 1, 2**60 + 1)),
+        ([-2, 0, 2**60 + 3], F(0), F(1), None),  # lead near 2^60, irrational
+        ([2, 3], F(-1), F(0), F(-2, 3)),  # below 0
+        ([5, 7], F(-1), F(-1, 3), F(-5, 7)),
+        ([-2, 0, 1], F(-2), F(-1), None),
+        ([-3, 0, 1], F(-7, 4), F(-3, 2), None),  # below 0, irrational
+        ([-1, 2, 0, 1], F(0), F(1), None),  # t^3 + 2t - 1: a cubic irrationality
+        ([1, -2, 0, -4, 6], F(1, 2), F(1), None),
+    ])
+    def test_rational_root_search(self, g, lo, hi, root):
+        assert classify._rational_root(g, lo, hi) == root
+        assert reference_rational_root(g, lo, hi) == root
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """The (p, q) pairs the evaluator is called at, in order."""
+        seen = []
+        evaluate = classify._eval_at
+
+        def spy(u, p, q=1):
+            seen.append((p, q))
+            return evaluate(u, p, q)
+
+        monkeypatch.setattr(classify, "_eval_at", spy)
+        return seen
+
+    def test_rational_root_hit_by_the_first_midpoint(self, probes):
+        # 3t - 1 on (0, 1): P runs over (0, 3), whose first midpoint 1 gives
+        # the root 1/3 after one probe beside the sign at lo
+        assert classify._rational_root([-1, 3], F(0), F(1)) == F(1, 3)
+        assert probes == [(0, 1), (1, 3)]
+
+    def test_rational_root_probes_stay_inside(self, rng, probes):
+        # every P / |lc| tested lies strictly inside (lo, hi), whichever of
+        # lo |lc| and hi |lc| is an integer
+        for _ in range(200):
+            q = rng.randint(1, 40)
+            r = F(rng.randint(-60, 60), q)
+            g = _int_product([[-r.numerator, r.denominator], [rng.randint(1, 9), 0, 1]])
+            lo = r - F(rng.randint(1, 30), rng.choice((1, q, 2 * q, 7)))
+            hi = r + F(rng.randint(1, 30), rng.choice((1, q, 3 * q, 5)))
+            probes.clear()
+            assert classify._rational_root(g, lo, hi) == r == reference_rational_root(g, lo, hi)
+            points = [F(p, q) for p, q in probes]
+            assert points[0] == lo and all(lo < t < hi for t in points[1:])
+
+    def test_witness_is_the_leftmost_midpoint(self):
+        # (4t - 1)(4t - 3)(4t - 5)(4t - 7) with its roots hit exactly: every
+        # candidate is a root or positive, and u < 0 at the midpoints 1/2
+        # and 3/2; the search returns the left one
+        u = _int_product([[-1, 4], [-3, 4], [-5, 4], [-7, 4]])
+        hits = [(F(k, 4), F(k, 4)) for k in (1, 3, 5, 7)]
+        for want_sign, v in ((-1, u), (1, [-c for c in u])):
+            assert classify._strict_violation_witness(v, want_sign, hits) == (F(1), F(1, 2))
+            assert reference_strict_violation_witness(v, want_sign, hits) == (F(1), F(1, 2))
+        # a positive probe is the leftmost candidate, -2^k below every root
+        bound = F(2) ** _fujiwara_exponent(u)
+        assert classify._strict_violation_witness(u, 1, hits) == (F(1), -bound)
+
+    def test_evaluator_on_unreduced_pairs(self, rng):
+        for _ in range(200):
+            u = [rng.randint(-2**20, 2**20) for _ in range(rng.randint(1, 12))]
+            p, q, k = rng.randint(-500, 500), rng.randint(1, 300), rng.randint(1, 50)
+            deg = len(u) - 1
+            assert classify._eval_at(u, k * p, k * q) == (k * q) ** deg * _uni_eval(u, F(p, q))
+            assert classify._eval_at(u, p) == _uni_eval(u, F(p))
+
+    def test_witness_sign_off_the_slice(self):
+        # the sign of p at a point with x < 0 and at x = 0 reads the int slice
+        # and p(0, 1); odd and even degree, and slices of degree below p's
+        for text in ("x^3 - 2*x*y^2 + y^3", "x^4 - 3*x^2*y^2 + y^4", "-y^4 + x*y^3",
+                     "2*x^2 - y^2", "x^3*y - 2*x^4", "x^2*y - 3*x^3"):
+            p = parse(text)
+            u = classify._ints(p.coeffs)
+            for point in ((F(-3, 2), F(5, 7)), (F(0), F(-2)), (F(0), F(1)),
+                          (F(2), F(-1, 3)), (F(-1), F(0))):
+                value = p.evaluate(*point)
+                sign = classify._sign_at(p, u, point)
+                assert (sign > 0) == (value > 0) and (sign < 0) == (value < 0)
+
