@@ -24,12 +24,14 @@ Taylor shift and one side instead of two.  For the census n = 3..60 that
 proves 2899 of the 2903 sign questions; the other 4 are slices of degree
 6 to 10, whose budget is 0 splits.  Any other slice, and an even one not
 proved rootless, runs the recursion on both sides of u.  When the budget
-runs out, one Sturm chain, a primitive remainder sequence (Collins 1967,
-Brown 1971) with a sign-preserving pseudo-remainder, counts the roots and
-gives gcd(u, u'), and the recursion isolates the squarefree part with no
-limit.  Chains only count roots, give gcds and give Cauchy indexes; none
-is evaluated at a finite point.  Early answers (zero form, odd degree,
-p(0, 1) < 0 for p >= 0) build no chain.
+runs out, the heuristic gcd (Char, Geddes and Gonnet 1989) gives
+gcd(u, u') from one integer gcd, proved by two exact divisions, and the
+recursion isolates the squarefree part u / gcd(u, u') with no limit,
+an empty list proving u rootless.  A Sturm chain, a primitive remainder
+sequence (Collins 1967, Brown 1971) with a sign-preserving
+pseudo-remainder, gives that gcd only if every heuristic try is
+rejected.  Chains count roots and give Cauchy indexes; none is evaluated
+at a finite point.
 
 Both kinds of sign question take the same route.  A slice with real roots
 is probed at the isolating intervals' ends and the midpoints between them,
@@ -150,6 +152,45 @@ def _divexact(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
+def _heu_gcd(u: list[int], v: list[int]) -> Optional[list[int]]:
+    """gcd(u, v) of nonzero primitive int polynomials, primitive with a
+    positive lead, or None when every try is rejected.
+
+    The heuristic gcd (Char, Geddes and Gonnet 1989): the integer
+    gcd(u(xi), v(xi)), read as balanced base-xi digits, gives a candidate
+    G.  For primitive u and v and xi >= 2 min(|u|_inf, |v|_inf) + 2, pp(G)
+    is gcd(u, v) if it divides both u and v (Geddes, Czapor and Labahn,
+    Algorithms for Computer Algebra, 1992, Thm 7.7), so the two exact
+    divisions prove an accepted candidate.  xi = 2^k is the least power of
+    two >= 2 min + 29, so the evaluations and the digits are shifts and
+    masks, each linear in the size of the integer; a rejected candidate
+    raises k by half, at most 6 tries.
+    """
+    k = (2 * min(max(map(abs, u)), max(map(abs, v))) + 28).bit_length()
+    for _ in range(6):
+        a = b = 0
+        for c in reversed(u):
+            a = (a << k) + c
+        for c in reversed(v):
+            b = (b << k) + c
+        # gamma > 0: a common root of u and v has modulus below
+        # 1 + min(|u|_inf, |v|_inf) < xi, so u(xi) and v(xi) are not both 0
+        gamma, g = math.gcd(a, b), []
+        mask, half = (1 << k) - 1, 1 << (k - 1)
+        while gamma:  # balanced digits in [-2^(k-1), 2^(k-1))
+            c = ((gamma + half) & mask) - half
+            g.append(c)
+            gamma = (gamma - c) >> k
+        g = _primitive(g)  # gamma > 0, so its top digit is positive
+        try:
+            _divexact(u, g)
+            _divexact(v, g)
+            return g
+        except ArithmeticError:
+            k += k // 2
+    return None
+
+
 def _sign_variations(values) -> int:
     signs = [v > 0 for v in values if v]
     return sum(map(ne, signs, signs[1:]))
@@ -162,9 +203,10 @@ class SturmChain:
     Each entry is a positive multiple of the rational chain's entry, so the
     sign variations at +-inf are the same.  The terminal entry is a multiple
     of gcd(u, v), so the chain counts distinct real roots also for
-    non-squarefree input, and for v = u' it divides u down to its
-    squarefree part.  Chains count roots and give Cauchy indexes; roots are
-    isolated by :func:`_descartes`.
+    non-squarefree input.  Chains count roots and give Cauchy indexes;
+    roots are isolated by :func:`_descartes`, and the sign kernel takes
+    gcd(u, u') from :func:`_heu_gcd`, falling back to a chain only when
+    every heuristic try is rejected.
     """
 
     polys: tuple[list[int], ...]
@@ -455,9 +497,10 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
     intervals with irrational ends; any other outcome, and every slice that
     is not even, goes to :func:`_descartes` on u with the same budget.  No
     root answers ``descartes-no-real-roots``, and a list isolates every
-    distinct real root.  When the budget runs out, one Sturm chain
-    counts u's real roots (none answers ``sturm-no-real-roots``) and gives
-    g = gcd(u, u'), and the recursion isolates u / g with no limit.  The
+    distinct real root.  When the budget runs out, g = gcd(u, u') comes
+    from :func:`_heu_gcd` (from a Sturm chain's last entry only when every
+    heuristic try is rejected), and the recursion isolates u / g with no
+    limit; an empty list answers ``descartes-no-real-roots``.  The
     probes at the intervals' ends, the midpoints between them, 0, +-1 and
     +-bound find a sign opposite to the slice's nonzero sample whenever u
     takes one (``descartes-sign-change``).  Otherwise u is semidefinite,
@@ -486,14 +529,11 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
             return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
     g = u  # a budgeted list's open intervals hold simple roots of u
     intervals = _descartes(u, splits)
-    if intervals == []:
-        return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
     if intervals is None:
-        chain = SturmChain.of(u)
-        if chain.count_real_roots() == 0:
-            return _rootless_verdict(at_infinity, ref, "sturm-no-real-roots")
-        g = chain.polys[-1]
+        g = _heu_gcd(u, _primitive(_deriv(u))) or SturmChain.of(u).polys[-1]
         intervals = _descartes(_divexact(u, g), None)
+    if not intervals:
+        return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
 
     # the slice has real zeros: decide strict sign change vs semidefinite
     witness = _strict_violation_witness(u, -1 if ref > 0 else 1, intervals)

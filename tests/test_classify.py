@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -350,41 +351,55 @@ class TestPairingCertificate:
         assert b.evaluate(*cert.witness) > 0
 
 
+@pytest.fixture
+def chains(monkeypatch):
+    """The slices of every SturmChain.of call, in order."""
+    built = []
+    of = SturmChain.of.__func__
+
+    def counted(cls, u):
+        built.append(u)
+        return of(cls, u)
+
+    monkeypatch.setattr(SturmChain, "of", classmethod(counted))
+    return built
+
+
 class TestOneChainPerSlice:
-    """Each kernel call builds at most one Sturm chain: the slice's chain
-    counts its roots and gives the squarefree part, and certify_nonnegative
-    builds none of its own."""
+    """Each sign question takes at most one squarefree part: a slice whose
+    budget runs out calls _heu_gcd once and builds no Sturm chain, and
+    certify_nonnegative adds no call of its own."""
 
     @pytest.fixture
-    def chains(self, monkeypatch):
-        built = []
-        of = SturmChain.of.__func__
+    def gcds(self, monkeypatch):
+        calls = []
+        heu_gcd = classify._heu_gcd
 
-        def counted(cls, u):
-            built.append(u)
-            return of(cls, u)
+        def counted(u, v):
+            calls.append(u)
+            return heu_gcd(u, v)
 
-        monkeypatch.setattr(SturmChain, "of", classmethod(counted))
-        return built
+        monkeypatch.setattr(classify, "_heu_gcd", counted)
+        return calls
 
-    def test_sign_on_a_square_builds_one_chain(self, chains):
-        # (x^2 - 2y^2)^2: the slice's chain gives the squarefree part, which
-        # the Descartes recursion isolates, and certify_nonnegative builds
-        # no more than that
+    def test_sign_on_a_square_builds_one_chain(self, chains, gcds):
+        # (x^2 - 2y^2)^2: the heuristic gcd gives the squarefree part, which
+        # the Descartes recursion isolates, and certify_nonnegative takes no
+        # more than that
         p = parse("x^4 - 4*x^2*y^2 + 4*y^4")
         assert sign_on_punctured_plane(p).method == "semidefinite-irrational-zeros"
-        assert len(chains) == 1
-        chains.clear()
+        assert len(gcds) == 1 and chains == []
+        gcds.clear()
         cert = certify_nonnegative(p)
         assert cert.nonnegative and not cert.strict
-        assert len(chains) == 1
+        assert len(gcds) == 1 and chains == []
 
-    def test_nonnegative_on_a_squarefree_slice_builds_one_chain(self, chains):
+    def test_nonnegative_on_a_squarefree_slice_builds_one_chain(self, chains, gcds):
         # (x^2 - y^2)(x^2 - 3y^2): the odd part is the slice itself
         p = parse("x^4 - 4*x^2*y^2 + 3*y^4")
         cert = certify_nonnegative(p)
         assert not cert.nonnegative and p.evaluate(*cert.witness) < 0
-        assert len(chains) == 1
+        assert len(gcds) == 1 and chains == []
 
     def test_early_returns_build_no_chain(self, chains):
         certify_nonnegative(parse("x^3"))
@@ -404,17 +419,19 @@ class TestOneChainPerSlice:
             ("x^4 - 2*x^2*y^2 + y^4", "semidefinite-zeros"),  # double roots -1, 1
         ],
     )
-    def test_full_budgeted_list_builds_no_chain(self, chains, monkeypatch, text, method):
+    def test_full_budgeted_list_builds_no_chain(
+        self, chains, gcds, monkeypatch, text, method
+    ):
         # times a radial power the slice has degree 24 and a budget of two
         # splits, within which the recursion isolates every root: its list
-        # is used as it is, and the chain path gives the same certificate
+        # is used as it is, and the gcd path gives the same certificate
         f = parse(text)
         p = f * radial_family((24 - f.degree) // 2)
         cert = sign_on_punctured_plane(p)
-        assert cert.method == method and chains == []
+        assert cert.method == method and chains == gcds == []
         monkeypatch.setattr(classify, "_DEGREES_PER_DESCARTES_SPLIT", 10**9)
         assert sign_on_punctured_plane(p) == cert
-        assert len(chains) == 1
+        assert len(gcds) == 1 and chains == []
 
 
 def test_origin_not_separately_tested():
@@ -554,7 +571,11 @@ class TestKernelOracles:
 def _int_product(factors):
     out = [1]
     for f in factors:
-        out = [int(c) for c in _mul_uni(out, f)]
+        product = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                product[i + j] += a * b
+        out = product
     return out
 
 
@@ -621,7 +642,7 @@ def _sheared(f):
 
 class TestDescartesRootless:
     """The budgeted Descartes recursion proves only true rootlessness, and
-    the budget changes no verdict or witness, only the method's name."""
+    the budget changes no certificate."""
 
     KINDS = ("rootless", "double", "simple", "near-axis", "zero-at-origin")
 
@@ -664,18 +685,16 @@ class TestDescartesRootless:
         forms += [-f for f in forms]
         with_budget = [sign_on_punctured_plane(f) for f in forms]
         monkeypatch.setattr(classify, "_DEGREES_PER_DESCARTES_SPLIT", 10**9)
-        methods = set()
+        methods, fell_back = set(), set()
         for f, cert in zip(forms, with_budget):
             fallback = sign_on_punctured_plane(f)
             methods.add(cert.method)
-            assert (fallback.verdict, fallback.witness) == (cert.verdict, cert.witness)
-            # a slice with no sign variation either side needs no split
-            u = classify._ints(f.coeffs)
-            if _descartes(u, 0) == []:
-                assert fallback.method == cert.method == "descartes-no-real-roots"
-            else:
-                assert fallback.method == cert.method.replace("descartes-no-", "sturm-no-")
-        assert "descartes-no-real-roots" in methods and "sturm-no-real-roots" in methods
+            assert fallback == cert
+            if _descartes(classify._ints(f.coeffs), 0) is None:
+                fell_back.add(cert.method)
+        # rootless slices were proved by the squarefree part's recursion
+        # with no limit as well as by the budgeted one
+        assert "descartes-no-real-roots" in fell_back
         assert {"descartes-sign-change", "semidefinite-zeros",
                 "semidefinite-irrational-zeros"} <= methods
 
@@ -688,12 +707,13 @@ class TestDescartesRootless:
         ok, cert, _ = is_hyperbolic(product_family(7, 1))
         assert ok and cert.method == "descartes-no-real-roots"
         # sheared by (x, y) -> (x + y, y) the form is still hyperbolic, but
-        # its degree-14 slice is not even, and the chain answers
+        # its degree-14 slice is not even, and the recursion on its
+        # squarefree part answers
         f = _sheared(product_family(7, 1))
         u = [int(c) for c in discriminant(second_fundamental_form(f)).coeffs]
         assert any(u[1::2]) and _descartes(u, 1) is None
         ok, cert, _ = is_hyperbolic(f)
-        assert ok and cert.method == "sturm-no-real-roots"
+        assert ok and cert.method == "descartes-no-real-roots"
 
     def test_degree_236_slice(self):
         ok, cert, _ = is_hyperbolic(product_family(118, 1))
@@ -1036,3 +1056,109 @@ class TestIntegerProbes:
                 sign = classify._sign_at(p, u, point)
                 assert (sign > 0) == (value > 0) and (sign < 0) == (value < 0)
 
+
+GCD_KINDS = ("squarefree", "line-power", "quadratic-power", "cubes")
+
+
+def _gcd_slice(rng, kind):
+    """A primitive int slice of the given kind, its factors of 2- to 32-bit
+    coefficients: up to 8 random lines and 4 quadratics with irrational
+    real roots, a line to a power up to 238, such a quadratic to a power up
+    to 119, or the cubes of a line and such a quadratic; up to two more
+    lines ride along."""
+    bits = rng.choice((2, 4, 8, 16, 32))
+    low, high = 1 << (bits - 1), (1 << bits) - 1
+
+    def line():
+        return [rng.choice((-1, 1)) * rng.randint(0, high), rng.randint(low, high)]
+
+    def quadratic():
+        while True:
+            a, c, e = rng.randint(low, high), rng.randint(low, high), rng.randint(-high, high)
+            if math.isqrt(e * e + 4 * a * c) ** 2 != e * e + 4 * a * c:
+                return [a, e, -c]
+
+    factors = [line() for _ in range(rng.randint(0, 2))]
+    if kind == "squarefree":
+        factors += [line() for _ in range(rng.randint(1, 8))]
+        factors += [quadratic() for _ in range(rng.randint(0, 4))]
+    elif kind == "line-power":
+        factors += [line()] * rng.randint(2, 238)
+    elif kind == "quadratic-power":
+        factors += [quadratic()] * rng.randint(2, 119)
+    else:
+        factors += [line()] * 3 + [quadratic()] * 3
+    return classify._ints(_int_product(factors))
+
+
+def _clustered_lines(n):
+    """The product of the line 64 x + y and the lines x + j y, or j x + y
+    where 3 | j, for 0 < |j| <= n: 2n + 1 distinct real lines, most of
+    them bunched near the x-axis, so disc II has large coefficients."""
+    lines = [(64, 1)] + [(j, 1) if j % 3 == 0 else (1, j)
+                         for j in range(-n, n + 1) if j]
+    return functools.reduce(multiply, (HomoPoly(1, line) for line in lines))
+
+
+class TestHeuristicGcd:
+    """_heu_gcd(u, pp(u')) is the gcd a Sturm chain ends in, and the chain
+    fallback gives the same certificates."""
+
+    @pytest.fixture(scope="class")
+    def slices(self):
+        rng = random.Random(25)
+        return [_gcd_slice(rng, kind) for _ in range(50) for kind in GCD_KINDS]
+
+    @staticmethod
+    def heu_gcd(u):
+        return classify._heu_gcd(u, classify._primitive(classify._deriv(u)))
+
+    def test_equals_the_chain_gcd(self, slices):
+        gcd_degrees = set()
+        for u in slices:
+            g, last = self.heu_gcd(u), SturmChain.of(u).polys[-1]
+            assert g == (last if last[-1] > 0 else [-c for c in last])
+            gcd_degrees.add(len(g) - 1)
+        degrees = [len(u) - 1 for u in slices]
+        assert len(slices) == 200 and max(degrees) >= 200 and min(degrees) <= 8
+        assert 0 in gcd_degrees and max(gcd_degrees) >= 200
+
+    def test_equals_sympy_gcd(self, slices):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        # sympy takes seconds a slice from degree 120 on
+        checked = [u for u in slices if len(u) <= 120]
+        assert len(checked) >= 100
+        for u in checked:
+            v = classify._primitive(classify._deriv(u))
+            g = sympy.gcd(sympy.Poly(u[::-1], t), sympy.Poly(v[::-1], t))
+            want = [int(c) for c in reversed(g.all_coeffs())]
+            assert self.heu_gcd(u) == (want if want[-1] > 0 else [-c for c in want])
+
+    def test_candidate_must_divide_both(self):
+        # u = t^2 + 1 and v = 3 t^2 - 32 t + 2 have v(32) = 2 u(32), so at
+        # the first xi = 32 the integer gcd is u(32) and the candidate is u,
+        # which divides u but not v: gcd(u, v) = 1 comes on a later try
+        u, v = [1, 0, 1], [2, -32, 3]
+        assert classify._heu_gcd(u, v) == classify._heu_gcd(v, u) == [1]
+
+    def test_rejected_candidates_fall_back_to_the_chain(self, chains, monkeypatch):
+        # the forms of two seeds, as in TestIntegerProbes
+        forms = []
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            forms += [random_sign_class_form(rng, kind, degree, bits)
+                      for degree in (8, 12, 16, 20, 24)
+                      for bits in (2, 4, 6, 8)
+                      for kind in SIGN_CLASSES]
+        heuristic = [(sign_on_punctured_plane(p), certify_nonnegative(p)) for p in forms]
+        assert chains == []
+        monkeypatch.setattr(classify, "_heu_gcd", lambda u, v: None)
+        fallback = [(sign_on_punctured_plane(p), certify_nonnegative(p)) for p in forms]
+        assert fallback == heuristic and len(chains) >= len(forms)
+
+    def test_clustered_lines_proved_without_a_chain(self, chains):
+        f = _clustered_lines(20)
+        ok, cert, _ = is_hyperbolic(f)
+        assert f.degree == 41 and ok and cert.method == "descartes-no-real-roots"
+        assert chains == []
