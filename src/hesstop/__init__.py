@@ -43,7 +43,6 @@ from .quadform import (
     QuadForm,
     discriminant,
     hessian_pairing,
-    path_discriminant_coeffs,
     second_fundamental_form,
 )
 

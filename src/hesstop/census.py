@@ -6,8 +6,10 @@ For degree n the rows are the pure saddle (k = 0, m = n) together with
 every product saddle_family(m) * radial_family(k) with k >= 1,
 m = n - 2k > max(2, k).  Each row's asymptotic line field has origin index
 (2 - m)/2; the indexes are pairwise distinct, so the rows land in pairwise
-distinct connected components.  certify_row proves that index exactly from a
-Sturm chain, with no floating point.
+distinct connected components.  certify_row proves that index exactly, with
+no floating point, from one dominant Fourier term of the line field
+(lineindex.origin_index), which decides every row up to n = 120 without a
+Sturm chain.
 """
 
 from __future__ import annotations
@@ -94,9 +96,11 @@ def certify_row(row: CensusRow) -> dict:
     For k >= 1 its "isotopy" is the product isotopy, whose
     verdicts prove the product hyperbolic, the radial factor elliptic and
     the hessian pairing nonpositive.  Finally "index", the exact origin
-    index read by origin_index from one Sturm chain once hyperbolicity is
-    proved, must equal the theoretical (2 - m)/2; for k >= 1 it is read
-    from the II_{pq} the isotopy built and names first in its ``joins``.
+    index read by origin_index once hyperbolicity is proved (from a
+    dominant Fourier term, or a Cauchy index chain where none dominates;
+    its ``method`` says which), must equal the theoretical (2 - m)/2; for
+    k >= 1 it is read from the II_{pq} the isotopy built and names first
+    in its ``joins``.
     Raises PreconditionFailed naming the first failing certificate.
     """
     p = saddle_family(row.m)

@@ -94,6 +94,28 @@ def _eval_at(u: list[int], p: int, q: int = 1) -> int:
     return acc
 
 
+def _at_power_of_two(u: list[int], k: int) -> int:
+    """u(2^k) for the int vector u (0 for []), by shifts and adds.
+
+    Horner's scheme runs on blocks of 16 coefficients, and then
+    neighbouring block values are joined, v_(2j) + v_(2j+1) 2^(16 k), which
+    halves the list and doubles the shift until one value is left.  Horner
+    alone costs O(d^2 k) bit operations for degree d and the joins
+    O(d k log d); the blocks keep the short vectors at Horner's few steps.
+    """
+    values = []
+    for i in range(0, len(u), 16):
+        acc = 0
+        for c in reversed(u[i:i + 16]):
+            acc = (acc << k) + c
+        values.append(acc)
+    k *= 16
+    while len(values) > 1:
+        values = [a + (b << k) for a, b in zip(values[::2], values[1::2] + [0])]
+        k *= 2
+    return values[0] if values else 0
+
+
 def _deriv(u: list[int]) -> list[int]:
     return [u[j] * j for j in range(1, len(u))]
 
@@ -152,30 +174,27 @@ def _divexact(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def _heu_gcd(u: list[int], v: list[int]) -> Optional[list[int]]:
-    """gcd(u, v) of nonzero primitive int polynomials, primitive with a
-    positive lead, or None when every try is rejected.
+def _heu_gcd(
+    u: list[int], v: list[int]
+) -> Optional[tuple[list[int], list[int]]]:
+    """(g, u / g) for g = gcd(u, v) of nonzero primitive int polynomials,
+    primitive with a positive lead, or None when every try is rejected.
 
     The heuristic gcd (Char, Geddes and Gonnet 1989): the integer
     gcd(u(xi), v(xi)), read as balanced base-xi digits, gives a candidate
     G.  For primitive u and v and xi >= 2 min(|u|_inf, |v|_inf) + 2, pp(G)
     is gcd(u, v) if it divides both u and v (Geddes, Czapor and Labahn,
     Algorithms for Computer Algebra, 1992, Thm 7.7), so the two exact
-    divisions prove an accepted candidate.  xi = 2^k is the least power of
-    two >= 2 min + 29, so the evaluations and the digits are shifts and
-    masks, each linear in the size of the integer; a rejected candidate
-    raises k by half, at most 6 tries.
+    divisions prove an accepted candidate; the division of u is the
+    quotient returned.  xi = 2^k is the least power of two >= 2 min + 29,
+    so the evaluations (:func:`_at_power_of_two`) and the digits are shifts
+    and masks; a rejected candidate raises k by half, at most 6 tries.
     """
     k = (2 * min(max(map(abs, u)), max(map(abs, v))) + 28).bit_length()
     for _ in range(6):
-        a = b = 0
-        for c in reversed(u):
-            a = (a << k) + c
-        for c in reversed(v):
-            b = (b << k) + c
         # gamma > 0: a common root of u and v has modulus below
         # 1 + min(|u|_inf, |v|_inf) < xi, so u(xi) and v(xi) are not both 0
-        gamma, g = math.gcd(a, b), []
+        gamma, g = math.gcd(_at_power_of_two(u, k), _at_power_of_two(v, k)), []
         mask, half = (1 << k) - 1, 1 << (k - 1)
         while gamma:  # balanced digits in [-2^(k-1), 2^(k-1))
             c = ((gamma + half) & mask) - half
@@ -183,9 +202,9 @@ def _heu_gcd(u: list[int], v: list[int]) -> Optional[list[int]]:
             gamma = (gamma - c) >> k
         g = _primitive(g)  # gamma > 0, so its top digit is positive
         try:
-            _divexact(u, g)
+            quotient = _divexact(u, g)
             _divexact(v, g)
-            return g
+            return g, quotient
         except ArithmeticError:
             k += k // 2
     return None
@@ -530,8 +549,12 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
     g = u  # a budgeted list's open intervals hold simple roots of u
     intervals = _descartes(u, splits)
     if intervals is None:
-        g = _heu_gcd(u, _primitive(_deriv(u))) or SturmChain.of(u).polys[-1]
-        intervals = _descartes(_divexact(u, g), None)
+        found = _heu_gcd(u, _primitive(_deriv(u)))
+        if found is None:  # every heuristic try was rejected
+            g = SturmChain.of(u).polys[-1]
+            found = g, _divexact(u, g)
+        g, squarefree = found
+        intervals = _descartes(squarefree, None)
     if not intervals:
         return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
 

@@ -16,8 +16,10 @@ MAX_POLY_TEXT characters are usage errors.  An error message quotes at most
 errors.ECHO_CHARS characters of the user's text.
 
 index, certify and census --certify read origin indexes exactly
-(origin_index); index first proves the form hyperbolic and exits 1 naming
-the hypothesis when it is not.  index and foliate read II_f from that
+(origin_index: from a dominant Fourier term of the line field when one
+outweighs the rest, as for every saddle and census model, else from a
+Cauchy index chain); index first proves the form hyperbolic and exits 1
+naming the hypothesis when it is not.  index and foliate read II_f from that
 hyperbolicity verdict (classify.is_hyperbolic returns the II_f whose
 discriminant it signed), so each builds II_f once.  Only index --trace
 and the foliate figures run the float tracer.  foliate checks the float

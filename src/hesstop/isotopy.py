@@ -18,9 +18,13 @@ sign is read from an exact polynomial identity that writes the
 coefficient as a product of proved signs and squares: a0 = q^2 disc II_p,
 a1 = -2q * pairing and a2 = (p_x q_y - p_y q_x)^2 on the gradient-term
 path; on the affine path the start is a0 + a1 + a2, the t^2 coefficient
-is p^2 disc II_q and the end is disc II_{pq}.  Each identity is checked
-coefficient by coefficient at run time on the same objects the proofs
-read; it holds for every input, so a failure is an internal error.
+is p^2 disc II_q and the end is disc II_{pq}.  These right-hand sides are
+the certificate's t-coefficients.  The path discriminants on the left are
+never multiplied out, and neither is delta = p*II_q: each identity, and
+the split II_{pq} = q*II_p + 2 dp dq + p*II_q, is checked at run time on
+the same objects the proofs read, exactly, by integer evaluation at one
+xi = 2^k per leg (:func:`_check_identities`).  It holds for every input,
+so a failure is an internal error.
 
 Certificates are data, not booleans: every proved hypothesis is carried as
 the exact SignCertificate or NonnegativityCertificate that proved it, so
@@ -31,23 +35,19 @@ its name, so every returned certificate holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .classify import (
     SignCertificate,
     Verdict,
+    _at_power_of_two,
     certify_nonnegative,
     sign_on_punctured_plane,
 )
 from .errors import PreconditionFailed
-from .polyalg import HomoPoly, format_poly, multiply
-from .quadform import (
-    QuadForm,
-    discriminant,
-    gradient_forms,
-    path_discriminant_coeffs,
-    second_fundamental_form,
-)
+from .polyalg import HomoPoly, _numerators, format_poly, multiply
+from .quadform import QuadForm, discriminant, gradient_forms, second_fundamental_form
 
 GRADIENT_TERM_PATH = "gradient-term-path"
 AFFINE_PATH = "affine-path"
@@ -94,8 +94,77 @@ def _require(name: str, holds: bool, detail: str) -> None:
         raise PreconditionFailed(name, detail)
 
 
-def _identity(name: str, lhs, rhs) -> None:
-    _require(name, lhs == rhs, "an exact identity did not hold (internal error)")
+# A side of an identity is a list of terms (c, f_1, ..., f_r): the int c
+# times the product of the forms f_i, which is never multiplied out.
+
+
+def _check_identities(identities: list[tuple[str, list, list]]) -> None:
+    """Refuse by name the first identity (name, lhs, rhs) whose sides do
+    not sum to equal forms, all decided exactly at one xi = 2^k.
+
+    A form is read as its numerator vector u at (x, y) = (1, t), over its
+    denominator.  Each identity becomes D = lhs - rhs times the least
+    common denominator of its terms, an int polynomial in t whose
+    coefficients are bounded by |uv|_inf <= |u|_1 |v|_inf: a term by |c|
+    times the l1 norms of its factors but the last, times the last one's
+    largest |entry|.  The sides are homogeneous of one degree (terms with a
+    zero factor dropped), else they are not equal forms even where they
+    agree at every (1, t), and the identity is refused.  k is the bit
+    length of the largest bound, so every coefficient of every D lies below
+    xi.  A nonzero such D does not vanish at xi: its lowest nonzero
+    coefficient c_i has 0 < |c_i| < xi, and D(xi) = xi^i (c_i + xi m) for an
+    integer m.  So D(xi) == 0 proves D == 0, with every product of the
+    sides left unexpanded; each form is evaluated once.
+    """
+    rows: dict[int, list] = {}  # id of a form: [u, denominator, l1, largest]
+    checks, top = [], 0
+    for name, lhs, rhs in identities:
+        terms, degrees = [], set()
+        for sign, side in ((1, lhs), (-1, rhs)):
+            for c, *forms in side:
+                factors = []
+                for f in forms:
+                    row = rows.get(id(f))
+                    if row is None:
+                        u, den = _numerators(f.coeffs)
+                        sizes = list(map(abs, u))
+                        row = rows[id(f)] = [u, den, sum(sizes), max(sizes)]
+                    factors.append(row)
+                if all([row[3] for row in factors]):
+                    degrees.add(sum([f.degree for f in forms]))
+                    terms.append((sign * c, math.prod([row[1] for row in factors]), factors))
+        common = math.lcm(*[den for _, den, _ in terms])
+        terms = [(c * (common // den), factors) for c, den, factors in terms]
+        checks.append((name, terms, len(degrees) < 2))
+        bound = sum(abs(c) * math.prod([row[2] for row in factors[:-1]], start=factors[-1][3])
+                    for c, factors in terms)
+        top = max(top, bound)
+    k = top.bit_length()
+    for row in rows.values():
+        row.append(_at_power_of_two(row[0], k))
+    for name, terms, homogeneous in checks:
+        holds = homogeneous and not sum(
+            math.prod([row[4] for row in factors], start=c) for c, factors in terms
+        )
+        _require(name, holds, "an exact identity did not hold (internal error)")
+
+
+def _path_discriminant(w, d) -> tuple[list, list, list]:
+    """The coefficients (a0, a1, a2) of disc(w + t d) as a quadratic in t,
+    as sides: a0 = w_b^2 - w_a w_c, a1 = 2 w_b d_b - w_a d_c - w_c d_a (the
+    bilinear polarization of the discriminant) and a2 = d_b^2 - d_a d_c.
+    w and d are given entrywise, (a, b, c), each entry a tuple of forms
+    whose product it is."""
+    (wa, wb, wc), (da, db, dc) = w, d
+    return (
+        [(1, *wb, *wb), (-1, *wa, *wc)],
+        [(2, *wb, *db), (-1, *wa, *dc), (-1, *wc, *da)],
+        [(1, *db, *db), (-1, *da, *dc)],
+    )
+
+
+def _entries(w: QuadForm) -> tuple:
+    return (w.a,), (w.b,), (w.c,)
 
 
 def _prove_sign(
@@ -126,10 +195,14 @@ def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     _require("pairing_nonpositive", pairing_cert.nonnegative, "hessian pairing is positive")
 
     q_ii_p = ii_p.scale(q)
-    a0, a1, a2 = path_discriminant_coeffs(q_ii_p, dpdq)
-    _identity("a0_identity", a0, multiply(multiply(q, q), disc_p))
-    _identity("a1_identity", a1, -2 * multiply(q, pairing))
-    _identity("a2_identity", a2, multiply(jac, jac))
+    a0 = multiply(multiply(q, q), disc_p)
+    a1 = -2 * multiply(q, pairing)
+    a2 = multiply(jac, jac)
+    path = _path_discriminant(_entries(q_ii_p), _entries(dpdq))
+    names = ("a0_identity", "a1_identity", "a2_identity")
+    _check_identities([
+        (name, side, [(1, rhs)]) for name, side, rhs in zip(names, path, (a0, a1, a2))
+    ])
     return IsotopyCertificate(
         kind=GRADIENT_TERM_PATH,
         t_coefficients=(a0, a1, a2),
@@ -175,13 +248,21 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     disc_f = discriminant(ii_f)
     f_hyp = _prove_sign("product_hyperbolic", disc_f, "the product is not hyperbolic")
 
-    delta = ii_q.scale(p)
-    _identity("product_form_split", ii_f, omega + delta)
-    a0, a1, a2 = path_discriminant_coeffs(omega, delta)
+    # delta = p*II_q, entrywise, left unexpanded
+    delta = tuple((p, e) for (e,) in _entries(ii_q))
     g0, g1, g2 = gradient_leg.t_coefficients
-    _identity("affine_a0_identity", a0, g0 + g1 + g2)
-    _identity("affine_a2_identity", a2, multiply(multiply(p, p), disc_q))
-    _identity("affine_end_identity", a0 + a1 + a2, disc_f)
+    a0 = g0 + g1 + g2
+    a2 = multiply(multiply(p, p), disc_q)
+    a1 = disc_f - a0 - a2
+    path = _path_discriminant(_entries(omega), delta)
+    _check_identities([
+        *[("product_form_split", [(1, f)], [(1, o), (1, *d)])
+          for (f,), (o,), d in zip(_entries(ii_f), _entries(omega), delta)],
+        ("affine_a0_identity", path[0], [(1, a0)]),
+        ("affine_a2_identity", path[2], [(1, a2)]),
+        # with the two above, a0 + a1 + a2 = disc II_{pq}
+        ("affine_end_identity", path[1], [(1, a1)]),
+    ])
 
     leg = gradient_leg.verdicts
     verdicts = {

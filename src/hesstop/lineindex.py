@@ -8,10 +8,14 @@ A dx^2 + 2B dxdy + C dy^2 is hyperbolic its null lines satisfy
 the arccos term stays inside (0, pi).  So the index of either branch is
 half the winding number of the pair (A - C, 2B) on the circle.
 
-origin_index reads that winding exactly as a Cauchy index from one Sturm
-chain of the integer kernel (Basu, Pollack and Roy, Algorithms in Real
-Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977); ``index``,
-census rows and ``certify`` use it.  index_at_origin samples the winding of
+origin_index reads that winding exactly; ``index``, census rows and
+``certify`` use it.  Where one Fourier term h_K z^K of (A - C) + 2iB on the
+circle outweighs the sum of all the others, the winding is K by Rouche's
+theorem, an integer test on the exact Fourier data below; that decides
+every census model.  Otherwise the winding is a Cauchy index from one
+Sturm chain of the integer kernel (Basu, Pollack and Roy, Algorithms in
+Real Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977).
+index_at_origin samples the winding of
 one fixed branch, 2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R), along the
 circle at a fixed density of max(1024, 8 * degree) samples, so no branch is
 ever chosen.  It is the toolkit's float layer: the source of
@@ -22,10 +26,11 @@ rounding residual is recorded and gated.
 The float layer evaluates forms on the unit circle in the Fourier basis.
 All the forms one call reads (A, B and C, or the alignment form) are
 converted together, once and exactly, to the coefficients of their
-trigonometric polynomials (:func:`_float_coeffs`: the forms packed into
-one integer per coefficient, one pair of Taylor shifts for all), keeping
-only the nonzero powers.  A value is then one complex Horner pass over the
-gaps between those powers of e^(2i phi).  The fixed grids, the index grid
+trigonometric polynomials (:func:`_exact_fourier`: the forms packed into
+one integer per coefficient, one pair of Taylor shifts for all), and
+rounded once (:func:`_float_coeffs`), keeping only the nonzero powers.  A
+value is then one complex Horner pass over the gaps between those powers
+of e^(2i phi).  The fixed grids, the index grid
 here and the separatrix scan of ``foliation``, are evaluated in one loop
 per call over a table of roots of unity built for that call, from which
 every power of a grid point is read, rounded once (:func:`_grid_abc`);
@@ -45,6 +50,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .classify import SturmChain, _taylor_shift, count_real_roots
 from .errors import DomainError, NotHyperbolicHere, RefinementLimit
@@ -78,22 +84,10 @@ def _fourier_halves(c: list[int]) -> list[tuple[int, int]]:
     return ([(s[d // 2], 0)] if d % 2 == 0 else []) + half
 
 
-def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
-    """The float form of ``forms`` (each of ``degree`` or zero) that every
-    sampled evaluation reads, as Horner data in w = z^2 for
-    :func:`_eval_abc`, :func:`_grid_abc` and their kin: a pair (steps, tail).
-
-    ``steps`` lists the powers of w at which some form has a nonzero
-    coefficient, highest first, each as (gap, c_1, ..., c_k): its power gap
-    to the previous kept power (1 for the first, whose coefficients seed
-    the pass) and one complex per form.  ``tail`` is the power of the last
-    kept term.  A dense form has every gap 1 and tail 0; a saddle of any
-    degree has one term.
-
-    The Fourier coefficients are exact integers (:func:`_fourier_halves`),
-    after one common denominator; they are rounded to floats once, all
-    scaled by one power of two.  A common positive factor changes neither
-    a line direction nor a sign.
+def _exact_fourier(degree: int, *forms: HomoPoly) -> list[list[tuple[int, int]]]:
+    """Per form of ``forms`` (each of ``degree`` or zero), its exact
+    Fourier data as :func:`_fourier_halves` lays it out, all forms scaled
+    by one common positive denominator.
 
     The forms are converted together, by one pair of Taylor shifts: form
     i's numerators sit in a balanced slot of K bits at bit K i of one
@@ -114,7 +108,7 @@ def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
     nums, _ = _numerators(
         [c for p in forms for c in (p.coeffs if not p.is_zero else (0,) * size)]
     )
-    width = max(abs(v).bit_length() for v in nums) + degree + size.bit_length() + 3
+    width = max(map(abs, nums)).bit_length() + degree + size.bit_length() + 3
     half, mask = 1 << (width - 1), (1 << width) - 1
     packed = nums[:size]
     for i in range(1, len(forms)):
@@ -129,6 +123,27 @@ def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
         series = [((re - lo) >> width, (im - li) >> width)
                   for (re, im), (lo, li) in zip(series, low)]
     exact.append(series)
+    return exact
+
+
+def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
+    """The float form of ``forms`` (each of ``degree`` or zero) that every
+    sampled evaluation reads, as Horner data in w = z^2 for
+    :func:`_eval_abc`, :func:`_grid_abc` and their kin: a pair (steps, tail).
+
+    ``steps`` lists the powers of w at which some form has a nonzero
+    coefficient, highest first, each as (gap, c_1, ..., c_k): its power gap
+    to the previous kept power (1 for the first, whose coefficients seed
+    the pass) and one complex per form.  ``tail`` is the power of the last
+    kept term.  A dense form has every gap 1 and tail 0; a saddle of any
+    degree has one term.
+
+    The Fourier coefficients are exact integers (:func:`_exact_fourier`),
+    after one common denominator; they are rounded to floats once, all
+    scaled by one power of two.  A common positive factor changes neither
+    a line direction nor a sign.
+    """
+    exact = _exact_fourier(degree, *forms)
     bits = max(abs(v).bit_length() for series in exact for pair in series for v in pair)
     scale = 1 << max(bits - 1, 0)
     steps, prev = [], None
@@ -202,13 +217,20 @@ def _positive_disc(A: float, B: float, C: float, x: float, y: float) -> float:
     return disc
 
 
+ROUCHE = "rouche-dominant-term"
+CAUCHY_CHAIN = "cauchy-index-chain"
+
+
 @dataclass(frozen=True)
 class HalfIndex:
     """Index value numerator/2 plus the distance of the raw winding to it
-    (0 for the exact index)."""
+    (0 for the exact index), and the method that read it: ``ROUCHE`` or
+    ``CAUCHY_CHAIN`` for :func:`origin_index`, the sampled winding of
+    :func:`index_at_origin` otherwise."""
 
     numerator: int
     residual: float
+    method: str = "sampled-winding"
 
     def __post_init__(self) -> None:
         if not self.residual < 0.05:
@@ -329,20 +351,40 @@ def index_at_origin(w: QuadForm) -> tuple[HalfIndex, DirectionTrace]:
     return HalfIndex(numerator, residual), DirectionTrace(samples, unwrapped, max_depth)
 
 
-def origin_index(w: QuadForm) -> HalfIndex:
-    """Exact index at the origin of the line field of a hyperbolic ``w``.
+def _dominant_winding(w: QuadForm) -> Optional[int]:
+    """The winding number K of F = (A - C) + 2iB around the unit circle
+    when one Fourier term of F outweighs all the others, else None.
 
-    The index is half the winding of (A - C, 2B) over the circle.  By
-    homogeneity the winding is the angle change over the half circle that
-    the slice (1, t) covers, divided by pi, which is a Cauchy index of
-    p(t) = (A - C)(1, t) and q(t) = 2B(1, t).  When B(0, 1) != 0 the index
-    is Ind(p/q)/2, read as V(-inf) - V(+inf) of the chain q, p, ...;
-    otherwise q/p has no pole at t = inf and it is -Ind(q/p)/2.  The value
-    equals the line-field index when w is hyperbolic, which this function
-    does not check again.  Raises DomainError when A - C and B vanish
-    together in a real direction: at (0, 1), or at a real root of the
-    chain's last entry, which is their gcd.
+    One exact conversion of A - C and B (:func:`_exact_fourier`) gives,
+    up to one positive factor, A - C = Re sum_e g_e z^e and
+    B = Re sum_e g'_e z^e on |z| = 1, over e >= 0.  As Re(g z^e) =
+    (g z^e + conj(g) z^-e)/2 there, twice that factor times F is
+    sum_e h_e z^e with the Gaussian integers h_e = g_e + 2i g'_e and
+    h_-e = conj(g_e) + 2i conj(g'_e) for e > 0, and h_0 = 2 g_0 + 4i g'_0
+    (g_0 and g'_0 are real).  If |h_K| > sum_(e != K) |h_e|, then
+    |F - h_K z^K| < |h_K z^K| on the circle, so F has no zero there and
+    winds K times, as h_K z^K does (Rouche's theorem).  The test is on
+    integers: isqrt(|h_K|^2) <= |h_K| and isqrt(n - 1) + 1 >= sqrt(n) for
+    n >= 1.
     """
+    odd = w.degree % 2
+    diff, b = _exact_fourier(w.degree, w.a - w.c, w.b)
+    norms = {}
+    for i, ((re, im), (bre, bim)) in enumerate(zip(diff, b)):
+        e = 2 * i + odd
+        if e:  # |h_e|^2 and |h_-e|^2
+            norms[e] = (re - 2 * bim) ** 2 + (im + 2 * bre) ** 2
+            norms[-e] = (re + 2 * bim) ** 2 + (2 * bre - im) ** 2
+        else:
+            norms[0] = 4 * re * re + 16 * bre * bre
+    top = max(norms, key=norms.get)
+    rest = sum(math.isqrt(n - 1) + 1 for e, n in norms.items() if n and e != top)
+    return top if math.isqrt(norms[top]) > rest else None
+
+
+def _cauchy_index(w: QuadForm) -> int:
+    """Twice the index at the origin of a hyperbolic ``w``, as a Cauchy
+    index read from one Sturm chain; see :func:`origin_index`."""
     d = w.degree
 
     def vec(poly):
@@ -359,6 +401,27 @@ def origin_index(w: QuadForm) -> HalfIndex:
     gcd = chain.polys[-1]
     if len(gcd) > 1 and count_real_roots(gcd):
         raise DomainError("A - C and B vanish together in a real direction")
-    return HalfIndex(
-        sign * (chain.variations_at_minus_inf() - chain.variations_at_plus_inf()), 0.0
-    )
+    return sign * (chain.variations_at_minus_inf() - chain.variations_at_plus_inf())
+
+
+def origin_index(w: QuadForm) -> HalfIndex:
+    """Exact index at the origin of the line field of a hyperbolic ``w``.
+
+    The index is half the winding of F = (A - C) + 2iB over the circle.
+    That winding is first read from a dominant Fourier term of F
+    (:func:`_dominant_winding`, method ``ROUCHE``), which decides every
+    census model.  Otherwise it is a Cauchy index (``CAUCHY_CHAIN``): by
+    homogeneity the winding is the angle change over the half circle that
+    the slice (1, t) covers, divided by pi, which is a Cauchy index of
+    p(t) = (A - C)(1, t) and q(t) = 2B(1, t).  When B(0, 1) != 0 the index
+    is Ind(p/q)/2, read as V(-inf) - V(+inf) of the chain q, p, ...;
+    otherwise q/p has no pole at t = inf and it is -Ind(q/p)/2.  The value
+    equals the line-field index when w is hyperbolic, which this function
+    does not check again.  Raises DomainError when A - C and B vanish
+    together in a real direction: at (0, 1), or at a real root of the
+    chain's last entry, which is their gcd.
+    """
+    winding = _dominant_winding(w)
+    if winding is not None:
+        return HalfIndex(winding, 0.0, ROUCHE)
+    return HalfIndex(_cauchy_index(w), 0.0, CAUCHY_CHAIN)

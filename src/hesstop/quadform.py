@@ -97,24 +97,3 @@ def hessian_pairing(p: HomoPoly, q: HomoPoly) -> HomoPoly:
     if q.degree < 1:
         raise DomainError("second argument needs degree >= 1")
     return gradient_forms(p, q)[1]
-
-
-def path_discriminant_coeffs(
-    w: QuadForm, d: QuadForm
-) -> tuple[HomoPoly, HomoPoly, HomoPoly]:
-    """Coefficients (a0, a1, a2) of the discriminant of w + t*d as a
-    quadratic in t.
-
-    a0 = w.b^2 - w.a w.c, a1 = 2 w.b d.b - w.a d.c - w.c d.a (the bilinear
-    polarization of the discriminant), a2 = d.b^2 - d.a d.c.  The isotopy
-    certificates read each coefficient's sign from an exact identity that
-    writes it through proved signs and squares, not from its own kernel call.
-    """
-    a0 = discriminant(w)
-    a1 = (
-        2 * multiply(w.b, d.b)
-        - multiply(w.a, d.c)
-        - multiply(w.c, d.a)
-    )
-    a2 = discriminant(d)
-    return a0, a1, a2

@@ -5,7 +5,9 @@ dict-based convolution for products, repeated complex multiplication for
 the saddle family, an interval-Descartes bisection isolator for real
 root counts, the identity sums of combinat written term by term, and a
 character-scanning polynomial parser.  discriminant_expansion_residual is
-a reference identity over the library's forms, kept for the tests.
+a reference identity over the library's forms, kept for the tests, and
+path_discriminant_coeffs multiplies out the path discriminants whose
+identities the isotopy certificates check unexpanded.
 isolate_real_roots runs the library's own Descartes recursion on the
 squarefree part one Sturm chain gives, the isolation entry the root
 tests check against the oracles above.  The reflection model
@@ -323,6 +325,22 @@ def discriminant_expansion_residual(p: HomoPoly, q: HomoPoly) -> HomoPoly:
         - 2 * multiply(q, hessian_pairing(p, q))
     )
     return lhs - rhs
+
+
+def path_discriminant_coeffs(
+    w: QuadForm, d: QuadForm
+) -> tuple[HomoPoly, HomoPoly, HomoPoly]:
+    """Coefficients (a0, a1, a2) of the discriminant of w + t*d as a
+    quadratic in t, multiplied out: the oracle of the isotopy identities,
+    which the library checks at one power of two without expanding them.
+
+    a0 = w.b^2 - w.a w.c, a1 = 2 w.b d.b - w.a d.c - w.c d.a (the bilinear
+    polarization of the discriminant), a2 = d.b^2 - d.a d.c.
+    """
+    a0 = discriminant(w)
+    a1 = 2 * multiply(w.b, d.b) - multiply(w.a, d.c) - multiply(w.c, d.a)
+    a2 = discriminant(d)
+    return a0, a1, a2
 
 
 def hypotheses_hold(cert: IsotopyCertificate) -> bool:

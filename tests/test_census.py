@@ -200,3 +200,20 @@ class TestCertifyRowExactIndex:
         monkeypatch.setattr(lineindex, "_float_coeffs", refuse)
         for row in enumerate_rows(9):
             certify_row(row)
+
+    def test_no_chain_up_to_n_60(self, monkeypatch):
+        # every sign and every index of the census up to n = 60 is proved
+        # without a Sturm chain: the index from a dominant Fourier term
+        from hesstop.lineindex import ROUCHE
+
+        built = []
+        of = classify.SturmChain.of.__func__
+
+        def counted(cls, *args):
+            built.append(args)
+            return of(cls, *args)
+
+        monkeypatch.setattr(classify.SturmChain, "of", classmethod(counted))
+        methods = {certify_row(row)["index"].method
+                   for n in range(3, 61) for row in enumerate_rows(n)}
+        assert built == [] and methods == {ROUCHE}

@@ -23,6 +23,7 @@ from hesstop.census import enumerate_rows
 from hesstop.errors import DomainError
 from hesstop.polyalg import (
     HomoPoly,
+    _convolve,
     multiply,
     parse,
     product_family,
@@ -1111,7 +1112,9 @@ class TestHeuristicGcd:
 
     @staticmethod
     def heu_gcd(u):
-        return classify._heu_gcd(u, classify._primitive(classify._deriv(u)))
+        g, quotient = classify._heu_gcd(u, classify._primitive(classify._deriv(u)))
+        assert _convolve(g, quotient) == u
+        return g
 
     def test_equals_the_chain_gcd(self, slices):
         gcd_degrees = set()
@@ -1140,7 +1143,8 @@ class TestHeuristicGcd:
         # the first xi = 32 the integer gcd is u(32) and the candidate is u,
         # which divides u but not v: gcd(u, v) = 1 comes on a later try
         u, v = [1, 0, 1], [2, -32, 3]
-        assert classify._heu_gcd(u, v) == classify._heu_gcd(v, u) == [1]
+        assert classify._heu_gcd(u, v) == ([1], u)
+        assert classify._heu_gcd(v, u) == ([1], v)
 
     def test_rejected_candidates_fall_back_to_the_chain(self, chains, monkeypatch):
         # the forms of two seeds, as in TestIntegerProbes

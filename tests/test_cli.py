@@ -279,6 +279,21 @@ class TestCertify:
             "pairing_nonpositive",
         }
 
+    def test_rational_pair(self, capsys):
+        # rational coefficients: the identities are checked over one common
+        # denominator, and the certificate's coefficients stay exact
+        code, out, _ = run(capsys, "certify", "--p", "x^3 - 3*x*y^2",
+                           "--q", "x^2 + 1/3*x*y + y^2", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["certified"] is True
+        assert data["certificate"]["coefficients"] == {
+            "a0": "109*x^6 + 108*x^5*y + 662*x^4*y^2 + 168*x^3*y^3 + 121*x^2*y^4"
+                  " + 60*x*y^5 + 144*y^6",
+            "a1": "-70/3*x^6 - 4*x^5*y + 416/3*x^4*y^2 + 8*x^3*y^3 - 206*x^2*y^4 + 12*x*y^5",
+            "a2": "-35/9*x^6 + 70/3*x^4*y^2 - 35*x^2*y^4",
+        }
+
     def test_indexes_read_from_the_joined_forms(self, capsys, monkeypatch):
         # both origin indexes come from the II_{pq} and II_p the certificate
         # joins; that certify builds no form of its own is counted in

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,11 +18,10 @@ from hesstop.quadform import (
     discriminant,
     gradient_forms,
     hessian_pairing,
-    path_discriminant_coeffs,
     second_fundamental_form,
 )
 
-from helpers import hypotheses_hold, random_homopoly
+from helpers import hypotheses_hold, path_discriminant_coeffs, random_homopoly
 
 
 def checked_t_coefficients(p, q):
@@ -106,24 +106,28 @@ class TestProductIsotopy:
             (1, 0, "affine_a0_identity"),
             (1, 1, "affine_end_identity"),
             (1, 2, "affine_a2_identity"),
+            (1, None, "product_form_split"),
         ],
     )
     def test_broken_identity_is_named(self, monkeypatch, leg, slot, name):
         # the signs read from identities hold only while each identity is
-        # checked: a doubled coefficient on either leg is refused by name
-        legs = []
+        # checked: the right-hand side of the identity that proves t^slot's
+        # coefficient on either leg (or of the split of II_{pq}) is doubled,
+        # and the check refuses it by name
+        check = isotopy._check_identities
+        seen = []
 
-        def tampered(w, d):
-            coeffs = list(path_discriminant_coeffs(w, d))
-            if len(legs) == leg:
-                coeffs[slot] = 2 * coeffs[slot]
-            legs.append(coeffs)
-            return tuple(coeffs)
+        def tampered(identities):
+            seen.extend(label for label, _, _ in identities)
+            check([
+                (label, lhs, [(2 * c, *forms) for c, *forms in rhs] if label == name else rhs)
+                for label, lhs, rhs in identities
+            ])
 
-        monkeypatch.setattr(isotopy, "path_discriminant_coeffs", tampered)
+        monkeypatch.setattr(isotopy, "_check_identities", tampered)
         with pytest.raises(PreconditionFailed) as exc:
             certify_product_isotopy(saddle_family(3), radial_family(1))
-        assert exc.value.hypothesis == name
+        assert exc.value.hypothesis == name and name in seen
 
     def test_each_form_built_once(self, monkeypatch):
         # one certificate builds each II and discriminant once and the four
@@ -208,6 +212,69 @@ class TestProductIsotopy:
                         + t * t * float(a2.evaluate(x, y))
                     )
                     assert value > 0.0
+
+
+class TestIdentityCheck:
+    """The identity check at one power of two agrees with polynomial
+    equality of the multiplied-out sides, and needs all of its bound."""
+
+    @staticmethod
+    def agrees(lhs, rhs):
+        try:
+            isotopy._check_identities([("identity", lhs, rhs)])
+        except PreconditionFailed as exc:
+            assert exc.hypothesis == "identity"
+            return False
+        return True
+
+    @staticmethod
+    def expand(side, degree):
+        total = polyalg.HomoPoly.zero(degree)
+        for c, *forms in side:
+            term = polyalg.HomoPoly.constant(c)
+            for f in forms:
+                term = multiply(term, f)
+            total = total + term
+        return total
+
+    def test_agrees_with_polynomial_equality(self, rng):
+        # random sides of products of up to three forms, Fractions included;
+        # the right side is the left multiplied out, and then changed in
+        # one coefficient half of the time
+        outcomes = set()
+        for _ in range(200):
+            degree = rng.randint(0, 8)
+            lhs = []
+            for _ in range(rng.randint(1, 3)):
+                parts = sorted(rng.randint(0, degree) for _ in range(rng.randint(0, 2)))
+                degrees = [b - a for a, b in zip([0] + parts, parts + [degree])]
+                lhs.append((rng.choice([-2, -1, 1, 3]),
+                            *[random_homopoly(rng, d) for d in degrees]))
+            total = self.expand(lhs, degree)
+            coeffs = list(total.coeffs)
+            if rng.random() < 0.5:
+                coeffs[rng.randrange(degree + 1)] += rng.choice([1, -1, Fraction(1, 6)])
+            rhs_form = polyalg.HomoPoly(degree, tuple(coeffs))
+            rhs = [(1, rhs_form)] if rng.random() < 0.5 else [(2, rhs_form), (-1, rhs_form)]
+            want = total == rhs_form
+            assert self.agrees(lhs, rhs) is want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_sides_of_different_degrees_are_not_equal(self):
+        # x and x^2 agree at every (1, t), but they are not equal forms
+        assert not self.agrees([(1, parse("x"))], [(1, parse("x^2"))])
+        assert self.agrees([(1, parse("x"), parse("x"))], [(1, parse("x^2"))])
+
+    def test_one_bit_below_the_bound_is_unsound(self, monkeypatch):
+        # y and 2^40 x differ, and every coefficient of their difference
+        # lies below 2^41 = xi, so the check refuses them; at 2^40 they
+        # agree, so no smaller power of two proves the identity
+        lhs, rhs = [(1, parse("y"))], [(1, parse(f"{2**40}*x"))]
+        assert not self.agrees(lhs, rhs)
+        evaluate = isotopy._at_power_of_two
+        monkeypatch.setattr(isotopy, "_at_power_of_two", lambda u, k: evaluate(u, k - 1))
+        assert self.agrees(lhs, rhs)
 
 
 class TestProductFormSplit:

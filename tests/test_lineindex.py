@@ -7,8 +7,13 @@ import pytest
 
 from hesstop.errors import DomainError, NotHyperbolicHere
 from hesstop.classify import is_hyperbolic
+from hesstop.census import enumerate_rows
 from hesstop.lineindex import (
+    CAUCHY_CHAIN,
+    ROUCHE,
     HalfIndex,
+    _cauchy_index,
+    _dominant_winding,
     _eval_abc,
     _float_coeffs,
     _fourier_halves,
@@ -371,6 +376,56 @@ class TestOriginIndex:
         # II of y^4 is 12y^2 dy^2: A - C and B both vanish at (1, 0)
         with pytest.raises(DomainError):
             origin_index(second_fundamental_form(parse("y^4")))
+
+
+class TestDominantWinding:
+    """The index read from one dominant Fourier term of (A - C) + 2iB
+    against the Cauchy index chain, wherever the term decides."""
+
+    def test_census_joins_up_to_n_60(self):
+        # both forms every census row joins: II of the product and II of
+        # the saddle factor (the only form of a k = 0 row)
+        factors = {(row.m, row.k) for n in range(3, 61) for row in enumerate_rows(n)}
+        forms = {product_family(m, k) for m, k in factors} | {saddle_family(m) for m, _ in factors}
+        assert len(forms) == 627
+        for f in forms:
+            w = second_fundamental_form(f)
+            assert _dominant_winding(w) == _cauchy_index(w), f
+
+    def test_random_hyperbolic_forms_where_it_decides(self, rng):
+        decided = checked = 0
+        while checked < 300:
+            f = random_homopoly(rng, rng.randint(2, 9), max_abs=5)
+            ok, _, w = is_hyperbolic(f)
+            if not ok:
+                continue
+            checked += 1
+            winding = _dominant_winding(w)
+            if winding is not None:
+                decided += 1
+                assert winding == _cauchy_index(w), f
+                assert origin_index(w) == HalfIndex(winding, 0.0, ROUCHE)
+        assert 200 <= decided < checked
+
+    def test_undecided_product_of_lines_falls_back_to_the_chain(self):
+        # five integer lines: no Fourier term outweighs the others
+        f = _line_product([(-5, 3), (-8, -7), (8, -6), (2, 9), (-8, 7)])
+        ok, _, w = is_hyperbolic(f)
+        assert ok and _dominant_winding(w) is None
+        half = origin_index(w)
+        assert half == HalfIndex(-3, 0.0, CAUCHY_CHAIN)
+        sampled = index_at_origin(w)[0]
+        assert half.value == sampled.value == Fraction(-3, 2)
+        assert sampled.method == "sampled-winding"
+
+    def test_a_tie_does_not_decide(self):
+        # II of y^4 is 12 y^2 dy^2, and A - C = -12 sin^2 = 6 (cos 2phi - 1)
+        # has terms 6, 3 and 3: the constant ties with the rest, and F
+        # vanishes at phi = 0
+        w = second_fundamental_form(parse("y^4"))
+        assert _dominant_winding(w) is None
+        with pytest.raises(DomainError):
+            origin_index(w)
 
 
 # --- grids, packing and the per-sample oracle --------------------------------

@@ -11,12 +11,11 @@ from hesstop.quadform import (
     discriminant,
     gradient_forms,
     hessian_pairing,
-    path_discriminant_coeffs,
     second_fundamental_form,
 )
 
 from conftest import homopolys
-from helpers import discriminant_expansion_residual, random_homopoly
+from helpers import discriminant_expansion_residual, path_discriminant_coeffs, random_homopoly
 
 F = Fraction
 
