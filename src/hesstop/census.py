@@ -6,10 +6,13 @@ For degree n the rows are the pure saddle (k = 0, m = n) together with
 every product saddle_family(m) * radial_family(k) with k >= 1,
 m = n - 2k > max(2, k).  Each row's asymptotic line field has origin index
 (2 - m)/2; the indexes are pairwise distinct, so the rows land in pairwise
-distinct connected components.  certify_row proves that index exactly, with
-no floating point, from one dominant Fourier term of the line field
+distinct connected components.  certify_row proves every row in one way:
+product_family(m, k) is hyperbolic (classify.is_hyperbolic), and the
+origin index of the II_f that verdict signed is exactly (2 - m)/2, read
+with no floating point from one dominant Fourier term of the line field
 (lineindex.origin_index), which decides every row up to n = 120 without a
-Sturm chain.
+Sturm chain.  No isotopy is needed, since distinct indexes already put the
+rows in distinct components.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from fractions import Fraction
 
 from .classify import is_hyperbolic
 from .errors import DomainError, PreconditionFailed
-from .isotopy import certify_product_isotopy
 from .lineindex import origin_index
-from .polyalg import radial_family, saddle_family
+from .polyalg import product_family
 
 
 @dataclass(frozen=True)
@@ -88,38 +90,23 @@ def enumerate_rows(n: int) -> list[CensusRow]:
 
 
 def certify_row(row: CensusRow) -> dict:
-    """Run the full certificate bundle for one census row; each certificate
-    appears in it once.
+    """Certify one census row; the bundle is {"row", "product_hyperbolic",
+    "index"}, each certificate once.
 
-    For k = 0 the bundle's "product_hyperbolic" proves the saddle
-    hyperbolic, and the index is read from the II_p that proof signed.
-    For k >= 1 its "isotopy" is the product isotopy, whose
-    verdicts prove the product hyperbolic, the radial factor elliptic and
-    the hessian pairing nonpositive.  Finally "index", the exact origin
-    index read by origin_index once hyperbolicity is proved (from a
-    dominant Fourier term, or a Cauchy index chain where none dominates;
-    its ``method`` says which), must equal the theoretical (2 - m)/2; for
-    k >= 1 it is read from the II_{pq} the isotopy built and names first
-    in its ``joins``.
-    Raises PreconditionFailed naming the first failing certificate.
+    "product_hyperbolic" proves f = product_family(m, k) hyperbolic (for
+    k = 0 that is the saddle itself), and "index" is the exact origin
+    index of the II_f that proof signed (from a dominant Fourier term, or a
+    Cauchy index chain where none dominates; its ``method`` says which),
+    which must equal the theoretical (2 - m)/2.  Raises PreconditionFailed
+    naming the failing certificate, product_hyperbolic or index_matches.
     """
-    p = saddle_family(row.m)
-    bundle: dict = {"row": row}
-
-    if row.k >= 1:
-        bundle["isotopy"] = certify_product_isotopy(p, radial_family(row.k))
-        w = bundle["isotopy"].joins[0]
-    else:
-        hyp_ok, hyp_cert, w = is_hyperbolic(p)
-        bundle["product_hyperbolic"] = hyp_cert
-        if not hyp_ok:
-            raise PreconditionFailed("product_hyperbolic", f"row {row}")
-
+    hyp_ok, hyp_cert, w = is_hyperbolic(product_family(row.m, row.k))
+    if not hyp_ok:
+        raise PreconditionFailed("product_hyperbolic", f"row {row}")
     half = origin_index(w)
-    bundle["index"] = half
     if half.value != row.index:
         raise PreconditionFailed(
             "index_matches",
             f"measured {half.value}, expected {row.index} for row {row}",
         )
-    return bundle
+    return {"row": row, "product_hyperbolic": hyp_cert, "index": half}

@@ -21,8 +21,8 @@ u(0) != 0, as the census models P_m (x^2 + y^2)^k and every form built
 from them have, is rootless iff g has no positive root, so the recursion
 runs on g over s > 0 only: half the degree, a quarter of the work per
 Taylor shift and one side instead of two.  For the census n = 3..60 that
-proves 2899 of the 2903 sign questions; the other 4 are slices of degree
-6 to 10, whose budget is 0 splits.  Any other slice, and an even one not
+proves 623 of the 627 sign questions, one per row; the other 4 are slices
+of degree 6 to 10, whose budget is 0 splits.  Any other slice, and an even one not
 proved rootless, runs the recursion on both sides of u.  When the budget
 runs out, the heuristic gcd (Char, Geddes and Gonnet 1989) gives
 gcd(u, u') from one integer gcd, proved by two exact divisions, and the

@@ -19,8 +19,8 @@ index, certify and census --certify read origin indexes exactly
 (origin_index: from a dominant Fourier term of the line field when one
 outweighs the rest, as for every saddle and census model, else from a
 Cauchy index chain); index first proves the form hyperbolic and exits 1
-naming the hypothesis when it is not.  index and foliate read II_f from that
-hyperbolicity verdict (classify.is_hyperbolic returns the II_f whose
+naming the hypothesis when it is not.  index, foliate and census rows read
+II_f from that verdict (classify.is_hyperbolic returns the II_f whose
 discriminant it signed), so each builds II_f once.  Only index --trace
 and the foliate figures run the float tracer.  foliate checks the float
 separatrix count against the exact number of distinct real linear factors
@@ -44,9 +44,11 @@ certificate joins, or {"certified": false, "failed_hypothesis": name}.
 The certificate's "hypotheses" are, in order, p_hyperbolic, q_elliptic,
 q_positive, product_hyperbolic and pairing_nonpositive, each with its
 exact certificate, then gradient_term_leg, a nested certificate whose
-hypotheses are p_hyperbolic, q_positive and pairing_nonpositive.  With
---certify, census gives each row "certified" and, on failure, "failed"
-(the hypothesis or exception class).
+hypotheses are p_hyperbolic, q_positive and pairing_nonpositive.  census
+--certify proves each row's product P_m (x^2 + y^2)^k hyperbolic and its
+exact index (2 - m)/2, with no isotopy, and gives each row "certified" and,
+on failure, "failed" (product_hyperbolic, index_matches or the exception
+class).
 ``python -m hesstop`` runs :func:`main`.  When the reader of stdout goes
 away early (``| head -1``), main stops quietly with exit code 1.
 """

@@ -5,10 +5,8 @@ import pytest
 from hesstop import census, classify, isotopy
 from hesstop.census import CensusRow, certify_row, enumerate_rows, lower_bound
 from hesstop.errors import DomainError, PreconditionFailed
-from hesstop.polyalg import multiply, radial_family, saddle_family
-from hesstop.quadform import discriminant, hessian_pairing, second_fundamental_form
-
-from helpers import hypotheses_hold
+from hesstop.polyalg import product_family
+from hesstop.quadform import discriminant, second_fundamental_form
 
 F = Fraction
 
@@ -90,9 +88,9 @@ class TestCertifyRow:
         row = enumerate_rows(5)[1]
         assert (row.k, row.m) == (1, 3)
         bundle = certify_row(row)
+        assert set(bundle) == {"row", "product_hyperbolic", "index"}
+        assert bundle["product_hyperbolic"].verdict is classify.Verdict.POSITIVE
         assert bundle["index"].value == F(-1, 2)
-        assert hypotheses_hold(bundle["isotopy"])
-        assert bundle["isotopy"].verdicts["pairing_nonpositive"].nonnegative
 
     def test_product_row_degree_six(self):
         row = enumerate_rows(6)[1]
@@ -100,68 +98,76 @@ class TestCertifyRow:
         bundle = certify_row(row)
         assert bundle["index"].value == F(-1)
 
+    @staticmethod
+    def counted(fn, seen):
+        def wrapper(*args):
+            seen.append(args)
+            return fn(*args)
+
+        return wrapper
+
     def test_each_hypothesis_proved_once(self, monkeypatch):
-        # five direct kernel calls, one per named hypothesis, each on its own
-        # polynomial: disc II_q (q_elliptic), disc II_p (p_hyperbolic), q
-        # (q_positive), -pairing (pairing_nonpositive) and disc II_{pq}
-        # (product_hyperbolic); every other sign of the isotopy is read from
-        # an identity, and no wrapper proves a hypothesis a second time
-        kernels = {"sign_on_punctured_plane": [], "certify_nonnegative": []}
-        wrappers = {"is_hyperbolic": [], "certify_pairing_nonpositive": []}
+        # a saddle row and a product row each make one kernel call, on
+        # disc II_f of f = product_family(m, k), and reach no isotopy: the
+        # kernels are counted in classify, where is_hyperbolic calls them,
+        # and every name is counted wherever it lives
+        def refuse(*args):
+            raise AssertionError("certify_row ran the product isotopy")
 
-        def counted(fn, seen):
-            def wrapper(*args):
-                seen.append(args)
-                return fn(*args)
-
-            return wrapper
-
-        # a kernel is counted where the certificates call it, a wrapper
-        # wherever it lives, so a hidden proof through classify shows too
-        for module, calls in [(census, kernels), (isotopy, kernels)] + [
-            (module, wrappers) for module in (census, classify, isotopy)
-        ]:
+        for module in (census, isotopy):
+            if hasattr(module, "certify_product_isotopy"):
+                monkeypatch.setattr(module, "certify_product_isotopy", refuse)
+        names = ("sign_on_punctured_plane", "certify_nonnegative", "is_hyperbolic",
+                 "certify_pairing_nonpositive")
+        calls = {name: [] for name in names}
+        for module in (census, classify):
             for name, seen in calls.items():
                 if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted(getattr(module, name), seen))
-        row = enumerate_rows(7)[1]
-        assert (row.k, row.m) == (1, 5)
-        certify_row(row)
-        assert {name: len(seen) for name, seen in (kernels | wrappers).items()} == {
-            "sign_on_punctured_plane": 4,
-            "certify_nonnegative": 1,
-            "is_hyperbolic": 0,
-            "certify_pairing_nonpositive": 0,
-        }
-        p, q = saddle_family(5), radial_family(1)
-        discs = [discriminant(second_fundamental_form(f)) for f in (q, p, multiply(p, q))]
-        signs = [f for (f,) in kernels["sign_on_punctured_plane"]]
-        assert signs == [discs[0], discs[1], q, discs[2]]
-        assert all(f != g for i, f in enumerate(signs) for g in signs[:i])
-        assert kernels["certify_nonnegative"] == [(-hessian_pairing(p, q),)]
+                    monkeypatch.setattr(module, name, self.counted(getattr(module, name), seen))
+        rows = enumerate_rows(7)[:2]
+        assert [(row.k, row.m) for row in rows] == [(0, 7), (1, 5)]
+        for row in rows:
+            for seen in calls.values():
+                seen.clear()
+            bundle = certify_row(row)
+            assert set(bundle) == {"row", "product_hyperbolic", "index"}
+            f = product_family(row.m, row.k)
+            assert {name: len(seen) for name, seen in calls.items()} == {
+                "sign_on_punctured_plane": 1,
+                "certify_nonnegative": 0,
+                "is_hyperbolic": 1,
+                "certify_pairing_nonpositive": 0,
+            }
+            assert calls["sign_on_punctured_plane"] == [
+                (discriminant(second_fundamental_form(f)),)
+            ]
+            assert calls["is_hyperbolic"] == [(f,)]
 
-    def test_index_read_from_the_isotopy_form(self, monkeypatch):
-        # a product row reads its index from the II_{pq} the isotopy built
-        # and names first in ``joins``; census builds no product and no II
-        calls = {"origin_index": [], "multiply": [], "second_fundamental_form": []}
+    def test_index_read_from_the_verdict_form(self, monkeypatch):
+        # a row reads its index from the II_f its hyperbolicity verdict
+        # returned; census builds no II of its own
+        verdicts, read = [], []
+        hyperbolic = census.is_hyperbolic
 
-        def counted(fn, seen):
-            def wrapper(*args):
-                seen.append(args)
-                return fn(*args)
+        def verdict(f):
+            verdicts.append(hyperbolic(f))
+            return verdicts[-1]
 
-            return wrapper
-
-        for name, seen in calls.items():
-            if hasattr(census, name):
-                monkeypatch.setattr(census, name, counted(getattr(census, name), seen))
-        row = enumerate_rows(13)[3]
-        assert (row.k, row.m) == (3, 7)
-        bundle = certify_row(row)
-        ((w,),) = calls["origin_index"]
-        assert w is bundle["isotopy"].joins[0]
-        assert calls["multiply"] == calls["second_fundamental_form"] == []
-        assert bundle["index"].value == row.index
+        monkeypatch.setattr(census, "is_hyperbolic", verdict)
+        monkeypatch.setattr(census, "origin_index", self.counted(census.origin_index, read))
+        assert not hasattr(census, "second_fundamental_form")
+        rows = [enumerate_rows(13)[i] for i in (0, 3)]
+        assert [(row.k, row.m) for row in rows] == [(0, 13), (3, 7)]
+        for row in rows:
+            verdicts.clear()
+            read.clear()
+            bundle = certify_row(row)
+            ((_, cert, w),) = verdicts
+            ((read_w,),) = read
+            assert read_w is w
+            assert bundle["product_hyperbolic"] is cert
+            assert set(bundle) == {"row", "product_hyperbolic", "index"}
+            assert bundle["index"].value == row.index
 
     def test_tampered_row_fails_by_name(self):
         row = CensusRow(8, 1, 6, F(-5, 2), 3)  # wrong theoretical index
@@ -202,8 +208,9 @@ class TestCertifyRowExactIndex:
             certify_row(row)
 
     def test_no_chain_up_to_n_60(self, monkeypatch):
-        # every sign and every index of the census up to n = 60 is proved
-        # without a Sturm chain: the index from a dominant Fourier term
+        # every sign and every index of the census up to n = 60, and of
+        # n = 119 and 120 at the top, is proved without a Sturm chain: the
+        # index from a dominant Fourier term
         from hesstop.lineindex import ROUCHE
 
         built = []
@@ -215,5 +222,5 @@ class TestCertifyRowExactIndex:
 
         monkeypatch.setattr(classify.SturmChain, "of", classmethod(counted))
         methods = {certify_row(row)["index"].method
-                   for n in range(3, 61) for row in enumerate_rows(n)}
+                   for n in [*range(3, 61), 119, 120] for row in enumerate_rows(n)}
         assert built == [] and methods == {ROUCHE}

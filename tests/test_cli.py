@@ -12,7 +12,14 @@ import pytest
 from hesstop import census, classify, cli, isotopy, lineindex, quadform
 from hesstop.cli import MAX_POLY_TEXT, main
 from hesstop.foliation import MAX_SEEDS, count_separatrices
-from hesstop.polyalg import MAX_DEGREE, format_poly, multiply, radial_family, saddle_family
+from hesstop.polyalg import (
+    MAX_DEGREE,
+    format_poly,
+    multiply,
+    product_family,
+    radial_family,
+    saddle_family,
+)
 from hesstop.errors import ECHO_CHARS, RefinementLimit
 
 
@@ -415,8 +422,8 @@ class TestCertifyExactIndex:
 
 
 class TestSecondFundamentalFormBuiltOnce:
-    """II_f is built once per form: a k = 0 census row, index and foliate
-    read it from the hyperbolicity verdict, and certify builds only the
+    """II_f is built once per form: a census row, index and foliate read it
+    from the hyperbolicity verdict, and certify builds only the
     II_q, II_p and II_{pq} its isotopy proves and joins.  The builder is
     counted in every module that holds it."""
 
@@ -442,6 +449,12 @@ class TestSecondFundamentalFormBuiltOnce:
         assert row.k == 0
         census.certify_row(row)
         assert builds == [saddle_family(13)]
+
+    def test_census_product_row(self, builds):
+        row = census.enumerate_rows(13)[3]
+        assert (row.k, row.m) == (3, 7)
+        census.certify_row(row)
+        assert builds == [product_family(7, 3)]
 
     @pytest.mark.parametrize("command", ["index", "foliate"])
     def test_line_field_commands(self, capsys, builds, command):

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hesstop import classify, isotopy, polyalg, quadform
+from hesstop.census import enumerate_rows
 from hesstop.classify import certify_nonnegative
 from hesstop.errors import PreconditionFailed
 from hesstop.isotopy import certify_gradient_term_path, certify_product_isotopy
+from hesstop.lineindex import origin_index
 from hesstop.polyalg import (
     multiply,
     parse,
@@ -128,6 +130,52 @@ class TestProductIsotopy:
         with pytest.raises(PreconditionFailed) as exc:
             certify_product_isotopy(saddle_family(3), radial_family(1))
         assert exc.value.hypothesis == name and name in seen
+
+    def test_each_hypothesis_proved_once(self, monkeypatch):
+        # four sign kernel calls and one nonnegativity call, each on its own
+        # polynomial: disc II_q (q_elliptic), disc II_p (p_hyperbolic), q
+        # (q_positive), disc II_{pq} (product_hyperbolic) and -pairing
+        # (pairing_nonpositive); every other sign is read from an identity,
+        # and no wrapper proves a hypothesis a second time
+        kernels = {"sign_on_punctured_plane": [], "certify_nonnegative": []}
+        wrappers = {"is_hyperbolic": [], "certify_pairing_nonpositive": []}
+
+        def counted(fn, seen):
+            def wrapper(*args):
+                seen.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        # a kernel is counted where the certificate calls it, a wrapper
+        # wherever it lives, so a hidden proof through classify shows too
+        for module, calls in [(isotopy, kernels), (classify, wrappers), (isotopy, wrappers)]:
+            for name, seen in calls.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name), seen))
+        p, q = saddle_family(5), radial_family(1)
+        certify_product_isotopy(p, q)
+        assert {name: len(seen) for name, seen in (kernels | wrappers).items()} == {
+            "sign_on_punctured_plane": 4,
+            "certify_nonnegative": 1,
+            "is_hyperbolic": 0,
+            "certify_pairing_nonpositive": 0,
+        }
+        discs = [discriminant(second_fundamental_form(f)) for f in (q, p, multiply(p, q))]
+        signs = [f for (f,) in kernels["sign_on_punctured_plane"]]
+        assert signs == [discs[0], discs[1], q, discs[2]]
+        assert all(f != g for i, f in enumerate(signs) for g in signs[:i])
+        assert kernels["certify_nonnegative"] == [(-hessian_pairing(p, q),)]
+
+    def test_census_pairs(self):
+        # the paper's argument on the census pairs: P_m and P_m Q_k are
+        # joined by an isotopy, and both ends have origin index (2 - m)/2
+        rows = [row for n in range(5, 26) for row in enumerate_rows(n) if row.k >= 1]
+        assert len(rows) == 91
+        for row in rows:
+            cert = certify_product_isotopy(saddle_family(row.m), radial_family(row.k))
+            assert isinstance(cert, isotopy.IsotopyCertificate)
+            assert [origin_index(w).value for w in cert.joins] == [Fraction(2 - row.m, 2)] * 2
 
     def test_each_form_built_once(self, monkeypatch):
         # one certificate builds each II and discriminant once and the four
