@@ -15,18 +15,17 @@ multiple of it, which keeps every sign, root and multiplicity.
 One algorithm finds real roots: the Vincent-Collins-Akritas recursion in
 its continued-fraction form, which reads Descartes' rule of signs off the
 coefficients (Collins and Akritas 1976; Akritas, Strzebonski and Vigklas
-2008), one side of 0 at a time.  A sign question first runs it under a
-budget of one split per 12 degrees.  An even slice u(t) = g(t^2) with
+2008), one side of 0 at a time.  An even slice u(t) = g(t^2) with
 u(0) != 0, as the census models P_m (x^2 + y^2)^k and every form built
 from them have, is rootless iff g has no positive root, so the recursion
-runs on g over s > 0 only: half the degree, a quarter of the work per
-Taylor shift and one side instead of two.  For the census n = 3..60 that
-proves 623 of the 627 sign questions, one per row; the other 4 are slices
-of degree 6 to 10, whose budget is 0 splits.  Any other slice, and an even one not
-proved rootless, runs the recursion on both sides of u.  When the budget
-runs out, the heuristic gcd (Char, Geddes and Gonnet 1989) gives
-gcd(u, u') from one integer gcd, proved by two exact divisions, and the
-recursion isolates the squarefree part u / gcd(u, u') with no limit,
+first runs on g over s > 0 only, under a budget of one split per 12
+degrees: half the degree, a quarter of the work per Taylor shift and one
+side instead of two.  For the census n = 3..60 that proves 623 of the 627
+sign questions, one per row; the other 4 are slices of degree 6 to 10,
+whose budget is 0 splits.  Any other slice, and an even one not proved
+rootless, is first made squarefree: the heuristic gcd (Char, Geddes and
+Gonnet 1989) gives gcd(u, u') from one integer gcd, proved by two exact
+divisions, and the recursion isolates u / gcd(u, u') once, with no limit,
 an empty list proving u rootless.  A Sturm chain, a primitive remainder
 sequence (Collins 1967, Brown 1971) with a sign-preserving
 pseudo-remainder, gives that gcd only if every heuristic try is
@@ -279,35 +278,29 @@ def _fujiwara_exponent(u: list[int]) -> int:
     return e + 1
 
 
-# splits a sign question's budgeted Descartes run may make: one per this
-# many degrees of the slice
+# splits the even route's budgeted run on g(s) = u(sqrt s) may make: one
+# per this many degrees of the slice u
 _DEGREES_PER_DESCARTES_SPLIT = 12
 
 
-def _descartes(
-    u: list[int], splits: Optional[int]
-) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Sorted isolating intervals of the distinct real roots of the int
-    slice u, or None once ``splits`` splits are spent; with ``splits=None``
-    there is no limit and u must be squarefree.
+def _descartes(u: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """Sorted isolating intervals of the distinct real roots of the
+    squarefree int slice u.
 
     An interval (lo, hi) with lo < hi holds one simple root and neither end
     is a root; a root hit exactly comes as (r, r), and no interval touches
     it, so the probes between intervals see every gap between roots.
 
     The real roots are 0 and the positive roots of u(t) and of u(-t), which
-    :func:`_positive_roots` isolates one side after the other, the second
-    side getting the splits the first left over.
+    :func:`_positive_roots` isolates one side after the other, with no
+    limit on its splits.
     """
     out: list[tuple[Fraction, Fraction]] = []
     zero_root = not u[0]
     if zero_root:
         u = u[next(j for j, c in enumerate(u) if c):]
     for side, g in ((1, u), (-1, [-c if j % 2 else c for j, c in enumerate(u)])):
-        found = _positive_roots(g, splits, zero_root)
-        if found is None:
-            return None
-        roots, splits = found
+        roots, _ = _positive_roots(g, None, zero_root)
         out += [(lo, hi) if side > 0 else (-hi, -lo) for lo, hi in roots]
     if zero_root:
         out.append((Fraction(0), Fraction(0)))
@@ -508,25 +501,23 @@ def _rational_root(g: list[int], lo: Fraction, hi: Fraction) -> Optional[Fractio
 def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
     """Exact sign verdict for p on R^2 minus the origin.
 
-    The Descartes recursion runs first, with a budget of deg // 12 splits.
     An even slice u(t) = g(t^2) with u(0) != 0 is first tested on g over
-    s > 0 (:func:`_positive_roots`): no positive root of g means no real
-    root of u and answers ``descartes-no-real-roots``.  That test answers
-    only the rootless question, since the roots +-sqrt s would give
-    intervals with irrational ends; any other outcome, and every slice that
-    is not even, goes to :func:`_descartes` on u with the same budget.  No
-    root answers ``descartes-no-real-roots``, and a list isolates every
-    distinct real root.  When the budget runs out, g = gcd(u, u') comes
-    from :func:`_heu_gcd` (from a Sturm chain's last entry only when every
-    heuristic try is rejected), and the recursion isolates u / g with no
-    limit; an empty list answers ``descartes-no-real-roots``.  The
-    probes at the intervals' ends, the midpoints between them, 0, +-1 and
-    +-bound find a sign opposite to the slice's nonzero sample whenever u
-    takes one (``descartes-sign-change``).  Otherwise u is semidefinite,
-    each real root of even multiplicity in u and odd in g (a budgeted list
-    hits each exactly), and the witness is the least rational root that
-    :func:`_rational_root` finds (``semidefinite-zeros``), or None when
-    every real zero is irrational (``semidefinite-irrational-zeros``).
+    s > 0 (:func:`_positive_roots`) with a budget of deg // 12 splits: no
+    positive root of g means no real root of u and answers
+    ``descartes-no-real-roots``.  That test answers only the rootless
+    question, since the roots +-sqrt s would give intervals with irrational
+    ends.  Any other outcome, and every slice that is not even, takes
+    g = gcd(u, u') from :func:`_heu_gcd` (from a Sturm chain's last entry
+    only when every heuristic try is rejected), and one :func:`_descartes`
+    run isolates the squarefree part u / g with no limit; an empty list
+    answers ``descartes-no-real-roots``.  The probes at the intervals'
+    ends, the midpoints between them, 0, +-1 and +-bound find a sign
+    opposite to the slice's nonzero sample whenever u takes one
+    (``descartes-sign-change``).  Otherwise u is semidefinite, each real
+    root of even multiplicity in u and odd in g, and the witness is the
+    least rational root that :func:`_rational_root` finds
+    (``semidefinite-zeros``), or None when every real zero is irrational
+    (``semidefinite-irrational-zeros``).
     """
     if p.is_zero:
         return SignCertificate(Verdict.ZERO, method="all-coefficients-zero")
@@ -540,21 +531,20 @@ def sign_on_punctured_plane(p: HomoPoly) -> SignCertificate:
 
     at_infinity = p.coeffs[p.degree]  # value at the direction (0, 1)
     _, ref = _nonzero_sample(u)
-    splits = (len(u) - 1) // _DEGREES_PER_DESCARTES_SPLIT
     if u[0] and not any(u[1::2]):
         # u(t) = g(t^2) with g(0) != 0 is rootless iff g has no positive root
+        splits = (len(u) - 1) // _DEGREES_PER_DESCARTES_SPLIT
         found = _positive_roots(u[::2], splits, False)
         if found is not None and not found[0]:
             return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
-    g = u  # a budgeted list's open intervals hold simple roots of u
-    intervals = _descartes(u, splits)
-    if intervals is None:
-        found = _heu_gcd(u, _primitive(_deriv(u)))
-        if found is None:  # every heuristic try was rejected
-            g = SturmChain.of(u).polys[-1]
-            found = g, _divexact(u, g)
-        g, squarefree = found
-        intervals = _descartes(squarefree, None)
+    # g = gcd(u, u'); a slice of degree 0, which has no derivative, is even
+    # and rootless, so it never gets here
+    found = _heu_gcd(u, _primitive(_deriv(u)))
+    if found is None:  # every heuristic try was rejected
+        g = SturmChain.of(u).polys[-1]
+        found = g, _divexact(u, g)
+    g, squarefree = found
+    intervals = _descartes(squarefree)
     if not intervals:
         return _rootless_verdict(at_infinity, ref, "descartes-no-real-roots")
 

@@ -37,6 +37,9 @@ from .quadform import QuadForm
 # full circle) and the bracket width each root is refined to.
 _SCAN_SAMPLES = 2048
 _ALIGN_TOL = 1e-8
+# the 4096-th roots of unity, which every power of a scan point is read from
+_SCAN_STEP = math.pi / _SCAN_SAMPLES
+_SCAN_ROOTS = [cmath.rect(1.0, _SCAN_STEP * j) for j in range(2 * _SCAN_SAMPLES)]
 
 # Curve tracing: the annulus every curve stays in, which the SVG frames.
 R_MIN, R_MAX = 0.05, 2.0
@@ -67,54 +70,6 @@ def alignment_form(w: QuadForm) -> HomoPoly:
     return HomoPoly(d + 2, tuple(h))
 
 
-def _alignment(terms, odd: bool, phi: float) -> float:
-    """h(phi) up to a positive factor, from the :func:`_float_coeffs` terms
-    of the alignment form: one Horner pass over the gaps between its
-    nonzero powers of e^(2i phi), as in :func:`lineindex._eval_abc`."""
-    steps, tail = terms
-    z = complex(math.cos(phi), math.sin(phi))
-    w = z * z
-    wg, last = w, 1
-    acc = 0j
-    for gap, g in steps:
-        if gap != last:
-            wg, last = w ** gap, gap
-        acc = acc * wg + g
-    if tail:
-        acc *= w ** tail
-    return (acc * z).real if odd else acc.real
-
-
-def _grid_alignment(
-    terms, odd: bool, roots: list[complex], count: int, offset: float
-) -> list[float]:
-    """h at the unit points e^(i offset) z_j, j < ``count``, where z_j =
-    roots[j] and ``roots`` lists the m-th roots of unity in order, up to the
-    positive factor of :func:`_alignment`.  A power of such a point is
-    e^(i e offset) roots[e j mod m], so the offset turns each Fourier
-    coefficient once, and the pass over the gaps reads table entries as
-    :func:`lineindex._grid_abc` does."""
-    steps, tail = terms
-    m = len(roots)
-    (_, g0), *rest = steps or [(1, 0j)]
-    power = tail + sum(gap for gap, _ in rest)
-    seed = g0 * cmath.rect(1.0, (2 * power + odd) * offset)
-    turned = []
-    for gap, g in rest:
-        power -= gap
-        turned.append((2 * gap, g * cmath.rect(1.0, (2 * power + odd) * offset)))
-    end = 2 * tail + odd
-    values = []
-    for j in range(count):
-        acc, last = seed, 0
-        for e, g in turned:
-            if e != last:
-                wg, last = roots[e * j % m], e
-            acc = acc * wg + g
-        values.append((acc * roots[end * j % m]).real)
-    return values
-
-
 def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     """Invariant lines of the foliation and the ray angles carrying them.
 
@@ -135,10 +90,10 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     The scan reads the exact alignment form, converted once to the Fourier
     basis, so it does not cancel: saddle_family(m) gets m lines for every m
     up to the degree cap of 1024 (the monomial basis miscounted from m = 86
-    on).  The grid is evaluated in one pass (:func:`_grid_alignment`) over
-    a table of the 4096-th roots of unity built for this call, with the
-    offset folded into the Fourier coefficients; only the regula falsi
-    points are evaluated one at a time (:func:`_alignment`).  Either way a
+    on).  The grid is evaluated in one pass (:func:`lineindex._grid`) over
+    the module's table of the 4096-th roots of unity, with the offset
+    folded into the Fourier coefficients; only the regula falsi points are
+    evaluated one at a time (:func:`lineindex._at`).  Either way a
     sample reads only the nonzero Fourier powers, one for a saddle of any
     degree.  The exact count is the number of distinct real linear factors
     of f, since the alignment form of II_f is n(n-1)f; ``foliate`` checks
@@ -147,10 +102,8 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     h = alignment_form(w)
     terms = lineindex._float_coeffs(h.degree, h)
     odd = h.degree % 2 == 1
-    offset = 1e-3
-    step = math.pi / _SCAN_SAMPLES
-    roots = [cmath.rect(1.0, step * j) for j in range(2 * _SCAN_SAMPLES)]
-    values = _grid_alignment(terms, odd, roots, _SCAN_SAMPLES + 1, offset)
+    offset, step = 1e-3, _SCAN_STEP
+    (values,) = lineindex._grid(terms, odd, _SCAN_ROOTS, _SCAN_SAMPLES + 1, offset)
     lines: list[float] = []
     for i, (h0, h1) in enumerate(zip(values, values[1:])):
         if h0 == 0.0:
@@ -166,7 +119,7 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
                 mid = (lo * fhi - hi * flo) / (fhi - flo)
                 if not lo < mid < hi:
                     mid = (lo + hi) / 2.0
-                fmid = _alignment(terms, odd, mid)
+                (fmid,) = lineindex._at(terms, odd, complex(math.cos(mid), math.sin(mid)))
                 if abs(fmid) < best:
                     root, best = mid, abs(fmid)
                 if fmid == 0.0:

@@ -30,14 +30,14 @@ trigonometric polynomials (:func:`_exact_fourier`: the forms packed into
 one integer per coefficient, one pair of Taylor shifts for all), and
 rounded once (:func:`_float_coeffs`), keeping only the nonzero powers.  A
 value is then one complex Horner pass over the gaps between those powers
-of e^(2i phi).  The fixed grids, the index grid
-here and the separatrix scan of ``foliation``, are evaluated in one loop
-per call over a table of roots of unity built for that call, from which
-every power of a grid point is read, rounded once (:func:`_grid_abc`);
+of e^(2i phi), and one pair of evaluators serves every form count: the
+fixed grids, the index grid here and the separatrix scan of
+``foliation``, are evaluated by :func:`_grid` over a table of roots of
+unity, from which every power of a grid point is read, rounded once;
 bisection midpoints and root refinement read single points
-(:func:`_eval_abc`).  The monomial basis cancels: its binomial
-coefficients reach 2^d while the values stay near 1, which cost the index
-at degree 112 and the separatrix count at 86.  In the Fourier basis the
+(:func:`_at`).  The monomial basis cancels: its binomial coefficients
+reach 2^d while the values stay near 1, which cost the index at degree 112
+and the separatrix count at 86.  In the Fourier basis the
 saddle family is one term, so a saddle of any degree costs O(1) complex
 operations per sample, and the float layer is right for every saddle the
 CLI accepts (m <= 1024).
@@ -128,15 +128,16 @@ def _exact_fourier(degree: int, *forms: HomoPoly) -> list[list[tuple[int, int]]]
 
 def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
     """The float form of ``forms`` (each of ``degree`` or zero) that every
-    sampled evaluation reads, as Horner data in w = z^2 for
-    :func:`_eval_abc`, :func:`_grid_abc` and their kin: a pair (steps, tail).
+    sampled evaluation reads, as Horner data in w = z^2 for :func:`_at` and
+    :func:`_grid`: a pair (steps, tail).
 
     ``steps`` lists the powers of w at which some form has a nonzero
     coefficient, highest first, each as (gap, c_1, ..., c_k): its power gap
     to the previous kept power (1 for the first, whose coefficients seed
     the pass) and one complex per form.  ``tail`` is the power of the last
     kept term.  A dense form has every gap 1 and tail 0; a saddle of any
-    degree has one term.
+    degree has one term.  When every form is zero, one zero step
+    (1, 0j, ..., 0j) with tail 0 keeps the number of forms.
 
     The Fourier coefficients are exact integers (:func:`_exact_fourier`),
     after one common denominator; they are rounded to floats once, all
@@ -153,57 +154,68 @@ def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
             gap = 1 if prev is None else prev - power
             steps.append((gap, *(complex(re / scale, im / scale) for re, im in pairs)))
             prev = power
-    return steps, prev or 0
+    # all forms zero: one zero step still says how many forms there are
+    return steps or [(1, *[0j] * len(forms))], prev or 0
 
 
-def _eval_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
-    """A, B and C at the unit point z, up to one common positive factor, in
-    one Horner pass over the gaps of ``terms`` (from :func:`_float_coeffs`
-    on a, b, c of a form of odd or even degree): s = s * w^gap + c, with
-    w^gap computed again only where the gap changes."""
+def _at(terms, odd: bool, z: complex) -> list[float]:
+    """Every form of ``terms`` (from :func:`_float_coeffs`, of odd or even
+    degree) at the unit point z, up to their common positive factor, in
+    one Horner pass over the gaps: it starts from the top step's
+    coefficients and computes s * w^gap + c for each later step, with
+    w^gap = (z^2)^gap computed again only where the gap changes, then
+    multiplies by w^tail and by z when the degree is odd."""
     steps, tail = terms
     w = z * z
+    (_, *acc), *rest = steps
     wg, last = w, 1
-    sa = sb = sc = 0j
-    for gap, a, b, c in steps:
+    for gap, *cs in rest:
         if gap != last:
             wg, last = w ** gap, gap
-        sa = sa * wg + a
-        sb = sb * wg + b
-        sc = sc * wg + c
+        acc = [s * wg + c for s, c in zip(acc, cs)]
     if tail:
         wt = w ** tail
-        sa, sb, sc = sa * wt, sb * wt, sc * wt
+        acc = [s * wt for s in acc]
     if odd:
-        sa, sb, sc = sa * z, sb * z, sc * z
-    return sa.real, sb.real, sc.real
+        acc = [s * z for s in acc]
+    return [s.real for s in acc]
 
 
-def _grid_abc(terms, odd: bool, roots: list[complex]) -> list[tuple[float, float, float]]:
-    """A, B and C at every unit point z_i = roots[i], where ``roots`` lists
-    the m-th roots of unity in order, as :func:`_eval_abc` reads them one
-    point at a time.  Every power of a grid point is a table entry,
-    z_i^e = roots[e i mod m], rounded once, so the pass over the gaps of
-    ``terms`` raises no power: it starts from the first step's
-    coefficients, multiplies by roots[2 gap i mod m] at each later step and
-    by the entry of z^(2 tail + odd) once at the end."""
+def _grid(
+    terms, odd: bool, roots: list[complex], count: int, offset: float = 0.0
+) -> list[list[float]]:
+    """Per form of ``terms``, its values at the unit points
+    e^(i offset) z_j, j < ``count``, where z_j = roots[j] and ``roots``
+    lists the m-th roots of unity in order, as :func:`_at` reads them one
+    point at a time.  A power of such a point is e^(i e offset)
+    roots[e j mod m], so the offset turns each coefficient once and the
+    pass raises no power: it starts from the top step's coefficients,
+    computes s * roots[2 gap j mod m] + c for each later step, over all
+    points at once, and multiplies by the entry of z^(2 tail + odd) at the
+    end."""
     steps, tail = terms
     m = len(roots)
-    (_, a0, b0, c0), *rest = steps or [(1, 0j, 0j, 0j)]
-    rest = [(2 * gap, a, b, c) for gap, a, b, c in rest]
+    if offset:
+        # the power of w of each step, read down from the top one's (the
+        # first gap is 1)
+        power = tail + sum(step[0] for step in steps)
+        turned = []
+        for gap, *cs in steps:
+            power -= gap
+            turn = cmath.rect(1.0, (2 * power + odd) * offset)
+            turned.append((gap, *(c * turn for c in cs)))
+        steps = turned
+    (_, *seed), *rest = steps
+    values = [[s] * count for s in seed]
+    last = 0
+    for gap, *cs in rest:
+        if gap != last:
+            e, last = 2 * gap, gap
+            wg = [roots[e * j % m] for j in range(count)]
+        values = [[s * w + c for s, w in zip(row, wg)] for row, c in zip(values, cs)]
     end = 2 * tail + odd
-    values = []
-    for i in range(m):
-        sa, sb, sc, last = a0, b0, c0, 0
-        for e, a, b, c in rest:
-            if e != last:
-                wg, last = roots[e * i % m], e
-            sa = sa * wg + a
-            sb = sb * wg + b
-            sc = sc * wg + c
-        zt = roots[end * i % m]
-        values.append(((sa * zt).real, (sb * zt).real, (sc * zt).real))
-    return values
+    zt = [roots[end * j % m] for j in range(count)]
+    return [[(s * w).real for s, w in zip(row, zt)] for row in values]
 
 
 def _positive_disc(A: float, B: float, C: float, x: float, y: float) -> float:
@@ -282,11 +294,11 @@ def index_at_origin(w: QuadForm) -> tuple[HalfIndex, DirectionTrace]:
     by 2 pi (m - 2) in all, so no step of a saddle up to m = 1024 turns it
     by more than pi/4.
 
-    The grid is evaluated first, in one complex Horner pass per point over
-    a table of the N-th roots of unity built for this call
-    (:func:`_grid_abc`); the walk then reads it in order.  Bisection
-    midpoints, and grid points whose discriminant is not positive, are
-    evaluated one at a time by :func:`_eval_abc` as the walk reaches them,
+    The grid is evaluated first, by :func:`_grid` over a table of the N-th
+    roots of unity built for this call (its size depends on the degree);
+    the walk then reads it in order.  Bisection midpoints, and grid points
+    whose discriminant is not positive, are evaluated one at a time by
+    :func:`_at` as the walk reaches them,
     so a NotHyperbolicHere or RefinementLimit names the first failing point
     in walk order.  Certification does not depend on this function; it
     reads the index from origin_index.
@@ -300,11 +312,12 @@ def index_at_origin(w: QuadForm) -> tuple[HalfIndex, DirectionTrace]:
 
     def doubled_angle(phi: float) -> float:
         x, y = math.cos(phi), math.sin(phi)
-        A, B, C = _eval_abc(terms, odd, complex(x, y))
+        A, B, C = _at(terms, odd, complex(x, y))
         root = sqrt(_positive_disc(A, B, C, x, y))
         return atan2(2.0 * B, A - C) + atan2(root, -0.5 * (A + C))
 
-    grid = _grid_abc(terms, odd, [cmath.rect(1.0, two_pi * i / n) for i in range(n)])
+    roots = [cmath.rect(1.0, two_pi * i / n) for i in range(n)]
+    grid = list(zip(*_grid(terms, odd, roots, n)))
     prev = doubled_angle(0.0)
     samples = [(0.0, (prev % two_pi) / 2.0)]
     unwrapped = [0.0]

@@ -226,7 +226,7 @@ def isolate_real_roots(u) -> list[tuple[Fraction, Fraction]]:
     u = _ints(u)
     if len(u) <= 1:
         return []
-    return _descartes(_divexact(u, SturmChain.of(u).polys[-1]), None)
+    return _descartes(_divexact(u, SturmChain.of(u).polys[-1]))
 
 
 def line_distance(t1: float, t2: float) -> float:
@@ -262,18 +262,18 @@ def asymptotic_lines(w, x: float, y: float) -> tuple[float, float]:
     """The two asymptotic lines of ``w`` at (x, y), as the float layer reads
     them: the Fourier coefficients, one Horner pass at the unit point, then
     the quadratic."""
-    from hesstop.lineindex import _eval_abc, _float_coeffs
+    from hesstop.lineindex import _at, _float_coeffs
 
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     r = math.hypot(x, y)
-    A, B, C = _eval_abc(terms, w.degree % 2 == 1, complex(x / r, y / r))
+    A, B, C = _at(terms, w.degree % 2 == 1, complex(x / r, y / r))
     return _directions_from_values(A, B, C, x, y)
 
 
 def dense_horner_abc(terms, odd: bool, z: complex) -> tuple[float, float, float]:
     """A, B and C from the ``_float_coeffs`` data of three forms by a plain
     Horner pass over every power of w = z^2, the skipped powers filled in
-    with zeros: the reference that the gap evaluator ``_eval_abc`` must
+    with zeros: the reference that the gap evaluator ``_at`` must
     match bit for bit on dense forms."""
     steps, tail = terms
     dense = []
@@ -375,12 +375,12 @@ def _reference_direction(terms, odd, x: float, y: float, vref) -> tuple[float, f
     chosen by line angles: solve both lines as angles, keep the one nearer
     to the angle of vref in RP^1, and turn it back into a vector."""
     from hesstop.errors import NotHyperbolicHere
-    from hesstop.lineindex import _eval_abc
+    from hesstop.lineindex import _at
 
     r = math.hypot(x, y)
     if not r:
         raise NotHyperbolicHere("the line field is not sampled at the origin")
-    A, B, C = _eval_abc(terms, odd, complex(x / r, y / r))
+    A, B, C = _at(terms, odd, complex(x / r, y / r))
     pair = _directions_from_values(A, B, C, x, y)
     ref_angle = math.atan2(vref[1], vref[0]) % math.pi
     d0 = line_distance(pair[0], ref_angle)
@@ -401,7 +401,7 @@ def reference_trace(w, seeds: int) -> list[list[tuple[float, float]]]:
     to the fixed branch 2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R) that
     ``index_at_origin`` samples; the stages then follow that line."""
     from hesstop.foliation import R_MAX, R_MIN
-    from hesstop.lineindex import _eval_abc, _float_coeffs
+    from hesstop.lineindex import _at, _float_coeffs
 
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     odd = w.degree % 2 == 1
@@ -433,7 +433,7 @@ def reference_trace(w, seeds: int) -> list[list[tuple[float, float]]]:
     for i in range(seeds):
         phi = 2.0 * math.pi * ((i + golden * 0.5) / seeds)
         x, y = math.cos(phi), math.sin(phi)
-        A, B, C = _eval_abc(terms, odd, complex(x, y))
+        A, B, C = _at(terms, odd, complex(x, y))
         fixed = (math.atan2(2.0 * B, A - C)
                  + math.atan2(math.sqrt(B * B - A * C), -0.5 * (A + C))) / 2.0
         theta = min(_directions_from_values(A, B, C, x, y),
@@ -701,19 +701,19 @@ def reference_float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], 
             gap = 1 if prev is None else prev - power
             steps.append((gap, *(complex(re / scale, im / scale) for re, im in pairs)))
             prev = power
-    return steps, prev or 0
+    return steps or [(1, *[0j] * len(forms))], prev or 0
 
 
 def reference_index_at_origin(w: QuadForm):
     """``index_at_origin`` one sample at a time: every grid point and every
-    bisection midpoint through the scalar ``_eval_abc``, in the order of a
+    bisection midpoint through the scalar ``_at``, in the order of a
     work queue."""
     from hesstop.errors import RefinementLimit
     from hesstop.lineindex import (
         _MAX_DEPTH,
         DirectionTrace,
         HalfIndex,
-        _eval_abc,
+        _at,
         _float_coeffs,
         _positive_disc,
     )
@@ -725,7 +725,7 @@ def reference_index_at_origin(w: QuadForm):
 
     def doubled_angle(phi: float) -> float:
         x, y = math.cos(phi), math.sin(phi)
-        A, B, C = _eval_abc(terms, odd, complex(x, y))
+        A, B, C = _at(terms, odd, complex(x, y))
         root = math.sqrt(_positive_disc(A, B, C, x, y))
         return math.atan2(2.0 * B, A - C) + math.atan2(root, -0.5 * (A + C))
 
@@ -763,16 +763,19 @@ def reference_index_at_origin(w: QuadForm):
 
 def reference_separatrix_scan(w: QuadForm) -> tuple[int, list[float]]:
     """``count_separatrices`` one sample at a time: every grid point and
-    every regula falsi point through the scalar ``_alignment``."""
-    from hesstop.foliation import _ALIGN_TOL, _SCAN_SAMPLES, _alignment, alignment_form
-    from hesstop.lineindex import _float_coeffs
+    every regula falsi point through the scalar ``_at``."""
+    from hesstop.foliation import _ALIGN_TOL, _SCAN_SAMPLES, alignment_form
+    from hesstop.lineindex import _at, _float_coeffs
 
     h = alignment_form(w)
     terms = _float_coeffs(h.degree, h)
     odd = h.degree % 2 == 1
+
+    def _alignment(phi: float) -> float:
+        return _at(terms, odd, complex(math.cos(phi), math.sin(phi)))[0]
     offset = 1e-3
     grid = [offset + math.pi * i / _SCAN_SAMPLES for i in range(_SCAN_SAMPLES + 1)]
-    values = [_alignment(terms, odd, phi) for phi in grid]
+    values = [_alignment(phi) for phi in grid]
     lines: list[float] = []
     for i in range(_SCAN_SAMPLES):
         h0, h1 = values[i], values[i + 1]
@@ -787,7 +790,7 @@ def reference_separatrix_scan(w: QuadForm) -> tuple[int, list[float]]:
                 mid = (lo * fhi - hi * flo) / (fhi - flo)
                 if not lo < mid < hi:
                     mid = (lo + hi) / 2.0
-                fmid = _alignment(terms, odd, mid)
+                fmid = _alignment(mid)
                 if abs(fmid) < best:
                     root, best = mid, abs(fmid)
                 if fmid == 0.0:

@@ -17,6 +17,7 @@ from hesstop.classify import (
     sign_on_punctured_plane,
     _descartes,
     _fujiwara_exponent,
+    _positive_roots,
 )
 from hesstop import classify
 from hesstop.census import enumerate_rows
@@ -367,9 +368,9 @@ def chains(monkeypatch):
 
 
 class TestOneChainPerSlice:
-    """Each sign question takes at most one squarefree part: a slice whose
-    budget runs out calls _heu_gcd once and builds no Sturm chain, and
-    certify_nonnegative adds no call of its own."""
+    """Each sign question takes at most one squarefree part: a slice that
+    the even route does not prove rootless calls _heu_gcd once and builds
+    no Sturm chain, and certify_nonnegative adds no call of its own."""
 
     @pytest.fixture
     def gcds(self, monkeypatch):
@@ -381,6 +382,19 @@ class TestOneChainPerSlice:
             return heu_gcd(u, v)
 
         monkeypatch.setattr(classify, "_heu_gcd", counted)
+        return calls
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The slices each Descartes run isolates."""
+        calls = []
+        descartes = classify._descartes
+
+        def counted(u):
+            calls.append(u)
+            return descartes(u)
+
+        monkeypatch.setattr(classify, "_descartes", counted)
         return calls
 
     def test_sign_on_a_square_builds_one_chain(self, chains, gcds):
@@ -408,6 +422,15 @@ class TestOneChainPerSlice:
         sign_on_punctured_plane(parse("x^3"))
         assert chains == []
 
+    def test_constant_slice_takes_no_gcd(self, gcds):
+        # a slice of degree 0 has no derivative; it is even with u(0) != 0,
+        # so the even test answers it before the gcd
+        assert sign_on_punctured_plane(HomoPoly(0, (5,))).verdict is Verdict.POSITIVE
+        assert sign_on_punctured_plane(HomoPoly(0, (-5,))).verdict is Verdict.NEGATIVE
+        cert = sign_on_punctured_plane(parse("x^2"))
+        assert cert.method == "vanishes-at-vertical-direction"
+        assert gcds == []
+
     def test_descartes_proof_builds_no_chain(self, chains):
         ok, cert, _ = is_hyperbolic(product_family(20, 1))
         assert ok and cert.method == "descartes-no-real-roots"
@@ -420,19 +443,23 @@ class TestOneChainPerSlice:
             ("x^4 - 2*x^2*y^2 + y^4", "semidefinite-zeros"),  # double roots -1, 1
         ],
     )
-    def test_full_budgeted_list_builds_no_chain(
-        self, chains, gcds, monkeypatch, text, method
+    def test_one_gcd_and_one_descartes_run(
+        self, chains, gcds, runs, monkeypatch, text, method
     ):
-        # times a radial power the slice has degree 24 and a budget of two
-        # splits, within which the recursion isolates every root: its list
-        # is used as it is, and the gcd path gives the same certificate
+        # times a radial power the slice has degree 24 and real roots: the
+        # first is not even and the second is even but has roots, so each
+        # goes to the heuristic gcd once and isolates its squarefree part
+        # in one Descartes run, whatever the even route's budget
         f = parse(text)
         p = f * radial_family((24 - f.degree) // 2)
         cert = sign_on_punctured_plane(p)
-        assert cert.method == method and chains == gcds == []
+        assert cert.method == method and chains == []
+        assert len(gcds) == 1 and len(runs) == 1
+        gcds.clear()
+        runs.clear()
         monkeypatch.setattr(classify, "_DEGREES_PER_DESCARTES_SPLIT", 10**9)
         assert sign_on_punctured_plane(p) == cert
-        assert len(gcds) == 1 and chains == []
+        assert len(gcds) == 1 and len(runs) == 1 and chains == []
 
 
 def test_origin_not_separately_tested():
@@ -607,8 +634,11 @@ def _descartes_slice(rng, kind):
 
 
 def _rootless(u):
-    """The budgeted Descartes proof of sign_on_punctured_plane."""
-    return _descartes(u, (len(u) - 1) // classify._DEGREES_PER_DESCARTES_SPLIT) == []
+    """The proof of sign_on_punctured_plane on a slice that is not even:
+    one Descartes run on the squarefree part from the heuristic gcd."""
+    found = classify._heu_gcd(u, classify._primitive(classify._deriv(u)))
+    assert found is not None
+    return _descartes(found[1]) == []
 
 
 EVEN_KINDS = ("rootless", "semidefinite", "sign-change")
@@ -642,8 +672,8 @@ def _sheared(f):
 
 
 class TestDescartesRootless:
-    """The budgeted Descartes recursion proves only true rootlessness, and
-    the budget changes no certificate."""
+    """The Descartes recursion proves only true rootlessness, and the even
+    route's budget changes no certificate."""
 
     KINDS = ("rootless", "double", "simple", "near-axis", "zero-at-origin")
 
@@ -663,14 +693,17 @@ class TestDescartesRootless:
         assert proved["rootless"] > 0
 
     def test_small_cases(self):
-        assert _descartes([1], 0) == []
-        assert _descartes([1, 0, 1], 0) == []  # 1 + t^2: no variation either side
-        assert _descartes([0, 0, 1], 0) == [(0, 0)]  # t^2: a root at 0
+        assert _descartes([1]) == []
+        assert _descartes([1, 0, 1]) == []  # 1 + t^2: no variation either side
+        assert _descartes([0, 1, 0, 1]) == [(0, 0)]  # t (1 + t^2): a root at 0
         # t^2 - 1: one variation a side, so one interval each, and no split
-        assert len(_descartes([-1, 0, 1], 0)) == 2
-        # 1 - t + t^2 needs a split, and degree 2 buys none
-        assert _descartes([1, -1, 1], 0) is None
-        assert _descartes([1, -1, 1], 1) == []
+        assert len(_descartes([-1, 0, 1])) == 2
+        roots, left = _positive_roots([-1, 1], 0, False)  # t - 1 needs none
+        assert len(roots) == 1 and left == 0
+        # 1 - t + t^2 needs a split, which a budget of 0 does not buy
+        assert _descartes([1, -1, 1]) == []
+        assert _positive_roots([1, -1, 1], 0, False) is None
+        assert _positive_roots([1, -1, 1], 1, False) == ([], 0)
         assert count_real_roots([1, -1, 1]) == 0
 
     def test_exhausted_budget_falls_back_to_sturm(self, monkeypatch):
@@ -691,30 +724,42 @@ class TestDescartesRootless:
             fallback = sign_on_punctured_plane(f)
             methods.add(cert.method)
             assert fallback == cert
-            if _descartes(classify._ints(f.coeffs), 0) is None:
+            u = classify._ints(f.coeffs)
+            if u[0] and not any(u[1::2]) and _positive_roots(u[::2], 0, False) is None:
                 fell_back.add(cert.method)
-        # rootless slices were proved by the squarefree part's recursion
-        # with no limit as well as by the budgeted one
+        # even rootless slices were proved by the squarefree part's recursion
+        # with no limit as well as by the budgeted run on g
         assert "descartes-no-real-roots" in fell_back
         assert {"descartes-sign-change", "semidefinite-zeros",
                 "semidefinite-irrational-zeros"} <= methods
 
-    def test_budget_scales_with_degree(self):
+    def test_budget_scales_with_degree(self, monkeypatch):
         # the degree-14 slice of P_7 (x^2 + y^2) needs a split on each side,
         # and its budget is 14 // 12 = 1; it is even, so its half-degree
         # g(s) = u(sqrt s) is tested on s > 0 only, and one split proves it
         u = [int(c) for c in discriminant(second_fundamental_form(product_family(7, 1))).coeffs]
-        assert _descartes(u, 1) is None
+        flip = [-c if j % 2 else c for j, c in enumerate(u)]
+        assert _positive_roots(u, 1, False) == _positive_roots(flip, 1, False) == ([], 0)
+        assert _positive_roots(u[::2], 1, False) == ([], 0)
         ok, cert, _ = is_hyperbolic(product_family(7, 1))
         assert ok and cert.method == "descartes-no-real-roots"
         # sheared by (x, y) -> (x + y, y) the form is still hyperbolic, but
-        # its degree-14 slice is not even, and the recursion on its
-        # squarefree part answers
+        # its degree-14 slice is not even: the recursion runs on both sides
+        # of its squarefree part with no budget, and answers
+        budgets = []
+        positive_roots = classify._positive_roots
+
+        def spy(g, splits, zero_root):
+            budgets.append(splits)
+            return positive_roots(g, splits, zero_root)
+
+        monkeypatch.setattr(classify, "_positive_roots", spy)
         f = _sheared(product_family(7, 1))
         u = [int(c) for c in discriminant(second_fundamental_form(f)).coeffs]
-        assert any(u[1::2]) and _descartes(u, 1) is None
+        assert any(u[1::2])
         ok, cert, _ = is_hyperbolic(f)
         assert ok and cert.method == "descartes-no-real-roots"
+        assert budgets == [None, None]
 
     def test_degree_236_slice(self):
         ok, cert, _ = is_hyperbolic(product_family(118, 1))
@@ -740,12 +785,13 @@ class TestEvenRoute:
         return seen
 
     def test_zero_at_origin_is_left_to_both_sides(self, sides):
-        # t^2 (1 + t^2)^3: u(0) = 0, so both sides of u run, with t^2 divided out
+        # t^2 (1 + t^2)^3: u(0) = 0, so both sides run on the squarefree
+        # part t (1 + t^2), with t divided out
         p = parse("y^2") * radial_family(3)
         cert = sign_on_punctured_plane(p)
         assert cert == classify.SignCertificate(
             Verdict.MIXED, (F(1), F(0)), "semidefinite-zeros")
-        assert sides == [[1, 0, 3, 0, 3, 0, 1], [1, 0, 3, 0, 3, 0, 1]]
+        assert sides == [[1, 0, 1], [1, 0, 1]]
 
     def test_vertical_direction_still_vanishes(self, sides):
         # x^2 (x^2 + y^2)^2: the slice (1 + t^2)^2 is even and rootless,
@@ -884,15 +930,18 @@ class TestDescartesIsolation:
             u = self.product(*roots, quadratics=quads)
             if len(u) < 2:
                 continue
-            _check_isolation(u, _descartes(u, None))
+            _check_isolation(u, _descartes(u))
 
     def test_budget_gives_the_unlimited_answer_or_none(self, rng):
+        # the budgeted run of the even route, on either side of 0
         for _ in range(40):
-            roots = {F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)}
+            roots = {F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)} - {0}
             u = self.product(*roots, quadratics=[_definite_quadratic(rng)])
-            full = _descartes(u, None)
-            for splits in range(4):
-                assert _descartes(u, splits) in (None, full)
+            for g in (u, [-c if j % 2 else c for j, c in enumerate(u)]):
+                full, _ = _positive_roots(g, None, False)
+                for splits in range(4):
+                    found = _positive_roots(g, splits, False)
+                    assert found is None or found[0] == full
 
     def test_split_root_between_simple_roots_changes_sign(self):
         # (100y - 99x)(y - x)^2(100y - 101x): its slice's squarefree part has
@@ -901,7 +950,7 @@ class TestDescartesIsolation:
         line = [-1, 1]
         p = _form(_int_product([[-99, 100], line, line, [-101, 100]]))
         u = _int_product([[-99, 100], line, [-101, 100]])
-        assert (F(1), F(1)) in _descartes(u, None)
+        assert (F(1), F(1)) in _descartes(u)
         cert = sign_on_punctured_plane(p)
         assert cert.verdict is Verdict.MIXED and cert.method == "descartes-sign-change"
         assert p.evaluate(*cert.witness) < 0

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,12 +13,12 @@ from hesstop.lineindex import (
     CAUCHY_CHAIN,
     ROUCHE,
     HalfIndex,
+    _at,
     _cauchy_index,
     _dominant_winding,
-    _eval_abc,
     _float_coeffs,
     _fourier_halves,
-    _grid_abc,
+    _grid,
     index_at_origin,
     origin_index,
 )
@@ -30,7 +31,7 @@ from hesstop.polyalg import (
     radial_family,
     saddle_family,
 )
-from hesstop.foliation import _alignment, _grid_alignment, alignment_form, count_separatrices
+from hesstop.foliation import alignment_form, count_separatrices
 from hesstop.quadform import QuadForm, second_fundamental_form
 
 from helpers import (
@@ -102,7 +103,7 @@ class TestFourierConversion:
         assert powers == nonzero
         for t in CIRCLE_T:
             x, y = _circle_point(t)
-            got = _eval_abc(terms, odd, complex(float(x), float(y)))
+            got = _at(terms, odd, complex(float(x), float(y)))
             exact = [p.evaluate(x, y) for p in forms]
             assert got[0] == 0.0 and exact[0] == 0
             ratios = [g / float(e) for g, e in zip(got[1:], exact[1:]) if e != 0]
@@ -118,7 +119,7 @@ def _exact_on_circle(p, t):
 
 
 class TestSparseEvaluation:
-    """_eval_abc and _alignment read only the nonzero Fourier powers."""
+    """_at and _grid read only the nonzero Fourier powers."""
 
     @pytest.mark.parametrize("m", [3, 7, 120, 1024])
     def test_saddle_alignment_is_one_term(self, m):
@@ -134,15 +135,21 @@ class TestSparseEvaluation:
 
     @pytest.mark.parametrize("d", [0, 1, 2, 7, 40])
     def test_zero_form_evaluates_to_zero(self, d):
+        # all-zero forms keep one zero step, which says how many forms
+        # there are, so both shapes evaluate to one zero per form
         zero = HomoPoly.zero(d)
         z = complex(math.cos(0.7), math.sin(0.7))
+        odd = d % 2 == 1
         terms = _float_coeffs(d, zero, zero, zero)
-        assert terms == ([], 0)
-        assert _eval_abc(terms, d % 2 == 1, z) == (0.0, 0.0, 0.0)
-        assert _alignment(_float_coeffs(d, zero), d % 2 == 1, 0.7) == 0.0
+        assert terms == ([(1, 0j, 0j, 0j)], 0)
+        assert _at(terms, odd, z) == [0.0, 0.0, 0.0]
+        align = _float_coeffs(d, zero)
+        assert _at(align, odd, z) == [0.0]
         # and at every point of both grids
-        assert all(v == 0.0 for row in _grid_abc(terms, d % 2 == 1, _index_roots(d)) for v in row)
-        values = _grid_alignment(_float_coeffs(d, zero), d % 2 == 1, _scan_roots(), 2049, 1e-3)
+        roots = _index_roots(d)
+        grid = _grid(terms, odd, roots, len(roots))
+        assert len(grid) == 3 and all(v == 0.0 for row in grid for v in row)
+        (values,) = _grid(align, odd, _scan_roots(), 2049, 1e-3)
         assert len(values) == 2049 and all(v == 0.0 for v in values)
 
     @pytest.mark.parametrize("d", [*range(13), 40, 61, 200])
@@ -156,7 +163,7 @@ class TestSparseEvaluation:
         for _ in range(50):
             phi = rng.uniform(0.0, 2.0 * math.pi)
             z = complex(math.cos(phi), math.sin(phi))
-            got = _eval_abc(terms, d % 2 == 1, z)
+            got = _at(terms, d % 2 == 1, z)
             want = dense_horner_abc(terms, d % 2 == 1, z)
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -179,8 +186,8 @@ class TestSparseEvaluation:
         points = [_circle_point(t) for t in CIRCLE_T]
         abc = _float_coeffs(w.degree, w.a, w.b, w.c)
         align = _float_coeffs(h.degree, h)
-        got = [[*_eval_abc(abc, odd, complex(float(x), float(y)))] for x, y in points]
-        got_h = [[_alignment(align, odd, math.atan2(float(y), float(x)))] for x, y in points]
+        got = [_at(abc, odd, complex(float(x), float(y))) for x, y in points]
+        got_h = [_at(align, odd, complex(float(x), float(y))) for x, y in points]
         for forms, values in (([w.a, w.b, w.c], got), ([h], got_h)):
             exact = [[float(_exact_on_circle(p, t)) for p in forms] for t in CIRCLE_T]
             flat = [(g, e) for row_g, row_e in zip(values, exact) for g, e in zip(row_g, row_e)]
@@ -507,26 +514,36 @@ class TestGridEvaluators:
         assert all(abs(g - v) <= 1e-12 * top for rg, rw in zip(got, want) for g, v in zip(rg, rw))
 
     @pytest.mark.parametrize("d", [7, 8, 41, 140])
-    def test_abc_grid_matches_eval_abc(self, rng, d):
+    def test_grid_matches_at(self, rng, d):
+        # one and three forms, on the full index grid and on the half-turn
+        # scan, with and without an offset
         odd = d % 2 == 1
         for forms in self._forms(rng, d):
-            terms = _float_coeffs(forms[0].degree, *forms)
-            roots = _index_roots(forms[0].degree)
-            got = _grid_abc(terms, odd, roots)
-            assert len(got) == len(roots)
-            self._close(got, [_eval_abc(terms, odd, z) for z in roots])
+            deg = forms[0].degree
+            grids = ((_index_roots(deg), max(1024, 8 * deg)), (_scan_roots(), 2049))
+            for group in (forms, forms[:1]):
+                terms = _float_coeffs(deg, *group)
+                for (roots, count), offset in product(grids, (0.0, 1e-3)):
+                    got = _grid(terms, odd, roots, count, offset)
+                    assert len(got) == len(group) and all(len(row) == count for row in got)
+                    step = 2.0 * math.pi / len(roots)
+                    want = [_at(terms, odd, cmath.rect(1.0, offset + step * j))
+                            for j in range(count)]
+                    self._close(got, [list(row) for row in zip(*want)])
 
-    @pytest.mark.parametrize("d", [7, 8, 41, 140])
-    def test_alignment_grid_matches_alignment(self, rng, d):
-        odd = d % 2 == 1
-        offset = 1e-3
-        for forms in self._forms(rng, d):
-            for p in forms:
-                terms = _float_coeffs(p.degree, p)
-                got = _grid_alignment(terms, odd, _scan_roots(), 2049, offset)
-                want = [_alignment(terms, odd, offset + math.pi * j / 2048) for j in range(2049)]
-                assert len(got) == 2049
-                self._close([got], [want])
+    @pytest.mark.parametrize("d", [0, 2, 8, 40])
+    def test_even_forms_with_tail_zero(self, rng, d):
+        # the final power z^(2 tail + odd) is z^0 = 1 at every point
+        forms = [HomoPoly(d, tuple(rng.randint(-9, 9) or 1 for _ in range(d + 1)))
+                 for _ in range(3)]
+        terms = _float_coeffs(d, *forms)
+        assert terms[1] == 0
+        for offset in (0.0, 1e-3):
+            roots = _scan_roots()
+            got = _grid(terms, False, roots, 2049, offset)
+            want = [_at(terms, False, cmath.rect(1.0, offset + math.pi * j / 2048))
+                    for j in range(2049)]
+            self._close(got, [list(row) for row in zip(*want)])
 
 
 _ORACLE_FORMS = (
