@@ -513,15 +513,14 @@ class TestGridEvaluators:
         top = max(abs(v) for row in want for v in row)
         assert all(abs(g - v) <= 1e-12 * top for rg, rw in zip(got, want) for g, v in zip(rg, rw))
 
-    @pytest.mark.parametrize("d", [7, 8, 41, 140])
-    def test_grid_matches_at(self, rng, d):
-        # one and three forms, on the full index grid and on the half-turn
-        # scan, with and without an offset
+    def _check_grids(self, rng, d, pack):
+        # the packs that pack(forms) makes, on the full index grid and on the
+        # half-turn scan, with and without an offset
         odd = d % 2 == 1
         for forms in self._forms(rng, d):
             deg = forms[0].degree
             grids = ((_index_roots(deg), max(1024, 8 * deg)), (_scan_roots(), 2049))
-            for group in (forms, forms[:1]):
+            for group in pack(forms):
                 terms = _float_coeffs(deg, *group)
                 for (roots, count), offset in product(grids, (0.0, 1e-3)):
                     got = _grid(terms, odd, roots, count, offset)
@@ -530,6 +529,16 @@ class TestGridEvaluators:
                     want = [_at(terms, odd, cmath.rect(1.0, offset + step * j))
                             for j in range(count)]
                     self._close(got, [list(row) for row in zip(*want)])
+
+    @pytest.mark.parametrize("d", [7, 8, 41, 140])
+    def test_abc_grid_matches_eval_abc(self, rng, d):
+        # three forms in one pack, as the index walk evaluates A, B and C
+        self._check_grids(rng, d, lambda forms: [forms])
+
+    @pytest.mark.parametrize("d", [7, 8, 41, 140])
+    def test_alignment_grid_matches_alignment(self, rng, d):
+        # one form per pack, as the separatrix scan evaluates the alignment form
+        self._check_grids(rng, d, lambda forms: [[p] for p in forms])
 
     @pytest.mark.parametrize("d", [0, 2, 8, 40])
     def test_even_forms_with_tail_zero(self, rng, d):
