@@ -7,12 +7,14 @@ every product saddle_family(m) * radial_family(k) with k >= 1,
 m = n - 2k > max(2, k).  Each row's asymptotic line field has origin index
 (2 - m)/2; the indexes are pairwise distinct, so the rows land in pairwise
 distinct connected components.  certify_row proves every row in one way:
-product_family(m, k) is hyperbolic (classify.is_hyperbolic), and the
-origin index of the II_f that verdict signed is exactly (2 - m)/2, read
-with no floating point from one dominant Fourier term of the line field
-(lineindex.origin_index), which decides every row up to n = 120 without a
-Sturm chain.  No isotopy is needed, since distinct indexes already put the
-rows in distinct components.
+product_family(m, k) is hyperbolic (classify.is_hyperbolic, from a
+dominant constant Fourier term of disc II_f, which decides every row as
+:class:`CensusRow` derives), and the origin index of the II_f that verdict
+signed is exactly (2 - m)/2, read with no floating point from one
+dominant Fourier term of the line field (lineindex.origin_index), which
+decides every row up to n = 120 without a Sturm chain.  No isotopy is
+needed, since distinct indexes already put the rows in distinct
+components.
 """
 
 from __future__ import annotations
@@ -28,6 +30,22 @@ from .polyalg import product_family
 
 @dataclass(frozen=True)
 class CensusRow:
+    """One census row: f = product_family(m, k) = P_m (x^2 + y^2)^k of
+    degree n = m + 2k, its origin index (2 - m)/2 and the bound of degree n.
+
+    f is hyperbolic exactly when n < m^2.  On the unit circle, z = e^(i phi),
+    disc II_f = 4 (|f_zz|^2 - f_zzbar^2).  With a = (m + k)(m + k - 1),
+    b = k(k - 1) and c = k(m + k), f_zz = (a z^(m-2) + b z^(-m-2))/2 and
+    f_zzbar = c cos(m phi), so
+    |f_zz|^2 - f_zzbar^2 = (a^2 + b^2)/4 - c^2/2 + (ab - c^2) cos(2m phi)/2
+    is linear in cos(2m phi).  At cos = -1 it is (a - b)^2/4 > 0, and at
+    cos = +1 it is ((a + b)/2)^2 - c^2, positive exactly when a + b > 2c;
+    a + b - 2c = m^2 - n.  The smaller end value is the constant term less
+    the other two, so classify.is_hyperbolic's dominant-constant test
+    decides f exactly when n < m^2.  The guard m > max(2, k) keeps every
+    row there: n < 3m <= m^2.
+    """
+
     n: int
     k: int
     m: int
@@ -71,9 +89,11 @@ def lower_bound(n: int) -> int:
     Equals floor((n - 1) / 2) for degrees 3 through 8 (and 10).  For some
     larger degrees the product family cannot reach that formula: at n = 9
     the top pair (k, m) = (3, 3) has n = m^2 = 9, which sits on the
-    boundary of the hyperbolic products n < m^2, so its product has
-    parabolic rays and no sound admissibility rule can include it.  The
-    bound reported here is the one the enumerated rows actually certify.
+    boundary of the hyperbolic products n < m^2 (derived in
+    :class:`CensusRow`: disc II_f is linear in cos(2m phi) on the circle
+    and vanishes at cos = +1 when n = m^2), so its product has parabolic
+    rays and no sound admissibility rule can include it.  The bound
+    reported here is the one the enumerated rows actually certify.
     """
     if n < 3:
         raise DomainError(f"census needs degree n >= 3, got {n}")

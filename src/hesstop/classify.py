@@ -5,6 +5,17 @@ elliptic when it is negative there: both are read off one sign
 certificate on disc II_f, which :func:`is_hyperbolic` returns together
 with the II_f it signed.
 
+is_hyperbolic first tries a test that finds no root.  On the unit circle
+disc II_f = 4 (|f_zz|^2 - f_zzbar^2) is a trigonometric polynomial, and
+its exact Gaussian-integer Fourier coefficients come from f's own
+(z, zbar) coefficients, one pair of Taylor shifts away
+(:func:`_exact_fourier`).  When the constant term outweighs the sum of
+all the others, disc II_f has that term's sign off the origin
+(``fourier-dominant-constant``).  This decides every census model
+P_m (x^2 + y^2)^k with n = m + 2k < m^2, all 627 rows for n = 3..60, and
+the elliptic radial powers.  Every other form has disc II_f multiplied
+out in the monomial basis and signed by the kernel below.
+
 A homogeneous p of even degree d has its sign pattern on R^2 \\ {0}
 determined by the slice u(t) = p(1, t) and the value p(0, 1): a direction
 (x, y) with x != 0 rescales to (1, y/x) by the positive factor x^d.
@@ -20,9 +31,10 @@ u(0) != 0, as the census models P_m (x^2 + y^2)^k and every form built
 from them have, is rootless iff g has no positive root, so the recursion
 first runs on g over s > 0 only, under a budget of one split per 12
 degrees: half the degree, a quarter of the work per Taylor shift and one
-side instead of two.  For the census n = 3..60 that proves 623 of the 627
-sign questions, one per row; the other 4 are slices of degree 6 to 10,
-whose budget is 0 splits.  Any other slice, and an even one not proved
+side instead of two.  On the discriminants of the census rows
+n = 3..60, which is_hyperbolic no longer asks the kernel about, that
+proves 623 of 627; the other 4 are slices of degree 6 to 10, whose budget
+is 0 splits.  Any other slice, and an even one not proved
 rootless, is first made squarefree: the heuristic gcd (Char, Geddes and
 Gonnet 1989) gives gcd(u, u') from one integer gcd, proved by two exact
 divisions, and the recursion isolates u / gcd(u, u') once, with no limit,
@@ -130,6 +142,78 @@ def _taylor_shift(a: list[int]) -> list[int]:
         b[:k] = accumulate(b[:k])
     b.reverse()
     return b
+
+
+def _fourier_halves(c: list[int]) -> list[tuple[int, int]]:
+    """Exact Horner coefficients of p = sum c_j x^(d-j) y^j on the circle.
+
+    On |z| = 1, 2x = z + 1/z and 2y = -i(z - 1/z), so 2^d p is
+    sum F_k z^(2k-d) with F(u, v) = p(u + v, -i(u - v)) = sum F_k u^k v^(d-k).
+    F_(d-k) is the conjugate of F_k, since p is real, so half of F is
+    enough.  Returns g_0, g_1, ... as (real, imaginary) int pairs such that
+    2^d p = Re(z^(d mod 2) sum g_i z^(2i)): the real F_(d/2) first when d
+    is even, then 2F_k for every k > d/2.
+
+    Split p(x, -iy) = E + iO, E holding the terms of even j and O those of
+    odd j.  The real substitution T: q -> q(u + v, u - v) gives
+    F = T(E) + iT(O), where T(E) is a palindrome and T(O) an antipalindrome,
+    so S = T(E + O) holds both: 2 Re F_k = S_k + S_(d-k) and
+    2 Im F_k = S_k - S_(d-k).  T is two Taylor shifts by 1: q(1, 1 + y),
+    then y -> -2 and x -> u + 1.
+    """
+    d = len(c) - 1
+    e = _taylor_shift([v * (1, -1, -1, 1)[j % 4] for j, v in enumerate(c)])
+    s = _taylor_shift([(-2) ** j * v for j, v in enumerate(e)][::-1])
+    half = [(s[k] + s[d - k], s[k] - s[d - k]) for k in range(d // 2 + 1, d + 1)]
+    return ([(s[d // 2], 0)] if d % 2 == 0 else []) + half
+
+
+def _exact_fourier(degree: int, *forms: HomoPoly) -> list[list[tuple[int, int]]]:
+    """Per form of ``forms`` (each of ``degree`` or zero), its exact
+    Fourier data as :func:`_fourier_halves` lays it out, all forms scaled
+    by one common positive denominator.
+
+    The forms are converted together, by one pair of Taylor shifts: form
+    i's numerators sit in a balanced slot of K bits at bit K i of one
+    integer per coefficient.  The conversion is linear over Z, so the
+    packed result is exactly sum_i F_i 2^(K i) for the forms' own results
+    F_i, however wide the intermediate values grow; only the final values
+    must fit their slots for the unpacking (balanced residues mod 2^K of
+    the low slots, the rest for the top one) to be exact.  Each is
+    S_j +- S_(d-j) (or S_(d/2)) for the coefficients S of the real
+    substitution, and sum_j |S_j| <= 2^d sum |c| <= 2^d (d + 1) max|c|,
+    since a monomial of degree d maps to one of absolute coefficient sum
+    2^d.  With max|c| < 2^bits, K = bits + d + bitlen(d + 1) + 3 keeps
+    every value below 2^(K - 3), well inside the slot's
+    [-2^(K - 1), 2^(K - 1)).  Costs O(degree^2) additions of integers of
+    k K bits for k forms.
+    """
+    size = degree + 1
+    nums, _ = _numerators(
+        [c for p in forms for c in (p.coeffs if not p.is_zero else (0,) * size)]
+    )
+    width = max(map(abs, nums)).bit_length() + degree + size.bit_length() + 3
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    packed = nums[:size]
+    for i in range(1, len(forms)):
+        packed = [p + (v << width * i) for p, v in zip(packed, nums[i * size:(i + 1) * size])]
+    series = _fourier_halves(packed)
+    # per form, its (real, imaginary) pairs by power of w: the balanced
+    # residues of the low slots, what is left for the top one
+    exact: list[list[tuple[int, int]]] = []
+    for _ in forms[1:]:
+        low = [(((re + half) & mask) - half, ((im + half) & mask) - half) for re, im in series]
+        exact.append(low)
+        series = [((re - lo) >> width, (im - li) >> width)
+                  for (re, im), (lo, li) in zip(series, low)]
+    exact.append(series)
+    return exact
+
+
+def _ceil_sqrt(n: int) -> int:
+    """ceil(sqrt(n)) for an integer n >= 0: isqrt(n - 1) + 1 >= sqrt(n)
+    for n >= 1, so it bounds |h| from above when n = |h|^2."""
+    return math.isqrt(n - 1) + 1 if n else 0
 
 
 def _prem(f: list[int], g: list[int]) -> list[int]:
@@ -608,14 +692,89 @@ def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
     return NonnegativityCertificate(True, False, None, "no-negative-probe")
 
 
+FOURIER_CONSTANT = "fourier-dominant-constant"
+
+
+def _dominant_constant_sign(f: HomoPoly) -> int:
+    """1 or -1, the sign of disc II_f off the origin, when the constant
+    Fourier term of disc II_f on the unit circle outweighs all the others;
+    0 when it does not.
+
+    With z = x + iy, f = sum_k G_k z^k conj(z)^(d-k) and G_(d-k) =
+    conj(G_k).  Then disc II_f = 4 (|f_zz|^2 - f_zzbar^2), where
+    f_zz = sum k(k-1) G_k z^(k-2) conj(z)^(d-k) and
+    f_zzbar = sum k(d-k) G_k z^(k-1) conj(z)^(d-k-1) is real; on |z| = 1
+    they are a = sum a_k z^(2k-d-2) and c = sum c_k z^(2k-d).  One exact
+    conversion (:func:`_exact_fourier`) gives 2^(d+1) G_k times one positive
+    factor, a Gaussian integer per k, and disc II_f is a positive multiple
+    of D = |a|^2 - c^2 = sum_s D_s z^(2s), D_-s = conj(D_s), with
+    D_s = sum_k a_(k+s) conj(a_k) - sum_k c_k c_(d+s-k).  D_0 =
+    sum |a_k|^2 - sum |c_k|^2 by Parseval, as c_(d-k) = conj(c_k).  When
+    |D_0| > 2 sum_(s>0) |D_s|, D has the sign of D_0 on the whole circle,
+    and so has the homogeneous disc II_f off the origin.  The test is on
+    integers, each |D_s| bounded above by :func:`_ceil_sqrt`, and stops at
+    the first s where the bound reaches |D_0|.  For the census models
+    P_m (x^2 + y^2)^k, D is linear in cos 2m phi and the test decides
+    exactly when n = m + 2k < m^2 (see ``census.CensusRow``).
+    """
+    d = f.degree
+    (top,) = _exact_fourier(d, f)
+    # top holds F_(d/2) = 2^d G_(d/2) first when d is even, then 2 F_k for
+    # k > d/2; with the first doubled too, the conjugates of the upper half
+    # and then that half give 2 F_k for k = 0..d
+    if d % 2 == 0:
+        top[0] = (2 * top[0][0], 0)
+    doubled = [(re, -im) for re, im in reversed(top[1 - d % 2:])] + top
+    a, c = {}, {}
+    for k, (re, im) in enumerate(doubled):
+        if re or im:
+            if k > 1:
+                a[k] = (k * (k - 1) * re, k * (k - 1) * im)
+            if 0 < k < d:
+                c[k] = (k * (d - k) * re, k * (d - k) * im)
+    d0 = sum(re * re + im * im for re, im in a.values()) - sum(
+        re * re + im * im for re, im in c.values())
+    if not d0:
+        return 0
+    # |D - D_0| <= 2 sum_(s>0) |D_s|; D_s can be nonzero only for s <= d - 2
+    bound = 0
+    for s in range(1, d - 1):
+        re = im = 0
+        for k, (ar, ai) in a.items():
+            if (k - s) in a:
+                br, bi = a[k - s]
+                re += ar * br + ai * bi
+                im += ai * br - ar * bi
+        for k, (cr, ci) in c.items():
+            if (d + s - k) in c:
+                er, ei = c[d + s - k]
+                re -= cr * er - ci * ei
+                im -= cr * ei + ci * er
+        bound += 2 * _ceil_sqrt(re * re + im * im)
+        if bound >= abs(d0):
+            return 0
+    return 1 if d0 > 0 else -1
+
+
 def is_hyperbolic(f: HomoPoly) -> tuple[bool, SignCertificate, QuadForm]:
     """(ok, cert, II_f): cert is the exact sign verdict on the discriminant
     of II_f, and ok says it is POSITIVE, f hyperbolic.  The same verdict
     NEGATIVE says f is elliptic.  II_f is the form whose discriminant was
-    signed, so a caller that goes on to its line field builds no second."""
+    signed, so a caller that goes on to its line field builds no second.
+
+    The verdict is first read from a dominant constant Fourier term of
+    disc II_f on the unit circle (:func:`_dominant_constant_sign`, method
+    ``fourier-dominant-constant``, no witness), which needs neither the
+    discriminant's monomial coefficients nor a root of it, and decides
+    every census row.  Where no such term dominates, the discriminant is
+    multiplied out and :func:`sign_on_punctured_plane` decides."""
     if f.degree < 2:
         raise DomainError(f"hyperbolicity needs degree >= 2, got {f.degree}")
     w = second_fundamental_form(f)
+    sign = _dominant_constant_sign(f)
+    if sign:
+        verdict = Verdict.POSITIVE if sign > 0 else Verdict.NEGATIVE
+        return sign > 0, SignCertificate(verdict, method=FOURIER_CONSTANT), w
     cert = sign_on_punctured_plane(discriminant(w))
     return cert.verdict is Verdict.POSITIVE, cert, w
 

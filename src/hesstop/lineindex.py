@@ -26,8 +26,8 @@ rounding residual is recorded and gated.
 The float layer evaluates forms on the unit circle in the Fourier basis.
 All the forms one call reads (A, B and C, or the alignment form) are
 converted together, once and exactly, to the coefficients of their
-trigonometric polynomials (:func:`_exact_fourier`: the forms packed into
-one integer per coefficient, one pair of Taylor shifts for all), and
+trigonometric polynomials (``classify._exact_fourier``: the forms packed
+into one integer per coefficient, one pair of Taylor shifts for all), and
 rounded once (:func:`_float_coeffs`), keeping only the nonzero powers.  A
 value is then one complex Horner pass over the gaps between those powers
 of e^(2i phi), and one pair of evaluators serves every form count: the
@@ -52,78 +52,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .classify import SturmChain, _taylor_shift, count_real_roots
+from .classify import SturmChain, _ceil_sqrt, _exact_fourier, count_real_roots
 from .errors import DomainError, NotHyperbolicHere, RefinementLimit
-from .polyalg import HomoPoly, _numerators
+from .polyalg import HomoPoly
 from .quadform import QuadForm
 
 _MAX_DEPTH = 20
-
-
-def _fourier_halves(c: list[int]) -> list[tuple[int, int]]:
-    """Exact Horner coefficients of p = sum c_j x^(d-j) y^j on the circle.
-
-    On |z| = 1, 2x = z + 1/z and 2y = -i(z - 1/z), so 2^d p is
-    sum F_k z^(2k-d) with F(u, v) = p(u + v, -i(u - v)) = sum F_k u^k v^(d-k).
-    F_(d-k) is the conjugate of F_k, since p is real, so half of F is
-    enough.  Returns g_0, g_1, ... as (real, imaginary) int pairs such that
-    2^d p = Re(z^(d mod 2) sum g_i z^(2i)): the real F_(d/2) first when d
-    is even, then 2F_k for every k > d/2.
-
-    Split p(x, -iy) = E + iO, E holding the terms of even j and O those of
-    odd j.  The real substitution T: q -> q(u + v, u - v) gives
-    F = T(E) + iT(O), where T(E) is a palindrome and T(O) an antipalindrome,
-    so S = T(E + O) holds both: 2 Re F_k = S_k + S_(d-k) and
-    2 Im F_k = S_k - S_(d-k).  T is two Taylor shifts by 1: q(1, 1 + y),
-    then y -> -2 and x -> u + 1.
-    """
-    d = len(c) - 1
-    e = _taylor_shift([v * (1, -1, -1, 1)[j % 4] for j, v in enumerate(c)])
-    s = _taylor_shift([(-2) ** j * v for j, v in enumerate(e)][::-1])
-    half = [(s[k] + s[d - k], s[k] - s[d - k]) for k in range(d // 2 + 1, d + 1)]
-    return ([(s[d // 2], 0)] if d % 2 == 0 else []) + half
-
-
-def _exact_fourier(degree: int, *forms: HomoPoly) -> list[list[tuple[int, int]]]:
-    """Per form of ``forms`` (each of ``degree`` or zero), its exact
-    Fourier data as :func:`_fourier_halves` lays it out, all forms scaled
-    by one common positive denominator.
-
-    The forms are converted together, by one pair of Taylor shifts: form
-    i's numerators sit in a balanced slot of K bits at bit K i of one
-    integer per coefficient.  The conversion is linear over Z, so the
-    packed result is exactly sum_i F_i 2^(K i) for the forms' own results
-    F_i, however wide the intermediate values grow; only the final values
-    must fit their slots for the unpacking (balanced residues mod 2^K of
-    the low slots, the rest for the top one) to be exact.  Each is
-    S_j +- S_(d-j) (or S_(d/2)) for the coefficients S of the real
-    substitution, and sum_j |S_j| <= 2^d sum |c| <= 2^d (d + 1) max|c|,
-    since a monomial of degree d maps to one of absolute coefficient sum
-    2^d.  With max|c| < 2^bits, K = bits + d + bitlen(d + 1) + 3 keeps
-    every value below 2^(K - 3), well inside the slot's
-    [-2^(K - 1), 2^(K - 1)).  Costs O(degree^2) additions of integers of
-    k K bits for k forms.
-    """
-    size = degree + 1
-    nums, _ = _numerators(
-        [c for p in forms for c in (p.coeffs if not p.is_zero else (0,) * size)]
-    )
-    width = max(map(abs, nums)).bit_length() + degree + size.bit_length() + 3
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    packed = nums[:size]
-    for i in range(1, len(forms)):
-        packed = [p + (v << width * i) for p, v in zip(packed, nums[i * size:(i + 1) * size])]
-    series = _fourier_halves(packed)
-    # per form, its (real, imaginary) pairs by power of w: the balanced
-    # residues of the low slots, what is left for the top one
-    exact: list[list[tuple[int, int]]] = []
-    for _ in forms[1:]:
-        low = [(((re + half) & mask) - half, ((im + half) & mask) - half) for re, im in series]
-        exact.append(low)
-        series = [((re - lo) >> width, (im - li) >> width)
-                  for (re, im), (lo, li) in zip(series, low)]
-    exact.append(series)
-    return exact
 
 
 def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
@@ -139,10 +73,10 @@ def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
     degree has one term.  When every form is zero, one zero step
     (1, 0j, ..., 0j) with tail 0 keeps the number of forms.
 
-    The Fourier coefficients are exact integers (:func:`_exact_fourier`),
-    after one common denominator; they are rounded to floats once, all
-    scaled by one power of two.  A common positive factor changes neither
-    a line direction nor a sign.
+    The Fourier coefficients are exact integers
+    (``classify._exact_fourier``), after one common denominator; they are
+    rounded to floats once, all scaled by one power of two.  A common
+    positive factor changes neither a line direction nor a sign.
     """
     exact = _exact_fourier(degree, *forms)
     bits = max(abs(v).bit_length() for series in exact for pair in series for v in pair)
@@ -368,7 +302,7 @@ def _dominant_winding(w: QuadForm) -> Optional[int]:
     """The winding number K of F = (A - C) + 2iB around the unit circle
     when one Fourier term of F outweighs all the others, else None.
 
-    One exact conversion of A - C and B (:func:`_exact_fourier`) gives,
+    One exact conversion of A - C and B (``classify._exact_fourier``) gives,
     up to one positive factor, A - C = Re sum_e g_e z^e and
     B = Re sum_e g'_e z^e on |z| = 1, over e >= 0.  As Re(g z^e) =
     (g z^e + conj(g) z^-e)/2 there, twice that factor times F is
@@ -377,8 +311,8 @@ def _dominant_winding(w: QuadForm) -> Optional[int]:
     (g_0 and g'_0 are real).  If |h_K| > sum_(e != K) |h_e|, then
     |F - h_K z^K| < |h_K z^K| on the circle, so F has no zero there and
     winds K times, as h_K z^K does (Rouche's theorem).  The test is on
-    integers: isqrt(|h_K|^2) <= |h_K| and isqrt(n - 1) + 1 >= sqrt(n) for
-    n >= 1.
+    integers: isqrt(|h_K|^2) <= |h_K|, and ``classify._ceil_sqrt`` bounds
+    every other |h_e| from above.
     """
     odd = w.degree % 2
     diff, b = _exact_fourier(w.degree, w.a - w.c, w.b)
@@ -391,7 +325,7 @@ def _dominant_winding(w: QuadForm) -> Optional[int]:
         else:
             norms[0] = 4 * re * re + 16 * bre * bre
     top = max(norms, key=norms.get)
-    rest = sum(math.isqrt(n - 1) + 1 for e, n in norms.items() if n and e != top)
+    rest = sum(_ceil_sqrt(n) for e, n in norms.items() if e != top)
     return top if math.isqrt(norms[top]) > rest else None
 
 

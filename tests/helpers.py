@@ -683,7 +683,7 @@ def reflection_identity_holds(m: int) -> bool:
 def reference_float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
     """The (steps, tail) Horner data of ``forms``, converting each form by
     its own call of ``_fourier_halves``."""
-    from hesstop.lineindex import _fourier_halves
+    from hesstop.classify import _fourier_halves
 
     nums, _ = _numerators(
         [c for p in forms for c in (p.coeffs if not p.is_zero else (0,) * (degree + 1))]

@@ -107,10 +107,14 @@ class TestCertifyRow:
         return wrapper
 
     def test_each_hypothesis_proved_once(self, monkeypatch):
-        # a saddle row and a product row each make one kernel call, on
-        # disc II_f of f = product_family(m, k), and reach no isotopy: the
-        # kernels are counted in classify, where is_hyperbolic calls them,
-        # and every name is counted wherever it lives
+        # a saddle row and a product row each prove f = product_family(m, k)
+        # hyperbolic once, from a dominant Fourier term of disc II_f, with
+        # no sign kernel call, and reach no isotopy: the kernels are counted
+        # in classify, where is_hyperbolic would call them, and every name
+        # is counted wherever it lives.  The kernel, asked directly on
+        # disc II_f, gives the same verdict.
+        kernel = classify.sign_on_punctured_plane
+
         def refuse(*args):
             raise AssertionError("certify_row ran the product isotopy")
 
@@ -133,14 +137,14 @@ class TestCertifyRow:
             assert set(bundle) == {"row", "product_hyperbolic", "index"}
             f = product_family(row.m, row.k)
             assert {name: len(seen) for name, seen in calls.items()} == {
-                "sign_on_punctured_plane": 1,
+                "sign_on_punctured_plane": 0,
                 "certify_nonnegative": 0,
                 "is_hyperbolic": 1,
                 "certify_pairing_nonpositive": 0,
             }
-            assert calls["sign_on_punctured_plane"] == [
-                (discriminant(second_fundamental_form(f)),)
-            ]
+            cert = bundle["product_hyperbolic"]
+            assert cert.method == classify.FOURIER_CONSTANT
+            assert cert.verdict is kernel(discriminant(second_fundamental_form(f))).verdict
             assert calls["is_hyperbolic"] == [(f,)]
 
     def test_index_read_from_the_verdict_form(self, monkeypatch):

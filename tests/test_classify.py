@@ -266,11 +266,13 @@ class TestNonnegativity:
 
 class TestClassification:
     def test_monkey_saddle_hyperbolic(self):
-        # the verdict hands back the II_f whose discriminant it signed
+        # the verdict hands back the II_f whose discriminant it signed; the
+        # dominant Fourier term proves it, and the kernel on disc II_f agrees
         ok, cert, w = is_hyperbolic(saddle_family(3))
         assert ok and cert.verdict is Verdict.POSITIVE
+        assert cert.method == classify.FOURIER_CONSTANT and cert.witness is None
         assert w == second_fundamental_form(saddle_family(3))
-        assert cert == sign_on_punctured_plane(discriminant(w))
+        assert cert.verdict is sign_on_punctured_plane(discriminant(w)).verdict
 
     def test_circle_not_hyperbolic_but_elliptic(self):
         ok, cert, _ = is_hyperbolic(radial_family(1))
@@ -300,6 +302,89 @@ class TestClassification:
         ok, cert, _ = is_hyperbolic(parse("x^4 - y^4"))
         assert not ok
         assert cert.verdict is Verdict.MIXED
+
+
+def _kernel_verdict(f):
+    return sign_on_punctured_plane(discriminant(second_fundamental_form(f))).verdict
+
+
+class TestFourierDominantConstant:
+    """The constant Fourier term of disc II_f on the circle decides exactly
+    the census models below the boundary n = m^2, and never disagrees with
+    the sign kernel where it decides."""
+
+    dominant = staticmethod(classify._dominant_constant_sign)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_models_decided_exactly_below_the_boundary(self, m):
+        # P_m (x^2 + y^2)^k for n = m + 2k up to m^2 + 4, both sides
+        for k in range((m * m - m) // 2 + 3):
+            n = m + 2 * k
+            f = product_family(m, k)
+            assert self.dominant(f) == (1 if n < m * m else 0), (m, k)
+            if n == m * m:
+                # the constant term only equals the rest, and the kernel
+                # finds the parabolic rays
+                ok, cert, _ = is_hyperbolic(f)
+                assert not ok and cert.verdict is Verdict.MIXED
+                assert cert.method != classify.FOURIER_CONSTANT
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_radial_powers_negative(self, k):
+        assert self.dominant(radial_family(k)) == -1
+        ok, cert, w = is_hyperbolic(radial_family(k))
+        assert not ok and cert.verdict is Verdict.NEGATIVE
+        assert cert.method == classify.FOURIER_CONSTANT and cert.witness is None
+        assert w == second_fundamental_form(radial_family(k))
+
+    @pytest.mark.parametrize("text", ["x^2", "y^2", "2*x + 3*y", "x - 5*y", "x + y"])
+    def test_parabolic_forms_left_to_the_kernel(self, text):
+        # x^2 and the powers of a line have disc II_f = 0: every Fourier
+        # term is 0, and the kernel answers
+        base = parse(text)
+        for n in (1, 2, 3, 5, 8):
+            f = base ** n
+            if f.degree < 2:
+                continue
+            assert self.dominant(f) == 0
+            ok, cert, _ = is_hyperbolic(f)
+            assert not ok and cert.verdict is Verdict.ZERO
+            assert cert.method != classify.FOURIER_CONSTANT
+
+    def test_every_census_row_to_60(self):
+        for n in range(3, 61):
+            for row in enumerate_rows(n):
+                f = product_family(row.m, row.k)
+                assert self.dominant(f) == 1, row
+                assert _kernel_verdict(f) is Verdict.POSITIVE, row
+
+    def test_agrees_with_the_kernel_on_random_forms(self):
+        rng = random.Random(29)
+        forms = [random_homopoly(rng, d, max_abs=9) for d in range(2, 25) for _ in range(8)]
+        # products of definite quadratics, and census models plus a small
+        # dense perturbation, which the test often decides
+        for _ in range(60):
+            f = HomoPoly.constant(1)
+            for _ in range(rng.randint(1, 4)):
+                a, c = rng.randint(1, 9), rng.randint(1, 9)
+                f = multiply(f, HomoPoly(2, (a, rng.randint(-2, 2), c)))
+            forms.append(f)
+        for _ in range(60):
+            m = rng.randint(3, 9)
+            f = product_family(m, rng.randint(0, (m * m - m) // 2 + 2))
+            noise = HomoPoly(f.degree, tuple(rng.randint(-3, 3) for _ in range(f.degree + 1)))
+            forms.append(f * rng.randint(2, 40) + noise)
+        decided = {1: 0, -1: 0}
+        for f in forms:
+            sign = self.dominant(f)
+            if sign:
+                decided[sign] += 1
+                want = Verdict.POSITIVE if sign > 0 else Verdict.NEGATIVE
+                assert _kernel_verdict(f) is want, f
+                ok, cert, _ = is_hyperbolic(f)
+                assert ok == (sign > 0) and cert.verdict is want
+                assert cert.method == classify.FOURIER_CONSTANT
+        assert decided[1] >= 10 and decided[-1] >= 10, decided
 
 
 class TestPolarCriterion:
@@ -432,8 +517,12 @@ class TestOneChainPerSlice:
         assert gcds == []
 
     def test_descartes_proof_builds_no_chain(self, chains):
-        ok, cert, _ = is_hyperbolic(product_family(20, 1))
-        assert ok and cert.method == "descartes-no-real-roots"
+        # is_hyperbolic proves this row from a Fourier term, so the kernel
+        # is asked directly
+        f = product_family(20, 1)
+        cert = sign_on_punctured_plane(discriminant(second_fundamental_form(f)))
+        assert cert.verdict is Verdict.POSITIVE
+        assert cert.method == "descartes-no-real-roots"
         assert chains == []
 
     @pytest.mark.parametrize(
@@ -737,12 +826,16 @@ class TestDescartesRootless:
         # the degree-14 slice of P_7 (x^2 + y^2) needs a split on each side,
         # and its budget is 14 // 12 = 1; it is even, so its half-degree
         # g(s) = u(sqrt s) is tested on s > 0 only, and one split proves it
-        u = [int(c) for c in discriminant(second_fundamental_form(product_family(7, 1))).coeffs]
+        # (is_hyperbolic proves this form from a dominant Fourier term, so
+        # the kernel is asked directly, here and for the sheared form)
+        disc = discriminant(second_fundamental_form(product_family(7, 1)))
+        u = [int(c) for c in disc.coeffs]
         flip = [-c if j % 2 else c for j, c in enumerate(u)]
         assert _positive_roots(u, 1, False) == _positive_roots(flip, 1, False) == ([], 0)
         assert _positive_roots(u[::2], 1, False) == ([], 0)
-        ok, cert, _ = is_hyperbolic(product_family(7, 1))
-        assert ok and cert.method == "descartes-no-real-roots"
+        cert = sign_on_punctured_plane(disc)
+        assert cert.verdict is Verdict.POSITIVE
+        assert cert.method == "descartes-no-real-roots"
         # sheared by (x, y) -> (x + y, y) the form is still hyperbolic, but
         # its degree-14 slice is not even: the recursion runs on both sides
         # of its squarefree part with no budget, and answers
@@ -754,16 +847,18 @@ class TestDescartesRootless:
             return positive_roots(g, splits, zero_root)
 
         monkeypatch.setattr(classify, "_positive_roots", spy)
-        f = _sheared(product_family(7, 1))
-        u = [int(c) for c in discriminant(second_fundamental_form(f)).coeffs]
-        assert any(u[1::2])
-        ok, cert, _ = is_hyperbolic(f)
-        assert ok and cert.method == "descartes-no-real-roots"
+        disc = discriminant(second_fundamental_form(_sheared(product_family(7, 1))))
+        assert any(disc.coeffs[1::2])
+        cert = sign_on_punctured_plane(disc)
+        assert cert.verdict is Verdict.POSITIVE
+        assert cert.method == "descartes-no-real-roots"
         assert budgets == [None, None]
 
     def test_degree_236_slice(self):
-        ok, cert, _ = is_hyperbolic(product_family(118, 1))
-        assert ok and cert.method == "descartes-no-real-roots"
+        f = product_family(118, 1)
+        cert = sign_on_punctured_plane(discriminant(second_fundamental_form(f)))
+        assert cert.verdict is Verdict.POSITIVE
+        assert cert.method == "descartes-no-real-roots"
 
 
 class TestEvenRoute:

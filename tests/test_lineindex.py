@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from hesstop.errors import DomainError, NotHyperbolicHere
-from hesstop.classify import is_hyperbolic
+from hesstop.classify import _fourier_halves, is_hyperbolic
 from hesstop.census import enumerate_rows
 from hesstop.lineindex import (
     CAUCHY_CHAIN,
@@ -17,7 +17,6 @@ from hesstop.lineindex import (
     _cauchy_index,
     _dominant_winding,
     _float_coeffs,
-    _fourier_halves,
     _grid,
     index_at_origin,
     origin_index,
