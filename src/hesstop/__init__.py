@@ -25,6 +25,7 @@ from .isotopy import (
 from .lineindex import (
     DirectionTrace,
     HalfIndex,
+    hyperbolic_index,
     index_at_origin,
     origin_index,
 )

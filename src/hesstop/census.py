@@ -6,15 +6,15 @@ For degree n the rows are the pure saddle (k = 0, m = n) together with
 every product saddle_family(m) * radial_family(k) with k >= 1,
 m = n - 2k > max(2, k).  Each row's asymptotic line field has origin index
 (2 - m)/2; the indexes are pairwise distinct, so the rows land in pairwise
-distinct connected components.  certify_row proves every row in one way:
-product_family(m, k) is hyperbolic (classify.is_hyperbolic, from a
-dominant constant Fourier term of disc II_f, which decides every row as
-:class:`CensusRow` derives), and the origin index of the II_f that verdict
-signed is exactly (2 - m)/2, read with no floating point from one
-dominant Fourier term of the line field (lineindex.origin_index), which
-decides every row up to n = 120 without a Sturm chain.  No isotopy is
-needed, since distinct indexes already put the rows in distinct
-components.
+distinct connected components.  certify_row proves every row in one way,
+from one exact conversion of f = product_family(m, k) to its Fourier data
+(lineindex.hyperbolic_index): f is hyperbolic, from a dominant constant
+Fourier term of disc II_f, which decides every row as :class:`CensusRow`
+derives, and the origin index of the II_f that verdict signed is exactly
+(2 - m)/2, read with no floating point from one dominant Fourier term of
+the line field in the same data, which decides every row up to n = 120
+without a Sturm chain.  No isotopy is needed, since distinct indexes
+already put the rows in distinct components.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import is_hyperbolic
 from .errors import DomainError, PreconditionFailed
-from .lineindex import origin_index
+from .lineindex import hyperbolic_index
 from .polyalg import product_family
 
 
@@ -41,7 +40,7 @@ class CensusRow:
     is linear in cos(2m phi).  At cos = -1 it is (a - b)^2/4 > 0, and at
     cos = +1 it is ((a + b)/2)^2 - c^2, positive exactly when a + b > 2c;
     a + b - 2c = m^2 - n.  The smaller end value is the constant term less
-    the other two, so classify.is_hyperbolic's dominant-constant test
+    the other two, so the dominant-constant test of classify.is_hyperbolic
     decides f exactly when n < m^2.  The guard m > max(2, k) keeps every
     row there: n < 3m <= m^2.
     """
@@ -113,17 +112,18 @@ def certify_row(row: CensusRow) -> dict:
     """Certify one census row; the bundle is {"row", "product_hyperbolic",
     "index"}, each certificate once.
 
-    "product_hyperbolic" proves f = product_family(m, k) hyperbolic (for
-    k = 0 that is the saddle itself), and "index" is the exact origin
-    index of the II_f that proof signed (from a dominant Fourier term, or a
-    Cauchy index chain where none dominates; its ``method`` says which),
-    which must equal the theoretical (2 - m)/2.  Raises PreconditionFailed
-    naming the failing certificate, product_hyperbolic or index_matches.
+    Both come from one conversion of f = product_family(m, k) to its
+    Fourier data (lineindex.hyperbolic_index).  "product_hyperbolic"
+    proves f hyperbolic (for k = 0 that is the saddle itself), and "index"
+    is the exact origin index of the II_f that proof signed (from a
+    dominant Fourier term, or a Cauchy index chain where none dominates;
+    its ``method`` says which), which must equal the theoretical
+    (2 - m)/2.  Raises PreconditionFailed naming the failing certificate,
+    product_hyperbolic or index_matches.
     """
-    hyp_ok, hyp_cert, w = is_hyperbolic(product_family(row.m, row.k))
-    if not hyp_ok:
+    hyp_cert, _, half = hyperbolic_index(product_family(row.m, row.k))
+    if half is None:
         raise PreconditionFailed("product_hyperbolic", f"row {row}")
-    half = origin_index(w)
     if half.value != row.index:
         raise PreconditionFailed(
             "index_matches",

@@ -695,19 +695,21 @@ def certify_nonnegative(p: HomoPoly) -> NonnegativityCertificate:
 FOURIER_CONSTANT = "fourier-dominant-constant"
 
 
-def _dominant_constant_sign(f: HomoPoly) -> int:
-    """1 or -1, the sign of disc II_f off the origin, when the constant
-    Fourier term of disc II_f on the unit circle outweighs all the others;
-    0 when it does not.
+def _dominant_constant_sign(f: HomoPoly) -> tuple[int, Optional[list[tuple[int, int]]]]:
+    """(sign, g): sign is 1 or -1, the sign of disc II_f off the origin,
+    when the constant Fourier term of disc II_f on the unit circle
+    outweighs all the others, and 0 when it does not; g lists 2 F_k for
+    k = 0..d, as (real, imaginary) int pairs, or is None when nothing was
+    converted.
 
     With z = x + iy, f = sum_k G_k z^k conj(z)^(d-k) and G_(d-k) =
     conj(G_k).  Then disc II_f = 4 (|f_zz|^2 - f_zzbar^2), where
     f_zz = sum k(k-1) G_k z^(k-2) conj(z)^(d-k) and
     f_zzbar = sum k(d-k) G_k z^(k-1) conj(z)^(d-k-1) is real; on |z| = 1
     they are a = sum a_k z^(2k-d-2) and c = sum c_k z^(2k-d).  One exact
-    conversion (:func:`_exact_fourier`) gives 2^(d+1) G_k times one positive
-    factor, a Gaussian integer per k, and disc II_f is a positive multiple
-    of D = |a|^2 - c^2 = sum_s D_s z^(2s), D_-s = conj(D_s), with
+    conversion (:func:`_exact_fourier`) gives F_k = 2^d G_k times one
+    positive factor, a Gaussian integer per k, and disc II_f is a positive
+    multiple of D = |a|^2 - c^2 = sum_s D_s z^(2s), D_-s = conj(D_s), with
     D_s = sum_k a_(k+s) conj(a_k) - sum_k c_k c_(d+s-k).  D_0 =
     sum |a_k|^2 - sum |c_k|^2 by Parseval, as c_(d-k) = conj(c_k).  When
     |D_0| > 2 sum_(s>0) |D_s|, D has the sign of D_0 on the whole circle,
@@ -716,8 +718,18 @@ def _dominant_constant_sign(f: HomoPoly) -> int:
     the first s where the bound reaches |D_0|.  For the census models
     P_m (x^2 + y^2)^k, D is linear in cos 2m phi and the test decides
     exactly when n = m + 2k < m^2 (see ``census.CensusRow``).
+
+    A dominant constant term forces one strict sign everywhere, so f is
+    converted only when disc II_f has one at (1, 0) and (0, 1):
+    (d-1)^2 c_1^2 - 2d(d-1) c_0 c_2 there for f = sum c_j x^(d-j) y^j, and
+    the same on c_d, c_(d-1), c_(d-2).  A hyperbolic or elliptic f always
+    passes, so g is None only for a form that is neither.
     """
     d = f.degree
+    ends = [(d - 1) ** 2 * u1 * u1 - 2 * d * (d - 1) * u0 * u2
+            for u0, u1, u2 in (f.coeffs[:3], f.coeffs[:-4:-1])]
+    if ends[0] * ends[1] <= 0:
+        return 0, None
     (top,) = _exact_fourier(d, f)
     # top holds F_(d/2) = 2^d G_(d/2) first when d is even, then 2 F_k for
     # k > d/2; with the first doubled too, the conjugates of the upper half
@@ -735,7 +747,7 @@ def _dominant_constant_sign(f: HomoPoly) -> int:
     d0 = sum(re * re + im * im for re, im in a.values()) - sum(
         re * re + im * im for re, im in c.values())
     if not d0:
-        return 0
+        return 0, doubled
     # |D - D_0| <= 2 sum_(s>0) |D_s|; D_s can be nonzero only for s <= d - 2
     bound = 0
     for s in range(1, d - 1):
@@ -752,8 +764,26 @@ def _dominant_constant_sign(f: HomoPoly) -> int:
                 im -= cr * ei + ci * er
         bound += 2 * _ceil_sqrt(re * re + im * im)
         if bound >= abs(d0):
-            return 0
-    return 1 if d0 > 0 else -1
+            return 0, doubled
+    return (1 if d0 > 0 else -1), doubled
+
+
+def _hyperbolic_verdict(
+    f: HomoPoly,
+) -> tuple[SignCertificate, QuadForm, Optional[list[tuple[int, int]]]]:
+    """(cert, II_f, g) for :func:`is_hyperbolic` and
+    ``lineindex.hyperbolic_index``: the verdict on disc II_f, the II_f it
+    signed, and the Fourier data g of f that
+    :func:`_dominant_constant_sign` converted (None only when cert is
+    neither POSITIVE nor NEGATIVE)."""
+    if f.degree < 2:
+        raise DomainError(f"hyperbolicity needs degree >= 2, got {f.degree}")
+    w = second_fundamental_form(f)
+    sign, g = _dominant_constant_sign(f)
+    if sign:
+        verdict = Verdict.POSITIVE if sign > 0 else Verdict.NEGATIVE
+        return SignCertificate(verdict, method=FOURIER_CONSTANT), w, g
+    return sign_on_punctured_plane(discriminant(w)), w, g
 
 
 def is_hyperbolic(f: HomoPoly) -> tuple[bool, SignCertificate, QuadForm]:
@@ -768,14 +798,7 @@ def is_hyperbolic(f: HomoPoly) -> tuple[bool, SignCertificate, QuadForm]:
     discriminant's monomial coefficients nor a root of it, and decides
     every census row.  Where no such term dominates, the discriminant is
     multiplied out and :func:`sign_on_punctured_plane` decides."""
-    if f.degree < 2:
-        raise DomainError(f"hyperbolicity needs degree >= 2, got {f.degree}")
-    w = second_fundamental_form(f)
-    sign = _dominant_constant_sign(f)
-    if sign:
-        verdict = Verdict.POSITIVE if sign > 0 else Verdict.NEGATIVE
-        return sign > 0, SignCertificate(verdict, method=FOURIER_CONSTANT), w
-    cert = sign_on_punctured_plane(discriminant(w))
+    cert, w, _ = _hyperbolic_verdict(f)
     return cert.verdict is Verdict.POSITIVE, cert, w
 
 

@@ -15,32 +15,36 @@ outside 1..foliation.MAX_SEEDS and polynomial text longer than
 MAX_POLY_TEXT characters are usage errors.  An error message quotes at most
 errors.ECHO_CHARS characters of the user's text.
 
-index, certify and census --certify read origin indexes exactly
-(origin_index: from a dominant Fourier term of the line field when one
-outweighs the rest, as for every saddle and census model, else from a
-Cauchy index chain); index first proves the form hyperbolic and exits 1
-naming the hypothesis when it is not.  index, foliate and census rows read
-II_f from that verdict (classify.is_hyperbolic returns the II_f whose
-discriminant it signed), so each builds II_f once.  Only index --trace
-and the foliate figures run the float tracer.  foliate checks the float
-separatrix count against the exact number of distinct real linear factors
-of f and exits 1 with both numbers when they differ; it counts 0 lines for
-an elliptic form but refuses to draw one (--svg/--csv exit 1 naming
-``hyperbolic``, before any sampling).  The float layer samples forms in
-the Fourier basis, where nothing cancels: the tracer and foliate agree
+index, certify and census --certify read origin indexes exactly, from a
+dominant Fourier term of the line field when one outweighs the rest, as
+for every saddle and census model, else from a Cauchy index chain.  index
+and census rows prove f hyperbolic and read the index from one conversion
+of f (lineindex.hyperbolic_index), and index exits 1 naming the
+hypothesis when f is not hyperbolic; certify reads the forms its isotopy
+joins (lineindex.origin_index).  index, foliate and census rows read II_f
+from the hyperbolicity verdict, which returns the II_f whose discriminant
+it signed, so each builds II_f once.  Only index --trace and the foliate
+figures run the float tracer.  foliate checks the float separatrix count
+against the exact number of distinct real linear factors of f and exits 1
+with both numbers when they differ; it counts 0 lines for an elliptic
+form but refuses to draw one (--svg/--csv exit 1 naming ``hyperbolic``,
+before any sampling).  The float layer samples forms in the Fourier
+basis, where nothing cancels: the tracer and foliate agree
 with the exact answers on the saddle family up to the degree cap (the
 monomial basis failed from P:112 and P:86).  A batch of figures is a
 shell loop of checked foliate calls: ``for s in P:3 P:4 f:3,1; do python
 -m hesstop foliate --family $s --svg out/$s.svg; done``.
 
 JSON shapes: classify prints {"classification": label, "certificate":
-{...}}; index prints {"index": "n/2"}; verify-ineq prints
+{...}}; index prints {"index": "n/2", "method": m}, m naming how the index
+was read (rouche-dominant-term or cauchy-index-chain); verify-ineq prints
 {"pairing_nonpositive": bool, "certificate": {...}}, the certificate of
 -hessian_pairing(p, q) >= 0, whose witness is a point where the pairing is
-positive; certify prints "certified" (the two exact origin indexes agree: a
-returned isotopy certificate has passed every hypothesis), "certificate",
-"index_product" and "index_factor", read from the II_{pq} and II_p the
-certificate joins, or {"certified": false, "failed_hypothesis": name}.
+positive; certify prints "certified" (the two exact origin indexes agree:
+a returned isotopy certificate has passed every hypothesis),
+"certificate", "index_product" and "index_factor", read from the II_{pq}
+and II_p the certificate joins, or {"certified": false,
+"failed_hypothesis": name}.
 The certificate's "hypotheses" are, in order, p_hyperbolic, q_elliptic,
 q_positive, product_hyperbolic and pairing_nonpositive, each with its
 exact certificate, then gradient_term_leg, a nested certificate whose
@@ -73,7 +77,7 @@ from .foliation import (
     trace_foliation,
 )
 from .isotopy import certify_product_isotopy
-from .lineindex import index_at_origin, origin_index
+from .lineindex import hyperbolic_index, index_at_origin, origin_index
 from .polyalg import MAX_DEGREE, HomoPoly, parse, radial_family, saddle_family
 
 
@@ -196,15 +200,15 @@ def _cmd_classify(args) -> int:
 
 def _cmd_index(args) -> int:
     f = _load_poly(args, 2)
-    label, _, w = _classification(f)
-    if label != "hyperbolic":
+    cert, w, half = hyperbolic_index(f)
+    if half is None:
+        label = _CLASS_LABELS.get(cert.verdict, "neither")
         raise PreconditionFailed(
             "hyperbolic", f"the line field index needs a hyperbolic form; this one is {label}"
         )
-    half = origin_index(w)
     if args.trace:
         _write(index_at_origin(w)[1].to_csv, args.trace)
-    _emit(args, {"index": str(half)}, f"index {half}")
+    _emit(args, {"index": str(half), "method": half.method}, f"index {half}")
     return 0
 
 

@@ -8,13 +8,17 @@ A dx^2 + 2B dxdy + C dy^2 is hyperbolic its null lines satisfy
 the arccos term stays inside (0, pi).  So the index of either branch is
 half the winding number of the pair (A - C, 2B) on the circle.
 
-origin_index reads that winding exactly; ``index``, census rows and
-``certify`` use it.  Where one Fourier term h_K z^K of (A - C) + 2iB on the
-circle outweighs the sum of all the others, the winding is K by Rouche's
-theorem, an integer test on the exact Fourier data below; that decides
-every census model.  Otherwise the winding is a Cauchy index from one
-Sturm chain of the integer kernel (Basu, Pollack and Roy, Algorithms in
-Real Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977).
+Two entry points read that winding exactly.  hyperbolic_index takes f
+itself, for ``index`` and census rows: one conversion of f to its Fourier
+data proves f hyperbolic (``classify.is_hyperbolic``'s verdict) and gives
+the Fourier terms of (A - C) + 2iB = 4 f_zbarzbar.  origin_index takes any
+form w, for the forms ``certify`` joins.  Where one Fourier term h_K z^K
+of (A - C) + 2iB on the circle outweighs the sum of all the others, the
+winding is K by Rouche's theorem, one integer test (:func:`_dominant_term`)
+on either source of exact Fourier data; that decides every census model.
+Otherwise the winding is a Cauchy index from one Sturm chain of the
+integer kernel (Basu, Pollack and Roy, Algorithms in Real Algebraic
+Geometry, ch. 2; compare Eisenbud and Levine 1977).
 index_at_origin samples the winding of
 one fixed branch, 2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R), along the
 circle at a fixed density of max(1024, 8 * degree) samples, so no branch is
@@ -52,7 +56,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .classify import SturmChain, _ceil_sqrt, _exact_fourier, count_real_roots
+from .classify import (
+    SignCertificate,
+    SturmChain,
+    Verdict,
+    _ceil_sqrt,
+    _exact_fourier,
+    _hyperbolic_verdict,
+    count_real_roots,
+)
 from .errors import DomainError, NotHyperbolicHere, RefinementLimit
 from .polyalg import HomoPoly
 from .quadform import QuadForm
@@ -298,9 +310,24 @@ def index_at_origin(w: QuadForm) -> tuple[HalfIndex, DirectionTrace]:
     return HalfIndex(numerator, residual), DirectionTrace(samples, unwrapped, max_depth)
 
 
+def _dominant_term(norms: dict[int, int]) -> Optional[int]:
+    """The exponent K of F = sum_e h_e z^e on the unit circle, given every
+    |h_e|^2 in ``norms``, when |h_K| > sum_(e != K) |h_e|, else None.
+
+    Then |F - h_K z^K| < |h_K z^K| on the circle, so F has no zero there
+    and winds K times, as h_K z^K does (Rouche's theorem).  The test is on
+    integers: isqrt(|h_K|^2) <= |h_K|, and ``classify._ceil_sqrt`` bounds
+    every other |h_e| from above.
+    """
+    top = max(norms, key=norms.get)
+    rest = sum(_ceil_sqrt(n) for e, n in norms.items() if e != top)
+    return top if math.isqrt(norms[top]) > rest else None
+
+
 def _dominant_winding(w: QuadForm) -> Optional[int]:
-    """The winding number K of F = (A - C) + 2iB around the unit circle
-    when one Fourier term of F outweighs all the others, else None.
+    """The winding number of F = (A - C) + 2iB around the unit circle
+    when one Fourier term of F outweighs all the others
+    (:func:`_dominant_term`), else None.
 
     One exact conversion of A - C and B (``classify._exact_fourier``) gives,
     up to one positive factor, A - C = Re sum_e g_e z^e and
@@ -308,11 +335,7 @@ def _dominant_winding(w: QuadForm) -> Optional[int]:
     (g z^e + conj(g) z^-e)/2 there, twice that factor times F is
     sum_e h_e z^e with the Gaussian integers h_e = g_e + 2i g'_e and
     h_-e = conj(g_e) + 2i conj(g'_e) for e > 0, and h_0 = 2 g_0 + 4i g'_0
-    (g_0 and g'_0 are real).  If |h_K| > sum_(e != K) |h_e|, then
-    |F - h_K z^K| < |h_K z^K| on the circle, so F has no zero there and
-    winds K times, as h_K z^K does (Rouche's theorem).  The test is on
-    integers: isqrt(|h_K|^2) <= |h_K|, and ``classify._ceil_sqrt`` bounds
-    every other |h_e| from above.
+    (g_0 and g'_0 are real).
     """
     odd = w.degree % 2
     diff, b = _exact_fourier(w.degree, w.a - w.c, w.b)
@@ -324,9 +347,7 @@ def _dominant_winding(w: QuadForm) -> Optional[int]:
             norms[-e] = (re + 2 * bim) ** 2 + (2 * bre - im) ** 2
         else:
             norms[0] = 4 * re * re + 16 * bre * bre
-    top = max(norms, key=norms.get)
-    rest = sum(_ceil_sqrt(n) for e, n in norms.items() if e != top)
-    return top if math.isqrt(norms[top]) > rest else None
+    return _dominant_term(norms)
 
 
 def _cauchy_index(w: QuadForm) -> int:
@@ -368,7 +389,37 @@ def origin_index(w: QuadForm) -> HalfIndex:
     together in a real direction: at (0, 1), or at a real root of the
     chain's last entry, which is their gcd.
     """
-    winding = _dominant_winding(w)
+    return _exact_half_index(_dominant_winding(w), w)
+
+
+def _exact_half_index(winding: Optional[int], w: QuadForm) -> HalfIndex:
+    """The exact index of ``w`` from a dominant term's winding (``ROUCHE``),
+    or from the Cauchy index chain when no term dominates (``CAUCHY_CHAIN``)."""
     if winding is not None:
         return HalfIndex(winding, 0.0, ROUCHE)
     return HalfIndex(_cauchy_index(w), 0.0, CAUCHY_CHAIN)
+
+
+def hyperbolic_index(f: HomoPoly) -> tuple[SignCertificate, QuadForm, Optional[HalfIndex]]:
+    """(cert, II_f, index) from one exact conversion of f: cert and II_f as
+    ``classify.is_hyperbolic`` returns them, and the exact origin index of
+    II_f when cert is POSITIVE, else None.
+
+    The verdict converts f to its (z, zbar) coefficients G_k, f =
+    sum_k G_k z^k conj(z)^(d-k), and the index is read from the same
+    data: A - C + 2iB = 4 f_zbarzbar, which on |z| = 1 is
+    4 sum_k (d-k)(d-k-1) G_k z^(2k-d+2), so the Fourier term h_e of F at
+    e = 2k - d + 2 is (d-k)(d-k-1) G_k up to one positive factor, one k
+    per e.  When one term dominates (:func:`_dominant_term`) the index is
+    half its exponent (``ROUCHE``); otherwise it is the Cauchy index of
+    :func:`origin_index` (``CAUCHY_CHAIN``), with no second conversion for
+    a Rouche test on II_f's own data, which reads the same terms.
+    """
+    cert, w, g = _hyperbolic_verdict(f)
+    if cert.verdict is not Verdict.POSITIVE:
+        return cert, w, None
+    d = f.degree
+    # a hyperbolic f passed the verdict's end check, so g holds 2 F_k
+    norms = {2 * k - d + 2: ((d - k) * (d - k - 1)) ** 2 * (re * re + im * im)
+             for k, (re, im) in enumerate(g[:d - 1])}
+    return cert, w, _exact_half_index(_dominant_term(norms), w)

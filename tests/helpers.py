@@ -54,6 +54,7 @@ from hesstop.polyalg import (
     complex_power_parts,
     multiply,
     partial,
+    product_family,
     saddle_family,
 )
 from hesstop.quadform import (
@@ -79,6 +80,27 @@ def random_homopoly(
         ]
         if any(c != 0 for c in coeffs):
             return HomoPoly(degree, tuple(coeffs))
+
+
+def fourier_constant_forms() -> list[HomoPoly]:
+    """The seeded forms on which the dominant constant Fourier term of
+    disc II_f is checked against the kernel: dense random forms of degree
+    2 to 24, products of definite quadratics, and census models plus a
+    small dense perturbation, which the test often decides."""
+    rng = random.Random(29)
+    forms = [random_homopoly(rng, d, max_abs=9) for d in range(2, 25) for _ in range(8)]
+    for _ in range(60):
+        f = HomoPoly.constant(1)
+        for _ in range(rng.randint(1, 4)):
+            a, c = rng.randint(1, 9), rng.randint(1, 9)
+            f = multiply(f, HomoPoly(2, (a, rng.randint(-2, 2), c)))
+        forms.append(f)
+    for _ in range(60):
+        m = rng.randint(3, 9)
+        f = product_family(m, rng.randint(0, (m * m - m) // 2 + 2))
+        noise = HomoPoly(f.degree, tuple(rng.randint(-3, 3) for _ in range(f.degree + 1)))
+        forms.append(f * rng.randint(2, 40) + noise)
+    return forms
 
 
 def dict_multiply(p: HomoPoly, q: HomoPoly) -> dict[tuple[int, int], Fraction]:

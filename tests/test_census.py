@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hesstop import census, classify, isotopy
+from hesstop import census, classify, isotopy, lineindex
 from hesstop.census import CensusRow, certify_row, enumerate_rows, lower_bound
 from hesstop.errors import DomainError, PreconditionFailed
 from hesstop.polyalg import product_family
@@ -110,9 +110,10 @@ class TestCertifyRow:
         # a saddle row and a product row each prove f = product_family(m, k)
         # hyperbolic once, from a dominant Fourier term of disc II_f, with
         # no sign kernel call, and reach no isotopy: the kernels are counted
-        # in classify, where is_hyperbolic would call them, and every name
-        # is counted wherever it lives.  The kernel, asked directly on
-        # disc II_f, gives the same verdict.
+        # in classify, where the verdict would call them, and every name
+        # is counted wherever it lives.  The verdict and the index come from
+        # one conversion, of f, and none of II_f.  The kernel, asked
+        # directly on disc II_f, gives the same verdict.
         kernel = classify.sign_on_punctured_plane
 
         def refuse(*args):
@@ -122,9 +123,9 @@ class TestCertifyRow:
             if hasattr(module, "certify_product_isotopy"):
                 monkeypatch.setattr(module, "certify_product_isotopy", refuse)
         names = ("sign_on_punctured_plane", "certify_nonnegative", "is_hyperbolic",
-                 "certify_pairing_nonpositive")
+                 "hyperbolic_index", "certify_pairing_nonpositive", "_exact_fourier")
         calls = {name: [] for name in names}
-        for module in (census, classify):
+        for module in (census, classify, lineindex):
             for name, seen in calls.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, self.counted(getattr(module, name), seen))
@@ -139,37 +140,51 @@ class TestCertifyRow:
             assert {name: len(seen) for name, seen in calls.items()} == {
                 "sign_on_punctured_plane": 0,
                 "certify_nonnegative": 0,
-                "is_hyperbolic": 1,
+                "is_hyperbolic": 0,
+                "hyperbolic_index": 1,
                 "certify_pairing_nonpositive": 0,
+                "_exact_fourier": 1,
             }
             cert = bundle["product_hyperbolic"]
             assert cert.method == classify.FOURIER_CONSTANT
             assert cert.verdict is kernel(discriminant(second_fundamental_form(f))).verdict
-            assert calls["is_hyperbolic"] == [(f,)]
+            assert calls["hyperbolic_index"] == [(f,)]
+            assert calls["_exact_fourier"] == [(f.degree, f)]
 
     def test_index_read_from_the_verdict_form(self, monkeypatch):
-        # a row reads its index from the II_f its hyperbolicity verdict
-        # returned; census builds no II of its own
-        verdicts, read = [], []
-        hyperbolic = census.is_hyperbolic
+        # a row reads its index from the Fourier data its hyperbolicity
+        # verdict converted: II_f is neither converted nor read by an
+        # origin_index of its own, and census builds no II of its own
+        verdicts, converted = [], []
+        read = census.hyperbolic_index
 
         def verdict(f):
-            verdicts.append(hyperbolic(f))
+            verdicts.append(read(f))
             return verdicts[-1]
 
-        monkeypatch.setattr(census, "is_hyperbolic", verdict)
-        monkeypatch.setattr(census, "origin_index", self.counted(census.origin_index, read))
+        def refuse(*args):
+            raise AssertionError("certify_row converted II_f")
+
+        monkeypatch.setattr(census, "hyperbolic_index", verdict)
+        monkeypatch.setattr(lineindex, "_dominant_winding", refuse)
+        monkeypatch.setattr(lineindex, "origin_index", refuse)
+        for module in (classify, lineindex):
+            monkeypatch.setattr(module, "_exact_fourier",
+                                self.counted(classify._exact_fourier, converted))
         assert not hasattr(census, "second_fundamental_form")
+        assert not hasattr(census, "origin_index")
         rows = [enumerate_rows(13)[i] for i in (0, 3)]
         assert [(row.k, row.m) for row in rows] == [(0, 13), (3, 7)]
         for row in rows:
             verdicts.clear()
-            read.clear()
+            converted.clear()
             bundle = certify_row(row)
-            ((_, cert, w),) = verdicts
-            ((read_w,),) = read
-            assert read_w is w
+            ((cert, w, half),) = verdicts
+            f = product_family(row.m, row.k)
+            assert converted == [(f.degree, f)]
+            assert w == second_fundamental_form(f)
             assert bundle["product_hyperbolic"] is cert
+            assert bundle["index"] is half
             assert set(bundle) == {"row", "product_hyperbolic", "index"}
             assert bundle["index"].value == row.index
 

@@ -40,6 +40,7 @@ from helpers import (
     cauchy_radius,
     circle_samples,
     descartes_count_roots,
+    fourier_constant_forms,
     isolate_real_roots,
     random_homopoly,
     random_sign_class_form,
@@ -313,7 +314,9 @@ class TestFourierDominantConstant:
     the census models below the boundary n = m^2, and never disagrees with
     the sign kernel where it decides."""
 
-    dominant = staticmethod(classify._dominant_constant_sign)
+    @staticmethod
+    def dominant(f):
+        return classify._dominant_constant_sign(f)[0]
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_models_decided_exactly_below_the_boundary(self, m):
@@ -359,23 +362,8 @@ class TestFourierDominantConstant:
                 assert _kernel_verdict(f) is Verdict.POSITIVE, row
 
     def test_agrees_with_the_kernel_on_random_forms(self):
-        rng = random.Random(29)
-        forms = [random_homopoly(rng, d, max_abs=9) for d in range(2, 25) for _ in range(8)]
-        # products of definite quadratics, and census models plus a small
-        # dense perturbation, which the test often decides
-        for _ in range(60):
-            f = HomoPoly.constant(1)
-            for _ in range(rng.randint(1, 4)):
-                a, c = rng.randint(1, 9), rng.randint(1, 9)
-                f = multiply(f, HomoPoly(2, (a, rng.randint(-2, 2), c)))
-            forms.append(f)
-        for _ in range(60):
-            m = rng.randint(3, 9)
-            f = product_family(m, rng.randint(0, (m * m - m) // 2 + 2))
-            noise = HomoPoly(f.degree, tuple(rng.randint(-3, 3) for _ in range(f.degree + 1)))
-            forms.append(f * rng.randint(2, 40) + noise)
         decided = {1: 0, -1: 0}
-        for f in forms:
+        for f in fourier_constant_forms():
             sign = self.dominant(f)
             if sign:
                 decided[sign] += 1
@@ -385,6 +373,40 @@ class TestFourierDominantConstant:
                 assert ok == (sign > 0) and cert.verdict is want
                 assert cert.method == classify.FOURIER_CONSTANT
         assert decided[1] >= 10 and decided[-1] >= 10, decided
+
+    def test_end_check_skips_only_forms_of_neither_sign(self):
+        # disc II_f at (1, 0) and (0, 1) from three end coefficients each:
+        # f is converted only when both share a strict sign, so a skipped
+        # form is neither hyperbolic nor elliptic, and every form the
+        # constant test decides is converted.  Dense forms with 20-bit
+        # coefficients are skipped about a third of the time.
+        rng = random.Random(80)
+        dense = [random_homopoly(rng, d, max_abs=1 << 20, denominators=(1,))
+                 for d in range(10, 41, 2) for _ in range(2)]
+        skipped = 0
+        for f in fourier_constant_forms() + dense:
+            disc = discriminant(second_fundamental_form(f))
+            ends = disc.evaluate(1, 0) * disc.evaluate(0, 1)
+            sign, g = classify._dominant_constant_sign(f)
+            if g is None:
+                skipped += 1
+                assert sign == 0 and ends <= 0, f
+                assert _kernel_verdict(f) not in (Verdict.POSITIVE, Verdict.NEGATIVE), f
+            else:
+                assert ends > 0, f
+                assert len(g) == f.degree + 1
+        assert skipped >= 20, skipped
+
+    @pytest.mark.parametrize("text", ["x^4 - y^4", "x^4 + x^2*y^2 + x*y^3"])
+    def test_skipped_form_is_not_converted(self, monkeypatch, text):
+        # disc II_f vanishes at (1, 0), or has opposite signs at (1, 0)
+        # and (0, 1): the kernel answers with no conversion of f
+        def refuse(*args):
+            raise AssertionError("converted a form the end check rules out")
+
+        monkeypatch.setattr(classify, "_exact_fourier", refuse)
+        ok, cert, _ = is_hyperbolic(parse(text))
+        assert not ok and cert.verdict is Verdict.MIXED
 
 
 class TestPolarCriterion:

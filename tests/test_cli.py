@@ -14,6 +14,7 @@ from hesstop.cli import MAX_POLY_TEXT, main
 from hesstop.foliation import MAX_SEEDS, count_separatrices
 from hesstop.polyalg import (
     MAX_DEGREE,
+    HomoPoly,
     format_poly,
     multiply,
     product_family,
@@ -100,7 +101,16 @@ class TestIndex:
     def test_saddle_index(self, capsys):
         code, out, _ = run(capsys, "index", "--family", "P:5", "--json")
         assert code == 0
-        assert json.loads(out) == {"index": "-3/2"}
+        assert json.loads(out) == {"index": "-3/2", "method": "rouche-dominant-term"}
+
+    def test_index_names_the_chain_where_no_term_dominates(self, capsys):
+        # five integer lines: no Fourier term of f_zbarzbar outweighs the rest
+        f = HomoPoly(0, (1,))
+        for line in ((-5, 3), (-8, -7), (8, -6), (2, 9), (-8, 7)):
+            f = multiply(f, HomoPoly(1, line))
+        code, out, _ = run(capsys, "index", "--poly", format_poly(f), "--json")
+        assert code == 0
+        assert json.loads(out) == {"index": "-3/2", "method": "cauchy-index-chain"}
 
     def test_index_does_not_sample(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

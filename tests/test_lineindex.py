@@ -15,12 +15,15 @@ from hesstop.lineindex import (
     HalfIndex,
     _at,
     _cauchy_index,
+    _dominant_term,
     _dominant_winding,
     _float_coeffs,
     _grid,
+    hyperbolic_index,
     index_at_origin,
     origin_index,
 )
+from hesstop.isotopy import certify_product_isotopy
 from hesstop.polyalg import (
     HomoPoly,
     _numerators,
@@ -37,6 +40,7 @@ from helpers import (
     _directions_from_values,
     asymptotic_lines,
     dense_horner_abc,
+    fourier_constant_forms,
     line_distance,
     random_homopoly,
     reference_float_coeffs,
@@ -432,6 +436,74 @@ class TestDominantWinding:
         assert _dominant_winding(w) is None
         with pytest.raises(DomainError):
             origin_index(w)
+
+
+class TestHyperbolicIndex:
+    """The index read from f's own Fourier data G_k, the terms of
+    (A - C) + 2iB = 4 f_zbarzbar, against the Rouche test on II_f's own
+    conversion and the Cauchy index chain."""
+
+    @staticmethod
+    def check(f):
+        """hyperbolic_index(f) against is_hyperbolic, and its index against
+        _dominant_winding and _cauchy_index of II_f; the index, or None when
+        f is not hyperbolic."""
+        cert, w, half = hyperbolic_index(f)
+        ok, want, want_w = is_hyperbolic(f)
+        assert cert == want and w == want_w, f
+        if not ok:
+            assert half is None, f
+            return None
+        winding = _dominant_winding(w)
+        assert half.method == (CAUCHY_CHAIN if winding is None else ROUCHE), f
+        assert half.numerator == _cauchy_index(w), f
+        assert half == origin_index(w), f
+        return half
+
+    def test_census_rows_up_to_n_60(self):
+        rows = [row for n in range(3, 61) for row in enumerate_rows(n)]
+        for row in rows:
+            half = self.check(product_family(row.m, row.k))
+            assert half == HalfIndex(2 - row.m, 0.0, ROUCHE), row
+
+    def test_seeded_forms_of_the_constant_test(self):
+        methods = [half.method for f in fourier_constant_forms()
+                   if (half := self.check(f)) is not None]
+        assert methods.count(ROUCHE) == 52 and methods.count(CAUCHY_CHAIN) == 8, methods
+
+    def test_isotopy_joins(self):
+        # the two forms a product isotopy joins are II_{pq} and II_p, so
+        # their indexes are read from pq and p themselves
+        pairs = [(row.m, row.k) for n in range(5, 16) for row in enumerate_rows(n) if row.k]
+        pairs += [(5, 5), (6, 10), (20, 6), (11, 50), (112, 1)]
+        for m, k in pairs:
+            p, q = saddle_family(m), radial_family(k)
+            cert = certify_product_isotopy(p, q)
+            for f, w in zip((multiply(p, q), p), cert.joins):
+                assert w == second_fundamental_form(f)
+                half = self.check(f)
+                assert half == HalfIndex(2 - m, 0.0, ROUCHE), (m, k)
+
+    def test_clustered_product_falls_back_to_the_chain(self):
+        # the 41 clustered integer lines of the CI classify step: no term
+        # of f_zbarzbar dominates, and the chain reads the index
+        lines = [(64, 1)] + [(j, 1) if j % 3 == 0 else (1, j) for j in range(-20, 21) if j]
+        f = _line_product(lines)
+        half = self.check(f)
+        assert half == HalfIndex(-39, 0.0, CAUCHY_CHAIN)
+
+    @pytest.mark.parametrize(
+        "text", ["x^2 + y^2", "x^6 + 3*x^4*y^2 + 3*x^2*y^4 + y^6", "x^4 - y^4", "x^2*y^2"]
+    )
+    def test_no_index_off_the_hyperbolic_forms(self, text):
+        assert self.check(parse(text)) is None
+
+    def test_dominant_term_is_strict(self):
+        # |h_0| = 2 against |h_1| + |h_-1| = 2 ties and does not decide;
+        # one unit more decides
+        assert _dominant_term({0: 4, 1: 1, -1: 1}) is None
+        assert _dominant_term({0: 9, 1: 1, -1: 1}) == 0
+        assert _dominant_term({3: 10 ** 6, -3: 0, 5: 1}) == 3
 
 
 # --- grids, packing and the per-sample oracle --------------------------------
