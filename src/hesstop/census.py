@@ -10,11 +10,12 @@ distinct connected components.  certify_row proves every row in one way,
 from one exact conversion of f = product_family(m, k) to its Fourier data
 (lineindex.hyperbolic_index): f is hyperbolic, from a dominant constant
 Fourier term of disc II_f, which decides every row as :class:`CensusRow`
-derives, and the origin index of the II_f that verdict signed is exactly
-(2 - m)/2, read with no floating point from one dominant Fourier term of
-the line field in the same data, which decides every row up to n = 120
-without a Sturm chain.  No isotopy is needed, since distinct indexes
-already put the rows in distinct components.
+derives, and the origin index of II_f is exactly (2 - m)/2, read with no
+floating point from one dominant Fourier term of the line field in the
+same data, which decides every row up to n = 120 without a Sturm chain.
+Neither proof multiplies out II_f, so no row builds it.  No isotopy is
+needed, since distinct indexes already put the rows in distinct
+components.
 """
 
 from __future__ import annotations
@@ -115,13 +116,13 @@ def certify_row(row: CensusRow) -> dict:
     Both come from one conversion of f = product_family(m, k) to its
     Fourier data (lineindex.hyperbolic_index).  "product_hyperbolic"
     proves f hyperbolic (for k = 0 that is the saddle itself), and "index"
-    is the exact origin index of the II_f that proof signed (from a
-    dominant Fourier term, or a Cauchy index chain where none dominates;
-    its ``method`` says which), which must equal the theoretical
+    is the exact origin index of II_f (from a dominant Fourier term of the
+    same data, or a Cauchy index chain on II_f where none dominates; its
+    ``method`` says which), which must equal the theoretical
     (2 - m)/2.  Raises PreconditionFailed naming the failing certificate,
     product_hyperbolic or index_matches.
     """
-    hyp_cert, _, half = hyperbolic_index(product_family(row.m, row.k))
+    hyp_cert, half = hyperbolic_index(product_family(row.m, row.k))
     if half is None:
         raise PreconditionFailed("product_hyperbolic", f"row {row}")
     if half.value != row.index:

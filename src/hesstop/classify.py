@@ -3,7 +3,7 @@ plane, and the hyperbolic/elliptic classification read off it.  A form f
 of degree >= 2 is hyperbolic when disc II_f is positive off the origin and
 elliptic when it is negative there: both are read off one sign
 certificate on disc II_f, which :func:`is_hyperbolic` returns together
-with the II_f it signed.
+with II_f.
 
 is_hyperbolic first tries a test that finds no root.  On the unit circle
 disc II_f = 4 (|f_zz|^2 - f_zzbar^2) is a trigonometric polynomial, and
@@ -269,9 +269,11 @@ def _heu_gcd(
     is gcd(u, v) if it divides both u and v (Geddes, Czapor and Labahn,
     Algorithms for Computer Algebra, 1992, Thm 7.7), so the two exact
     divisions prove an accepted candidate; the division of u is the
-    quotient returned.  xi = 2^k is the least power of two >= 2 min + 29,
-    so the evaluations (:func:`_at_power_of_two`) and the digits are shifts
-    and masks; a rejected candidate raises k by half, at most 6 tries.
+    quotient returned.  A candidate 1 needs no division: a unit divides
+    both, and the quotient is u itself.  xi = 2^k is the least power of
+    two >= 2 min + 29, so the evaluations (:func:`_at_power_of_two`) and
+    the digits are shifts and masks; a rejected candidate raises k by
+    half, at most 6 tries.
     """
     k = (2 * min(max(map(abs, u)), max(map(abs, v))) + 28).bit_length()
     for _ in range(6):
@@ -284,6 +286,8 @@ def _heu_gcd(
             g.append(c)
             gamma = (gamma - c) >> k
         g = _primitive(g)  # gamma > 0, so its top digit is positive
+        if g == [1]:  # a unit divides u and v: nothing to prove
+            return g, u
         try:
             quotient = _divexact(u, g)
             _divexact(v, g)
@@ -713,9 +717,11 @@ def _dominant_constant_sign(f: HomoPoly) -> tuple[int, Optional[list[tuple[int, 
     D_s = sum_k a_(k+s) conj(a_k) - sum_k c_k c_(d+s-k).  D_0 =
     sum |a_k|^2 - sum |c_k|^2 by Parseval, as c_(d-k) = conj(c_k).  When
     |D_0| > 2 sum_(s>0) |D_s|, D has the sign of D_0 on the whole circle,
-    and so has the homogeneous disc II_f off the origin.  The test is on
-    integers, each |D_s| bounded above by :func:`_ceil_sqrt`, and stops at
-    the first s where the bound reaches |D_0|.  For the census models
+    and so has the homogeneous disc II_f off the origin.  Every D_s is
+    summed at once over the pairs of nonzero a_k and of nonzero c_k
+    (:func:`_disc_terms`), O(d^2) products for a dense f and at most
+    eight for a census model, and the test is on integers, each |D_s|
+    bounded above by :func:`_ceil_sqrt`.  For the census models
     P_m (x^2 + y^2)^k, D is linear in cos 2m phi and the test decides
     exactly when n = m + 2k < m^2 (see ``census.CensusRow``).
 
@@ -744,61 +750,78 @@ def _dominant_constant_sign(f: HomoPoly) -> tuple[int, Optional[list[tuple[int, 
                 a[k] = (k * (k - 1) * re, k * (k - 1) * im)
             if 0 < k < d:
                 c[k] = (k * (d - k) * re, k * (d - k) * im)
-    d0 = sum(re * re + im * im for re, im in a.values()) - sum(
-        re * re + im * im for re, im in c.values())
-    if not d0:
+    re_s, im_s = _disc_terms(a, c, d)
+    d0 = re_s[0]
+    # |D - D_0| <= 2 sum_(s>0) |D_s|
+    bound = 2 * sum(_ceil_sqrt(re * re + im_s[s] ** 2) for s, re in re_s.items() if s)
+    if bound >= abs(d0):
         return 0, doubled
-    # |D - D_0| <= 2 sum_(s>0) |D_s|; D_s can be nonzero only for s <= d - 2
-    bound = 0
-    for s in range(1, d - 1):
-        re = im = 0
-        for k, (ar, ai) in a.items():
-            if (k - s) in a:
-                br, bi = a[k - s]
-                re += ar * br + ai * bi
-                im += ai * br - ar * bi
-        for k, (cr, ci) in c.items():
-            if (d + s - k) in c:
-                er, ei = c[d + s - k]
-                re -= cr * er - ci * ei
-                im -= cr * ei + ci * er
-        bound += 2 * _ceil_sqrt(re * re + im * im)
-        if bound >= abs(d0):
-            return 0, doubled
     return (1 if d0 > 0 else -1), doubled
+
+
+def _disc_terms(
+    a: dict[int, tuple[int, int]], c: dict[int, tuple[int, int]], d: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The real and the imaginary parts of D_s by s >= 0, from the nonzero
+    a_k and c_k of :func:`_dominant_constant_sign`, as (re, im) pairs by
+    k: D_s = sum a_k conj(a_k') over the pairs with k - k' = s, less
+    sum c_k c_k' over those with k + k' - d = s.  The keys are the s that
+    some pair reaches, none beyond d - 2, as 2 <= k' and k <= d for a and
+    0 < k, k' < d for c.  s = 0 is one: G_(d-k) = conj(G_k), so a nonzero
+    f has a nonzero G_k with k >= 2, or d = 2 and G_1 != 0.  D_0 =
+    sum |a_k|^2 - sum |c_k|^2 is real."""
+    re_s: dict[int, int] = {}
+    im_s: dict[int, int] = {}
+    for k, (ar, ai) in a.items():
+        for kk, (br, bi) in a.items():
+            if k >= kk:
+                s = k - kk
+                re_s[s] = re_s.get(s, 0) + ar * br + ai * bi
+                im_s[s] = im_s.get(s, 0) + ai * br - ar * bi
+    for k, (cr, ci) in c.items():
+        for kk, (er, ei) in c.items():
+            if k + kk >= d:
+                s = k + kk - d
+                re_s[s] = re_s.get(s, 0) - cr * er + ci * ei
+                im_s[s] = im_s.get(s, 0) - cr * ei - ci * er
+    return re_s, im_s
 
 
 def _hyperbolic_verdict(
     f: HomoPoly,
-) -> tuple[SignCertificate, QuadForm, Optional[list[tuple[int, int]]]]:
+) -> tuple[SignCertificate, Optional[QuadForm], Optional[list[tuple[int, int]]]]:
     """(cert, II_f, g) for :func:`is_hyperbolic` and
-    ``lineindex.hyperbolic_index``: the verdict on disc II_f, the II_f it
-    signed, and the Fourier data g of f that
+    ``lineindex.hyperbolic_index``: the verdict on disc II_f, the II_f
+    whose discriminant the sign kernel signed (None when the Fourier test
+    decided, which reads no II_f), and the Fourier data g of f that
     :func:`_dominant_constant_sign` converted (None only when cert is
     neither POSITIVE nor NEGATIVE)."""
     if f.degree < 2:
         raise DomainError(f"hyperbolicity needs degree >= 2, got {f.degree}")
-    w = second_fundamental_form(f)
     sign, g = _dominant_constant_sign(f)
     if sign:
         verdict = Verdict.POSITIVE if sign > 0 else Verdict.NEGATIVE
-        return SignCertificate(verdict, method=FOURIER_CONSTANT), w, g
+        return SignCertificate(verdict, method=FOURIER_CONSTANT), None, g
+    w = second_fundamental_form(f)
     return sign_on_punctured_plane(discriminant(w)), w, g
 
 
 def is_hyperbolic(f: HomoPoly) -> tuple[bool, SignCertificate, QuadForm]:
     """(ok, cert, II_f): cert is the exact sign verdict on the discriminant
     of II_f, and ok says it is POSITIVE, f hyperbolic.  The same verdict
-    NEGATIVE says f is elliptic.  II_f is the form whose discriminant was
-    signed, so a caller that goes on to its line field builds no second.
+    NEGATIVE says f is elliptic.  II_f is returned for a caller that goes
+    on to its line field, built once either way.
 
     The verdict is first read from a dominant constant Fourier term of
     disc II_f on the unit circle (:func:`_dominant_constant_sign`, method
-    ``fourier-dominant-constant``, no witness), which needs neither the
-    discriminant's monomial coefficients nor a root of it, and decides
-    every census row.  Where no such term dominates, the discriminant is
-    multiplied out and :func:`sign_on_punctured_plane` decides."""
+    ``fourier-dominant-constant``, no witness), which needs no II_f, nor
+    the discriminant's monomial coefficients or a root of it, and decides
+    every census row; II_f is built after it.  Where no such term
+    dominates, II_f and its discriminant are multiplied out and
+    :func:`sign_on_punctured_plane` decides."""
     cert, w, _ = _hyperbolic_verdict(f)
+    if w is None:
+        w = second_fundamental_form(f)
     return cert.verdict is Verdict.POSITIVE, cert, w
 
 

@@ -21,9 +21,10 @@ for every saddle and census model, else from a Cauchy index chain.  index
 and census rows prove f hyperbolic and read the index from one conversion
 of f (lineindex.hyperbolic_index), and index exits 1 naming the
 hypothesis when f is not hyperbolic; certify reads the forms its isotopy
-joins (lineindex.origin_index).  index, foliate and census rows read II_f
-from the hyperbolicity verdict, which returns the II_f whose discriminant
-it signed, so each builds II_f once.  Only index --trace and the foliate
+joins (lineindex.origin_index).  A census row and index build no II_f
+unless no Fourier term decides; index --trace builds it for the tracer,
+and foliate reads it from the hyperbolicity verdict, so each builds II_f
+at most once.  Only index --trace and the foliate
 figures run the float tracer.  foliate checks the float separatrix count
 against the exact number of distinct real linear factors of f and exits 1
 with both numbers when they differ; it counts 0 lines for an elliptic
@@ -79,6 +80,7 @@ from .foliation import (
 from .isotopy import certify_product_isotopy
 from .lineindex import hyperbolic_index, index_at_origin, origin_index
 from .polyalg import MAX_DEGREE, HomoPoly, parse, radial_family, saddle_family
+from .quadform import second_fundamental_form
 
 
 # Largest verify-identities --m-max: the checks cost about m^4 (0.5 s at
@@ -200,14 +202,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_index(args) -> int:
     f = _load_poly(args, 2)
-    cert, w, half = hyperbolic_index(f)
+    cert, half = hyperbolic_index(f)
     if half is None:
         label = _CLASS_LABELS.get(cert.verdict, "neither")
         raise PreconditionFailed(
             "hyperbolic", f"the line field index needs a hyperbolic form; this one is {label}"
         )
     if args.trace:
-        _write(index_at_origin(w)[1].to_csv, args.trace)
+        _write(index_at_origin(second_fundamental_form(f))[1].to_csv, args.trace)
     _emit(args, {"index": str(half), "method": half.method}, f"index {half}")
     return 0
 

@@ -11,14 +11,15 @@ half the winding number of the pair (A - C, 2B) on the circle.
 Two entry points read that winding exactly.  hyperbolic_index takes f
 itself, for ``index`` and census rows: one conversion of f to its Fourier
 data proves f hyperbolic (``classify.is_hyperbolic``'s verdict) and gives
-the Fourier terms of (A - C) + 2iB = 4 f_zbarzbar.  origin_index takes any
-form w, for the forms ``certify`` joins.  Where one Fourier term h_K z^K
-of (A - C) + 2iB on the circle outweighs the sum of all the others, the
-winding is K by Rouche's theorem, one integer test (:func:`_dominant_term`)
-on either source of exact Fourier data; that decides every census model.
-Otherwise the winding is a Cauchy index from one Sturm chain of the
-integer kernel (Basu, Pollack and Roy, Algorithms in Real Algebraic
-Geometry, ch. 2; compare Eisenbud and Levine 1977).
+the Fourier terms of (A - C) + 2iB = 4 f_zbarzbar, with no II_f built.
+origin_index takes any form w, for the forms ``certify`` joins.  Where
+one Fourier term h_K z^K of (A - C) + 2iB on the circle outweighs the
+sum of all the others, the winding is K by Rouche's theorem, one integer
+test (:func:`_dominant_term`) on either source of exact Fourier data;
+that decides every census model.  Otherwise the winding is a Cauchy
+index from one Sturm chain of the integer kernel on II_f, which
+hyperbolic_index builds only then (Basu, Pollack and Roy, Algorithms in
+Real Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977).
 index_at_origin samples the winding of
 one fixed branch, 2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R), along the
 circle at a fixed density of max(1024, 8 * degree) samples, so no branch is
@@ -67,7 +68,7 @@ from .classify import (
 )
 from .errors import DomainError, NotHyperbolicHere, RefinementLimit
 from .polyalg import HomoPoly
-from .quadform import QuadForm
+from .quadform import QuadForm, second_fundamental_form
 
 _MAX_DEPTH = 20
 
@@ -400,9 +401,9 @@ def _exact_half_index(winding: Optional[int], w: QuadForm) -> HalfIndex:
     return HalfIndex(_cauchy_index(w), 0.0, CAUCHY_CHAIN)
 
 
-def hyperbolic_index(f: HomoPoly) -> tuple[SignCertificate, QuadForm, Optional[HalfIndex]]:
-    """(cert, II_f, index) from one exact conversion of f: cert and II_f as
-    ``classify.is_hyperbolic`` returns them, and the exact origin index of
+def hyperbolic_index(f: HomoPoly) -> tuple[SignCertificate, Optional[HalfIndex]]:
+    """(cert, index) from one exact conversion of f: cert as
+    ``classify.is_hyperbolic`` returns it, and the exact origin index of
     II_f when cert is POSITIVE, else None.
 
     The verdict converts f to its (z, zbar) coefficients G_k, f =
@@ -410,16 +411,23 @@ def hyperbolic_index(f: HomoPoly) -> tuple[SignCertificate, QuadForm, Optional[H
     data: A - C + 2iB = 4 f_zbarzbar, which on |z| = 1 is
     4 sum_k (d-k)(d-k-1) G_k z^(2k-d+2), so the Fourier term h_e of F at
     e = 2k - d + 2 is (d-k)(d-k-1) G_k up to one positive factor, one k
-    per e.  When one term dominates (:func:`_dominant_term`) the index is
-    half its exponent (``ROUCHE``); otherwise it is the Cauchy index of
-    :func:`origin_index` (``CAUCHY_CHAIN``), with no second conversion for
-    a Rouche test on II_f's own data, which reads the same terms.
+    per e, and only the nonzero G_k enter the Rouche test.  A hyperbolic
+    f has one with k <= d - 2, as f_zbarzbar = 0 would make disc II_f =
+    -f_zzbar^2 <= 0.  When one term dominates (:func:`_dominant_term`)
+    the index is half its exponent (``ROUCHE``), and no II_f is built;
+    otherwise it is the Cauchy index of :func:`origin_index`
+    (``CAUCHY_CHAIN``) on II_f, built here unless the verdict's sign
+    kernel did, with no second conversion for a Rouche test on II_f's own
+    data, which reads the same terms.
     """
     cert, w, g = _hyperbolic_verdict(f)
     if cert.verdict is not Verdict.POSITIVE:
-        return cert, w, None
+        return cert, None
     d = f.degree
     # a hyperbolic f passed the verdict's end check, so g holds 2 F_k
     norms = {2 * k - d + 2: ((d - k) * (d - k - 1)) ** 2 * (re * re + im * im)
-             for k, (re, im) in enumerate(g[:d - 1])}
-    return cert, w, _exact_half_index(_dominant_term(norms), w)
+             for k, (re, im) in enumerate(g[:d - 1]) if re or im}
+    winding = _dominant_term(norms)
+    if winding is None and w is None:
+        w = second_fundamental_form(f)
+    return cert, _exact_half_index(winding, w)

@@ -55,6 +55,7 @@ from hesstop.polyalg import (
     multiply,
     partial,
     product_family,
+    radial_family,
     saddle_family,
 )
 from hesstop.quadform import (
@@ -100,6 +101,74 @@ def fourier_constant_forms() -> list[HomoPoly]:
         f = product_family(m, rng.randint(0, (m * m - m) // 2 + 2))
         noise = HomoPoly(f.degree, tuple(rng.randint(-3, 3) for _ in range(f.degree + 1)))
         forms.append(f * rng.randint(2, 40) + noise)
+    return forms
+
+
+def disc_term_inputs(g: list[tuple[int, int]], d: int) -> tuple[dict, dict]:
+    """The nonzero a_k = k(k-1) 2F_k (k >= 2) and c_k = k(d-k) 2F_k
+    (0 < k < d) of ``classify._dominant_constant_sign``, by k, from its
+    converted data g = [2F_0, ..., 2F_d]."""
+    a = {k: (k * (k - 1) * re, k * (k - 1) * im)
+         for k, (re, im) in enumerate(g) if k > 1 and (re or im)}
+    c = {k: (k * (d - k) * re, k * (d - k) * im)
+         for k, (re, im) in enumerate(g) if 0 < k < d and (re or im)}
+    return a, c
+
+
+def reference_disc_terms(a: dict, c: dict, d: int) -> dict[int, tuple[int, int]]:
+    """D_s as (re, im) for every s = 0..d-2, one s at a time: D_0 by
+    Parseval, then D_s = sum_k a_k conj(a_(k-s)) - sum_k c_k c_(d+s-k),
+    each sum over the k whose partner is nonzero too."""
+    terms = {0: (sum(re * re + im * im for re, im in a.values())
+                 - sum(re * re + im * im for re, im in c.values()), 0)}
+    for s in range(1, d - 1):
+        re = im = 0
+        for k, (ar, ai) in a.items():
+            if (k - s) in a:
+                br, bi = a[k - s]
+                re += ar * br + ai * bi
+                im += ai * br - ar * bi
+        for k, (cr, ci) in c.items():
+            if (d + s - k) in c:
+                er, ei = c[d + s - k]
+                re -= cr * er - ci * ei
+                im -= cr * ei + ci * er
+        terms[s] = (re, im)
+    return terms
+
+
+def reference_dominant_sign(a: dict, c: dict, d: int) -> int:
+    """The sign of D_0 when |D_0| > 2 sum_(s>0) ceil(|D_s|), else 0, the
+    bound summed one s at a time and the test stopped at the first s where
+    it reaches |D_0|."""
+    terms = reference_disc_terms(a, c, d)
+    d0 = terms[0][0]
+    if not d0:
+        return 0
+    bound = 0
+    for s in range(1, d - 1):
+        re, im = terms[s]
+        bound += 2 * (math.isqrt(re * re + im * im - 1) + 1 if re or im else 0)
+        if bound >= abs(d0):
+            return 0
+    return 1 if d0 > 0 else -1
+
+
+def dense_perturbed_models(count: int = 200) -> list[HomoPoly]:
+    """Seeded dense forms that the dominant-constant test converts: a
+    census model P_m (x^2 + y^2)^k or a radial power (x^2 + y^2)^k, scaled,
+    plus dense noise with every coefficient nonzero, so every G_k is
+    nonzero as a rule and the test decides some of them."""
+    rng = random.Random(31)
+    forms = []
+    while len(forms) < count:
+        if rng.random() < 0.3:
+            f = radial_family(rng.randint(1, 12))
+        else:
+            m = rng.randint(3, 10)
+            f = product_family(m, rng.randint(0, m + 3))
+        noise = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(f.degree + 1)]
+        forms.append(f * rng.choice((1, 4, 16, 64, 256)) + HomoPoly(f.degree, tuple(noise)))
     return forms
 
 

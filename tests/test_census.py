@@ -153,17 +153,19 @@ class TestCertifyRow:
 
     def test_index_read_from_the_verdict_form(self, monkeypatch):
         # a row reads its index from the Fourier data its hyperbolicity
-        # verdict converted: II_f is neither converted nor read by an
-        # origin_index of its own, and census builds no II of its own
+        # verdict converted: II_f is neither built, converted nor read by
+        # an origin_index of its own, in census or in the modules it calls,
+        # and the index is the Cauchy index of II_f built here
         verdicts, converted = [], []
         read = census.hyperbolic_index
+        cauchy = lineindex._cauchy_index
 
         def verdict(f):
             verdicts.append(read(f))
             return verdicts[-1]
 
         def refuse(*args):
-            raise AssertionError("certify_row converted II_f")
+            raise AssertionError("certify_row built or converted II_f")
 
         monkeypatch.setattr(census, "hyperbolic_index", verdict)
         monkeypatch.setattr(lineindex, "_dominant_winding", refuse)
@@ -171,6 +173,7 @@ class TestCertifyRow:
         for module in (classify, lineindex):
             monkeypatch.setattr(module, "_exact_fourier",
                                 self.counted(classify._exact_fourier, converted))
+            monkeypatch.setattr(module, "second_fundamental_form", refuse)
         assert not hasattr(census, "second_fundamental_form")
         assert not hasattr(census, "origin_index")
         rows = [enumerate_rows(13)[i] for i in (0, 3)]
@@ -179,14 +182,14 @@ class TestCertifyRow:
             verdicts.clear()
             converted.clear()
             bundle = certify_row(row)
-            ((cert, w, half),) = verdicts
+            ((cert, half),) = verdicts
             f = product_family(row.m, row.k)
             assert converted == [(f.degree, f)]
-            assert w == second_fundamental_form(f)
             assert bundle["product_hyperbolic"] is cert
             assert bundle["index"] is half
             assert set(bundle) == {"row", "product_hyperbolic", "index"}
             assert bundle["index"].value == row.index
+            assert half.numerator == cauchy(second_fundamental_form(f))
 
     def test_tampered_row_fails_by_name(self):
         row = CensusRow(8, 1, 6, F(-5, 2), 3)  # wrong theoretical index
@@ -243,3 +246,29 @@ class TestCertifyRowExactIndex:
         methods = {certify_row(row)["index"].method
                    for n in [*range(3, 61), 119, 120] for row in enumerate_rows(n)}
         assert built == [] and methods == {ROUCHE}
+
+    def test_every_row_to_120_from_one_conversion(self, monkeypatch):
+        # every row up to n = 120 converts f once, builds no II_f, and
+        # reads both proofs from the Fourier data
+        from hesstop.lineindex import ROUCHE
+
+        converted, exact = [], classify._exact_fourier
+
+        def counted(*args):
+            converted.append(args)
+            return exact(*args)
+
+        def refuse(*args):
+            raise AssertionError("certify_row built II_f")
+
+        for module in (classify, lineindex):
+            monkeypatch.setattr(module, "_exact_fourier", counted)
+            monkeypatch.setattr(module, "second_fundamental_form", refuse)
+        methods = set()
+        for n in range(3, 121):
+            for row in enumerate_rows(n):
+                converted.clear()
+                bundle = certify_row(row)
+                assert len(converted) == 1, row
+                methods.add((bundle["product_hyperbolic"].method, bundle["index"].method))
+        assert methods == {(classify.FOURIER_CONSTANT, ROUCHE)}

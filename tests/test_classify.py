@@ -40,10 +40,14 @@ from helpers import (
     cauchy_radius,
     circle_samples,
     descartes_count_roots,
+    dense_perturbed_models,
+    disc_term_inputs,
     fourier_constant_forms,
     isolate_real_roots,
     random_homopoly,
     random_sign_class_form,
+    reference_dominant_sign,
+    reference_disc_terms,
     reference_rational_root,
     reference_sign_at,
     reference_strict_violation_witness,
@@ -407,6 +411,56 @@ class TestFourierDominantConstant:
         monkeypatch.setattr(classify, "_exact_fourier", refuse)
         ok, cert, _ = is_hyperbolic(parse(text))
         assert not ok and cert.verdict is Verdict.MIXED
+
+
+class TestDiscTerms:
+    """The D_s of the dominant-constant test, summed over pairs of nonzero
+    terms (classify._disc_terms), against the per-s sums of
+    helpers.reference_disc_terms, and the verdict against the per-s test
+    with its early stop, on every form the test converts."""
+
+    @staticmethod
+    def check(f):
+        """(sign, the s that some pair reaches) for f, or (None, None) when
+        f is not converted."""
+        sign, g = classify._dominant_constant_sign(f)
+        if g is None:
+            return None, None
+        d = f.degree
+        a, c = disc_term_inputs(g, d)
+        re_s, im_s = classify._disc_terms(a, c, d)
+        want = reference_disc_terms(a, c, d)
+        assert set(re_s) == set(im_s) and set(re_s) <= set(want), f
+        assert {s: (re_s.get(s, 0), im_s.get(s, 0)) for s in want} == want, f
+        assert sign == reference_dominant_sign(a, c, d), f
+        return sign, set(re_s)
+
+    def test_census_rows_to_120(self):
+        signs = {self.check(product_family(row.m, row.k))[0]
+                 for n in range(3, 121) for row in enumerate_rows(n)}
+        assert signs == {1}
+
+    def test_seeded_forms_of_the_constant_test(self):
+        signs = [self.check(f)[0] for f in fourier_constant_forms()]
+        counts = {sign: signs.count(sign) for sign in (1, -1, 0, None)}
+        assert counts == {1: 44, -1: 38, 0: 133, None: 89}
+
+    def test_dense_perturbed_models(self):
+        forms = dense_perturbed_models()
+        checked = [(f, *self.check(f)) for f in forms]
+        signs = [sign for _, sign, _ in checked]
+        assert len(forms) == 200 and signs.count(None) <= 50
+        assert min(signs.count(1), signs.count(-1), signs.count(0)) >= 25
+        # dense: a pair reaches every s = 0..d-2
+        assert sum(keys == set(range(f.degree - 1)) for f, _, keys in checked if keys) >= 100
+
+    def test_one_term_forms(self):
+        # (x^2 + y^2)^k and P_m are one term G_k each, so D_0 is the only
+        # D_s: negative for the radial powers, positive for the saddles
+        for k in range(1, 9):
+            assert self.check(radial_family(k)) == (-1, {0})
+        for m in range(2, 12):
+            assert self.check(saddle_family(m)) == (1, {0})
 
 
 class TestPolarCriterion:
@@ -1311,6 +1365,29 @@ class TestHeuristicGcd:
         u, v = [1, 0, 1], [2, -32, 3]
         assert classify._heu_gcd(u, v) == ([1], u)
         assert classify._heu_gcd(v, u) == ([1], v)
+
+    def test_unit_candidate_makes_no_division(self, slices, monkeypatch):
+        # a candidate 1 divides u and v, so a squarefree slice gets ([1], u)
+        # with no _divexact call; a candidate of higher degree is accepted
+        # only after its two divisions, the last two calls
+        divisions = []
+        divexact = classify._divexact
+
+        def counted(f, g):
+            divisions.append(g)
+            return divexact(f, g)
+
+        monkeypatch.setattr(classify, "_divexact", counted)
+        units = 0
+        for u in slices:
+            divisions.clear()
+            g = self.heu_gcd(u)
+            if g == [1]:
+                units += 1
+                assert divisions == [], u
+            else:
+                assert divisions[-2:] == [g, g], u
+        assert 20 <= units < len(slices)
 
     def test_rejected_candidates_fall_back_to_the_chain(self, chains, monkeypatch):
         # the forms of two seeds, as in TestIntegerProbes

@@ -17,7 +17,6 @@ from hesstop.polyalg import (
     HomoPoly,
     format_poly,
     multiply,
-    product_family,
     radial_family,
     saddle_family,
 )
@@ -432,10 +431,12 @@ class TestCertifyExactIndex:
 
 
 class TestSecondFundamentalFormBuiltOnce:
-    """II_f is built once per form: a census row, index and foliate read it
-    from the hyperbolicity verdict, and certify builds only the
-    II_q, II_p and II_{pq} its isotopy proves and joins.  The builder is
-    counted in every module that holds it."""
+    """II_f is built at most once per form: a census row and index --json
+    build none, since their verdict and index are read from f's Fourier
+    data; index --trace builds one for the tracer and foliate reads one
+    from the hyperbolicity verdict; certify builds only the II_q, II_p and
+    II_{pq} its isotopy proves and joins.  The builder is counted in every
+    module that holds it."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -458,17 +459,23 @@ class TestSecondFundamentalFormBuiltOnce:
         row = census.enumerate_rows(13)[0]
         assert row.k == 0
         census.certify_row(row)
-        assert builds == [saddle_family(13)]
+        assert builds == []
 
     def test_census_product_row(self, builds):
         row = census.enumerate_rows(13)[3]
         assert (row.k, row.m) == (3, 7)
         census.certify_row(row)
-        assert builds == [product_family(7, 3)]
+        assert builds == []
 
     @pytest.mark.parametrize("command", ["index", "foliate"])
     def test_line_field_commands(self, capsys, builds, command):
         code, _, _ = run(capsys, command, "--family", "P:7", "--json")
+        assert code == 0
+        assert builds == ([] if command == "index" else [saddle_family(7)])
+
+    def test_index_trace(self, capsys, tmp_path, builds):
+        code, _, _ = run(capsys, "index", "--family", "P:7", "--trace",
+                         str(tmp_path / "t.csv"), "--json")
         assert code == 0
         assert builds == [saddle_family(7)]
 

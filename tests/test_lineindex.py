@@ -7,7 +7,13 @@ from itertools import product
 import pytest
 
 from hesstop.errors import DomainError, NotHyperbolicHere
-from hesstop.classify import _fourier_halves, is_hyperbolic
+from hesstop import classify, lineindex
+from hesstop.classify import (
+    FOURIER_CONSTANT,
+    _fourier_halves,
+    _hyperbolic_verdict,
+    is_hyperbolic,
+)
 from hesstop.census import enumerate_rows
 from hesstop.lineindex import (
     CAUCHY_CHAIN,
@@ -447,10 +453,13 @@ class TestHyperbolicIndex:
     def check(f):
         """hyperbolic_index(f) against is_hyperbolic, and its index against
         _dominant_winding and _cauchy_index of II_f; the index, or None when
-        f is not hyperbolic."""
-        cert, w, half = hyperbolic_index(f)
-        ok, want, want_w = is_hyperbolic(f)
-        assert cert == want and w == want_w, f
+        f is not hyperbolic.  Where the verdict's kernel built II_f, it is
+        second_fundamental_form(f), and so is is_hyperbolic's."""
+        cert, half = hyperbolic_index(f)
+        ok, want, w = is_hyperbolic(f)
+        assert cert == want and w == second_fundamental_form(f), f
+        _, built, _ = _hyperbolic_verdict(f)
+        assert built is None if cert.method == FOURIER_CONSTANT else built == w, f
         if not ok:
             assert half is None, f
             return None
@@ -497,6 +506,55 @@ class TestHyperbolicIndex:
     )
     def test_no_index_off_the_hyperbolic_forms(self, text):
         assert self.check(parse(text)) is None
+
+    def test_ii_built_only_for_the_chain(self, monkeypatch):
+        # hyperbolic_index builds II_f only where neither the verdict nor
+        # the index is read from the Fourier data: for the chain, or for
+        # the sign kernel, which then hands it on
+        built = []
+
+        def counted(f):
+            built.append(f)
+            return second_fundamental_form(f)
+
+        for module in (classify, lineindex):
+            monkeypatch.setattr(module, "second_fundamental_form", counted)
+        lines = [(64, 1)] + [(j, 1) if j % 3 == 0 else (1, j) for j in range(-20, 21) if j]
+        forms = fourier_constant_forms() + [_line_product(lines), saddle_family(85)]
+        chains = 0
+        for f in forms:
+            built.clear()
+            cert, half = hyperbolic_index(f)
+            chained = half is not None and half.method == CAUCHY_CHAIN
+            chains += chained
+            assert len(built) == (cert.method != FOURIER_CONSTANT or chained), f
+            assert built in ([], [f]), f
+        assert chains == 9
+
+    def test_zero_terms_between_the_nonzero_ones(self, monkeypatch):
+        # the Rouche norms hold only the nonzero G_k, k <= d - 2: for
+        # P_m (x^2 + y^2)^k at e = 2k - d + 2 and, when k >= 2, at e = m + 2
+        # (G_(m+k)), with zero terms between them, and for P_m at 2 - m
+        # only; never empty, each norm nonzero, and with the zero terms put
+        # back the test still gives the same winding, the index of II_f
+        seen = []
+
+        def spy(norms):
+            seen.append(norms)
+            return _dominant_term(norms)
+
+        monkeypatch.setattr(lineindex, "_dominant_term", spy)
+        for m, k in ((5, 2), (7, 3), (38, 1), (9, 0), (40, 35)):
+            f = product_family(m, k)
+            d = f.degree
+            seen.clear()
+            _, half = hyperbolic_index(f)
+            (norms,) = seen
+            want = {2 * k - d + 2} | ({m + 2} if k >= 2 else set())
+            assert set(norms) == want and all(norms.values()), (m, k)
+            dense = dict.fromkeys(range(2 - d, d - 1, 2), 0) | norms
+            assert _dominant_term(dense) == half.numerator == 2 - m, (m, k)
+            assert half == origin_index(second_fundamental_form(f)), (m, k)
 
     def test_dominant_term_is_strict(self):
         # |h_0| = 2 against |h_1| + |h_-1| = 2 ties and does not decide;
