@@ -27,7 +27,6 @@ from .lineindex import (
     HalfIndex,
     hyperbolic_index,
     index_at_origin,
-    origin_index,
 )
 from .polyalg import (
     HomoPoly,

@@ -29,20 +29,20 @@ coefficients (Collins and Akritas 1976; Akritas, Strzebonski and Vigklas
 2008), one side of 0 at a time.  An even slice u(t) = g(t^2) with
 u(0) != 0, as the census models P_m (x^2 + y^2)^k and every form built
 from them have, is rootless iff g has no positive root, so the recursion
-first runs on g over s > 0 only, under a budget of one split per 12
-degrees: half the degree, a quarter of the work per Taylor shift and one
-side instead of two.  On the discriminants of the census rows
-n = 3..60, which is_hyperbolic no longer asks the kernel about, that
-proves 623 of 627; the other 4 are slices of degree 6 to 10, whose budget
-is 0 splits.  Any other slice, and an even one not proved
-rootless, is first made squarefree: the heuristic gcd (Char, Geddes and
-Gonnet 1989) gives gcd(u, u') from one integer gcd, proved by two exact
-divisions, and the recursion isolates u / gcd(u, u') once, with no limit,
-an empty list proving u rootless.  A Sturm chain, a primitive remainder
-sequence (Collins 1967, Brown 1971) with a sign-preserving
-pseudo-remainder, gives that gcd only if every heuristic try is
-rejected.  Chains count roots and give Cauchy indexes; none is evaluated
-at a finite point.
+first runs on g over s > 0 only: half the degree, a quarter of the work
+per Taylor shift and one side instead of two.  That run answers only
+that u is rootless, since roots +-sqrt s would give intervals with
+irrational ends, so it may make at most one split per 12 degrees of u:
+the budget bounds the work thrown away on a slice that has real roots,
+or whose proof needs more splits.  Any other slice, and an even one not
+proved rootless, is first made squarefree: the heuristic gcd (Char,
+Geddes and Gonnet 1989) gives gcd(u, u') from one integer gcd, proved by
+two exact divisions, and the recursion isolates u / gcd(u, u') once,
+with no limit, an empty list proving u rootless.  A Sturm chain, a
+primitive remainder sequence (Collins 1967, Brown 1971) with a
+sign-preserving pseudo-remainder, gives that gcd only if every heuristic
+try is rejected.  Chains count roots and give Cauchy indexes; none is
+evaluated at a finite point.
 
 Both kinds of sign question take the same route.  A slice with real roots
 is probed at the isolating intervals' ends and the midpoints between them,
@@ -344,7 +344,15 @@ class SturmChain:
 
 
 def count_real_roots(u) -> int:
-    """Distinct real roots of a nonzero univariate polynomial."""
+    """Distinct real roots of a nonzero univariate polynomial, from one
+    Sturm chain.
+
+    The chain stays because it is the fast count where the roots are many
+    and real: on the slices of the saddle forms P_m, all of whose roots are
+    real, it counts P_120 in 0.005 s and P_300 in 0.03 s, against 0.19 s
+    and 3.96 s for :func:`_heu_gcd` plus :func:`_descartes`, which has to
+    separate every root (in-process, once each).
+    """
     u = _ints(u)
     if not u:
         raise DomainError("root count of the zero polynomial")

@@ -15,16 +15,17 @@ outside 1..foliation.MAX_SEEDS and polynomial text longer than
 MAX_POLY_TEXT characters are usage errors.  An error message quotes at most
 errors.ECHO_CHARS characters of the user's text.
 
-index, certify and census --certify read origin indexes exactly, from a
+index, certify and census --certify read origin indexes exactly, and
+all three the same way: lineindex.hyperbolic_index proves a form f
+hyperbolic and reads the index of II_f from one conversion of f, from a
 dominant Fourier term of the line field when one outweighs the rest, as
 for every saddle and census model, else from a Cauchy index chain.  index
-and census rows prove f hyperbolic and read the index from one conversion
-of f (lineindex.hyperbolic_index), and index exits 1 naming the
-hypothesis when f is not hyperbolic; certify reads the forms its isotopy
-joins (lineindex.origin_index).  A census row and index build no II_f
-unless no Fourier term decides; index --trace builds it for the tracer,
-and foliate reads it from the hyperbolicity verdict, so each builds II_f
-at most once.  Only index --trace and the foliate
+exits 1 naming the hypothesis when f is not hyperbolic; certify reads the
+indexes of II_{pq} and II_p from the isotopy certificate, whose
+product_hyperbolic and p_hyperbolic proofs read them.  A census row and
+index build no II_f unless no Fourier term decides; index --trace builds
+it for the tracer, and foliate reads it from the hyperbolicity verdict, so
+each builds II_f at most once.  Only index --trace and the foliate
 figures run the float tracer.  foliate checks the float separatrix count
 against the exact number of distinct real linear factors of f and exits 1
 with both numbers when they differ; it counts 0 lines for an elliptic
@@ -43,8 +44,9 @@ was read (rouche-dominant-term or cauchy-index-chain); verify-ineq prints
 -hessian_pairing(p, q) >= 0, whose witness is a point where the pairing is
 positive; certify prints "certified" (the two exact origin indexes agree:
 a returned isotopy certificate has passed every hypothesis),
-"certificate", "index_product" and "index_factor", read from the II_{pq}
-and II_p the certificate joins, or {"certified": false,
+"certificate", "index_product" and "index_factor", the indexes of the
+II_{pq} and II_p the certificate joins, and "index_product_method" and
+"index_factor_method", named as by index, or {"certified": false,
 "failed_hypothesis": name}.
 The certificate's "hypotheses" are, in order, p_hyperbolic, q_elliptic,
 q_positive, product_hyperbolic and pairing_nonpositive, each with its
@@ -78,7 +80,7 @@ from .foliation import (
     trace_foliation,
 )
 from .isotopy import certify_product_isotopy
-from .lineindex import hyperbolic_index, index_at_origin, origin_index
+from .lineindex import hyperbolic_index, index_at_origin
 from .polyalg import MAX_DEGREE, HomoPoly, parse, radial_family, saddle_family
 from .quadform import second_fundamental_form
 
@@ -315,14 +317,17 @@ def _cmd_certify(args) -> int:
             f"FAILED: hypothesis {exc.hypothesis}",
         )
         return 1
-    # every hypothesis held (or it would have raised); read II_{pq} and II_p
-    idx_product, idx_factor = map(origin_index, cert.joins)
+    # every hypothesis held (or it would have raised); the indexes of II_{pq}
+    # and II_p were read in the proofs that they are hyperbolic
+    idx_product, idx_factor = cert.index, cert.verdicts["gradient_term_leg"].index
     agreed = idx_product.value == idx_factor.value
     payload = {
         "certified": agreed,
         "certificate": cert.to_json(),
         "index_product": str(idx_product),
         "index_factor": str(idx_factor),
+        "index_product_method": idx_product.method,
+        "index_factor_method": idx_factor.method,
     }
     _emit(args, payload, f"certified: {agreed}  (index {idx_product} = {idx_factor})")
     return 0 if agreed else 1

@@ -7,30 +7,40 @@ affine path joins a form w to w + delta when delta is nowhere hyperbolic;
 there positivity on t in [0, 1] follows from positivity at both endpoints
 plus concavity (the t^2 coefficient is nonpositive).
 
-Every form is built once per certificate: II_p, II_q, II_{pq}, the four
+The three hyperbolicity hypotheses are proved where every other command
+proves them, from the Fourier data of one form each: p hyperbolic and pq
+hyperbolic by ``lineindex.hyperbolic_index``, which reads the exact origin
+index of II_p and II_{pq} in the same pass, and q elliptic as the NEGATIVE
+verdict of ``classify.is_hyperbolic``, the II_q of which the isotopy
+takes.  Two more signs are proved by one kernel call each: q positive by
+sign_on_punctured_plane and the hessian pairing nonpositive by
+certify_nonnegative of its negative.  Every other sign is read from an
+exact polynomial identity that writes the coefficient as a product of
+proved signs and squares: a0 = q^2 disc II_p, a1 = -2q * pairing and
+a2 = (p_x q_y - p_y q_x)^2 on the gradient-term path; on the affine path
+the start is a0 + a1 + a2, the t^2 coefficient is p^2 disc II_q and the
+end is disc II_{pq}.  These right-hand sides are the certificate's
+t-coefficients.  The path discriminants on the left are never multiplied
+out, and neither is delta = p*II_q: each identity, and the split
+II_{pq} = q*II_p + 2 dp dq + p*II_q, is checked at run time on the same
+objects the proofs read, exactly, by integer evaluation at one xi = 2^k
+per leg (:func:`_check_identities`).  It holds for every input, so a
+failure is an internal error.
+
+The isotopy builds each of its forms once: II_p, II_{pq}, the four
 products p_x q_x, p_x q_y, p_y q_x, p_y q_y and over them 2 dp dq, the
-hessian pairing and the Jacobian (quadform.gradient_forms), q*II_p and
-the discriminants of II_p, II_q and II_{pq}.  Five signs are proved, each
-by one kernel call on one of those polynomials: q elliptic, p hyperbolic,
-q positive and pq hyperbolic by sign_on_punctured_plane, the hessian
-pairing nonpositive by certify_nonnegative of its negative.  Every other
-sign is read from an exact polynomial identity that writes the
-coefficient as a product of proved signs and squares: a0 = q^2 disc II_p,
-a1 = -2q * pairing and a2 = (p_x q_y - p_y q_x)^2 on the gradient-term
-path; on the affine path the start is a0 + a1 + a2, the t^2 coefficient
-is p^2 disc II_q and the end is disc II_{pq}.  These right-hand sides are
-the certificate's t-coefficients.  The path discriminants on the left are
-never multiplied out, and neither is delta = p*II_q: each identity, and
-the split II_{pq} = q*II_p + 2 dp dq + p*II_q, is checked at run time on
-the same objects the proofs read, exactly, by integer evaluation at one
-xi = 2^k per leg (:func:`_check_identities`).  It holds for every input,
-so a failure is an internal error.
+hessian pairing and the Jacobian (quadform.gradient_forms), q*II_p and the
+discriminants of II_p, II_q and II_{pq}.  A verdict that has to sign
+disc II_f with the kernel, or an index that needs the Cauchy chain, builds
+its own II_f inside ``classify`` or ``lineindex``; the Fourier tests
+decide every saddle and census pair without one.
 
 Certificates are data, not booleans: every proved hypothesis is carried as
-the exact SignCertificate or NonnegativityCertificate that proved it, so
-the CLI can emit an auditable trail; callers read origin indexes from the
-forms in ``joins``.  A failing hypothesis raises PreconditionFailed with
-its name, so every returned certificate holds.
+the exact SignCertificate or NonnegativityCertificate that proved it, and
+``index`` carries the exact origin index of the first form in ``joins``,
+so the CLI can emit an auditable trail with no second index reader.  A
+failing hypothesis raises PreconditionFailed with its name, so every
+returned certificate holds.
 """
 
 from __future__ import annotations
@@ -43,9 +53,11 @@ from .classify import (
     Verdict,
     _at_power_of_two,
     certify_nonnegative,
+    is_hyperbolic,
     sign_on_punctured_plane,
 )
 from .errors import PreconditionFailed
+from .lineindex import HalfIndex, hyperbolic_index
 from .polyalg import HomoPoly, _numerators, format_poly, multiply
 from .quadform import QuadForm, discriminant, gradient_forms, second_fundamental_form
 
@@ -62,7 +74,9 @@ class IsotopyCertificate:
     ``t_coefficients`` are (a0, a1, a2) of the path discriminant as a
     quadratic in t; ``branch`` names the sufficient condition that closed
     the argument; ``verdicts`` maps each proved hypothesis to its exact
-    certificate; ``joins`` are the two forms whose line fields it connects.
+    certificate; ``joins`` are the two forms whose line fields it connects,
+    and ``index`` is the exact origin index of the first, read in the proof
+    that it is hyperbolic.
     """
 
     kind: str
@@ -71,6 +85,7 @@ class IsotopyCertificate:
     verdicts: dict
     conclusion: str
     joins: tuple[QuadForm, QuadForm]
+    index: HalfIndex
 
     def to_json(self) -> dict:
         a0, a1, a2 = self.t_coefficients
@@ -167,35 +182,34 @@ def _entries(w: QuadForm) -> tuple:
     return (w.a,), (w.b,), (w.c,)
 
 
-def _prove_sign(
-    name: str, f: HomoPoly, detail: str, want: Verdict = Verdict.POSITIVE
-) -> SignCertificate:
-    cert = sign_on_punctured_plane(f)
-    _require(name, cert.verdict is want, detail)
-    return cert
+def _prove_hyperbolic(name: str, f: HomoPoly, detail: str) -> tuple[SignCertificate, HalfIndex]:
+    cert, half = hyperbolic_index(f)
+    _require(name, half is not None, detail)
+    return cert, half
 
 
 def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     """Certify that q*II_p + 2t dp dq is hyperbolic off the origin for all
-    t in [0, 1]; the certificate joins II_p and q*II_p + 2 dp dq.
+    t in [0, 1]; the certificate joins II_p and q*II_p + 2 dp dq, and
+    carries the index of II_p.
 
-    Proved, in this order: p hyperbolic, q positive on the punctured plane,
+    Proved, in this order: p hyperbolic, with its index
+    (``lineindex.hyperbolic_index``), q positive on the punctured plane,
     and hessian_pairing(p, q) <= 0 everywhere.  Read from identities: a0 =
     q^2 (disc II_p) is strictly positive, a1 = -2 q hessian_pairing(p, q)
     is nonnegative and a2 = (p_x q_y - p_y q_x)^2 is a square.
     """
-    ii_p = second_fundamental_form(p)
-    disc_p = discriminant(ii_p)
-    p_hyp = _prove_sign("p_hyperbolic", disc_p, "first argument is not hyperbolic")
-    q_pos = _prove_sign(
-        "q_positive", q, "second argument is not positive on the punctured plane"
-    )
+    p_hyp, p_index = _prove_hyperbolic("p_hyperbolic", p, "first argument is not hyperbolic")
+    q_pos = sign_on_punctured_plane(q)
+    _require("q_positive", q_pos.verdict is Verdict.POSITIVE,
+             "second argument is not positive on the punctured plane")
     dpdq, pairing, jac = gradient_forms(p, q)
     pairing_cert = certify_nonnegative(-pairing)
     _require("pairing_nonpositive", pairing_cert.nonnegative, "hessian pairing is positive")
 
+    ii_p = second_fundamental_form(p)
     q_ii_p = ii_p.scale(q)
-    a0 = multiply(multiply(q, q), disc_p)
+    a0 = multiply(multiply(q, q), discriminant(ii_p))
     a1 = -2 * multiply(q, pairing)
     a2 = multiply(jac, jac)
     path = _path_discriminant(_entries(q_ii_p), _entries(dpdq))
@@ -214,6 +228,7 @@ def certify_gradient_term_path(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
         },
         conclusion="q*II_p + 2t dp dq is hyperbolic off the origin for t in [0,1]",
         joins=(ii_p, q_ii_p + dpdq),
+        index=p_index,
     )
 
 
@@ -221,11 +236,13 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     """Certify that II_{pq} and II_p, the forms in ``joins``, are joined by
     hyperbolic isotopies.
 
-    Five hypotheses are proved, each by one kernel call, in this order: q
-    elliptic; then the gradient-term leg, which proves p hyperbolic, q
-    positive off the origin and the hessian pairing nonpositive; then pq
-    hyperbolic.  The first failing hypothesis is named by the
-    PreconditionFailed raised.
+    Five hypotheses are proved, each once, in this order: q elliptic
+    (``classify.is_hyperbolic``); then the gradient-term leg, which proves
+    p hyperbolic, q positive off the origin and the hessian pairing
+    nonpositive; then pq hyperbolic (``lineindex.hyperbolic_index``).  The
+    first failing hypothesis is named by the PreconditionFailed raised.
+    The certificate carries the index of II_{pq} and its gradient leg that
+    of II_p, both exact.
 
     The affine leg deforms II_{pq} to w = q*II_p + 2 dp dq, the gradient
     leg's end form, using the exact split II_{pq} = p*II_q + q*II_p +
@@ -237,16 +254,14 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
     then removes the 2 dp dq summand.  Finally q*II_p has the same null
     directions as II_p because q is positive.
     """
-    ii_q = second_fundamental_form(q)
-    disc_q = discriminant(ii_q)
-    q_ell = _prove_sign(
-        "q_elliptic", disc_q, "second factor is not elliptic", Verdict.NEGATIVE
-    )
+    _, q_ell, ii_q = is_hyperbolic(q)
+    _require("q_elliptic", q_ell.verdict is Verdict.NEGATIVE, "second factor is not elliptic")
     gradient_leg = certify_gradient_term_path(p, q)
     ii_p, omega = gradient_leg.joins
-    ii_f = second_fundamental_form(multiply(p, q))
-    disc_f = discriminant(ii_f)
-    f_hyp = _prove_sign("product_hyperbolic", disc_f, "the product is not hyperbolic")
+    pq = multiply(p, q)
+    pq_hyp, pq_index = _prove_hyperbolic("product_hyperbolic", pq, "the product is not hyperbolic")
+    ii_f = second_fundamental_form(pq)
+    disc_q, disc_f = discriminant(ii_q), discriminant(ii_f)
 
     # delta = p*II_q, entrywise, left unexpanded
     delta = tuple((p, e) for (e,) in _entries(ii_q))
@@ -269,7 +284,7 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
         "p_hyperbolic": leg["p_hyperbolic"],
         "q_elliptic": q_ell,
         "q_positive": leg["q_positive"],
-        "product_hyperbolic": f_hyp,
+        "product_hyperbolic": pq_hyp,
         "pairing_nonpositive": leg["pairing_nonpositive"],
         "gradient_term_leg": gradient_leg,
     }
@@ -283,4 +298,5 @@ def certify_product_isotopy(p: HomoPoly, q: HomoPoly) -> IsotopyCertificate:
             "isotopic; their origin indexes coincide"
         ),
         joins=(ii_f, ii_p),
+        index=pq_index,
     )

@@ -8,18 +8,17 @@ A dx^2 + 2B dxdy + C dy^2 is hyperbolic its null lines satisfy
 the arccos term stays inside (0, pi).  So the index of either branch is
 half the winding number of the pair (A - C, 2B) on the circle.
 
-Two entry points read that winding exactly.  hyperbolic_index takes f
-itself, for ``index`` and census rows: one conversion of f to its Fourier
-data proves f hyperbolic (``classify.is_hyperbolic``'s verdict) and gives
-the Fourier terms of (A - C) + 2iB = 4 f_zbarzbar, with no II_f built.
-origin_index takes any form w, for the forms ``certify`` joins.  Where
-one Fourier term h_K z^K of (A - C) + 2iB on the circle outweighs the
-sum of all the others, the winding is K by Rouche's theorem, one integer
-test (:func:`_dominant_term`) on either source of exact Fourier data;
-that decides every census model.  Otherwise the winding is a Cauchy
-index from one Sturm chain of the integer kernel on II_f, which
-hyperbolic_index builds only then (Basu, Pollack and Roy, Algorithms in
-Real Algebraic Geometry, ch. 2; compare Eisenbud and Levine 1977).
+One function reads that winding exactly: hyperbolic_index(f), for
+``index``, census rows and the forms ``certify`` joins.  One conversion of
+f to its Fourier data proves f hyperbolic (``classify.is_hyperbolic``'s
+verdict) and gives the Fourier terms of (A - C) + 2iB = 4 f_zbarzbar, with
+no II_f built.  Where one term h_K z^K outweighs the sum of all the
+others on the circle, the winding is K by Rouche's theorem, one integer
+test (:func:`_dominant_term`); that decides every census model.
+Otherwise the winding is a Cauchy index from one Sturm chain of the
+integer kernel on II_f (:func:`_cauchy_index`), which is built only then
+(Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2;
+compare Eisenbud and Levine 1977).
 index_at_origin samples the winding of
 one fixed branch, 2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R), along the
 circle at a fixed density of max(1024, 8 * degree) samples, so no branch is
@@ -64,9 +63,8 @@ from .classify import (
     _ceil_sqrt,
     _exact_fourier,
     _hyperbolic_verdict,
-    count_real_roots,
 )
-from .errors import DomainError, NotHyperbolicHere, RefinementLimit
+from .errors import NotHyperbolicHere, RefinementLimit
 from .polyalg import HomoPoly
 from .quadform import QuadForm, second_fundamental_form
 
@@ -184,8 +182,8 @@ CAUCHY_CHAIN = "cauchy-index-chain"
 class HalfIndex:
     """Index value numerator/2 plus the distance of the raw winding to it
     (0 for the exact index), and the method that read it: ``ROUCHE`` or
-    ``CAUCHY_CHAIN`` for :func:`origin_index`, the sampled winding of
-    :func:`index_at_origin` otherwise."""
+    ``CAUCHY_CHAIN`` for the one exact reader, :func:`hyperbolic_index`,
+    the sampled winding of :func:`index_at_origin` otherwise."""
 
     numerator: int
     residual: float
@@ -248,7 +246,7 @@ def index_at_origin(w: QuadForm) -> tuple[HalfIndex, DirectionTrace]:
     :func:`_at` as the walk reaches them,
     so a NotHyperbolicHere or RefinementLimit names the first failing point
     in walk order.  Certification does not depend on this function; it
-    reads the index from origin_index.
+    reads the index from hyperbolic_index.
     """
     n = max(1024, 8 * w.degree)
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
@@ -325,35 +323,19 @@ def _dominant_term(norms: dict[int, int]) -> Optional[int]:
     return top if math.isqrt(norms[top]) > rest else None
 
 
-def _dominant_winding(w: QuadForm) -> Optional[int]:
-    """The winding number of F = (A - C) + 2iB around the unit circle
-    when one Fourier term of F outweighs all the others
-    (:func:`_dominant_term`), else None.
-
-    One exact conversion of A - C and B (``classify._exact_fourier``) gives,
-    up to one positive factor, A - C = Re sum_e g_e z^e and
-    B = Re sum_e g'_e z^e on |z| = 1, over e >= 0.  As Re(g z^e) =
-    (g z^e + conj(g) z^-e)/2 there, twice that factor times F is
-    sum_e h_e z^e with the Gaussian integers h_e = g_e + 2i g'_e and
-    h_-e = conj(g_e) + 2i conj(g'_e) for e > 0, and h_0 = 2 g_0 + 4i g'_0
-    (g_0 and g'_0 are real).
-    """
-    odd = w.degree % 2
-    diff, b = _exact_fourier(w.degree, w.a - w.c, w.b)
-    norms = {}
-    for i, ((re, im), (bre, bim)) in enumerate(zip(diff, b)):
-        e = 2 * i + odd
-        if e:  # |h_e|^2 and |h_-e|^2
-            norms[e] = (re - 2 * bim) ** 2 + (im + 2 * bre) ** 2
-            norms[-e] = (re + 2 * bim) ** 2 + (2 * bre - im) ** 2
-        else:
-            norms[0] = 4 * re * re + 16 * bre * bre
-    return _dominant_term(norms)
-
-
 def _cauchy_index(w: QuadForm) -> int:
-    """Twice the index at the origin of a hyperbolic ``w``, as a Cauchy
-    index read from one Sturm chain; see :func:`origin_index`."""
+    """Twice the index at the origin of the line field of a hyperbolic
+    ``w``, as a Cauchy index read from one Sturm chain.
+
+    The index is half the winding of F = (A - C) + 2iB over the circle.  By
+    homogeneity that winding is the angle change over the half circle that
+    the slice (1, t) covers, divided by pi, which is a Cauchy index of
+    p(t) = (A - C)(1, t) and q(t) = 2B(1, t).  When B(0, 1) != 0 the index
+    is Ind(p/q)/2, read as V(-inf) - V(+inf) of the chain q, p, ...;
+    otherwise q/p has no pole at t = inf and it is -Ind(q/p)/2.  The value
+    equals the line-field index because ``w`` is hyperbolic, which this
+    function does not check again.
+    """
     d = w.degree
 
     def vec(poly):
@@ -361,44 +343,12 @@ def _cauchy_index(w: QuadForm) -> int:
 
     a, b, c = vec(w.a), vec(w.b), vec(w.c)
     p = [x - z for x, z in zip(a, c)]
-    if b[d] != 0:
-        chain, sign = SturmChain.of(b, p), 1
-    elif p[d] != 0:
-        chain, sign = SturmChain.of(p, b), -1
-    else:
-        raise DomainError("A - C and B both vanish at the direction (0, 1)")
-    gcd = chain.polys[-1]
-    if len(gcd) > 1 and count_real_roots(gcd):
-        raise DomainError("A - C and B vanish together in a real direction")
+    # where A - C and B both vanished in a real direction, disc II would be
+    # B^2 - AC = -A^2 <= 0 there, so on a hyperbolic w they never do: they
+    # are not both 0 at (0, 1), and the chain's last entry, their gcd, has
+    # no real root, so neither case is checked
+    chain, sign = (SturmChain.of(b, p), 1) if b[d] else (SturmChain.of(p, b), -1)
     return sign * (chain.variations_at_minus_inf() - chain.variations_at_plus_inf())
-
-
-def origin_index(w: QuadForm) -> HalfIndex:
-    """Exact index at the origin of the line field of a hyperbolic ``w``.
-
-    The index is half the winding of F = (A - C) + 2iB over the circle.
-    That winding is first read from a dominant Fourier term of F
-    (:func:`_dominant_winding`, method ``ROUCHE``), which decides every
-    census model.  Otherwise it is a Cauchy index (``CAUCHY_CHAIN``): by
-    homogeneity the winding is the angle change over the half circle that
-    the slice (1, t) covers, divided by pi, which is a Cauchy index of
-    p(t) = (A - C)(1, t) and q(t) = 2B(1, t).  When B(0, 1) != 0 the index
-    is Ind(p/q)/2, read as V(-inf) - V(+inf) of the chain q, p, ...;
-    otherwise q/p has no pole at t = inf and it is -Ind(q/p)/2.  The value
-    equals the line-field index when w is hyperbolic, which this function
-    does not check again.  Raises DomainError when A - C and B vanish
-    together in a real direction: at (0, 1), or at a real root of the
-    chain's last entry, which is their gcd.
-    """
-    return _exact_half_index(_dominant_winding(w), w)
-
-
-def _exact_half_index(winding: Optional[int], w: QuadForm) -> HalfIndex:
-    """The exact index of ``w`` from a dominant term's winding (``ROUCHE``),
-    or from the Cauchy index chain when no term dominates (``CAUCHY_CHAIN``)."""
-    if winding is not None:
-        return HalfIndex(winding, 0.0, ROUCHE)
-    return HalfIndex(_cauchy_index(w), 0.0, CAUCHY_CHAIN)
 
 
 def hyperbolic_index(f: HomoPoly) -> tuple[SignCertificate, Optional[HalfIndex]]:
@@ -415,10 +365,10 @@ def hyperbolic_index(f: HomoPoly) -> tuple[SignCertificate, Optional[HalfIndex]]
     f has one with k <= d - 2, as f_zbarzbar = 0 would make disc II_f =
     -f_zzbar^2 <= 0.  When one term dominates (:func:`_dominant_term`)
     the index is half its exponent (``ROUCHE``), and no II_f is built;
-    otherwise it is the Cauchy index of :func:`origin_index`
-    (``CAUCHY_CHAIN``) on II_f, built here unless the verdict's sign
-    kernel did, with no second conversion for a Rouche test on II_f's own
-    data, which reads the same terms.
+    otherwise it is :func:`_cauchy_index` of II_f (``CAUCHY_CHAIN``),
+    built here unless the verdict's sign kernel did, with no second
+    conversion for a Rouche test on II_f's own data, which reads the same
+    terms.
     """
     cert, w, g = _hyperbolic_verdict(f)
     if cert.verdict is not Verdict.POSITIVE:
@@ -428,6 +378,8 @@ def hyperbolic_index(f: HomoPoly) -> tuple[SignCertificate, Optional[HalfIndex]]
     norms = {2 * k - d + 2: ((d - k) * (d - k - 1)) ** 2 * (re * re + im * im)
              for k, (re, im) in enumerate(g[:d - 1]) if re or im}
     winding = _dominant_term(norms)
-    if winding is None and w is None:
+    if winding is not None:
+        return cert, HalfIndex(winding, 0.0, ROUCHE)
+    if w is None:
         w = second_fundamental_form(f)
-    return cert, _exact_half_index(winding, w)
+    return cert, HalfIndex(_cauchy_index(w), 0.0, CAUCHY_CHAIN)

@@ -13,6 +13,12 @@ squarefree part one Sturm chain gives, the isolation entry the root
 tests check against the oracles above.  The reflection model
 (``hopf_model_form`` and its kin) lives here, since only the tests use
 it.
+``reference_origin_index`` reads the exact origin index of any
+hyperbolic form w from w alone, by a dominant Fourier term of II's own
+data or by a Cauchy index chain that refuses a common real zero of A - C
+and B; it is the oracle of ``lineindex.hyperbolic_index``, which reads the
+index from f's Fourier data, and of the indexes isotopy certificates
+carry.
 The per-sample float layer (``reference_index_at_origin``,
 ``reference_separatrix_scan``, ``reference_float_coeffs``) is the oracle of
 the grid evaluators and the packed Fourier conversion.  The sign kernel's
@@ -36,8 +42,10 @@ from hesstop.classify import (
     Verdict,
     _descartes,
     _divexact,
+    _exact_fourier,
     _fujiwara_exponent,
     _ints,
+    count_real_roots,
 )
 from hesstop.combinat import binom
 from hesstop.errors import (
@@ -47,6 +55,7 @@ from hesstop.errors import (
     excerpt,
 )
 from hesstop.isotopy import IsotopyCertificate
+from hesstop.lineindex import CAUCHY_CHAIN, ROUCHE, HalfIndex, _dominant_term
 from hesstop.polyalg import (
     MAX_DEGREE,
     HomoPoly,
@@ -850,6 +859,71 @@ def reference_index_at_origin(w: QuadForm):
     numerator = round(2.0 * raw)
     residual = abs(raw - numerator / 2.0)
     return HalfIndex(numerator, residual), DirectionTrace(samples, unwrapped, max_depth)
+
+
+def reference_dominant_winding(w: QuadForm):
+    """The winding number of F = (A - C) + 2iB of any form ``w`` around
+    the unit circle when one Fourier term of F outweighs all the others
+    (``lineindex._dominant_term``), else None, from II's own Fourier data
+    rather than from f's.
+
+    One exact conversion of A - C and B (``classify._exact_fourier``) gives,
+    up to one positive factor, A - C = Re sum_e g_e z^e and
+    B = Re sum_e g'_e z^e on |z| = 1, over e >= 0.  As Re(g z^e) =
+    (g z^e + conj(g) z^-e)/2 there, twice that factor times F is
+    sum_e h_e z^e with the Gaussian integers h_e = g_e + 2i g'_e and
+    h_-e = conj(g_e) + 2i conj(g'_e) for e > 0, and h_0 = 2 g_0 + 4i g'_0
+    (g_0 and g'_0 are real).
+    """
+    odd = w.degree % 2
+    diff, b = _exact_fourier(w.degree, w.a - w.c, w.b)
+    norms = {}
+    for i, ((re, im), (bre, bim)) in enumerate(zip(diff, b)):
+        e = 2 * i + odd
+        if e:  # |h_e|^2 and |h_-e|^2
+            norms[e] = (re - 2 * bim) ** 2 + (im + 2 * bre) ** 2
+            norms[-e] = (re + 2 * bim) ** 2 + (2 * bre - im) ** 2
+        else:
+            norms[0] = 4 * re * re + 16 * bre * bre
+    return _dominant_term(norms)
+
+
+def reference_cauchy_index(w: QuadForm) -> int:
+    """Twice the origin index of ``w`` as the Cauchy index of
+    (A - C)(1, t) over 2B(1, t), read from one Sturm chain as
+    ``lineindex._cauchy_index`` reads it, but on any form: it raises
+    DomainError when A - C and B vanish together in a real direction, at
+    (0, 1) or at a real root of the chain's last entry, their gcd, which
+    a hyperbolic form never has."""
+    d = w.degree
+
+    def vec(poly):
+        return [0] * (d + 1) if poly.is_zero else poly.coeffs
+
+    a, b, c = vec(w.a), vec(w.b), vec(w.c)
+    p = [x - z for x, z in zip(a, c)]
+    if b[d] != 0:
+        chain, sign = SturmChain.of(b, p), 1
+    elif p[d] != 0:
+        chain, sign = SturmChain.of(p, b), -1
+    else:
+        raise DomainError("A - C and B both vanish at the direction (0, 1)")
+    gcd = chain.polys[-1]
+    if len(gcd) > 1 and count_real_roots(gcd):
+        raise DomainError("A - C and B vanish together in a real direction")
+    return sign * (chain.variations_at_minus_inf() - chain.variations_at_plus_inf())
+
+
+def reference_origin_index(w: QuadForm) -> HalfIndex:
+    """The exact origin index of the line field of any hyperbolic form
+    ``w``, read from ``w`` alone: from its dominant Fourier term
+    (``ROUCHE``) when one outweighs the rest, else from its Cauchy index
+    chain (``CAUCHY_CHAIN``).  The oracle of ``lineindex.hyperbolic_index``,
+    which reads the same index from f's Fourier data."""
+    winding = reference_dominant_winding(w)
+    if winding is not None:
+        return HalfIndex(winding, 0.0, ROUCHE)
+    return HalfIndex(reference_cauchy_index(w), 0.0, CAUCHY_CHAIN)
 
 
 def reference_separatrix_scan(w: QuadForm) -> tuple[int, list[float]]:

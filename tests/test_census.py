@@ -153,9 +153,9 @@ class TestCertifyRow:
 
     def test_index_read_from_the_verdict_form(self, monkeypatch):
         # a row reads its index from the Fourier data its hyperbolicity
-        # verdict converted: II_f is neither built, converted nor read by
-        # an origin_index of its own, in census or in the modules it calls,
-        # and the index is the Cauchy index of II_f built here
+        # verdict converted: II_f is neither built nor converted, in census
+        # or in the modules it calls, and the index is the Cauchy index of
+        # II_f built here
         verdicts, converted = [], []
         read = census.hyperbolic_index
         cauchy = lineindex._cauchy_index
@@ -168,14 +168,11 @@ class TestCertifyRow:
             raise AssertionError("certify_row built or converted II_f")
 
         monkeypatch.setattr(census, "hyperbolic_index", verdict)
-        monkeypatch.setattr(lineindex, "_dominant_winding", refuse)
-        monkeypatch.setattr(lineindex, "origin_index", refuse)
         for module in (classify, lineindex):
             monkeypatch.setattr(module, "_exact_fourier",
                                 self.counted(classify._exact_fourier, converted))
             monkeypatch.setattr(module, "second_fundamental_form", refuse)
         assert not hasattr(census, "second_fundamental_form")
-        assert not hasattr(census, "origin_index")
         rows = [enumerate_rows(13)[i] for i in (0, 3)]
         assert [(row.k, row.m) for row in rows] == [(0, 13), (3, 7)]
         for row in rows:

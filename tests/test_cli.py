@@ -310,30 +310,51 @@ class TestCertify:
             "a2": "-35/9*x^6 + 70/3*x^4*y^2 - 35*x^2*y^4",
         }
 
-    def test_indexes_read_from_the_joined_forms(self, capsys, monkeypatch):
-        # both origin indexes come from the II_{pq} and II_p the certificate
-        # joins; that certify builds no form of its own is counted in
+    def test_indexes_read_from_the_certificate(self, capsys, monkeypatch):
+        # f's Fourier data is converted three times, once each for q, p and
+        # pq inside the isotopy, and both origin indexes are read from the
+        # certificate, with no conversion after the isotopy returns; that
+        # certify builds no form of its own is counted in
         # TestSecondFundamentalFormBuiltOnce
-        certs, read = [], []
+        converted, returned = [], []
         certify_product_isotopy = cli.certify_product_isotopy
 
         def certify(p, q):
-            certs.append(certify_product_isotopy(p, q))
-            return certs[-1]
+            cert = certify_product_isotopy(p, q)
+            returned.append(len(converted))
+            return cert
 
-        def index(w):
-            read.append(w)
-            return lineindex.origin_index(w)
+        def counted(fn):
+            def wrapper(*args):
+                converted.append(args)
+                return fn(*args)
 
+            return wrapper
+
+        for module in (classify, lineindex):
+            monkeypatch.setattr(module, "_exact_fourier", counted(module._exact_fourier))
         monkeypatch.setattr(cli, "certify_product_isotopy", certify)
-        monkeypatch.setattr(cli, "origin_index", index)
         code, out, _ = run(capsys, "certify", "--family", "f:3,1", "--json")
         assert code == 0
-        (cert,) = certs
-        assert len(read) == 2
-        assert read[0] is cert.joins[0] and read[1] is cert.joins[1]
+        p, q = saddle_family(3), radial_family(1)
+        assert converted == [(2, q), (3, p), (5, multiply(p, q))]
+        assert returned == [3]
         data = json.loads(out)
         assert data["index_product"] == data["index_factor"] == "-1/2"
+        methods = data["index_product_method"], data["index_factor_method"]
+        assert methods == (lineindex.ROUCHE,) * 2
+
+    def test_indexes_read_by_the_chain(self, capsys):
+        # no Fourier term of II_p or II_pq dominates, and the JSON names the
+        # Cauchy index chain for both
+        code, out, _ = run(capsys, "certify", "--p", "x^4 + 4*x^3*y - 8*x*y^3 - 4*y^4",
+                           "--q", "x^2 + y^2", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["certified"] is True
+        assert data["index_product"] == data["index_factor"] == "-1"
+        methods = data["index_product_method"], data["index_factor_method"]
+        assert methods == (lineindex.CAUCHY_CHAIN,) * 2
 
     def test_failing_pair_reports_hypothesis(self, capsys):
         code, out, _ = run(

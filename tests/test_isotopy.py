@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from hesstop import classify, isotopy, polyalg, quadform
+from hesstop import classify, isotopy, lineindex, polyalg, quadform
 from hesstop.census import enumerate_rows
-from hesstop.classify import certify_nonnegative
+from hesstop.classify import certify_nonnegative, is_hyperbolic
 from hesstop.errors import PreconditionFailed
 from hesstop.isotopy import certify_gradient_term_path, certify_product_isotopy
-from hesstop.lineindex import origin_index
+from hesstop.lineindex import CAUCHY_CHAIN, ROUCHE, index_at_origin
 from hesstop.polyalg import (
     multiply,
     parse,
@@ -23,7 +23,12 @@ from hesstop.quadform import (
     second_fundamental_form,
 )
 
-from helpers import hypotheses_hold, path_discriminant_coeffs, random_homopoly
+from helpers import (
+    hypotheses_hold,
+    path_discriminant_coeffs,
+    random_homopoly,
+    reference_origin_index,
+)
 
 
 def checked_t_coefficients(p, q):
@@ -132,13 +137,15 @@ class TestProductIsotopy:
         assert exc.value.hypothesis == name and name in seen
 
     def test_each_hypothesis_proved_once(self, monkeypatch):
-        # four sign kernel calls and one nonnegativity call, each on its own
-        # polynomial: disc II_q (q_elliptic), disc II_p (p_hyperbolic), q
-        # (q_positive), disc II_{pq} (product_hyperbolic) and -pairing
-        # (pairing_nonpositive); every other sign is read from an identity,
-        # and no wrapper proves a hypothesis a second time
+        # q is proved elliptic by is_hyperbolic, p and pq hyperbolic by
+        # hyperbolic_index, from one Fourier conversion each; the sign kernel
+        # runs twice, on q (q_positive) and, inside certify_nonnegative, on
+        # -pairing (pairing_nonpositive), and never on a discriminant; every
+        # other sign is read from an identity, and no wrapper proves a
+        # hypothesis a second time
         kernels = {"sign_on_punctured_plane": [], "certify_nonnegative": []}
-        wrappers = {"is_hyperbolic": [], "certify_pairing_nonpositive": []}
+        wrappers = {"is_hyperbolic": [], "hyperbolic_index": [],
+                    "certify_pairing_nonpositive": [], "_exact_fourier": []}
 
         def counted(fn, seen):
             def wrapper(*args):
@@ -147,35 +154,39 @@ class TestProductIsotopy:
 
             return wrapper
 
-        # a kernel is counted where the certificate calls it, a wrapper
-        # wherever it lives, so a hidden proof through classify shows too
-        for module, calls in [(isotopy, kernels), (classify, wrappers), (isotopy, wrappers)]:
-            for name, seen in calls.items():
+        # each function is counted in every module that holds it, so a
+        # hidden proof through classify or lineindex shows too
+        for module in (classify, lineindex, isotopy):
+            for name, seen in (kernels | wrappers).items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(getattr(module, name), seen))
         p, q = saddle_family(5), radial_family(1)
+        pq = multiply(p, q)
         certify_product_isotopy(p, q)
-        assert {name: len(seen) for name, seen in (kernels | wrappers).items()} == {
-            "sign_on_punctured_plane": 4,
-            "certify_nonnegative": 1,
-            "is_hyperbolic": 0,
-            "certify_pairing_nonpositive": 0,
+        pairing = -hessian_pairing(p, q)
+        assert kernels == {
+            "sign_on_punctured_plane": [(q,), (pairing,)],
+            "certify_nonnegative": [(pairing,)],
         }
-        discs = [discriminant(second_fundamental_form(f)) for f in (q, p, multiply(p, q))]
-        signs = [f for (f,) in kernels["sign_on_punctured_plane"]]
-        assert signs == [discs[0], discs[1], q, discs[2]]
-        assert all(f != g for i, f in enumerate(signs) for g in signs[:i])
-        assert kernels["certify_nonnegative"] == [(-hessian_pairing(p, q),)]
+        assert wrappers == {
+            "is_hyperbolic": [(q,)],
+            "hyperbolic_index": [(p,), (pq,)],
+            "certify_pairing_nonpositive": [],
+            "_exact_fourier": [(2, q), (5, p), (7, pq)],
+        }
 
     def test_census_pairs(self):
         # the paper's argument on the census pairs: P_m and P_m Q_k are
-        # joined by an isotopy, and both ends have origin index (2 - m)/2
+        # joined by an isotopy, and both ends have origin index (2 - m)/2,
+        # which the certificate carries as the oracle reads it from the joins
         rows = [row for n in range(5, 26) for row in enumerate_rows(n) if row.k >= 1]
         assert len(rows) == 91
         for row in rows:
             cert = certify_product_isotopy(saddle_family(row.m), radial_family(row.k))
             assert isinstance(cert, isotopy.IsotopyCertificate)
-            assert [origin_index(w).value for w in cert.joins] == [Fraction(2 - row.m, 2)] * 2
+            indexes = (cert.index, cert.verdicts["gradient_term_leg"].index)
+            assert indexes == tuple(map(reference_origin_index, cert.joins))
+            assert [half.value for half in indexes] == [Fraction(2 - row.m, 2)] * 2
 
     def test_each_form_built_once(self, monkeypatch):
         # one certificate builds each II and discriminant once and the four
@@ -260,6 +271,36 @@ class TestProductIsotopy:
                         + t * t * float(a2.evaluate(x, y))
                     )
                     assert value > 0.0
+
+
+class TestChainIndexPairs:
+    """Pairs whose indexes need the Cauchy chain: the certificate carries the
+    index the oracle and the float walk read from each joined form, and
+    proves each hyperbolicity hypothesis as is_hyperbolic does."""
+
+    @pytest.mark.parametrize(
+        "p, q, value, methods",
+        [
+            ("x^4 + 4*x^3*y - 8*x*y^3 - 4*y^4", "x^2 + y^2", Fraction(-1),
+             (CAUCHY_CHAIN, CAUCHY_CHAIN)),
+            ("x^3 + 6*x^2*y + 9*x*y^2 + 2*y^3", "x^2 + x*y + y^2", Fraction(-1, 2),
+             (CAUCHY_CHAIN, ROUCHE)),
+        ],
+    )
+    def test_indexes_and_methods(self, p, q, value, methods):
+        p, q = parse(p), parse(q)
+        cert = certify_product_isotopy(p, q)
+        assert hypotheses_hold(cert)
+        indexes = (cert.index, cert.verdicts["gradient_term_leg"].index)
+        assert tuple(half.method for half in indexes) == methods
+        assert indexes == tuple(map(reference_origin_index, cert.joins))
+        for half, w in zip(indexes, cert.joins):
+            assert half.value == index_at_origin(w)[0].value == value
+        for name, f in (("p_hyperbolic", p), ("q_elliptic", q),
+                        ("product_hyperbolic", multiply(p, q))):
+            assert cert.verdicts[name] == is_hyperbolic(f)[1], name
+        leg = cert.verdicts["gradient_term_leg"].verdicts
+        assert leg["p_hyperbolic"] is cert.verdicts["p_hyperbolic"]
 
 
 class TestIdentityCheck:
