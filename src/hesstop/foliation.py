@@ -23,7 +23,6 @@ never depends on the tracer.
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -34,12 +33,12 @@ from .polyalg import HomoPoly
 from .quadform import QuadForm
 
 # Separatrix scan: grid points on the half turn (the density of 4096 on the
-# full circle) and the bracket width each root is refined to.
+# full circle, so the scan reads every power of a point from
+# lineindex._ROOTS, the 4096-th roots of unity) and the bracket width each
+# root is refined to.
 _SCAN_SAMPLES = 2048
 _ALIGN_TOL = 1e-8
-# the 4096-th roots of unity, which every power of a scan point is read from
 _SCAN_STEP = math.pi / _SCAN_SAMPLES
-_SCAN_ROOTS = [cmath.rect(1.0, _SCAN_STEP * j) for j in range(2 * _SCAN_SAMPLES)]
 
 # Curve tracing: the annulus every curve stays in, which the SVG frames.
 R_MIN, R_MAX = 0.05, 2.0
@@ -91,55 +90,77 @@ def count_separatrices(w: QuadForm) -> tuple[int, list[float]]:
     basis, so it does not cancel: saddle_family(m) gets m lines for every m
     up to the degree cap of 1024 (the monomial basis miscounted from m = 86
     on).  The grid is evaluated in one pass (:func:`lineindex._grid`) over
-    the module's table of the 4096-th roots of unity, with the offset
-    folded into the Fourier coefficients; only the regula falsi points are
-    evaluated one at a time (:func:`lineindex._at`).  Either way a
-    sample reads only the nonzero Fourier powers, one for a saddle of any
-    degree.  The exact count is the number of distinct real linear factors
-    of f, since the alignment form of II_f is n(n-1)f; ``foliate`` checks
-    against it.
+    ``lineindex._ROOTS``, the 4096-th roots of unity, with the offset
+    folded into the Fourier coefficients.  The brackets are then narrowed
+    in lockstep rounds: each round evaluates the next regula falsi point of
+    every open bracket in one call of :func:`lineindex._at`, which gives
+    each point the values it would get alone, so every bracket takes the
+    steps it would take by itself.  Either way a sample reads only the
+    nonzero Fourier powers, one for a saddle of any degree.  The exact
+    count is the number of distinct real linear factors of f, since the
+    alignment form of II_f is n(n-1)f; ``foliate`` checks against it.
     """
     h = alignment_form(w)
     terms = lineindex._float_coeffs(h.degree, h)
     odd = h.degree % 2 == 1
     offset, step = 1e-3, _SCAN_STEP
-    (values,) = lineindex._grid(terms, odd, _SCAN_ROOTS, _SCAN_SAMPLES + 1, offset)
-    lines: list[float] = []
+    (values,) = lineindex._grid(terms, odd, lineindex._ROOTS, _SCAN_SAMPLES + 1, offset)
+    # one root per grid node that is zero or opens a sign change, in scan
+    # order; a bracket's slot is filled when its refinement ends
+    roots: list[float] = []
+    live = []
     for i, (h0, h1) in enumerate(zip(values, values[1:])):
         if h0 == 0.0:
-            root = offset + step * i
+            roots.append(offset + step * i)
         elif h0 * h1 < 0.0:
-            lo, hi = offset + step * i, offset + step * (i + 1)
-            flo, fhi = h0, h1
-            root, best = (lo, abs(h0)) if abs(h0) < abs(h1) else (hi, abs(h1))
-            # Illinois: halve the value kept at an end that stays put twice
-            # running, so that both ends close in on the root
-            kept = 0
-            while hi - lo > _ALIGN_TOL:
-                mid = (lo * fhi - hi * flo) / (fhi - flo)
-                if not lo < mid < hi:
-                    mid = (lo + hi) / 2.0
-                (fmid,) = lineindex._at(terms, odd, complex(math.cos(mid), math.sin(mid)))
-                if abs(fmid) < best:
-                    root, best = mid, abs(fmid)
-                if fmid == 0.0:
-                    break
-                if flo * fmid < 0.0:
-                    hi, fhi = mid, fmid
-                    if kept < 0:
-                        flo /= 2.0
-                    kept = -1
-                else:
-                    lo, flo = mid, fmid
-                    if kept > 0:
-                        fhi /= 2.0
-                    kept = 1
-        else:
-            continue
-        line = root % math.pi
-        lines.append(0.0 if math.pi - line < 1e-6 else line)
-    lines.sort()
+            refine = _illinois(offset + step * i, offset + step * (i + 1), h0, h1)
+            live.append((len(roots), refine, next(refine)))
+            roots.append(0.0)
+    while live:
+        points = [complex(math.cos(mid), math.sin(mid)) for _, _, mid in live]
+        (fmids,) = lineindex._at(terms, odd, points)
+        still = []
+        for (slot, refine, _), fmid in zip(live, fmids):
+            try:
+                still.append((slot, refine, refine.send(fmid)))
+            except StopIteration as done:
+                roots[slot] = done.value
+        live = still
+    # a line within 1e-6 below pi is the line at 0
+    lines = sorted(0.0 if math.pi - line < 1e-6 else line
+                   for line in (root % math.pi for root in roots))
     return len(lines), lines + [line + math.pi for line in lines]
+
+
+def _illinois(lo: float, hi: float, flo: float, fhi: float):
+    """Illinois regula falsi on the sign change flo * fhi < 0 of [lo, hi],
+    as a generator: it yields each point it needs, is sent the alignment
+    value there, and returns the evaluated point of smallest |h| once the
+    bracket is narrower than _ALIGN_TOL or a value is exactly zero."""
+    root, best = (lo, abs(flo)) if abs(flo) < abs(fhi) else (hi, abs(fhi))
+    # Illinois: halve the value kept at an end that stays put twice
+    # running, so that both ends close in on the root
+    kept = 0
+    while hi - lo > _ALIGN_TOL:
+        mid = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < mid < hi:
+            mid = (lo + hi) / 2.0
+        fmid = yield mid
+        if abs(fmid) < best:
+            root, best = mid, abs(fmid)
+        if fmid == 0.0:
+            break
+        if flo * fmid < 0.0:
+            hi, fhi = mid, fmid
+            if kept < 0:
+                flo /= 2.0
+            kept = -1
+        else:
+            lo, flo = mid, fmid
+            if kept > 0:
+                fhi /= 2.0
+            kept = 1
+    return root
 
 
 def _log_rise(dphi: float, psi0: float, psi1: float, s0: float, s1: float):
@@ -249,13 +270,7 @@ def curves_to_svg(cs: CurveSet, path: str) -> None:
     size = 640
     margin = 1.1
     scale = size / (2.0 * R_MAX * margin)
-
-    def sx(x: float) -> float:
-        return size / 2.0 + x * scale
-
-    def sy(y: float) -> float:
-        return size / 2.0 - y * scale
-
+    c = size / 2.0
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -264,7 +279,7 @@ def curves_to_svg(cs: CurveSet, path: str) -> None:
     for curve in cs.curves:
         if len(curve) < 2:
             continue
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in curve)
+        points = " ".join(f"{c + x * scale:.2f},{c - y * scale:.2f}" for x, y in curve)
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="#336699" '
             f'stroke-width="1"/>'
@@ -273,8 +288,9 @@ def curves_to_svg(cs: CurveSet, path: str) -> None:
         x0, y0 = R_MIN * math.cos(phi), R_MIN * math.sin(phi)
         x1, y1 = R_MAX * math.cos(phi), R_MAX * math.sin(phi)
         lines.append(
-            f'<line x1="{sx(x0):.2f}" y1="{sy(y0):.2f}" x2="{sx(x1):.2f}" '
-            f'y2="{sy(y1):.2f}" stroke="#cc3333" stroke-width="2"/>'
+            f'<line x1="{c + x0 * scale:.2f}" y1="{c - y0 * scale:.2f}" '
+            f'x2="{c + x1 * scale:.2f}" y2="{c - y1 * scale:.2f}" '
+            f'stroke="#cc3333" stroke-width="2"/>'
         )
     lines.append("</svg>")
     with open(path, "w") as handle:

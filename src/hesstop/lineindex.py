@@ -34,12 +34,24 @@ trigonometric polynomials (``classify._exact_fourier``: the forms packed
 into one integer per coefficient, one pair of Taylor shifts for all), and
 rounded once (:func:`_float_coeffs`), keeping only the nonzero powers.  A
 value is then one complex Horner pass over the gaps between those powers
-of e^(2i phi), and one pair of evaluators serves every form count: the
+of e^(2i phi), and one pair of evaluators serves every form count.  The
 fixed grids, the index grid here and the separatrix scan of
-``foliation``, are evaluated by :func:`_grid` over a table of roots of
-unity, from which every power of a grid point is read, rounded once;
-bisection midpoints and root refinement read single points
-(:func:`_at`).  The monomial basis cancels: its binomial coefficients
+``foliation``, are evaluated by :func:`_grid`, which reads every power of
+a grid point, rounded once, from a table of roots of unity: the module's
+one table of the 4096-th roots (:data:`_ROOTS`), which the scan reads
+whole and the index grid of N points at stride 4096 / N when N divides
+4096, or N-th roots built for the call otherwise.  An even-degree index
+grid is evaluated on the first half turn only, since it reads only even
+powers, which repeat at the antipode.  The walk then runs over whole grid
+lists: doubled angles, steps between them, and running sums of the
+steps, with only the flagged steps (more than pi/2, or NaN where the grid
+discriminant is not positive) taken one sample at a time.  The points off
+the grids go through :func:`_at`, which takes a list of points and gives
+each the operations it would get alone: the bisection midpoints of the
+index walk one at a time, and the regula falsi points of the separatrix
+brackets in lockstep rounds, one call per round for every open bracket.
+So the float layer's results do not depend on how its points are
+grouped.  The monomial basis cancels: its binomial coefficients
 reach 2^d while the values stay near 1, which cost the index at degree 112
 and the separatrix count at 86.  In the Fourier basis the
 saddle family is one term, so a saddle of any degree costs O(1) complex
@@ -54,6 +66,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .classify import (
@@ -69,6 +82,12 @@ from .polyalg import HomoPoly
 from .quadform import QuadForm, second_fundamental_form
 
 _MAX_DEPTH = 20
+
+# The 4096-th roots of unity e^(i pi j / 2048), built once: the separatrix
+# scan reads every power of its points here, and the index grid of N points
+# reads it at stride 4096 / N when N divides 4096, where the entry is the
+# same double as cmath.rect(1.0, 2 pi i / N).
+_ROOTS = [cmath.rect(1.0, math.pi / 2048 * j) for j in range(4096)]
 
 
 def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
@@ -103,27 +122,33 @@ def _float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
     return steps or [(1, *[0j] * len(forms))], prev or 0
 
 
-def _at(terms, odd: bool, z: complex) -> list[float]:
-    """Every form of ``terms`` (from :func:`_float_coeffs`, of odd or even
-    degree) at the unit point z, up to their common positive factor, in
-    one Horner pass over the gaps: it starts from the top step's
-    coefficients and computes s * w^gap + c for each later step, with
-    w^gap = (z^2)^gap computed again only where the gap changes, then
-    multiplies by w^tail and by z when the degree is odd."""
+def _at(terms, odd: bool, zs: list[complex]) -> list[list[float]]:
+    """Per form of ``terms`` (from :func:`_float_coeffs`, of odd or even
+    degree), its values at the unit points ``zs``, up to their common
+    positive factor, as :func:`_grid` returns them for a grid.  Each point
+    takes the same operations as it would alone, one Horner pass over the
+    gaps: start from the top step's coefficients and compute s * w^gap + c
+    for each later step, with w^gap = (z^2)^gap computed again only where
+    the gap changes, then multiply by w^tail and by z when the degree is
+    odd.  The points are passed together only to pay the interpreter once
+    per step rather than once per point: the separatrix scan's regula falsi
+    rounds evaluate every open bracket in one call, the index walk's
+    bisection midpoints one point each."""
     steps, tail = terms
-    w = z * z
-    (_, *acc), *rest = steps
-    wg, last = w, 1
+    ws = [z * z for z in zs]
+    (_, *seed), *rest = steps
+    values = [[s] * len(zs) for s in seed]
+    wg, last = ws, 1
     for gap, *cs in rest:
         if gap != last:
-            wg, last = w ** gap, gap
-        acc = [s * wg + c for s, c in zip(acc, cs)]
+            wg, last = [w ** gap for w in ws], gap
+        values = [[s * x + c for s, x in zip(row, wg)] for row, c in zip(values, cs)]
     if tail:
-        wt = w ** tail
-        acc = [s * wt for s in acc]
+        wt = [w ** tail for w in ws]
+        values = [[s * x for s, x in zip(row, wt)] for row in values]
     if odd:
-        acc = [s * z for s in acc]
-    return [s.real for s in acc]
+        values = [[s * z for s, z in zip(row, zs)] for row in values]
+    return [[s.real for s in row] for row in values]
 
 
 def _grid(
@@ -131,13 +156,16 @@ def _grid(
 ) -> list[list[float]]:
     """Per form of ``terms``, its values at the unit points
     e^(i offset) z_j, j < ``count``, where z_j = roots[j] and ``roots``
-    lists the m-th roots of unity in order, as :func:`_at` reads them one
-    point at a time.  A power of such a point is e^(i e offset)
-    roots[e j mod m], so the offset turns each coefficient once and the
-    pass raises no power: it starts from the top step's coefficients,
-    computes s * roots[2 gap j mod m] + c for each later step, over all
-    points at once, and multiplies by the entry of z^(2 tail + odd) at the
-    end."""
+    lists the m-th roots of unity in order (a slice of :data:`_ROOTS` or a
+    table built for the call), as :func:`_at` gives them for the same
+    points.  A power of such a point is e^(i e offset) roots[e j mod m], so
+    the offset turns each coefficient once and the pass raises no power: it
+    starts from the top step's coefficients, computes
+    s * roots[2 gap j mod m] + c for each later step, over all points at
+    once, and multiplies by the entry of z^(2 tail + odd) at the end.  At
+    even degree every exponent read is even, so z_(j + m/2) = -z_j reads
+    the same entries as z_j and gets the same values: the index walk
+    evaluates only the first half turn."""
     steps, tail = terms
     m = len(roots)
     if offset:
@@ -239,47 +267,78 @@ def index_at_origin(w: QuadForm) -> tuple[HalfIndex, DirectionTrace]:
     by 2 pi (m - 2) in all, so no step of a saddle up to m = 1024 turns it
     by more than pi/4.
 
-    The grid is evaluated first, by :func:`_grid` over a table of the N-th
-    roots of unity built for this call (its size depends on the degree);
-    the walk then reads it in order.  Bisection midpoints, and grid points
-    whose discriminant is not positive, are evaluated one at a time by
-    :func:`_at` as the walk reaches them,
-    so a NotHyperbolicHere or RefinementLimit names the first failing point
-    in walk order.  Certification does not depend on this function; it
-    reads the index from hyperbolic_index.
+    The grid is evaluated first, by :func:`_grid` over the N-th roots of
+    unity: :data:`_ROOTS` read at stride 4096 / N when N divides 4096, a
+    table built for the call otherwise.  An even-degree w takes the same
+    values at phi and phi + pi, so only the first half turn is evaluated
+    and its doubled angles are read twice.  The doubled angles (NaN where
+    the discriminant is not positive) and the steps between them are
+    computed over the whole grid at once; a step that moves by more than
+    pi/2, or is NaN, is flagged.  The walk adds the stretches between
+    flagged steps to the running sum by the same additions in the same
+    order, and takes each flagged step as the per-sample walk would: a
+    grid point whose discriminant is not positive is evaluated again by
+    :func:`_at`, and the step is bisected depth first, each midpoint
+    evaluated by :func:`_at` as the walk reaches it.  So a
+    NotHyperbolicHere or RefinementLimit names the first failing point in
+    walk order.  Certification does not depend on this function; it reads
+    the index from hyperbolic_index.
     """
     n = max(1024, 8 * w.degree)
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     odd = w.degree % 2 == 1
     two_pi = 2.0 * math.pi
     half_pi = math.pi / 2.0
-    atan2, sqrt, remainder = math.atan2, math.sqrt, math.remainder
+    atan2, sqrt, remainder, nan = math.atan2, math.sqrt, math.remainder, math.nan
 
     def doubled_angle(phi: float) -> float:
         x, y = math.cos(phi), math.sin(phi)
-        A, B, C = _at(terms, odd, complex(x, y))
+        (A,), (B,), (C,) = _at(terms, odd, [complex(x, y)])
         root = sqrt(_positive_disc(A, B, C, x, y))
         return atan2(2.0 * B, A - C) + atan2(root, -0.5 * (A + C))
 
-    roots = [cmath.rect(1.0, two_pi * i / n) for i in range(n)]
-    grid = list(zip(*_grid(terms, odd, roots, n)))
+    if len(_ROOTS) % n:
+        roots = [cmath.rect(1.0, two_pi * i / n) for i in range(n)]
+    else:
+        roots = _ROOTS[::len(_ROOTS) // n]
+    grid = _grid(terms, odd, roots, n if odd else n // 2)
+    angles = [
+        atan2(2.0 * B, A - C) + atan2(sqrt(disc), -0.5 * (A + C))
+        if (disc := B * B - A * C) > 0.0 else nan
+        for A, B, C in zip(*grid)
+    ]
+    if not odd:
+        angles += angles
     prev = doubled_angle(0.0)
-    samples = [(0.0, (prev % two_pi) / 2.0)]
+    # the walk's points 0..n; the last, phi = 2 pi, is the first grid point
+    track = [prev, *angles[1:], angles[0]]
+    thetas = [(a % two_pi) / 2.0 for a in track]
+    steps = [remainder(b - a, two_pi) for a, b in zip(track, track[1:])]
+    flagged = [i for i, step in enumerate(steps, 1) if not abs(step) <= half_pi]
+    samples = [(0.0, thetas[0])]
     unwrapped = [0.0]
     psi = 0.0
     max_depth = 0
     phi_prev = 0.0
+    start = 1
     # a step of more than pi/2 is bisected depth first: the point waits on
     # ``todo`` while the midpoint towards the last accepted sample is settled
     todo: list[tuple[float, int, float]] = []
-    for i in range(1, n + 1):
-        # the last point, phi = 2 pi, is the first point of the table again
-        phi, depth = two_pi * i / n, 0
-        A, B, C = grid[i % n]
-        disc = B * B - A * C
-        if disc > 0.0:
-            cur = atan2(2.0 * B, A - C) + atan2(sqrt(disc), -0.5 * (A + C))
-        else:
+    for k in flagged + [n + 1]:
+        if start < k:
+            # the unflagged points start..k-1, each step as the walk adds it
+            run = accumulate(steps[start - 1:k - 1], initial=psi)
+            next(run)
+            unwrapped += run
+            psi = unwrapped[-1]
+            samples += zip([two_pi * i / n for i in range(start, k)], thetas[start:k])
+            prev, phi_prev = track[k - 1], two_pi * (k - 1) / n
+        if k > n:
+            break
+        start = k + 1
+        phi, depth, cur = two_pi * k / n, 0, track[k]
+        if math.isnan(cur):
+            # the grid's discriminant is not positive here
             cur = doubled_angle(phi)
         while True:
             step = remainder(cur - prev, two_pi)

@@ -20,8 +20,12 @@ and B; it is the oracle of ``lineindex.hyperbolic_index``, which reads the
 index from f's Fourier data, and of the indexes isotopy certificates
 carry.
 The per-sample float layer (``reference_index_at_origin``,
-``reference_separatrix_scan``, ``reference_float_coeffs``) is the oracle of
-the grid evaluators and the packed Fourier conversion.  The sign kernel's
+``reference_separatrix_scan``, ``reference_float_coeffs``, all through the
+scalar ``reference_at``) is the oracle of the grid evaluators and the
+packed Fourier conversion.  ``reference_grid_index_at_origin`` and
+``reference_grid_separatrices`` are the grid walk and the scan loop as
+they ran before the whole-grid passes, one grid point and one bracket at a
+time; the float layer must match them bit for bit.  The sign kernel's
 probes on Fractions (``reference_rational_root``,
 ``reference_strict_violation_witness``, ``reference_sign_at``) are the
 oracle of its probes on integer pairs, over the seeded forms of known sign
@@ -30,6 +34,7 @@ class that ``random_sign_class_form`` builds.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from collections import deque
@@ -362,11 +367,11 @@ def asymptotic_lines(w, x: float, y: float) -> tuple[float, float]:
     """The two asymptotic lines of ``w`` at (x, y), as the float layer reads
     them: the Fourier coefficients, one Horner pass at the unit point, then
     the quadratic."""
-    from hesstop.lineindex import _at, _float_coeffs
+    from hesstop.lineindex import _float_coeffs
 
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     r = math.hypot(x, y)
-    A, B, C = _at(terms, w.degree % 2 == 1, complex(x / r, y / r))
+    A, B, C = reference_at(terms, w.degree % 2 == 1, complex(x / r, y / r))
     return _directions_from_values(A, B, C, x, y)
 
 
@@ -475,12 +480,11 @@ def _reference_direction(terms, odd, x: float, y: float, vref) -> tuple[float, f
     chosen by line angles: solve both lines as angles, keep the one nearer
     to the angle of vref in RP^1, and turn it back into a vector."""
     from hesstop.errors import NotHyperbolicHere
-    from hesstop.lineindex import _at
 
     r = math.hypot(x, y)
     if not r:
         raise NotHyperbolicHere("the line field is not sampled at the origin")
-    A, B, C = _at(terms, odd, complex(x / r, y / r))
+    A, B, C = reference_at(terms, odd, complex(x / r, y / r))
     pair = _directions_from_values(A, B, C, x, y)
     ref_angle = math.atan2(vref[1], vref[0]) % math.pi
     d0 = line_distance(pair[0], ref_angle)
@@ -501,7 +505,7 @@ def reference_trace(w, seeds: int) -> list[list[tuple[float, float]]]:
     to the fixed branch 2 theta = arg(A - C, 2B) + arccos(-(A + C)/2R) that
     ``index_at_origin`` samples; the stages then follow that line."""
     from hesstop.foliation import R_MAX, R_MIN
-    from hesstop.lineindex import _at, _float_coeffs
+    from hesstop.lineindex import _float_coeffs
 
     terms = _float_coeffs(w.degree, w.a, w.b, w.c)
     odd = w.degree % 2 == 1
@@ -533,7 +537,7 @@ def reference_trace(w, seeds: int) -> list[list[tuple[float, float]]]:
     for i in range(seeds):
         phi = 2.0 * math.pi * ((i + golden * 0.5) / seeds)
         x, y = math.cos(phi), math.sin(phi)
-        A, B, C = _at(terms, odd, complex(x, y))
+        A, B, C = reference_at(terms, odd, complex(x, y))
         fixed = (math.atan2(2.0 * B, A - C)
                  + math.atan2(math.sqrt(B * B - A * C), -0.5 * (A + C))) / 2.0
         theta = min(_directions_from_values(A, B, C, x, y),
@@ -780,6 +784,29 @@ def reflection_identity_holds(m: int) -> bool:
 # packed conversion must reproduce these.
 
 
+def reference_at(terms, odd: bool, z: complex) -> list[float]:
+    """Every form of ``terms`` (from :func:`_float_coeffs`, of odd or even
+    degree) at the unit point z, up to their common positive factor, in
+    one Horner pass over the gaps: it starts from the top step's
+    coefficients and computes s * w^gap + c for each later step, with
+    w^gap = (z^2)^gap computed again only where the gap changes, then
+    multiplies by w^tail and by z when the degree is odd."""
+    steps, tail = terms
+    w = z * z
+    (_, *acc), *rest = steps
+    wg, last = w, 1
+    for gap, *cs in rest:
+        if gap != last:
+            wg, last = w ** gap, gap
+        acc = [s * wg + c for s, c in zip(acc, cs)]
+    if tail:
+        wt = w ** tail
+        acc = [s * wt for s in acc]
+    if odd:
+        acc = [s * z for s in acc]
+    return [s.real for s in acc]
+
+
 def reference_float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], int]:
     """The (steps, tail) Horner data of ``forms``, converting each form by
     its own call of ``_fourier_halves``."""
@@ -806,14 +833,13 @@ def reference_float_coeffs(degree: int, *forms: HomoPoly) -> tuple[list[tuple], 
 
 def reference_index_at_origin(w: QuadForm):
     """``index_at_origin`` one sample at a time: every grid point and every
-    bisection midpoint through the scalar ``_at``, in the order of a
-    work queue."""
+    bisection midpoint through the scalar :func:`reference_at`, in the
+    order of a work queue."""
     from hesstop.errors import RefinementLimit
     from hesstop.lineindex import (
         _MAX_DEPTH,
         DirectionTrace,
         HalfIndex,
-        _at,
         _float_coeffs,
         _positive_disc,
     )
@@ -825,7 +851,7 @@ def reference_index_at_origin(w: QuadForm):
 
     def doubled_angle(phi: float) -> float:
         x, y = math.cos(phi), math.sin(phi)
-        A, B, C = _at(terms, odd, complex(x, y))
+        A, B, C = reference_at(terms, odd, complex(x, y))
         root = math.sqrt(_positive_disc(A, B, C, x, y))
         return math.atan2(2.0 * B, A - C) + math.atan2(root, -0.5 * (A + C))
 
@@ -928,16 +954,16 @@ def reference_origin_index(w: QuadForm) -> HalfIndex:
 
 def reference_separatrix_scan(w: QuadForm) -> tuple[int, list[float]]:
     """``count_separatrices`` one sample at a time: every grid point and
-    every regula falsi point through the scalar ``_at``."""
+    every regula falsi point through the scalar :func:`reference_at`."""
     from hesstop.foliation import _ALIGN_TOL, _SCAN_SAMPLES, alignment_form
-    from hesstop.lineindex import _at, _float_coeffs
+    from hesstop.lineindex import _float_coeffs
 
     h = alignment_form(w)
     terms = _float_coeffs(h.degree, h)
     odd = h.degree % 2 == 1
 
     def _alignment(phi: float) -> float:
-        return _at(terms, odd, complex(math.cos(phi), math.sin(phi)))[0]
+        return reference_at(terms, odd, complex(math.cos(phi), math.sin(phi)))[0]
     offset = 1e-3
     grid = [offset + math.pi * i / _SCAN_SAMPLES for i in range(_SCAN_SAMPLES + 1)]
     values = [_alignment(phi) for phi in grid]
@@ -956,6 +982,134 @@ def reference_separatrix_scan(w: QuadForm) -> tuple[int, list[float]]:
                 if not lo < mid < hi:
                     mid = (lo + hi) / 2.0
                 fmid = _alignment(mid)
+                if abs(fmid) < best:
+                    root, best = mid, abs(fmid)
+                if fmid == 0.0:
+                    break
+                if flo * fmid < 0.0:
+                    hi, fhi = mid, fmid
+                    if kept < 0:
+                        flo /= 2.0
+                    kept = -1
+                else:
+                    lo, flo = mid, fmid
+                    if kept > 0:
+                        fhi /= 2.0
+                    kept = 1
+        else:
+            continue
+        line = root % math.pi
+        lines.append(0.0 if math.pi - line < 1e-6 else line)
+    lines.sort()
+    return len(lines), lines + [line + math.pi for line in lines]
+
+
+def reference_grid_index_at_origin(w: QuadForm):
+    """``index_at_origin`` as one loop over the grid: the full grid by
+    ``_grid`` over N-th roots built for the call, then each grid point
+    walked in turn, and every re-evaluated point and bisection midpoint
+    through the scalar :func:`reference_at`."""
+    from hesstop.errors import RefinementLimit
+    from hesstop.lineindex import (
+        _MAX_DEPTH,
+        DirectionTrace,
+        HalfIndex,
+        _float_coeffs,
+        _grid,
+        _positive_disc,
+    )
+
+    n = max(1024, 8 * w.degree)
+    terms = _float_coeffs(w.degree, w.a, w.b, w.c)
+    odd = w.degree % 2 == 1
+    two_pi = 2.0 * math.pi
+    half_pi = math.pi / 2.0
+    atan2, sqrt, remainder = math.atan2, math.sqrt, math.remainder
+
+    def doubled_angle(phi: float) -> float:
+        x, y = math.cos(phi), math.sin(phi)
+        A, B, C = reference_at(terms, odd, complex(x, y))
+        root = sqrt(_positive_disc(A, B, C, x, y))
+        return atan2(2.0 * B, A - C) + atan2(root, -0.5 * (A + C))
+
+    roots = [cmath.rect(1.0, two_pi * i / n) for i in range(n)]
+    grid = list(zip(*_grid(terms, odd, roots, n)))
+    prev = doubled_angle(0.0)
+    samples = [(0.0, (prev % two_pi) / 2.0)]
+    unwrapped = [0.0]
+    psi = 0.0
+    max_depth = 0
+    phi_prev = 0.0
+    # a step of more than pi/2 is bisected depth first: the point waits on
+    # ``todo`` while the midpoint towards the last accepted sample is settled
+    todo: list[tuple[float, int, float]] = []
+    for i in range(1, n + 1):
+        # the last point, phi = 2 pi, is the first point of the table again
+        phi, depth = two_pi * i / n, 0
+        A, B, C = grid[i % n]
+        disc = B * B - A * C
+        if disc > 0.0:
+            cur = atan2(2.0 * B, A - C) + atan2(sqrt(disc), -0.5 * (A + C))
+        else:
+            cur = doubled_angle(phi)
+        while True:
+            step = remainder(cur - prev, two_pi)
+            if abs(step) > half_pi:
+                if depth >= _MAX_DEPTH:
+                    raise RefinementLimit(
+                        f"bisection depth {_MAX_DEPTH} reached near phi={phi:.6f}"
+                    )
+                depth += 1
+                todo.append((phi, depth, cur))
+                phi = (phi_prev + phi) / 2.0
+                cur = doubled_angle(phi)
+                continue
+            if depth > max_depth:
+                max_depth = depth
+            psi += step
+            prev, phi_prev = cur, phi
+            samples.append((phi, (cur % two_pi) / 2.0))
+            unwrapped.append(psi)
+            if not todo:
+                break
+            phi, depth, cur = todo.pop()
+
+    raw = psi / (2.0 * two_pi)
+    numerator = round(2.0 * raw)
+    residual = abs(raw - numerator / 2.0)
+    return HalfIndex(numerator, residual), DirectionTrace(samples, unwrapped, max_depth)
+
+
+def reference_grid_separatrices(w: QuadForm) -> tuple[int, list[float]]:
+    """``count_separatrices`` one bracket at a time: the scan grid by
+    ``_grid`` over a table of the 4096-th roots of unity built here, then
+    each sign change narrowed to the end before the next one starts, with
+    every regula falsi point through the scalar :func:`reference_at`."""
+    from hesstop.foliation import _ALIGN_TOL, _SCAN_SAMPLES, _SCAN_STEP, alignment_form
+    from hesstop.lineindex import _float_coeffs, _grid
+
+    scan_roots = [cmath.rect(1.0, _SCAN_STEP * j) for j in range(2 * _SCAN_SAMPLES)]
+    h = alignment_form(w)
+    terms = _float_coeffs(h.degree, h)
+    odd = h.degree % 2 == 1
+    offset, step = 1e-3, _SCAN_STEP
+    (values,) = _grid(terms, odd, scan_roots, _SCAN_SAMPLES + 1, offset)
+    lines: list[float] = []
+    for i, (h0, h1) in enumerate(zip(values, values[1:])):
+        if h0 == 0.0:
+            root = offset + step * i
+        elif h0 * h1 < 0.0:
+            lo, hi = offset + step * i, offset + step * (i + 1)
+            flo, fhi = h0, h1
+            root, best = (lo, abs(h0)) if abs(h0) < abs(h1) else (hi, abs(h1))
+            # Illinois: halve the value kept at an end that stays put twice
+            # running, so that both ends close in on the root
+            kept = 0
+            while hi - lo > _ALIGN_TOL:
+                mid = (lo * fhi - hi * flo) / (fhi - flo)
+                if not lo < mid < hi:
+                    mid = (lo + hi) / 2.0
+                (fmid,) = reference_at(terms, odd, complex(math.cos(mid), math.sin(mid)))
                 if abs(fmid) < best:
                     root, best = mid, abs(fmid)
                 if fmid == 0.0:

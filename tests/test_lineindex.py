@@ -19,7 +19,6 @@ from hesstop.lineindex import (
     CAUCHY_CHAIN,
     ROUCHE,
     HalfIndex,
-    _at,
     _cauchy_index,
     _dominant_term,
     _float_coeffs,
@@ -48,7 +47,10 @@ from helpers import (
     line_distance,
     random_homopoly,
     reference_dominant_winding,
+    reference_at,
     reference_float_coeffs,
+    reference_grid_index_at_origin,
+    reference_grid_separatrices,
     reference_index_at_origin,
     reference_origin_index,
     reference_separatrix_scan,
@@ -56,6 +58,11 @@ from helpers import (
 
 # (m, k) of the benchmark's product ladder, total degrees 5 to 110
 PRODUCT_LADDER = ((3, 1), (8, 2), (12, 5), (20, 6), (30, 10), (40, 12), (50, 20), (40, 35))
+
+
+def _at(terms, odd, z):
+    """``lineindex._at`` at the one unit point z: each form's value there."""
+    return [row[0] for row in lineindex._at(terms, odd, [z])]
 
 
 # rational points (x, y) of the unit circle, from t by (1 - t^2, 2t)/(1 + t^2)
@@ -782,3 +789,113 @@ class TestErrorPath:
         message = self._error(index_at_origin, w)
         assert message == self._error(reference_index_at_origin, w)
         assert message.endswith("at (1, 0.000732647)")
+
+
+# --- whole-grid passes against the per-point loops ---------------------------
+
+def _bisected_forms():
+    """Two forms whose walk is bisected: the odd one of
+    test_refinement_engages_on_fast_winding, and an even one that winds fast
+    near phi = pi/2 and again at its antipode."""
+    x, y, a = parse("x"), parse("y"), parse("x^2") - parse("y^2") * Fraction(1, 10**9)
+    return [QuadForm(x, y * Fraction(1, 10**9), -x), QuadForm(a, parse("x*y"), -a)]
+
+
+_GRID_FORMS = (
+    [(f"P{m}", second_fundamental_form(saddle_family(m)))
+     for m in SADDLE_LADDER + (131, 258, 1024)]
+    + [(f"f{m},{k}", second_fundamental_form(product_family(m, k))) for m, k in PRODUCT_LADDER]
+    + [(f"fan{n}", second_fundamental_form(_fan(n))) for n in (42, 43, 135, 140)]
+    + list(zip(("bisected-odd", "bisected-even"), _bisected_forms()))
+)
+
+
+def _hexes(rows):
+    return [[v.hex() for v in row] for row in rows]
+
+
+class TestWholeGridPasses:
+    """index_at_origin and count_separatrices give bit for bit what the
+    grid walk and the scan loop gave one grid point and one bracket at a
+    time, and the shared table, the half turn and the batched evaluator
+    are exact."""
+
+    @pytest.mark.parametrize("name,w", _GRID_FORMS, ids=[name for name, _ in _GRID_FORMS])
+    def test_index_walk_is_bit_identical(self, name, w):
+        half, trace = index_at_origin(w)
+        ref_half, ref = reference_grid_index_at_origin(w)
+        assert half == ref_half
+        assert trace.samples == ref.samples
+        assert trace.unwrapped == ref.unwrapped
+        assert trace.refinement_depth == ref.refinement_depth
+
+    @pytest.mark.parametrize("name,w", _GRID_FORMS, ids=[name for name, _ in _GRID_FORMS])
+    def test_separatrix_scan_is_bit_identical(self, name, w):
+        assert count_separatrices(w) == reference_grid_separatrices(w)
+
+    def test_grid_sizes_take_both_table_paths(self):
+        # P131: N = 1032 does not divide 4096 (a table for the call, odd
+        # degree, full turn); P258: N = 2048 (the table at stride 2, even
+        # degree, half turn)
+        forms = dict(_GRID_FORMS)
+        for name, n, odd in (("P131", 1032, True), ("P258", 2048, False)):
+            w = forms[name]
+            assert max(1024, 8 * w.degree) == n and (w.degree % 2 == 1) == odd
+            _, trace = index_at_origin(w)
+            assert len(trace.samples) == n + 1
+
+    def test_bisected_forms_are_bisected(self):
+        for w in _bisected_forms():
+            assert index_at_origin(w)[1].refinement_depth >= 1
+
+    @pytest.mark.parametrize("text,k", [("x^3 + 3*x^2*y + y^3", 91), ("x^3 + x^2*y + 2*y^3", 9)])
+    def test_grid_point_error_is_the_loops(self, text, k):
+        w = second_fundamental_form(parse(text))
+        message = TestErrorPath._error(index_at_origin, w)
+        assert message == TestErrorPath._error(reference_grid_index_at_origin, w)
+
+    def test_midpoint_error_is_the_loops(self):
+        pairs = [(j, 1) if j % 3 == 0 else (1, j) for j in range(-68, 68)]
+        w = second_fundamental_form(_line_product(pairs))
+        message = TestErrorPath._error(index_at_origin, w)
+        assert message == TestErrorPath._error(reference_grid_index_at_origin, w)
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    def test_table_at_stride_is_the_per_call_table(self, n):
+        got = lineindex._ROOTS[::4096 // n]
+        want = [cmath.rect(1.0, 2.0 * math.pi * i / n) for i in range(n)]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want]
+
+    @pytest.mark.parametrize("d", [0, 2, 8, 40, 118])
+    def test_even_grid_repeats_at_the_antipode(self, rng, d):
+        dense = [HomoPoly(d, tuple(rng.randint(-(2**40), 2**40) for _ in range(d + 1)))
+                 for _ in range(3)]
+        # II of a product of even degree d + 6: at most three Fourier terms
+        sparse = second_fundamental_form(product_family(d + 2, 3))
+        for degree, forms in ((d, dense), (d, dense[:1]),
+                              (sparse.degree, [sparse.a, sparse.b, sparse.c])):
+            terms = _float_coeffs(degree, *forms)
+            for n in (1024, 1032, 2048):
+                roots = [cmath.rect(1.0, 2.0 * math.pi * i / n) for i in range(n)]
+                half = _grid(terms, False, roots, n // 2)
+                assert _hexes(_grid(terms, False, roots, n)) == _hexes(
+                    [row + row for row in half])
+
+    @pytest.mark.parametrize("m", [16, 17, 40, 41])
+    def test_batched_at_is_the_scalar_at(self, m):
+        rng = random.Random(m)
+        points = [cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi)) for _ in range(200)]
+        # a sum of a saddle and a product: power gaps other than 1
+        w = second_fundamental_form(saddle_family(m) + product_family(m - 12, 6) * 5)
+        h = alignment_form(w)
+        dense = HomoPoly(w.degree, tuple(rng.randint(-(2**40), 2**40)
+                                         for _ in range(w.degree + 1)))
+        for degree, forms, gaps in ((w.degree, (w.a, w.b, w.c), True), (h.degree, (h,), True),
+                                    (w.degree, (dense,), False)):
+            terms = _float_coeffs(degree, *forms)
+            assert any(gap > 1 for gap, *_ in terms[0]) == gaps
+            odd = degree % 2 == 1
+            got = lineindex._at(terms, odd, points)
+            want = [reference_at(terms, odd, z) for z in points]
+            assert _hexes(got) == _hexes([list(row) for row in zip(*want)])
