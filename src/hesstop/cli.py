@@ -10,7 +10,7 @@ m >= 2, k >= 0; the pair commands take f:m,k only), and any other spec is
 refused by name with the accepted forms.  A degree below what a command
 needs (census --n 3, a form 2, the q of verify-ineq 1) or above
 polyalg.MAX_DEGREE (for a pair, deg p + deg q), verify-identities --m-max
-outside 4..MAX_IDENTITY_M (the checks cost about m^4), foliate --seeds
+outside 4..MAX_IDENTITY_M (the checks cost more than m^3), foliate --seeds
 outside 1..foliation.MAX_SEEDS and polynomial text longer than
 MAX_POLY_TEXT characters are usage errors.  An error message quotes at most
 errors.ECHO_CHARS characters of the user's text.
@@ -85,9 +85,9 @@ from .polyalg import MAX_DEGREE, HomoPoly, parse, radial_family, saddle_family
 from .quadform import second_fundamental_form
 
 
-# Largest verify-identities --m-max: the checks cost about m^4 (0.5 s at
-# m = 80, 6.5 s at m = 160, wall time of python -m hesstop on a 2-vCPU VM),
-# so m = MAX_DEGREE would run for hours.
+# Largest verify-identities --m-max: the checks cost more than m^3 (0.3 s
+# at m = 80, 2.3 s at m = 160, best of three wall times of python -m
+# hesstop on a 2-vCPU VM), so m = MAX_DEGREE would run for hours.
 MAX_IDENTITY_M = 160
 
 # Longest polynomial text (--poly, --p, --q), in characters: above the
@@ -252,7 +252,7 @@ def _cmd_verify_identities(args) -> int:
     if not 4 <= m_max <= MAX_IDENTITY_M:
         raise UsageError(
             f"--m-max is {m_max}; this command needs 4..{MAX_IDENTITY_M}, since its "
-            f"cost grows about as m^4 (6.5 s at m = 160) and "
+            f"cost grows faster than m^3 (2.3 s at m = 160) and "
             f"m = {MAX_DEGREE} would run for hours"
         )
     checks = {

@@ -9,10 +9,14 @@ proves it.  Everything is exact integer or rational arithmetic.
 
 Convention: C(a, b) = 0 whenever b < 0 or b > a, which makes every sum
 total without index guards.  The sums keep that convention by their index
-ranges: each loop visits only the terms the convention leaves nonzero, calls
-math.comb on in-range arguments, and takes the sign (-1)^k from the parity
-of k.  The vanishing sum, whose terms carry a 1/m, is added up on ints as m
-times the sum and divided by m once at the end.
+ranges: each loop visits only the terms the convention leaves nonzero and
+takes the sign (-1)^k from the parity of k.  The raw sums, the vanishing
+sum and the alternating sum call math.comb on in-range arguments at every
+term.  The two convolution sums, whose terms are hypergeometric in k, call
+it for their first term only and step each binomial product to the next
+term by its exact ratio, one multiply by a small int and one floor division
+that leaves no remainder.  The vanishing sum, whose terms carry a 1/m, is
+added up on ints as m times the sum and divided by m once at the end.
 """
 
 from __future__ import annotations
@@ -138,16 +142,23 @@ def weighted_convolution_sum(m: int, j: int) -> int:
 
     Equals (j+1) C(m, j+1); defined (and zero) at j = -1 as an empty sum.
     Visits k from max(1, j+1-m) to min(j+1, m-j), where both binomials are
-    in range.
+    in range.  The product P_k = C(m,k+j) C(m,j-k+1) comes from math.comb
+    at the first k only and is then walked by its exact term ratio,
+    P_(k+1) = P_k (m-k-j)(j-k+1) // ((k+j+1)(m-j+k)); the step past the
+    last k has a zero factor on top.
     """
-    comb = math.comb
+    lo, hi = max(1, j + 1 - m), min(j + 1, m - j)
+    if lo > hi:
+        return 0
+    p = math.comb(m, lo + j) * math.comb(m, j - lo + 1)
     total = 0
-    for k in range(max(1, j + 1 - m), min(j + 1, m - j) + 1):
-        term = (2 * k - 1) * comb(m, k + j) * comb(m, j - k + 1)
+    for k in range(lo, hi + 1):
+        term = (2 * k - 1) * p
         if k & 1:
             total += term
         else:
             total -= term
+        p = p * ((m - k - j) * (j - k + 1)) // ((k + j + 1) * (m - j + k))
     return total
 
 
@@ -155,16 +166,21 @@ def square_convolution_sum(m: int, j: int) -> int:
     """C(m,j)^2 + 2 sum_{k=1}^{j} (-1)^k C(m,j-k) C(m,j+k).
 
     Equals C(m, j).  Visits k from max(1, j-m) to min(j, m-j), where both
-    binomials are in range.
+    binomials are in range.  The product P_k = C(m,j-k) C(m,j+k) comes from
+    math.comb at the first k only and is then walked by its exact term
+    ratio, P_(k+1) = P_k (j-k)(m-j-k) // ((m-j+k+1)(j+k+1)); the step past
+    the last k has a zero factor on top.
     """
-    comb = math.comb
+    lo, hi = max(1, j - m), min(j, m - j)
     total = 0
-    for k in range(max(1, j - m), min(j, m - j) + 1):
-        term = comb(m, j - k) * comb(m, j + k)
-        if k & 1:
-            total -= term
-        else:
-            total += term
+    if lo <= hi:
+        p = math.comb(m, j - lo) * math.comb(m, j + lo)
+        for k in range(lo, hi + 1):
+            if k & 1:
+                total -= p
+            else:
+                total += p
+            p = p * ((j - k) * (m - j - k)) // ((m - j + k + 1) * (j + k + 1))
     return binom(m, j) ** 2 + 2 * total
 
 

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from hesstop import combinat
 from hesstop.combinat import (
     absorption_identity_holds,
     alternating_sum_identity_holds,
@@ -166,6 +168,67 @@ class TestLiteralReference:
         for m, j in LITERAL_GRID:
             if 1 <= m and 0 <= j <= m - 1:
                 assert type(vanishing_alternating_sum(m, j)) is Fraction
+
+
+# m past the 64-bit fast path of math.comb, which ends at n = 67, with j in
+# -3..m+3: the convolution sums walk their binomial products by exact
+# ratios, and the literal sums call math.comb at every term
+WALK_GRID = [(m, j) for m in (66, 67, 68, 69, 80, 120, 160) for j in range(-3, m + 4)]
+
+
+def _literal_weighted_recurrence(m, j):
+    return literal_weighted_convolution_sum(m, j) == (
+        literal_weighted_convolution_sum(m - 1, j)
+        + literal_weighted_convolution_sum(m - 1, j - 1)
+        + literal_square_convolution_sum(m - 1, j)
+    )
+
+
+def _literal_square_recurrence(m, j):
+    return literal_square_convolution_sum(m, j) == (
+        literal_square_convolution_sum(m - 1, j)
+        + literal_square_convolution_sum(m - 1, j - 1)
+    )
+
+
+class TestConvolutionWalk:
+    """The ratio walks of the convolution sums against the literal sums."""
+
+    @pytest.mark.parametrize("fn,literal", [
+        (weighted_convolution_sum, literal_weighted_convolution_sum),
+        (square_convolution_sum, literal_square_convolution_sum),
+        (weighted_sum_recurrence_holds, _literal_weighted_recurrence),
+        (square_sum_recurrence_holds, _literal_square_recurrence),
+    ], ids=lambda f: f.__name__)
+    def test_matches_literal_sum_past_fast_path(self, fn, literal):
+        for m, j in WALK_GRID:
+            assert _outcome(fn, m, j) == _outcome(literal, m, j), (m, j)
+
+    @pytest.mark.parametrize("m", [20, 80, 160])
+    @pytest.mark.parametrize("fn,most", [
+        (weighted_convolution_sum, 2),
+        (square_convolution_sum, 3),  # with binom(m, j) ** 2
+    ], ids=lambda f: getattr(f, "__name__", str(f)))
+    def test_comb_calls_per_sum(self, monkeypatch, fn, most, m):
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def comb(n, k):
+                calls.append((n, k))
+                return math.comb(n, k)
+
+        monkeypatch.setattr(combinat, "math", CountingMath())
+        for j in range(-3, m + 4):
+            calls.clear()
+            fn(m, j)
+            assert len(calls) <= most, (m, j, len(calls))
+        calls.clear()
+        fn(m, m // 2)
+        assert calls, "the proxy saw no math.comb call"
 
 
 class TestBracketClosedForm:
